@@ -215,7 +215,7 @@ def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exhaustive SAD search for every macroblock against every reference.
 
-    cur: (H, W) samples; refs: (R, H, W) stacked reference planes.
+    cur: (H, W) uint8 samples; refs: (R, H, W) stacked uint8 reference planes.
     Returns (best_mv, best_sad, zero_sad) with best_mv of shape (R, n_mb, 2)
     as (dx, dy).  Ties resolve to the smallest |dx|+|dy|, then smallest dy,
     then smallest dx.  Displacements whose predictor leaves the frame are
@@ -224,35 +224,32 @@ def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
     H, W = cur.shape
     R = refs.shape[0]
     hb, wb = H // MB_SIZE, W // MB_SIZE
-    n_mb = hb * wb
-    curf = cur.astype(np.float32)
-    reff = refs.astype(np.float32)
-    big = np.float32(1.0e7)
-
     disps = displacement_order(search_range)
-    shifted = np.empty_like(reff)
-    best_sad = np.full((R, n_mb), np.inf)
-    best_k = np.zeros((R, n_mb), dtype=np.int32)
-    zero_sad = None
+    best_sad = np.full((R, hb, wb), np.iinfo(np.int32).max, dtype=np.int32)
+    best_k = np.zeros((R, hb, wb), dtype=np.int32)
     for k, (dx, dy) in enumerate(disps):
-        shifted[...] = big
-        r0, r1 = max(0, dy), H + min(0, dy)
-        c0, c1 = max(0, dx), W + min(0, dx)
-        if r0 < r1 and c0 < c1:
-            shifted[:, r0:r1, c0:c1] = reff[:, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
-        diff = np.abs(curf[None, :, :] - shifted)
-        sad = diff.reshape(R, hb, MB_SIZE, wb, MB_SIZE).sum(axis=(2, 4),
-                                                            dtype=np.float64)
-        sad = sad.reshape(R, n_mb)
-        if k == 0:
-            zero_sad = sad.copy()
-        better = sad < best_sad
-        best_sad = np.where(better, sad, best_sad)
-        best_k = np.where(better, k, best_k)
+        # only the block rows and columns whose predictor lies in the frame
+        i0, i1 = max(0, -(-dy // MB_SIZE)), min(hb, hb + dy // MB_SIZE)
+        j0, j1 = max(0, -(-dx // MB_SIZE)), min(wb, wb + dx // MB_SIZE)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        r0, r1, c0, c1 = i0 * MB_SIZE, i1 * MB_SIZE, j0 * MB_SIZE, j1 * MB_SIZE
+        a = cur[r0:r1, c0:c1]
+        b = refs[:, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
+        diff = np.maximum(a, b) - np.minimum(a, b)   # exact |a - b| in uint8
+        # a column of 16 rows sums to at most 16 * 255, inside uint16
+        colsum = diff.reshape(R, i1 - i0, MB_SIZE, c1 - c0).sum(2, dtype=np.uint16)
+        sad = colsum.reshape(R, i1 - i0, j1 - j0, MB_SIZE).sum(3, dtype=np.int32)
+        best = best_sad[:, i0:i1, j0:j1]
+        better = sad < best
+        np.copyto(best, sad, where=better)
+        np.copyto(best_k[:, i0:i1, j0:j1], k, where=better)
+        if k == 0:                      # (0, 0) covers every block
+            zero_sad = sad.reshape(R, -1).astype(np.float64)
 
     dvec = np.array(disps, dtype=np.int16)
-    best_mv = dvec[best_k]
-    return best_mv, best_sad, zero_sad
+    return (dvec[best_k.reshape(R, -1)], best_sad.reshape(R, -1).astype(np.float64),
+            zero_sad)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +373,26 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
         sad[:, cb] = best_sad[d - 1]
 
         coloc = plane_blocks(refs[d - 1]).astype(np.float64)
-        dxs, dys = best_mv[d - 1, :, 0], best_mv[d - 1, :, 1]
-        r_idx = (mb_r0 - dys)[:, None] + span[None, :]
-        c_idx = (mb_c0 - dxs)[:, None] + span[None, :]
-        searched = refs[d - 1][r_idx[:, :, None], c_idx[:, None, :]].astype(np.float64)
-
-        for col, pred in ((cz, coloc), (cb, searched)):
-            q, rec, rbits, dist = code_against_prediction(pred, orig_blocks,
-                                                          cfg.quant_step)
-            coeffs[:, col] = q
-            recon[:, col] = rec
-            distortion[:, col] = dist
+        q, rec, rbits, dist = code_against_prediction(coloc, orig_blocks,
+                                                      cfg.quant_step)
+        # a searched (0, 0) vector repeats the zero-motion prediction: code
+        # only the moved blocks and copy the rest
+        moved = np.flatnonzero(best_mv[d - 1].any(axis=1))
+        coeffs[:, cz] = coeffs[:, cb] = q
+        recon[:, cz] = recon[:, cb] = rec
+        distortion[:, cz] = distortion[:, cb] = dist
+        rbits_b = rbits.copy()
+        if moved.size:
+            dxs, dys = best_mv[d - 1, moved, 0], best_mv[d - 1, moved, 1]
+            r_idx = (mb_r0[moved] - dys)[:, None] + span[None, :]
+            c_idx = (mb_c0[moved] - dxs)[:, None] + span[None, :]
+            searched = refs[d - 1][r_idx[:, :, None], c_idx[:, None, :]]
+            (coeffs[moved, cb], recon[moved, cb], rbits_b[moved],
+             distortion[moved, cb]) = code_against_prediction(
+                searched, orig_blocks[moved], cfg.quant_step)
+        for col, rb in ((cz, rbits), (cb, rbits_b)):
             mv_bits = exp_golomb_signed_bits(mv[:, col, :]).sum(axis=1)
-            bits[:, col] = MODE_BITS + d + mv_bits + rbits
+            bits[:, col] = MODE_BITS + d + mv_bits + rb
 
     return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, sad=sad,
                         bits=bits, distortion=distortion, recon=recon,
@@ -570,6 +574,11 @@ def serialize_stream(width: int, height: int, quant_step: int,
     for frame in frames:
         for key in PLANE_ORDER:
             enc = frame[key]
+            for name, lo, hi in (("modes", 0, 255), ("ref_dist", 0, 255),
+                                 ("mv", -32768, 32767), ("coeffs", -32768, 32767)):
+                vals = getattr(enc, name)
+                if vals.size and not lo <= vals.min() <= vals.max() <= hi:
+                    raise CodecError(f"{name} outside [{lo}, {hi}] cannot be serialized")
             n_mb = enc.modes.shape[0]
             for m in range(n_mb):
                 buf += struct.pack("<BBhh", int(enc.modes[m]), int(enc.ref_dist[m]),
@@ -583,35 +592,48 @@ def parse_stream(data: bytes
                  ) -> tuple[int, int, int, list[dict[tuple[int, Component], EncodedPlane]]]:
     if data[:4] != STREAM_MAGIC:
         raise CodecError("bad stream magic")
+    pos = 4 + struct.calcsize("<BHHHHH")
+    if len(data) < pos:
+        raise CodecError(f"truncated stream header ({len(data)} bytes)")
     version, width, height, frame_count, quant_step, depth_quant_step = \
         struct.unpack_from("<BHHHHH", data, 4)
     if version != STREAM_VERSION:
         raise CodecError(f"unsupported stream version {version}")
-    pos = 4 + struct.calcsize("<BHHHHH")
+    if not (width and height) or width % MB_SIZE or height % MB_SIZE:
+        raise CodecError(f"frame size {width}x{height} is not a positive "
+                         f"multiple of {MB_SIZE}")
     grid = (height // MB_SIZE, width // MB_SIZE)
     n_mb = grid[0] * grid[1]
+    if len(data) < pos + frame_count * len(PLANE_ORDER) * n_mb * 6:
+        raise CodecError(f"truncated stream ({len(data)} bytes)")
     frames = []
-    for _ in range(frame_count):
-        frame: dict[tuple[int, Component], EncodedPlane] = {}
-        for key in PLANE_ORDER:
-            modes = np.empty(n_mb, dtype=np.uint8)
-            ref_dist = np.empty(n_mb, dtype=np.uint8)
-            mv = np.empty((n_mb, 2), dtype=np.int16)
-            coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int32)
-            for m in range(n_mb):
-                mode, rd, mvx, mvy = struct.unpack_from("<BBhh", data, pos)
-                pos += struct.calcsize("<BBhh")
-                modes[m], ref_dist[m] = mode, rd
-                mv[m] = (mvx, mvy)
-                if mode != MODE_SKIP:
-                    tile = np.frombuffer(data, dtype="<i2", count=256, offset=pos)
-                    coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE).astype(np.int32)
-                    pos += 512
-            step = depth_quant_step if key[1] == Component.DEPTH else quant_step
-            frame[key] = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv,
-                                      coeffs=coeffs, quant_step=step,
-                                      grid=grid)
-        frames.append(frame)
+    try:
+        for _ in range(frame_count):
+            frame: dict[tuple[int, Component], EncodedPlane] = {}
+            for key in PLANE_ORDER:
+                modes = np.empty(n_mb, dtype=np.uint8)
+                ref_dist = np.empty(n_mb, dtype=np.uint8)
+                mv = np.empty((n_mb, 2), dtype=np.int16)
+                coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int32)
+                for m in range(n_mb):
+                    mode, rd, mvx, mvy = struct.unpack_from("<BBhh", data, pos)
+                    pos += struct.calcsize("<BBhh")
+                    modes[m], ref_dist[m] = mode, rd
+                    mv[m] = (mvx, mvy)
+                    if mode != MODE_SKIP:
+                        tile = np.frombuffer(data, dtype="<i2", count=256,
+                                             offset=pos)
+                        coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE).astype(np.int32)
+                        pos += 512
+                step = depth_quant_step if key[1] == Component.DEPTH else quant_step
+                frame[key] = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv,
+                                          coeffs=coeffs, quant_step=step,
+                                          grid=grid)
+            frames.append(frame)
+    except (struct.error, ValueError):      # a record or its coefficients cut short
+        raise CodecError(f"truncated stream at byte {pos} of {len(data)}") from None
+    if any(enc.modes.max() > MODE_SKIP for frame in frames for enc in frame.values()):
+        raise CodecError("unknown mode byte in stream")
     if pos != len(data):
         raise CodecError("trailing bytes in stream")
     return width, height, quant_step, frames

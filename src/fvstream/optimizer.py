@@ -52,6 +52,7 @@ class PlaneCandidates:
     chan: np.ndarray        # (n_mb, n_cand) expected error per candidate
     chan_intra: np.ndarray  # (n_mb,) expected error of the INTRA choice
     delta: np.ndarray       # (n_mb,) innovation used in the e_minus branch
+    intra: tuple            # build_intra_candidates of the plane, built once
 
     @property
     def n_mb(self) -> int:
@@ -73,7 +74,8 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
                                      tracker.grid)
     chan_intra = intra_expected_error(prev, delta, p)
     return PlaneCandidates(cset=cset, chan=chan, chan_intra=chan_intra,
-                           delta=delta)
+                           delta=delta,
+                           intra=build_intra_candidates(orig, cfg.quant_step))
 
 
 def step1_minimum(pc: PlaneCandidates) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +162,8 @@ def select_plane(orig: np.ndarray, pc: PlaneCandidates, channel_cols: np.ndarray
     """Pick the cheapest candidate per block and reconstruct the plane.
 
     channel_cols has one column per motion candidate plus an INTRA column at
-    the end; valid (same layout, optional) disables candidates.  Cost is
+    the end (INTRA options come from pc.intra, coded at quant_step); valid
+    (same layout, optional) disables candidates.  Cost is
     (source distortion + channel term) + lambda * bits; ties keep the first
     column, INTRA last.
     """
@@ -169,8 +172,7 @@ def select_plane(orig: np.ndarray, pc: PlaneCandidates, channel_cols: np.ndarray
     h, w = orig.shape
     hb, wb = h // MB_SIZE, w // MB_SIZE
 
-    q_i, rec_i, intra_bits, intra_dsrc, intra_base = \
-        build_intra_candidates(orig, quant_step)
+    q_i, rec_i, intra_bits, intra_dsrc, intra_base = pc.intra
 
     cost_cols = np.empty((n_mb, n_cand + 1))
     cost_cols[:, :n_cand] = (cset.distortion + channel_cols[:, :n_cand]) \

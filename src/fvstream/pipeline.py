@@ -21,7 +21,8 @@ import numpy as np
 from .channel import (Component, LossTrace, build_schedule, lost_mb_mask,
                       make_iid_trace, save_trace)
 from .codec import (PLANE_ORDER, CodecConfig, EncodedPlane,
-                    build_inter_candidates, decode_plane)
+                    build_inter_candidates, build_intra_candidates,
+                    decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
 from .optimizer import (PlaneCandidates, ReactiveTaint, build_plane_candidates,
@@ -294,7 +295,9 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                 zeros = np.zeros((n_mb, cset.n_candidates))
                 pcs[key] = PlaneCandidates(cset=cset, chan=zeros,
                                            chan_intra=np.zeros(n_mb),
-                                           delta=delta[key])
+                                           delta=delta[key],
+                                           intra=build_intra_candidates(
+                                               orig[key][t], ccfg.quant_step))
 
         extras: dict = {}
         valids: dict = {}

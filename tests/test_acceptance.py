@@ -13,7 +13,8 @@ import pytest
 from conftest import (_EXAMPLE_NODES, micro_scene_spec, record_criterion,
                       scene64_spec)
 from fvstream.channel import Component, build_schedule, make_iid_trace
-from fvstream.codec import CodecConfig, build_inter_candidates
+from fvstream.codec import (CodecConfig, build_inter_candidates,
+                            build_intra_candidates)
 from fvstream.errortrack import ExpectedErrorTracker, innovation_term
 from fvstream.frames import MB_SIZE, mse
 from fvstream.optimizer import (PlaneCandidates, depth_channel_columns,
@@ -185,7 +186,9 @@ def test_criterion_5_selection_matches_enumeration():
         pc = PlaneCandidates(cset=cset,
                              chan=rng.uniform(0, 25, (n_mb, n_cand)),
                              chan_intra=rng.uniform(0, 25, n_mb),
-                             delta=np.zeros(n_mb))
+                             delta=np.zeros(n_mb),
+                             intra=build_intra_candidates(planes[-1],
+                                                          cfg.quant_step))
         mode = str(rng.choice(["reactive", "independent", "cross"]))
         member = rng.random(n_mb) < 0.6
         pen = rng.uniform(0, 6, n_mb)

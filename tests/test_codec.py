@@ -1,7 +1,7 @@
 """Block codec: transform, rate model, motion search, decode and container."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
@@ -175,6 +175,36 @@ class TestMotionSearch:
                 assert int(sad[r, m]) == want_sad
 
 
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3), n_refs=st.integers(1, 5),
+           search_range=st.integers(1, 16), levels=st.sampled_from([1, 2, 256]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(hb=2, wb=3, n_refs=2, search_range=16, levels=2, seed=0)
+    @example(hb=1, wb=2, n_refs=1, search_range=16, levels=1, seed=0)
+    def test_matches_the_naive_search_on_any_frame(self, hb, wb, n_refs,
+                                                   search_range, levels, seed):
+        # levels 1 and 2 give flat and 0/1 planes, where SADs tie; a frame
+        # one block high or wide leaves many displacements without any
+        # in-frame block
+        rng = np.random.default_rng(seed)
+        cur = rng.integers(0, levels, (16 * hb, 16 * wb)).astype(np.uint8)
+        refs = rng.integers(0, levels, (n_refs, 16 * hb, 16 * wb)).astype(np.uint8)
+        mv, sad, zero_sad = motion_search(cur, refs, search_range)
+        assert mv.dtype == np.int16 and mv.shape == (n_refs, hb * wb, 2)
+        assert sad.dtype == zero_sad.dtype == np.float64
+        assert sad.shape == zero_sad.shape == (n_refs, hb * wb)
+        for r in range(n_refs):
+            for m in range(hb * wb):
+                top, left = (m // wb) * 16, (m % wb) * 16
+                block = cur[top:top + 16, left:left + 16]
+                want_mv, want_sad = oracles.naive_best_mv(block, refs[r], top,
+                                                          left, search_range)
+                assert (int(mv[r, m, 0]), int(mv[r, m, 1])) == want_mv
+                assert sad[r, m] == want_sad
+                colocated = refs[r, top:top + 16, left:left + 16]
+                assert zero_sad[r, m] == np.abs(block.astype(np.int64)
+                                                - colocated).sum()
+
+
 class TestIntra:
     def test_base_level_is_clipped_rounded_mean(self):
         block = np.full((16, 16), 100, dtype=np.uint8)
@@ -241,6 +271,41 @@ class TestCandidates:
         assert (cset.distortion[:, 0] == 0).all()
         assert (cset.bits[:, 0] == SKIP_BITS).all()
         assert np.array_equal(cset.recon[:, 0], plane_blocks(plane))
+
+    def test_searched_column_codes_only_moved_blocks(self):
+        # block row 0 stays, row 1 moves right by 2 columns, row 2 down by 2
+        ref = rand_plane((48, 64), seed=75)
+        cur = ref.copy()
+        cur[16:32, 2:] = ref[16:32, :-2]
+        cur[32:] = ref[30:46]
+        refs = [ref, rand_plane((48, 64), seed=76)]
+        cfg = CodecConfig(quant_step=10, search_range=3)
+        cset = build_inter_candidates(cur, refs, cfg)
+        orig = plane_blocks(cur)
+        moved_rows = 0
+        for d in (1, 2):
+            cz, cb = 2 * d - 1, 2 * d
+            for m in range(cset.n_mb):
+                dx, dy = (int(v) for v in cset.mv[m, cb])
+                if (dx, dy) == (0, 0):
+                    assert np.array_equal(cset.coeffs[m, cb], cset.coeffs[m, cz])
+                    assert np.array_equal(cset.recon[m, cb], cset.recon[m, cz])
+                    assert cset.distortion[m, cb] == cset.distortion[m, cz]
+                    assert cset.bits[m, cb] == cset.bits[m, cz]
+                    continue
+                moved_rows += 1
+                top, left = (m // 4) * 16 - dy, (m % 4) * 16 - dx
+                pred = refs[d - 1][top:top + 16, left:left + 16]
+                q, rec, rbits, dist = code_against_prediction(pred, orig[m], 10)
+                assert np.array_equal(cset.coeffs[m, cb], q)
+                assert np.array_equal(cset.recon[m, cb], rec)
+                assert cset.distortion[m, cb] == dist
+                assert cset.bits[m, cb] == decision_bits(
+                    BlockDecision(MODE_INTER, d, (dx, dy)), int(rbits))
+        assert (cset.mv[:4, 2] == 0).all()
+        assert cset.mv[5:8, 2].tolist() == [[2, 0]] * 3
+        assert cset.mv[8:, 2].tolist() == [[0, 2]] * 4
+        assert moved_rows >= 7
 
     def test_candidate_search_single_block_view(self):
         plane = rand_plane((32, 32), seed=71)
@@ -364,6 +429,48 @@ class TestContainer:
             parse_stream(bad_version)
         with pytest.raises(CodecError):
             parse_stream(blob + b"\x00")
+
+    def test_cut_or_corrupt_streams_raise_codec_error(self):
+        blob = serialize_stream(32, 32, 10, [self._frame(410)])
+        header = 4 + 11
+        bad_mode = bytearray(blob)
+        bad_mode[header] = 7
+        cases = [blob[:n] for n in (5, 14, 20, header + 6 + 100, len(blob) - 3)]
+        cases.append(bytes(bad_mode))
+        for width, height in ((0, 32), (40, 32), (32, 0), (32, 8)):
+            cases.append(blob[:5] + width.to_bytes(2, "little")
+                         + height.to_bytes(2, "little") + blob[9:])
+        for data in cases:
+            with pytest.raises(CodecError) as info:
+                parse_stream(data)
+            assert "\n" not in str(info.value)
+
+    @given(cut=st.integers(0, 4 + 11 + 16 * 518),
+           edits=st.lists(st.tuples(st.integers(0, 4 + 11 + 16 * 518 - 1),
+                                    st.integers(0, 255)), max_size=4))
+    def test_any_damaged_stream_parses_or_raises_codec_error(self, cut, edits):
+        data = bytearray(serialize_stream(32, 32, 10, [self._frame(420)]))
+        for pos, value in edits:
+            data[pos] = value
+        try:
+            parse_stream(bytes(data[:cut]))
+        except CodecError as exc:
+            assert "\n" not in str(exc)
+
+    @pytest.mark.parametrize("field, value", [("coeffs", 40000),
+                                              ("coeffs", -32769),
+                                              ("mv", 32768), ("mv", -40000),
+                                              ("modes", 256), ("modes", -1),
+                                              ("ref_dist", 300)])
+    def test_serialize_refuses_values_the_container_cannot_hold(self, field,
+                                                                value):
+        frame = self._frame(430)
+        enc = frame[(1, Component.DEPTH)]
+        wide = getattr(enc, field).astype(np.int64)
+        wide.flat[1] = value
+        setattr(enc, field, wide)
+        with pytest.raises(CodecError):
+            serialize_stream(32, 32, 10, [frame])
 
     def test_decoded_stream_matches_encoder_reconstruction(self):
         """Lossless channel: decode of the parsed container equals the

@@ -1,4 +1,6 @@
 """Candidate costing, per-block selection, taint bookkeeping and rate control."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from fvstream.channel import Component, build_schedule, lost_mb_mask, make_iid_trace
 from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, PLANE_ORDER,
-                            CandidateSet, CodecConfig, build_inter_candidates)
+                            CandidateSet, CodecConfig, build_inter_candidates,
+                            build_intra_candidates)
 from fvstream.errortrack import ExpectedErrorTracker, innovation_term
 from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
                                 build_plane_candidates, code_plane_all_intra,
@@ -14,6 +17,7 @@ from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
                                 select_plane, step1_minimum,
                                 texture_channel_columns, tune_lambda,
                                 tune_to_band)
+from fvstream import pipeline
 from fvstream.pipeline import ExperimentConfig, encode_stream
 from fvstream.scenegen import generate_synthetic_stereo
 from fvstream.sensitivity import SensitivityParams, curvature_map, g_eval
@@ -23,7 +27,8 @@ import oracles
 
 
 def crafted_candidates(chan, chan_intra, distortion=None, bits=None):
-    """A PlaneCandidates with hand-picked numbers and inert coding payloads."""
+    """A PlaneCandidates with hand-picked numbers and inert coding payloads;
+    the INTRA options are those of a flat 100 plane of n_mb blocks."""
     chan = np.asarray(chan, dtype=np.float64)
     n_mb, n_cand = chan.shape
     if distortion is None:
@@ -39,9 +44,11 @@ def crafted_candidates(chan, chan_intra, distortion=None, bits=None):
         distortion=np.asarray(distortion, dtype=np.float64),
         recon=np.zeros((n_mb, n_cand, 16, 16), dtype=np.uint8),
         coeffs=np.zeros((n_mb, n_cand, 16, 16), dtype=np.int32))
+    flat = np.full((16, 16 * n_mb), 100, dtype=np.uint8)
     return PlaneCandidates(cset=cset, chan=chan,
                            chan_intra=np.asarray(chan_intra, dtype=np.float64),
-                           delta=np.zeros(n_mb))
+                           delta=np.zeros(n_mb),
+                           intra=build_intra_candidates(flat, 10))
 
 
 def drifting_planes(seed, n_frames=4, h=32, w=32):
@@ -224,7 +231,8 @@ class TestSelectPlane:
         n_mb = cset.n_mb
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((n_mb, cset.n_candidates)),
-                             chan_intra=np.zeros(n_mb), delta=np.zeros(n_mb))
+                             chan_intra=np.zeros(n_mb), delta=np.zeros(n_mb),
+                             intra=build_intra_candidates(frames[3], 10))
         cols = texture_channel_columns(pc, "independent")
         heavy = select_plane(frames[3], pc, cols, 1.0e12, 10)
         all_bits = np.concatenate(
@@ -242,7 +250,8 @@ class TestSelectPlane:
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((cset.n_mb, cset.n_candidates)),
                              chan_intra=np.zeros(cset.n_mb),
-                             delta=np.zeros(cset.n_mb))
+                             delta=np.zeros(cset.n_mb),
+                             intra=build_intra_candidates(frames[3], 10))
         cols = texture_channel_columns(pc, "independent")
         lams = [0.0, 0.002, 0.01, 0.05, 0.25, 1.0, 10.0, 1.0e6]
         totals = [select_plane(frames[3], pc, cols, lam, 10).total_bits
@@ -259,7 +268,8 @@ class TestSelectPlane:
         n_mb, n_cand = cset.n_mb, cset.n_candidates
         pc = PlaneCandidates(cset=cset, chan=rng.uniform(0, 20, (n_mb, n_cand)),
                              chan_intra=rng.uniform(0, 20, n_mb),
-                             delta=np.zeros(n_mb))
+                             delta=np.zeros(n_mb),
+                             intra=build_intra_candidates(frames[2], 10))
         cols = texture_channel_columns(pc, "independent")
         valid = rng.random((n_mb, n_cand + 1)) < 0.8
         valid[:, n_cand] = True             # INTRA stays available
@@ -462,7 +472,8 @@ def replay_frame(cfg, orig, mode, trace, stream, t_star):
             cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
             pcs[key] = PlaneCandidates(
                 cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
-                chan_intra=np.zeros(n_mb), delta=delta[key])
+                chan_intra=np.zeros(n_mb), delta=delta[key],
+                intra=build_intra_candidates(orig[key][t], ccfg.quant_step))
 
     def curv_at(v, j):
         src = max(j - 1, 0)
@@ -570,3 +581,39 @@ class TestDecisionReplay:
             m = members[v]
             assert (cols[m] <= caps[v][m, None] + 1e-12).all()
             assert np.isfinite(cols).all()
+
+
+class TestIntraBuildCount:
+    def test_intra_candidates_built_once_per_coded_plane(self, replay_setup,
+                                                         monkeypatch):
+        cfg, orig, trace = replay_setup
+        counts = {"intra": 0, "select": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        # `from .codec import f` binds f separately in every importing module
+        holders = [mod for name, mod in sorted(sys.modules.items())
+                   if (name == "fvstream" or name.startswith("fvstream."))
+                   and getattr(mod, "build_intra_candidates", None)
+                   is build_intra_candidates]
+        assert {"fvstream.codec", "fvstream.optimizer",
+                "fvstream.pipeline"} <= {mod.__name__ for mod in holders}
+        for mod in holders:
+            monkeypatch.setattr(mod, "build_intra_candidates",
+                                counted("intra", build_intra_candidates))
+        monkeypatch.setattr(pipeline, "select_plane",
+                            counted("select", pipeline.select_plane))
+
+        baseline = encode_stream(cfg, orig, "reactive", trace)
+        assert counts["intra"] == sum(len(frame) for frame in baseline.frames)
+        counts.update(intra=0, select=0)
+        targets = [float(b) for b in baseline.bits_per_frame]
+        stream = encode_stream(cfg, orig, "cross", trace, frame_targets=targets)
+        planes = sum(len(frame) for frame in stream.frames)
+        assert counts["intra"] == planes
+        # the lambda loop re-selected planes without rebuilding INTRA
+        assert counts["select"] > planes - len(PLANE_ORDER)
