@@ -18,8 +18,8 @@ from .channel import (ChannelError, Component, PacketId, LossTrace,
                       FeedbackState, build_schedule, packetize, make_iid_trace,
                       feedback_at, lost_mb_mask, save_trace, load_trace)
 from .codec import (CodecError, CodecConfig, BlockDecision, EncodedPlane,
-                    CandidateSet, build_inter_candidates, candidate_search,
-                    decode_plane, serialize_stream, parse_stream)
+                    CandidateSet, build_inter_candidates, decode_plane,
+                    serialize_stream, parse_stream)
 from .errortrack import (TrackingError, ExpectedErrorTracker, DecoderTracker,
                          block_footprint, innovation_term)
 from .synthesis import (SynthesisError, SynthesisParams, SynthesisResult,
@@ -27,10 +27,10 @@ from .synthesis import (SynthesisError, SynthesisParams, SynthesisResult,
                         reliability_weights, synthesize_view,
                         correspondence_sets)
 from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
-                          block_profile, g_eval)
+                          g_eval)
 from .optimizer import (OptimizerError, OPTIMIZER_MODES, PlaneCandidates,
                         PlaneSelection, ReactiveTaint, build_plane_candidates,
-                        select_plane, tune_lambda, tune_to_band)
+                        select_plane, tune_to_band)
 from .pipeline import (HarnessError, ExperimentConfig, ExperimentReport,
                        CellResult, config_from_dict, run_experiment,
                        compare_setups, emit_plot_data, encode_stream,
@@ -49,18 +49,16 @@ __all__ = [
     "build_schedule", "packetize", "make_iid_trace", "feedback_at",
     "lost_mb_mask", "save_trace", "load_trace",
     "CodecError", "CodecConfig", "BlockDecision", "EncodedPlane",
-    "CandidateSet", "build_inter_candidates", "candidate_search",
-    "decode_plane", "serialize_stream", "parse_stream",
+    "CandidateSet", "build_inter_candidates", "decode_plane",
+    "serialize_stream", "parse_stream",
     "TrackingError", "ExpectedErrorTracker", "DecoderTracker",
     "block_footprint", "innovation_term",
     "SynthesisError", "SynthesisParams", "SynthesisResult", "WarpedView",
     "warp_view", "blend_standard", "blend_adaptive", "reliability_weights",
     "synthesize_view", "correspondence_sets",
-    "SensitivityError", "SensitivityParams", "curvature_map", "block_profile",
-    "g_eval",
+    "SensitivityError", "SensitivityParams", "curvature_map", "g_eval",
     "OptimizerError", "OPTIMIZER_MODES", "PlaneCandidates", "PlaneSelection",
-    "ReactiveTaint", "build_plane_candidates", "select_plane", "tune_lambda",
-    "tune_to_band",
+    "ReactiveTaint", "build_plane_candidates", "select_plane", "tune_to_band",
     "HarnessError", "ExperimentConfig", "ExperimentReport", "CellResult",
     "config_from_dict", "run_experiment", "compare_setups", "emit_plot_data",
     "encode_stream", "decode_stream", "synthesize_sequence", "SETUPS",

@@ -399,21 +399,6 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
                         coeffs=coeffs)
 
 
-def intra_base_level(orig_block: np.ndarray) -> int:
-    """Transmitted flat-predictor level: the rounded block mean, clipped to 8 bits."""
-    return int(np.clip(np.rint(np.asarray(orig_block, dtype=np.float64).mean()),
-                       0, 255))
-
-
-def code_intra_block(orig_block: np.ndarray, step: int
-                     ) -> tuple[np.ndarray, np.ndarray, int, float, int]:
-    """Code one block INTRA; returns (q, recon, bits, distortion, base)."""
-    base = intra_base_level(orig_block)
-    pred = np.full((MB_SIZE, MB_SIZE), float(base))
-    q, rec, rbits, dist = code_against_prediction(pred, orig_block, step)
-    return q, rec, MODE_BITS + INTRA_BASE_BITS + int(rbits), float(dist), base
-
-
 def build_intra_candidates(plane: np.ndarray, step: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray, np.ndarray]:
@@ -424,40 +409,6 @@ def build_intra_candidates(plane: np.ndarray, step: int
                            orig_blocks.shape)
     q, rec, rbits, dist = code_against_prediction(pred, orig_blocks, step)
     return q, rec, MODE_BITS + INTRA_BASE_BITS + rbits, dist, base
-
-
-def candidate_search(plane: np.ndarray, mb_index: int, refs: list[np.ndarray],
-                     cfg: CodecConfig) -> list[dict]:
-    """Candidate list for a single macroblock, in selection order.
-
-    Convenience wrapper over the batched path; the INTRA candidate comes last.
-    """
-    out = []
-    if refs:
-        cset = build_inter_candidates(plane, refs[:cfg.ref_window], cfg)
-        for c in range(cset.n_candidates):
-            out.append({
-                "decision": BlockDecision(int(cset.mode_col[c]),
-                                          int(cset.ref_col[c]),
-                                          (int(cset.mv[mb_index, c, 0]),
-                                           int(cset.mv[mb_index, c, 1]))),
-                "sad": float(cset.sad[mb_index, c]),
-                "bits": int(cset.bits[mb_index, c]),
-                "distortion": float(cset.distortion[mb_index, c]),
-                "recon": cset.recon[mb_index, c],
-                "coeffs": cset.coeffs[mb_index, c],
-            })
-    orig = plane_blocks(plane)[mb_index].astype(np.float64)
-    q, rec, ibits, idist, base = code_intra_block(orig, cfg.quant_step)
-    out.append({
-        "decision": BlockDecision(MODE_INTRA, intra_base=base),
-        "sad": float(np.abs(orig - float(base)).sum()),
-        "bits": ibits,
-        "distortion": idist,
-        "recon": rec,
-        "coeffs": q,
-    })
-    return out
 
 
 # ---------------------------------------------------------------------------

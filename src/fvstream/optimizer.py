@@ -3,7 +3,8 @@
 Three selection modes share one machinery:
 
   reactive      source distortion + lambda * bits, restricted to references
-                untouched by known or inherited loss taint;
+                untouched by known or inherited loss taint (ReactiveTaint,
+                the support of the expected-error tracker's recursion);
   independent   adds the expected channel distortion of each view on its own
                 (texture: tracked error; depth: quadratic disparity penalty);
   cross         for blocks visible in the opposing view, caps the expected
@@ -24,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import (MODE_INTRA, MODE_SKIP, CandidateSet, CodecConfig,
-                    EncodedPlane, assemble_plane, build_inter_candidates,
-                    build_intra_candidates, plane_blocks)
+from .codec import (MODE_INTRA, CandidateSet, CodecConfig, EncodedPlane,
+                    assemble_plane, build_inter_candidates,
+                    build_intra_candidates)
 from .errortrack import (ExpectedErrorTracker, candidate_expected_errors,
-                         footprint_state_sum, intra_expected_error)
+                         intra_expected_error)
 from .frames import MB_SIZE
 from .sensitivity import g_eval
 from .synthesis import CorrespondenceSets
@@ -53,6 +54,7 @@ class PlaneCandidates:
     chan_intra: np.ndarray  # (n_mb,) expected error of the INTRA choice
     delta: np.ndarray       # (n_mb,) innovation used in the e_minus branch
     intra: tuple            # build_intra_candidates of the plane, built once
+    quant_step: int         # step every candidate of the plane is coded at
 
     @property
     def n_mb(self) -> int:
@@ -75,7 +77,8 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
     chan_intra = intra_expected_error(prev, delta, p)
     return PlaneCandidates(cset=cset, chan=chan, chan_intra=chan_intra,
                            delta=delta,
-                           intra=build_intra_candidates(orig, cfg.quant_step))
+                           intra=build_intra_candidates(orig, cfg.quant_step),
+                           quant_step=cfg.quant_step)
 
 
 def step1_minimum(pc: PlaneCandidates) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +111,6 @@ def texture_channel_columns(pc: PlaneCandidates, mode: str,
                             cap: np.ndarray | None = None) -> np.ndarray:
     """(n_mb, n_cand + 1) channel distortion per texture candidate, INTRA last."""
     cols = np.concatenate([pc.chan, pc.chan_intra[:, None]], axis=1)
-    if mode == "reactive":
-        return np.zeros_like(cols)
     if mode == "independent":
         return cols
     if mode != "cross":
@@ -124,8 +125,6 @@ def depth_channel_columns(pc: PlaneCandidates, mode: str, curvature: np.ndarray,
                           cap: np.ndarray | None = None) -> np.ndarray:
     """(n_mb, n_cand + 1) channel distortion per depth candidate, INTRA last."""
     eps = np.concatenate([pc.chan, pc.chan_intra[:, None]], axis=1)
-    if mode == "reactive":
-        return np.zeros_like(eps)
     penalty = g_eval(curvature[:, None], eps)
     if mode == "independent":
         return penalty
@@ -157,15 +156,14 @@ class PlaneSelection:
 
 
 def select_plane(orig: np.ndarray, pc: PlaneCandidates, channel_cols: np.ndarray,
-                 lam: float, quant_step: int,
-                 valid: np.ndarray | None = None) -> PlaneSelection:
+                 lam: float, valid: np.ndarray | None = None) -> PlaneSelection:
     """Pick the cheapest candidate per block and reconstruct the plane.
 
     channel_cols has one column per motion candidate plus an INTRA column at
-    the end (INTRA options come from pc.intra, coded at quant_step); valid
-    (same layout, optional) disables candidates.  Cost is
-    (source distortion + channel term) + lambda * bits; ties keep the first
-    column, INTRA last.
+    the end (INTRA options come from pc.intra); valid (same layout, optional)
+    disables candidates.  Cost is (source distortion + channel term)
+    + lambda * bits; ties keep the first column, INTRA last.  The plane is
+    labelled with pc.quant_step, the step its candidates were coded at.
     """
     cset = pc.cset
     n_mb, n_cand = pc.chan.shape
@@ -202,7 +200,7 @@ def select_plane(orig: np.ndarray, pc: PlaneCandidates, channel_cols: np.ndarray
     recon = assemble_plane(blocks.astype(np.uint8), (hb, wb))
 
     enc = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv, coeffs=coeffs,
-                       quant_step=quant_step, grid=(hb, wb))
+                       quant_step=pc.quant_step, grid=(hb, wb))
     return PlaneSelection(enc=enc, recon=recon, total_bits=int(bits.sum()),
                           cost=cost_cols[rows, chosen], bits=bits, dsrc=dsrc,
                           channel=channel_cols[rows, chosen],
@@ -231,86 +229,51 @@ def code_plane_all_intra(orig: np.ndarray, quant_step: int
 # reactive taint
 # ---------------------------------------------------------------------------
 
-class ReactiveTaint:
+class ReactiveTaint(ExpectedErrorTracker):
     """Loss-affected region bookkeeping for the feedback-only baseline.
 
     A block is tainted when its packet is known lost, or when it predicted
     (at any remove) from a tainted region; INTRA coding clears inherited
     taint.  Frames with unknown outcomes propagate taint but contribute no
-    losses of their own yet.
+    losses of their own yet.  That is the support of the expected-error
+    recursion with certain delivery planned, no attenuation and a unit
+    innovation.  States are clamped to {0, 1}: each fractional-overlap hop
+    can scale a state by as little as 1/256, so a long chain would otherwise
+    underflow to zero.
     """
 
     def __init__(self, grid: tuple[int, int]):
-        self.grid = grid
-        self.n_mb = grid[0] * grid[1]
-        self._decisions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._lost: list[np.ndarray | None] = []
+        super().__init__(grid, planned_receive_prob=1.0, gamma=1.0)
 
-    def push_decisions(self, modes: np.ndarray, ref_dist: np.ndarray,
-                       mv: np.ndarray) -> None:
-        self._decisions.append((np.asarray(modes), np.asarray(ref_dist),
-                                np.asarray(mv)))
-        self._lost.append(None)
+    def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
+                   mv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        # the support needs only some positive innovation, not delta itself
+        return super().push_frame(modes, ref_dist, mv, np.ones(self.n_mb))
 
-    def set_outcome(self, t: int, received: np.ndarray) -> None:
-        self._lost[t] = ~np.asarray(received, dtype=bool)
+    def _compute_state(self, t: int) -> np.ndarray:
+        return (super()._compute_state(t) > 0.0).astype(np.float64)
 
     def lattice(self) -> list[np.ndarray]:
-        """Taint mask per pushed frame, recomputed from scratch."""
-        out: list[np.ndarray] = []
-        idx = np.arange(self.n_mb)
-        for f, (modes, ref_dist, mv) in enumerate(self._decisions):
-            taint = (self._lost[f].copy() if self._lost[f] is not None
-                     else np.zeros(self.n_mb, dtype=bool))
-            inter = modes != MODE_INTRA
-            if f > 0 and inter.any():
-                depth = int(ref_dist[inter].max())
-                stack = np.zeros((depth, self.n_mb))
-                for d in range(1, depth + 1):
-                    if f - d >= 0:
-                        stack[d - 1] = out[f - d].astype(np.float64)
-                dist = np.where(inter, ref_dist, 1).astype(np.int64)
-                # intra mv slots hold base levels, not displacements
-                dx = np.where(inter, mv[:, 0], 0).astype(np.int64)
-                dy = np.where(inter, mv[:, 1], 0).astype(np.int64)
-                overlap = footprint_state_sum(stack, dist, dx, dy, idx,
-                                              self.grid)
-                taint |= inter & (overlap > 0.0)
-            out.append(taint)
-        return out
+        """Taint mask per pushed frame."""
+        return [s > 0.0 for s in self._states]
 
     def valid_candidates(self, cset: CandidateSet, t: int) -> np.ndarray:
         """(n_mb, n_cand + 1) mask of candidates with untainted references."""
         lattice = self.lattice()
-        n_mb, n_cand = cset.mv.shape[0], cset.n_candidates
-        valid = np.ones((n_mb, n_cand + 1), dtype=bool)
-        idx = np.arange(n_mb)
-        depth = int(cset.ref_col.max())
-        stack = np.zeros((depth, self.n_mb))
-        for d in range(1, depth + 1):
-            if t - d >= 0:
-                stack[d - 1] = lattice[t - d].astype(np.float64)
-        for c in range(n_cand):
-            dist = np.full(n_mb, int(cset.ref_col[c]), dtype=np.int64)
-            overlap = footprint_state_sum(stack, dist,
-                                          cset.mv[:, c, 0].astype(np.int64),
-                                          cset.mv[:, c, 1].astype(np.int64),
-                                          idx, self.grid)
-            valid[:, c] = overlap == 0.0
-        return valid
+        stack = np.zeros((int(cset.ref_col.max()), self.n_mb))
+        for d in range(1, min(len(stack), t) + 1):
+            stack[d - 1] = lattice[t - d]
+        zeros = np.zeros(self.n_mb)
+        overlap = candidate_expected_errors(stack, zeros, zeros, 1.0, 1.0,
+                                            cset.mode_col, cset.ref_col,
+                                            cset.mv, self.grid)
+        return np.concatenate([overlap == 0.0,
+                               np.ones((self.n_mb, 1), dtype=bool)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # lambda control
 # ---------------------------------------------------------------------------
-
-def tune_lambda(lam: float, bits: int, target: float, band: float = 0.05,
-                step: float = 1.25) -> float:
-    """Single adjustment: reuse inside the band, else scale toward it."""
-    if target * (1.0 - band) <= bits <= target * (1.0 + band):
-        return lam
-    return lam * step if bits > target else lam / step
-
 
 @dataclass
 class TuneResult:

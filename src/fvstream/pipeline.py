@@ -203,10 +203,10 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                              max_deviation=cfg.max_deviation)
     needs_tracking = mode in ("independent", "cross")
 
-    trackers = ({key: ExpectedErrorTracker(grid, p_plan, cfg.gamma)
-                 for key in PLANE_ORDER} if needs_tracking else None)
-    taints = ({key: ReactiveTaint(grid) for key in PLANE_ORDER}
-              if mode == "reactive" else None)
+    # the reactive baseline tracks the support of the same recursion
+    trackers = {key: (ExpectedErrorTracker(grid, p_plan, cfg.gamma)
+                      if needs_tracking else ReactiveTaint(grid))
+                for key in PLANE_ORDER}
     packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
     curv: dict[int, list[np.ndarray]] = {0: [], 1: []}
 
@@ -230,11 +230,7 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
         while known_upto < min(t - cfg.rtt, len(frames_out) - 1):
             f = known_upto + 1
             for key in PLANE_ORDER:
-                rcv = received_mask(f, key)
-                if trackers is not None:
-                    trackers[key].set_frame_outcome(f, rcv)
-                if taints is not None:
-                    taints[key].set_outcome(f, rcv)
+                trackers[key].set_frame_outcome(f, received_mask(f, key))
             known_upto = f
 
         if t == 0:
@@ -253,15 +249,10 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                 rec[key] = PlaneRecord(bits=bits_mb, dsrc=dsrc.ravel(),
                                        chan_error=np.zeros(n_mb),
                                        channel=np.zeros(n_mb), cost=None)
-                if trackers is not None:
-                    trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv,
-                                             innovation_term(orig[key][0], None))
-                    if cfg.protect_first_frame:
-                        trackers[key].set_frame_outcome(0, np.ones(n_mb, dtype=bool))
-                if taints is not None:
-                    taints[key].push_decisions(enc.modes, enc.ref_dist, enc.mv)
-                    if cfg.protect_first_frame:
-                        taints[key].set_outcome(0, np.ones(n_mb, dtype=bool))
+                trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv,
+                                         innovation_term(orig[key][0], None))
+                if cfg.protect_first_frame:
+                    trackers[key].set_frame_outcome(0, np.ones(n_mb, dtype=bool))
             frames_out.append(frame)
             records_out.append(rec)
             bits_out.append(total)
@@ -284,32 +275,26 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                  for key in PLANE_ORDER}
 
         pcs: dict = {}
+        extras: dict = {}
+        valids: dict = {}
         for key in PLANE_ORDER:
             ccfg = cfg.codec_config(key[1])
             if needs_tracking:
                 pcs[key] = build_plane_candidates(orig[key][t], refs[key], ccfg,
                                                   trackers[key], t, delta[key],
                                                   p_plan)
-            else:
-                cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
-                zeros = np.zeros((n_mb, cset.n_candidates))
-                pcs[key] = PlaneCandidates(cset=cset, chan=zeros,
-                                           chan_intra=np.zeros(n_mb),
-                                           delta=delta[key],
-                                           intra=build_intra_candidates(
-                                               orig[key][t], ccfg.quant_step))
+                continue
+            # reactive: no channel term, only references free of known taint
+            cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
+            pcs[key] = PlaneCandidates(
+                cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
+                chan_intra=np.zeros(n_mb), delta=delta[key],
+                intra=build_intra_candidates(orig[key][t], ccfg.quant_step),
+                quant_step=ccfg.quant_step)
+            extras[key] = np.zeros((n_mb, cset.n_candidates + 1))
+            valids[key] = trackers[key].valid_candidates(cset, t)
 
-        extras: dict = {}
-        valids: dict = {}
-        if mode == "reactive":
-            for key in PLANE_ORDER:
-                builder = (texture_channel_columns
-                           if key[1] == Component.TEXTURE
-                           else lambda pc, m: depth_channel_columns(
-                               pc, m, np.zeros(n_mb)))
-                extras[key] = builder(pcs[key], "reactive")
-                valids[key] = taints[key].valid_candidates(pcs[key].cset, t)
-        else:
+        if needs_tracking:
             for v in (0, 1):
                 curv[v].append(curvature_map(
                     recon[(v, Component.TEXTURE)][t - 1],
@@ -351,9 +336,7 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
 
         def run(lam_trial: float):
             sels = {key: select_plane(orig[key][t], pcs[key], extras[key],
-                                      lam_trial,
-                                      cfg.codec_config(key[1]).quant_step,
-                                      valids.get(key))
+                                      lam_trial, valids.get(key))
                     for key in PLANE_ORDER}
             return sum(s.total_bits for s in sels.values()), sels
 
@@ -378,12 +361,8 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             rec[key] = PlaneRecord(bits=sel.bits, dsrc=sel.dsrc,
                                    chan_error=sel.chan_error,
                                    channel=sel.channel, cost=sel.cost)
-            if trackers is not None:
-                trackers[key].push_frame(sel.enc.modes, sel.enc.ref_dist,
-                                         sel.enc.mv, delta[key])
-            if taints is not None:
-                taints[key].push_decisions(sel.enc.modes, sel.enc.ref_dist,
-                                           sel.enc.mv)
+            trackers[key].push_frame(sel.enc.modes, sel.enc.ref_dist,
+                                     sel.enc.mv, delta[key])
         frames_out.append(frame)
         records_out.append(rec)
         bits_out.append(int(bits_t))

@@ -56,46 +56,11 @@ def pixel_profiles(own_texture: np.ndarray, own_disparity: np.ndarray,
     return out
 
 
-def block_profile(own_texture: np.ndarray, own_disparity: np.ndarray,
-                  opp_texture: np.ndarray, source_view: int, eta: float,
-                  mb_index: int, max_deviation: int) -> np.ndarray:
-    """Mean mismatch profile of one macroblock over eps in [-max, max]."""
-    w = own_texture.shape[1]
-    wb = w // MB_SIZE
-    r0 = (mb_index // wb) * MB_SIZE
-    c0 = (mb_index % wb) * MB_SIZE
-    prof = pixel_profiles(own_texture, own_disparity, opp_texture, source_view,
-                          eta, max_deviation)
-    block = prof[:, r0:r0 + MB_SIZE, c0:c0 + MB_SIZE]
-    return block.sum(axis=(1, 2)) / float(MB_SIZE * MB_SIZE)
-
-
 def _first_crossing(crossed: np.ndarray) -> np.ndarray:
     """Index (1-based) of the first True along axis 0; 0 when none."""
     any_cross = crossed.any(axis=0)
     first = crossed.argmax(axis=0) + 1
     return np.where(any_cross, first, 0)
-
-
-def pixel_curvature_from_profile(profile: np.ndarray, threshold: float,
-                                 max_deviation: int) -> float:
-    """Curvature of a single pixel's profile (profile indexed like pixel_profiles)."""
-    n = max_deviation
-    pos = profile[n + 1:]
-    neg = profile[:n][::-1]
-    b_pos = b_neg = 0
-    for i, v in enumerate(pos):
-        if v >= threshold:
-            b_pos = i + 1
-            break
-    for i, v in enumerate(neg):
-        if v >= threshold:
-            b_neg = i + 1
-            break
-    if b_pos == 0 and b_neg == 0:
-        return 0.0
-    b = min(x for x in (b_pos, b_neg) if x > 0)
-    return (2.0 * threshold) / float(b * b)
 
 
 def curvature_map(own_texture: np.ndarray, own_disparity: np.ndarray,

@@ -12,7 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from fvstream.codec import MODE_INTRA
+from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTRA,
+                            BlockDecision, build_inter_candidates,
+                            code_against_prediction, plane_blocks)
+from fvstream.errortrack import footprint_state_sum
+from fvstream.sensitivity import pixel_profiles
 
 MB = 16
 
@@ -64,6 +68,55 @@ def naive_best_mv(cur_block, ref_plane, top: int, left: int, search_range: int):
             if best_key is None or key < best_key:
                 best_key, best = key, ((dx, dy), sad)
     return best
+
+
+# --- single-block coding -----------------------------------------------------
+
+def intra_base_level(orig_block) -> int:
+    """Transmitted flat-predictor level: the rounded block mean, clipped to 8 bits."""
+    return int(np.clip(np.rint(np.asarray(orig_block, dtype=np.float64).mean()),
+                       0, 255))
+
+
+def code_intra_block(orig_block, step: int):
+    """Code one block INTRA; returns (q, recon, bits, distortion, base)."""
+    base = intra_base_level(orig_block)
+    pred = np.full((MB, MB), float(base))
+    q, rec, rbits, dist = code_against_prediction(pred, orig_block, step)
+    return q, rec, MODE_BITS + INTRA_BASE_BITS + int(rbits), float(dist), base
+
+
+def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
+    """Candidate list for a single macroblock, in selection order.
+
+    A per-block view of the batched path; the INTRA candidate comes last.
+    """
+    out = []
+    if refs:
+        cset = build_inter_candidates(plane, refs[:cfg.ref_window], cfg)
+        for c in range(cset.n_candidates):
+            out.append({
+                "decision": BlockDecision(int(cset.mode_col[c]),
+                                          int(cset.ref_col[c]),
+                                          (int(cset.mv[mb_index, c, 0]),
+                                           int(cset.mv[mb_index, c, 1]))),
+                "sad": float(cset.sad[mb_index, c]),
+                "bits": int(cset.bits[mb_index, c]),
+                "distortion": float(cset.distortion[mb_index, c]),
+                "recon": cset.recon[mb_index, c],
+                "coeffs": cset.coeffs[mb_index, c],
+            })
+    orig = plane_blocks(plane)[mb_index].astype(np.float64)
+    q, rec, ibits, idist, base = code_intra_block(orig, cfg.quant_step)
+    out.append({
+        "decision": BlockDecision(MODE_INTRA, intra_base=base),
+        "sad": float(np.abs(orig - float(base)).sum()),
+        "bits": ibits,
+        "distortion": idist,
+        "recon": rec,
+        "coeffs": q,
+    })
+    return out
 
 
 # --- expected-error recursion -----------------------------------------------
@@ -143,7 +196,50 @@ def replay_recursion(frames, receive_prob, gamma: float, grid):
     return hist
 
 
+def oracle_taint_lattice(decisions, lost, grid) -> list[np.ndarray]:
+    """Boolean loss-taint mask per frame, built from frame 0.
+
+    decisions[f] is (modes, ref_dist, mv); lost[f] is the per-MB lost mask
+    of a frame with a known outcome, or None while it is unknown.  A block
+    is tainted when known lost, or when it is INTER/SKIP and its predictor
+    overlaps a tainted block of its reference frame.
+    """
+    n_mb = grid[0] * grid[1]
+    out: list[np.ndarray] = []
+    idx = np.arange(n_mb)
+    for f, (modes, ref_dist, mv) in enumerate(decisions):
+        taint = (np.asarray(lost[f], dtype=bool).copy()
+                 if lost[f] is not None else np.zeros(n_mb, dtype=bool))
+        inter = modes != MODE_INTRA
+        if f > 0 and inter.any():
+            depth = int(ref_dist[inter].max())
+            stack = np.zeros((depth, n_mb))
+            for d in range(1, depth + 1):
+                if f - d >= 0:
+                    stack[d - 1] = out[f - d].astype(np.float64)
+            dist = np.where(inter, ref_dist, 1).astype(np.int64)
+            # intra mv slots hold base levels, not displacements
+            dx = np.where(inter, mv[:, 0], 0).astype(np.int64)
+            dy = np.where(inter, mv[:, 1], 0).astype(np.int64)
+            overlap = footprint_state_sum(stack, dist, dx, dy, idx, grid)
+            taint |= inter & (overlap > 0.0)
+        out.append(taint)
+    return out
+
+
 # --- disparity sensitivity --------------------------------------------------
+
+def block_profile(own_texture, own_disparity, opp_texture, source_view: int,
+                  eta: float, mb_index: int, max_deviation: int) -> np.ndarray:
+    """Mean mismatch profile of one macroblock over eps in [-max, max]."""
+    wb = own_texture.shape[1] // MB
+    r0 = (mb_index // wb) * MB
+    c0 = (mb_index % wb) * MB
+    prof = pixel_profiles(own_texture, own_disparity, opp_texture, source_view,
+                          eta, max_deviation)
+    block = prof[:, r0:r0 + MB, c0:c0 + MB]
+    return block.sum(axis=(1, 2)) / float(MB * MB)
+
 
 def brute_profile(own_tex, own_disp, opp_tex, view: int, eta: float,
                   max_dev: int, r: int, c: int) -> np.ndarray:
@@ -280,18 +376,14 @@ def oracle_texture_columns(chan, chan_intra, mode: str, member=None,
     for m in range(n_mb):
         for k in range(n_cand):
             e = float(chan[m][k])
-            if mode == "reactive":
-                out[m][k] = 0.0
-            elif mode == "independent":
+            if mode == "independent":
                 out[m][k] = e
             else:
                 if member[m]:
                     out[m][k] = min(e + float(penalty_fixed[m]), float(cap[m]))
                 else:
                     out[m][k] = e
-        if mode == "reactive":
-            out[m][n_cand] = 0.0
-        elif mode == "independent":
+        if mode == "independent":
             out[m][n_cand] = float(chan_intra[m])
         else:
             if member[m]:
@@ -311,9 +403,7 @@ def oracle_depth_columns(chan, chan_intra, mode: str, curvature,
         a = float(curvature[m])
         for k in range(n_cand + 1):
             eps = float(chan_intra[m]) if k == n_cand else float(chan[m][k])
-            if mode == "reactive":
-                out[m][k] = 0.0
-            elif mode == "independent":
+            if mode == "independent":
                 out[m][k] = 0.5 * a * eps * eps
             else:
                 if member[m]:

@@ -188,14 +188,18 @@ def test_criterion_5_selection_matches_enumeration():
                              chan_intra=rng.uniform(0, 25, n_mb),
                              delta=np.zeros(n_mb),
                              intra=build_intra_candidates(planes[-1],
-                                                          cfg.quant_step))
+                                                          cfg.quant_step),
+                             quant_step=cfg.quant_step)
         mode = str(rng.choice(["reactive", "independent", "cross"]))
         member = rng.random(n_mb) < 0.6
         pen = rng.uniform(0, 6, n_mb)
         cap = np.where(member, rng.uniform(0, 30, n_mb), np.inf)
         curv = rng.uniform(0, 4, n_mb)
         efix = rng.uniform(0, 15, n_mb)
-        if rng.random() < 0.5:
+        texture = rng.random() < 0.5
+        if mode == "reactive":      # the baseline charges no channel term
+            cols = np.zeros((n_mb, n_cand + 1))
+        elif texture:
             cols = texture_channel_columns(pc, mode, member=member,
                                            penalty_fixed=pen, cap=cap)
         else:
@@ -204,8 +208,7 @@ def test_criterion_5_selection_matches_enumeration():
         valid = rng.random((n_mb, n_cand + 1)) < 0.85
         valid[:, n_cand] = True
         lam = float(10.0 ** rng.uniform(-4, 1))
-        sel = select_plane(planes[-1], pc, cols, lam, cfg.quant_step,
-                           valid=valid)
+        sel = select_plane(planes[-1], pc, cols, lam, valid=valid)
         dsrc_cols = np.concatenate([cset.distortion,
                                     sel.intra_dsrc[:, None]], axis=1)
         bits_cols = np.concatenate([cset.bits, sel.intra_bits[:, None]],

@@ -1,10 +1,16 @@
-"""The package's public surface: every exported name resolves, and every
-module's error type can be caught from the package itself."""
+"""The package's public surface: every exported name resolves, every
+module's error type can be caught from the package itself, and every
+function the benchmark wraps by name still exists."""
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import fvstream
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +30,23 @@ def test_every_module_error_type_is_exported():
     unexported = [n for n, cls in errors.items()
                   if n not in fvstream.__all__ or getattr(fvstream, n) is not cls]
     assert unexported == []
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    # the traced benchmark wraps these by name; a rename would break it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    hooks = layers.LAYERS + layers.CONTEXT_SPANS
+    assert len(hooks) > 0
+    unresolved = []
+    for _, module, attr in hooks:
+        holder = importlib.import_module(module)
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if not (module.startswith("fvstream.") and callable(holder)):
+            unresolved.append(f"{module}:{attr}")
+    assert unresolved == []

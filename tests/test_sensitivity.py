@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import (SensitivityError, SensitivityParams,
-                                  block_profile, curvature_map, g_eval,
-                                  pixel_curvature_from_profile, pixel_profiles)
+                                  curvature_map, g_eval, pixel_profiles)
 
 import oracles
 
@@ -79,7 +78,7 @@ class TestProfiles:
         disp = rng.integers(0, 6, (16, 32)).astype(np.uint8)
         opp = rng.integers(0, 256, (16, 32)).astype(np.uint8)
         prof = pixel_profiles(tex, disp, opp, 1, 1.0, 3)
-        got = block_profile(tex, disp, opp, 1, 1.0, 1, 3)
+        got = oracles.block_profile(tex, disp, opp, 1, 1.0, 1, 3)
         want = prof[:, 0:16, 16:32].mean(axis=(1, 2))
         assert np.allclose(got, want, atol=1e-12)
 
@@ -90,7 +89,7 @@ class TestCurvature:
         # b = 1 at threshold 5: a = 2 * 5 / 1
         profile = np.zeros(9)
         profile[5] = 80.0
-        assert pixel_curvature_from_profile(profile, 5.0, 4) == 10.0
+        assert oracles.brute_pixel_curvature(profile, 5.0, 4) == 10.0
 
     @pytest.mark.example
     def test_sharper_side_wins(self):
@@ -98,17 +97,17 @@ class TestCurvature:
         profile = np.zeros(9)
         profile[6] = 7.0
         profile[0] = 6.0
-        assert pixel_curvature_from_profile(profile, 5.0, 4) == pytest.approx(2.5)
+        assert oracles.brute_pixel_curvature(profile, 5.0, 4) == pytest.approx(2.5)
 
     @pytest.mark.example
     def test_no_crossing_is_flat(self):
         profile = np.full(9, 4.9)
-        assert pixel_curvature_from_profile(profile, 5.0, 4) == 0.0
+        assert oracles.brute_pixel_curvature(profile, 5.0, 4) == 0.0
 
     def test_one_sided_crossing_counts(self):
         profile = np.zeros(9)
         profile[1] = 9.0
-        assert pixel_curvature_from_profile(profile, 5.0, 4) == pytest.approx(
+        assert oracles.brute_pixel_curvature(profile, 5.0, 4) == pytest.approx(
             2.0 * 5.0 / 9.0)
 
     def test_constant_scene_is_exactly_zero(self):
@@ -159,7 +158,8 @@ class TestCurvature:
         opp = rng.integers(0, 256, (16, 32)).astype(np.uint8)
         params = SensitivityParams(max_deviation=5)
         prof = pixel_profiles(tex, disp, opp, 0, 1.0, 5)
-        a_pix = np.array([[pixel_curvature_from_profile(prof[:, r, c], 5.0, 5)
+        a_pix = np.array([[oracles.brute_pixel_curvature(prof[:, r, c], 5.0,
+                                                         5)
                            for c in range(32)] for r in range(16)])
         want = np.array([a_pix[:, :16].mean(), a_pix[:, 16:].mean()])
         got = curvature_map(tex, disp, opp, 0, 1.0, params)
