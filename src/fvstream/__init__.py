@@ -15,13 +15,13 @@ from .scenegen import (SceneSpecError, SyntheticSceneSpec, TextureSpec,
                        ObjectSpec, default_scene_spec, generate_synthetic_stereo,
                        load_scene_spec, scene_from_dict)
 from .channel import (ChannelError, Component, PacketId, LossTrace,
-                      FeedbackState, build_schedule, packetize, make_iid_trace,
-                      feedback_at, lost_mb_mask, save_trace, load_trace)
-from .codec import (CodecError, CodecConfig, BlockDecision, EncodedPlane,
+                      build_schedule, packetize, make_iid_trace, lost_mb_mask,
+                      save_trace, load_trace)
+from .codec import (CodecError, CodecConfig, EncodedPlane,
                     CandidateSet, build_inter_candidates, decode_plane,
                     serialize_stream, parse_stream)
 from .errortrack import (TrackingError, ExpectedErrorTracker, DecoderTracker,
-                         block_footprint, innovation_term)
+                         innovation_term)
 from .synthesis import (SynthesisError, SynthesisParams, SynthesisResult,
                         WarpedView, warp_view, blend_standard, blend_adaptive,
                         reliability_weights, synthesize_view,
@@ -45,14 +45,14 @@ __all__ = [
     "SceneSpecError", "SyntheticSceneSpec", "TextureSpec", "ObjectSpec",
     "default_scene_spec", "generate_synthetic_stereo", "load_scene_spec",
     "scene_from_dict",
-    "ChannelError", "Component", "PacketId", "LossTrace", "FeedbackState",
-    "build_schedule", "packetize", "make_iid_trace", "feedback_at",
+    "ChannelError", "Component", "PacketId", "LossTrace",
+    "build_schedule", "packetize", "make_iid_trace",
     "lost_mb_mask", "save_trace", "load_trace",
-    "CodecError", "CodecConfig", "BlockDecision", "EncodedPlane",
+    "CodecError", "CodecConfig", "EncodedPlane",
     "CandidateSet", "build_inter_candidates", "decode_plane",
     "serialize_stream", "parse_stream",
     "TrackingError", "ExpectedErrorTracker", "DecoderTracker",
-    "block_footprint", "innovation_term",
+    "innovation_term",
     "SynthesisError", "SynthesisParams", "SynthesisResult", "WarpedView",
     "warp_view", "blend_standard", "blend_adaptive", "reliability_weights",
     "synthesize_view", "correspondence_sets",

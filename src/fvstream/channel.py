@@ -4,7 +4,8 @@ Each frame of each view splits into a fixed number of texture packets and
 depth packets; a packet carries a contiguous run of macroblocks in raster
 order.  Losses are i.i.d. per packet from a seeded generator, and the exact
 outcome of every packet sent at frame s becomes known to the sender once the
-current frame index reaches s + rtt.
+current frame index reaches s + max(rtt, 1): at rtt 0 the outcome of frame
+t - 1 is known when frame t is coded, never that of frame t itself.
 """
 from __future__ import annotations
 
@@ -123,28 +124,6 @@ def make_iid_trace(seed: int, loss_rate: float, schedule: list[PacketId],
         entries.append((pid, lost))
     return LossTrace(seed=seed, loss_rate=loss_rate, entries=entries,
                      protected_frames=protected)
-
-
-@dataclass
-class FeedbackState:
-    """Sender-side knowledge at one instant: exact outcomes for old frames."""
-
-    current_frame: int
-    rtt: int
-    known: dict[PacketId, bool]                     # packet -> lost
-
-    @property
-    def horizon(self) -> int:
-        """Newest frame index with fully known outcomes."""
-        return self.current_frame - self.rtt
-
-
-def feedback_at(trace: LossTrace, current_frame: int, rtt: int) -> FeedbackState:
-    if rtt < 0:
-        raise ChannelError("rtt must be nonnegative")
-    horizon = current_frame - rtt
-    known = {pid: lost for pid, lost in trace.entries if pid.frame_index <= horizon}
-    return FeedbackState(current_frame=current_frame, rtt=rtt, known=known)
 
 
 def lost_mb_mask(trace: LossTrace, frame_index: int, view_id: int,

@@ -15,8 +15,10 @@ counts, per macroblock:
                     coefficients, rounded up to whole bits
 
 so SKIP costs exactly 2 bits and an INTER block into t-1 with zero motion and
-zero residual costs 2 + 1 + 2 = 5 bits.  Encoder and decoder share the
-reconstruction arithmetic, so without losses the two stay bit identical.
+zero residual costs 2 + 1 + 2 = 5 bits.  Encoder and decoder share one
+batched reconstruction path, whole planes at a time: `predictor_blocks`
+gathers the motion-compensated predictors and `apply_residual` adds the
+dequantized residuals, so without losses the two stay bit identical.
 
 A motion vector is the displacement of scene content: mv (dx, dy) predicts
 the block at (row - dy, col - dx) of the reference frame.  The search emits
@@ -66,28 +68,6 @@ class CodecConfig:
             raise CodecError("search_range must be in [1, 64]")
         if not 1 <= self.ref_window <= 16:
             raise CodecError("ref_window must be in [1, 16]")
-
-
-@dataclass(frozen=True)
-class BlockDecision:
-    """Coding choice for one macroblock."""
-
-    mode: int
-    ref_distance: int = 0          # t - tau, at least 1 for INTER and SKIP
-    mv: tuple[int, int] = (0, 0)   # (dx, dy) content displacement
-    intra_base: int = 128          # flat predictor level, INTRA only
-
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_INTRA, MODE_INTER, MODE_SKIP):
-            raise CodecError(f"unknown mode {self.mode}")
-        if self.mode == MODE_INTRA and self.ref_distance != 0:
-            raise CodecError("intra blocks carry no reference")
-        if self.mode == MODE_INTRA and not 0 <= self.intra_base <= 255:
-            raise CodecError("intra base level must fit in 8 bits")
-        if self.mode in (MODE_INTER, MODE_SKIP) and self.ref_distance < 1:
-            raise CodecError("inter and skip blocks need a reference distance >= 1")
-        if self.mode == MODE_SKIP and self.mv != (0, 0):
-            raise CodecError("skip implies zero motion")
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +168,6 @@ def residual_bits(qcoeffs) -> np.ndarray:
     return bits.reshape(lead) if lead else bits.reshape(())
 
 
-def decision_bits(decision: BlockDecision, residual_bit_count: int) -> int:
-    """Total rate of one macroblock under the bit accounting model."""
-    if decision.mode == MODE_SKIP:
-        return SKIP_BITS
-    if decision.mode == MODE_INTRA:
-        return MODE_BITS + INTRA_BASE_BITS + int(residual_bit_count)
-    dx, dy = decision.mv
-    mv_bits = int(exp_golomb_signed_bits(np.array([dx, dy])).sum())
-    return MODE_BITS + decision.ref_distance + mv_bits + int(residual_bit_count)
-
-
 # ---------------------------------------------------------------------------
 # motion search
 # ---------------------------------------------------------------------------
@@ -257,7 +226,7 @@ def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
 # ---------------------------------------------------------------------------
 
 def plane_blocks(plane: np.ndarray) -> np.ndarray:
-    """Raster-order (n_mb, 16, 16) block view of a plane (copies)."""
+    """Raster-order (n_mb, 16, 16) blocks (a view if the plane is one block high or wide)."""
     h, w = plane.shape
     hb, wb = h // MB_SIZE, w // MB_SIZE
     return (plane.reshape(hb, MB_SIZE, wb, MB_SIZE)
@@ -277,6 +246,29 @@ def mb_origins(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     hb, wb = grid
     idx = np.arange(hb * wb)
     return (idx // wb) * MB_SIZE, (idx % wb) * MB_SIZE
+
+
+def predictor_blocks(ref_stack: np.ndarray, dist, mv: np.ndarray,
+                     mbs: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Gather the (len(mbs), 16, 16) motion-compensated predictors.
+
+    Block mbs[i] predicts from ref_stack[dist[i] - 1] (dist may be one
+    scalar distance) displaced by mv[i] = (dx, dy).  A predictor that leaves
+    the frame raises CodecError.
+    """
+    mb_r0, mb_c0 = mb_origins(grid)
+    top = mb_r0[mbs] - mv[:, 1]
+    left = mb_c0[mbs] - mv[:, 0]
+    h, w = ref_stack.shape[1:]
+    outside = (top < 0) | (left < 0) | (top > h - MB_SIZE) | (left > w - MB_SIZE)
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        raise CodecError(f"block {int(mbs[k])}: motion vector {mv[k].tolist()} "
+                         f"leaves the frame")
+    span = np.arange(MB_SIZE)
+    layer = np.reshape(np.asarray(dist) - 1, (-1, 1, 1))
+    return ref_stack[layer, (top[:, None] + span)[:, :, None],
+                     (left[:, None] + span)[:, None, :]]
 
 
 @dataclass
@@ -352,8 +344,6 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int32)
 
     orig_blocks = plane_blocks(cur).astype(np.float64)
-    mb_r0, mb_c0 = mb_origins(grid)
-    span = np.arange(MB_SIZE)
 
     # column 0: SKIP
     coloc0 = plane_blocks(refs[0])
@@ -383,10 +373,8 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
         distortion[:, cz] = distortion[:, cb] = dist
         rbits_b = rbits.copy()
         if moved.size:
-            dxs, dys = best_mv[d - 1, moved, 0], best_mv[d - 1, moved, 1]
-            r_idx = (mb_r0[moved] - dys)[:, None] + span[None, :]
-            c_idx = (mb_c0[moved] - dxs)[:, None] + span[None, :]
-            searched = refs[d - 1][r_idx[:, :, None], c_idx[:, None, :]]
+            searched = predictor_blocks(ref_stack, d, best_mv[d - 1, moved],
+                                        moved, grid)
             (coeffs[moved, cb], recon[moved, cb], rbits_b[moved],
              distortion[moved, cb]) = code_against_prediction(
                 searched, orig_blocks[moved], cfg.quant_step)
@@ -426,69 +414,52 @@ class EncodedPlane:
     quant_step: int
     grid: tuple[int, int]
 
-    def decision(self, m: int) -> BlockDecision:
-        mode = int(self.modes[m])
-        if mode == MODE_INTRA:
-            return BlockDecision(MODE_INTRA, intra_base=int(self.mv[m, 0]))
-        return BlockDecision(mode, int(self.ref_dist[m]),
-                             (int(self.mv[m, 0]), int(self.mv[m, 1])))
-
-
-def conceal_block(prev_plane: np.ndarray | None, mb_r: int, mb_c: int) -> np.ndarray:
-    """Temporal copy concealment; mid-gray for a first frame without history."""
-    if prev_plane is None:
-        return np.full((MB_SIZE, MB_SIZE), 128, dtype=np.uint8)
-    r0, c0 = mb_r * MB_SIZE, mb_c * MB_SIZE
-    return prev_plane[r0:r0 + MB_SIZE, c0:c0 + MB_SIZE].copy()
-
-
-def reconstruct_block(decision: BlockDecision, qcoeffs: np.ndarray,
-                      refs: list[np.ndarray], step: int,
-                      mb_r: int, mb_c: int) -> np.ndarray:
-    """Rebuild one block from its decision, validating the reference access."""
-    r0, c0 = mb_r * MB_SIZE, mb_c * MB_SIZE
-    if decision.mode == MODE_INTRA:
-        pred = np.full((MB_SIZE, MB_SIZE), float(decision.intra_base))
-        return apply_residual(pred, qcoeffs, step)
-    if decision.ref_distance > len(refs):
-        raise CodecError(
-            f"reference distance {decision.ref_distance} outside the buffer "
-            f"({len(refs)} planes)")
-    ref = refs[decision.ref_distance - 1]
-    if decision.mode == MODE_SKIP:
-        return ref[r0:r0 + MB_SIZE, c0:c0 + MB_SIZE].copy()
-    dx, dy = decision.mv
-    pr, pc = r0 - dy, c0 - dx
-    h, w = ref.shape
-    if pr < 0 or pc < 0 or pr + MB_SIZE > h or pc + MB_SIZE > w:
-        raise CodecError(f"motion vector {decision.mv} leaves the frame")
-    pred = ref[pr:pr + MB_SIZE, pc:pc + MB_SIZE].astype(np.float64)
-    return apply_residual(pred, qcoeffs, step)
-
 
 def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
                  conceal_source: np.ndarray | None,
                  received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one plane in raster order, concealing lost macroblocks.
+    """Decode one plane, concealing lost macroblocks.
 
     refs[d-1] is the decoder's own reconstruction at distance d; lost blocks
     copy from `conceal_source` (the previous decoded frame) or fill with 128
-    when there is none.  Returns (plane, concealed_mask).
+    when there is none.  Only the records of received blocks are read, and
+    a malformed one raises CodecError.  Returns (plane, concealed_mask).
     """
-    hb, wb = enc.grid
-    out = np.empty((hb * MB_SIZE, wb * MB_SIZE), dtype=np.uint8)
-    concealed = np.zeros(hb * wb, dtype=bool)
-    for m in range(hb * wb):
-        mb_r, mb_c = divmod(m, wb)
-        r0, c0 = mb_r * MB_SIZE, mb_c * MB_SIZE
-        if not received[m]:
-            block = conceal_block(conceal_source, mb_r, mb_c)
-            concealed[m] = True
-        else:
-            block = reconstruct_block(enc.decision(m), enc.coeffs[m], refs,
-                                      enc.quant_step, mb_r, mb_c)
-        out[r0:r0 + MB_SIZE, c0:c0 + MB_SIZE] = block
-    return out, concealed
+    n_mb = enc.grid[0] * enc.grid[1]
+    received = np.asarray(received, dtype=bool)
+    if conceal_source is None:
+        blocks = np.full((n_mb, MB_SIZE, MB_SIZE), 128, dtype=np.uint8)
+    else:
+        blocks = plane_blocks(conceal_source).astype(np.uint8)
+
+    rcv = np.flatnonzero(received)
+    modes = enc.modes[rcv]
+
+    def reject(bad: np.ndarray, idx: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise CodecError(f"block {int(idx[bad][0])}: {what}")
+
+    reject((modes < MODE_INTRA) | (modes > MODE_SKIP), rcv, "unknown mode")
+    intra = rcv[modes == MODE_INTRA]
+    base = enc.mv[intra, 0].astype(np.float64)     # the mv slot carries the level
+    reject((base < 0) | (base > 255), intra, "intra base level outside 8 bits")
+    moved = rcv[modes != MODE_INTRA]                # INTER and SKIP use a reference
+    dist = enc.ref_dist[moved].astype(np.int64)
+    mv = enc.mv[moved].astype(np.int64)
+    reject((dist < 1) | (dist > len(refs)), moved,
+           f"reference distance outside the buffer ({len(refs)} planes)")
+    reject((enc.modes[moved] == MODE_SKIP) & mv.any(axis=1), moved,
+           "skip implies zero motion")
+
+    pred = np.empty((n_mb, MB_SIZE, MB_SIZE))
+    pred[intra] = base[:, None, None]
+    if moved.size:
+        pred[moved] = predictor_blocks(np.stack(refs), dist, mv, moved, enc.grid)
+    skip = rcv[modes == MODE_SKIP]
+    coded = rcv[modes != MODE_SKIP]
+    blocks[skip] = pred[skip]
+    blocks[coded] = apply_residual(pred[coded], enc.coeffs[coded], enc.quant_step)
+    return assemble_plane(blocks, enc.grid), ~received
 
 
 # ---------------------------------------------------------------------------

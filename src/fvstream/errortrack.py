@@ -20,7 +20,7 @@ reliable.  Disparity planes never use the cross-view estimate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,38 +39,16 @@ class TrackingError(ValueError):
 # shared primitives
 # ---------------------------------------------------------------------------
 
-def block_footprint(mb_index: int, mv: tuple[int, int], grid: tuple[int, int]
-                    ) -> list[tuple[int, float]]:
-    """MBs covered by a block's predictor with their pixel-overlap fractions.
-
-    Enumeration order is top-left, top-right, bottom-left, bottom-right;
-    zero-overlap entries are dropped.  Fractions sum to 1 exactly.
-    """
-    hb, wb = grid
-    r, c = divmod(mb_index, wb)
-    pr = r * MB_SIZE - mv[1]
-    pc = c * MB_SIZE - mv[0]
-    if pr < 0 or pc < 0 or pr + MB_SIZE > hb * MB_SIZE or pc + MB_SIZE > wb * MB_SIZE:
-        raise TrackingError(f"predictor of block {mb_index} at mv {mv} leaves the frame")
-    br0, fr = divmod(pr, MB_SIZE)
-    bc0, fc = divmod(pc, MB_SIZE)
-    out = []
-    for bi, oh in ((br0, MB_SIZE - fr), (br0 + 1, fr)):
-        for bj, ow in ((bc0, MB_SIZE - fc), (bc0 + 1, fc)):
-            if oh > 0 and ow > 0:
-                out.append((bi * wb + bj, (oh * ow) / (MB_SIZE * MB_SIZE)))
-    return out
-
-
 def footprint_state_sum(states_by_dist: np.ndarray, dist: np.ndarray,
                         dx: np.ndarray, dy: np.ndarray, mb_index: np.ndarray,
                         grid: tuple[int, int]) -> np.ndarray:
     """Overlap-weighted sum of prior error states under each predictor.
 
     states_by_dist: (D, n_mb) with row d-1 the state at distance d; dist, dx,
-    dy, mb_index: equal-length int arrays.  Summation order matches
-    block_footprint (top-left, top-right, bottom-left, bottom-right) with
-    zero-weight terms contributing exact zeros, so results are bit-stable.
+    dy, mb_index: equal-length int arrays; every predictor must lie inside
+    the frame.  A predictor covers up to four blocks, summed in the order
+    top-left, top-right, bottom-left, bottom-right, with zero-weight terms
+    contributing exact zeros, so results are bit-stable.
     """
     hb, wb = grid
     pr = (mb_index // wb) * MB_SIZE - dy
@@ -284,12 +262,16 @@ class DecoderTracker:
     def _track_plane(self, view: int, comp: int, t: int, enc: EncodedPlane,
                      received: np.ndarray, delta: np.ndarray) -> np.ndarray:
         series = self._states[(view, comp)]
-        depth = max(1, int(enc.ref_dist.max()) if t > 0 else 1)
+        # the decoder never reads the record of a lost block, so neither do
+        # we: such a row propagates as INTRA, and np.where drops it below
+        modes = np.where(received, enc.modes, MODE_INTRA)
+        ref_dist = np.where(received, enc.ref_dist, 0)
+        depth = max(1, int(ref_dist.max()) if t > 0 else 1)
         refs = np.zeros((depth, self.n_mb))
         for d in range(1, depth + 1):
             if t - d >= 0:
                 refs[d - 1] = series[t - d]
-        e_plus = propagate_received(refs, enc.modes, enc.ref_dist, enc.mv,
+        e_plus = propagate_received(refs, modes, ref_dist, enc.mv,
                                     self.gamma, self.grid)
         prev = series[t - 1] if t >= 1 else np.zeros(self.n_mb)
         e_minus = prev + delta

@@ -52,7 +52,6 @@ class PlaneCandidates:
     cset: CandidateSet
     chan: np.ndarray        # (n_mb, n_cand) expected error per candidate
     chan_intra: np.ndarray  # (n_mb,) expected error of the INTRA choice
-    delta: np.ndarray       # (n_mb,) innovation used in the e_minus branch
     intra: tuple            # build_intra_candidates of the plane, built once
     quant_step: int         # step every candidate of the plane is coded at
 
@@ -76,7 +75,6 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
                                      tracker.grid)
     chan_intra = intra_expected_error(prev, delta, p)
     return PlaneCandidates(cset=cset, chan=chan, chan_intra=chan_intra,
-                           delta=delta,
                            intra=build_intra_candidates(orig, cfg.quant_step),
                            quant_step=cfg.quant_step)
 
@@ -246,7 +244,7 @@ class ReactiveTaint(ExpectedErrorTracker):
         super().__init__(grid, planned_receive_prob=1.0, gamma=1.0)
 
     def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
-                   mv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+                   mv: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
         # the support needs only some positive innovation, not delta itself
         return super().push_frame(modes, ref_dist, mv, np.ones(self.n_mb))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import (Component, LossTrace, build_schedule, lost_mb_mask,
                       make_iid_trace, save_trace)
-from .codec import (PLANE_ORDER, CodecConfig, EncodedPlane,
+from .codec import (PLANE_ORDER, CodecConfig, CodecError, EncodedPlane,
                     build_inter_candidates, build_intra_candidates,
                     decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
@@ -218,20 +218,15 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     in_band: list[bool] = []
     infeasible: list[bool] = []
     targets_used: list[float] = []
-    known_upto = -1
     lam = cfg.base_lambda
 
-    def received_mask(f: int, key) -> np.ndarray:
-        view, comp = key
-        return ~lost_mb_mask(trace, f, view, comp, n_mb, packets[key])
-
     for t in range(T):
-        # sender learns outcomes up to the feedback horizon
-        while known_upto < min(t - cfg.rtt, len(frames_out) - 1):
-            f = known_upto + 1
+        # the outcome of frame t - max(rtt, 1) arrives as frame t is coded
+        f = t - max(cfg.rtt, 1)
+        if f >= 0:
             for key in PLANE_ORDER:
-                trackers[key].set_frame_outcome(f, received_mask(f, key))
-            known_upto = f
+                trackers[key].set_frame_outcome(
+                    f, ~lost_mb_mask(trace, f, *key, n_mb, packets[key]))
 
         if t == 0:
             frame = {}
@@ -249,8 +244,9 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                 rec[key] = PlaneRecord(bits=bits_mb, dsrc=dsrc.ravel(),
                                        chan_error=np.zeros(n_mb),
                                        channel=np.zeros(n_mb), cost=None)
-                trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv,
-                                         innovation_term(orig[key][0], None))
+                trackers[key].push_frame(
+                    enc.modes, enc.ref_dist, enc.mv,
+                    innovation_term(orig[key][0], None) if needs_tracking else None)
                 if cfg.protect_first_frame:
                     trackers[key].set_frame_outcome(0, np.ones(n_mb, dtype=bool))
             frames_out.append(frame)
@@ -271,8 +267,9 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
         depth_refs = min(cfg.ref_window, t)
         refs = {key: [recon[key][t - d] for d in range(1, depth_refs + 1)]
                 for key in PLANE_ORDER}
+        # the reactive taint ignores the innovation
         delta = {key: innovation_term(orig[key][t], recon[key][t - 1])
-                 for key in PLANE_ORDER}
+                 if needs_tracking else None for key in PLANE_ORDER}
 
         pcs: dict = {}
         extras: dict = {}
@@ -288,7 +285,7 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
             pcs[key] = PlaneCandidates(
                 cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
-                chan_intra=np.zeros(n_mb), delta=delta[key],
+                chan_intra=np.zeros(n_mb),
                 intra=build_intra_candidates(orig[key][t], ccfg.quant_step),
                 quant_step=ccfg.quant_step)
             extras[key] = np.zeros((n_mb, cset.n_candidates + 1))
@@ -409,10 +406,14 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
         for key in PLANE_ORDER:
             view, comp = key
             rcv = ~lost_mb_mask(trace, t, view, comp, n_mb, packets[key])
+            enc = stream.frames[t][key]
+            if tuple(enc.grid) != grid:
+                raise CodecError(f"frame {t}: block grid {tuple(enc.grid)} "
+                                 f"differs from the scene's {grid}")
             depth_refs = min(cfg.ref_window, t)
             refs = [decoded[key][t - d] for d in range(1, depth_refs + 1)]
             conceal = decoded[key][t - 1] if t >= 1 else None
-            plane, _ = decode_plane(stream.frames[t][key], refs, conceal, rcv)
+            plane, _ = decode_plane(enc, refs, conceal, rcv)
             decoded[key].append(plane)
             rcv_t[key] = rcv
             dec_t[key] = plane

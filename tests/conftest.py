@@ -6,6 +6,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fvstream.channel import Component, build_schedule, make_iid_trace
+from fvstream.codec import serialize_stream
+from fvstream.pipeline import ExperimentConfig, encode_stream
 from fvstream.scenegen import (ObjectSpec, SyntheticSceneSpec, TextureSpec,
                                default_scene_spec, generate_synthetic_stereo)
 
@@ -102,6 +105,26 @@ def micro_scene():
 @pytest.fixture(scope="session")
 def side_scene():
     return _render(side_scene_spec())
+
+
+@pytest.fixture(scope="session")
+def lossy_micro_stream(micro_scene):
+    """The micro scene coded in cross mode for a loss-0.3 trace whose seed 1
+    loses texture block 0 of view 0 at frame 3; returns (config, encoded
+    stream, serialized bitstream, trace)."""
+    spec = micro_scene.spec
+    cfg = ExperimentConfig(scene=spec, setups=("arps",), loss_rates=(0.3,),
+                           seeds=(1,), rtt=2)
+    orig = {}
+    for view, frames in ((0, micro_scene.left), (1, micro_scene.right)):
+        orig[(view, Component.TEXTURE)] = [f.texture.samples for f in frames]
+        orig[(view, Component.DEPTH)] = [f.disparity.samples for f in frames]
+    trace = make_iid_trace(1, 0.3, build_schedule(spec.frame_count, 4, 4),
+                           frozenset({0}))
+    stream = encode_stream(cfg, orig, "cross", trace)
+    blob = serialize_stream(spec.width, spec.height, cfg.quant_step,
+                            stream.frames, cfg.depth_quant_step)
+    return cfg, stream, blob, trace
 
 
 # ---------------------------------------------------------------------------

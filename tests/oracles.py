@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTRA,
-                            BlockDecision, build_inter_candidates,
-                            code_against_prediction, plane_blocks)
+from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
+                            MODE_SKIP, SKIP_BITS, CodecError, EncodedPlane,
+                            apply_residual, build_inter_candidates,
+                            code_against_prediction, exp_golomb_signed_bits,
+                            plane_blocks)
 from fvstream.errortrack import footprint_state_sum
 from fvstream.sensitivity import pixel_profiles
 
@@ -44,6 +47,39 @@ def entropy_exact(symbols) -> float:
     syms = [int(s) for s in symbols]
     n = len(syms)
     return sum(c * (math.log2(n) - math.log2(c)) for c in Counter(syms).values())
+
+
+@dataclass(frozen=True)
+class BlockDecision:
+    """Coding choice for one macroblock."""
+
+    mode: int
+    ref_distance: int = 0          # t - tau, at least 1 for INTER and SKIP
+    mv: tuple[int, int] = (0, 0)   # (dx, dy) content displacement
+    intra_base: int = 128          # flat predictor level, INTRA only
+
+    def __post_init__(self) -> None:
+        if self.mode not in (MODE_INTRA, MODE_INTER, MODE_SKIP):
+            raise CodecError(f"unknown mode {self.mode}")
+        if self.mode == MODE_INTRA and self.ref_distance != 0:
+            raise CodecError("intra blocks carry no reference")
+        if self.mode == MODE_INTRA and not 0 <= self.intra_base <= 255:
+            raise CodecError("intra base level must fit in 8 bits")
+        if self.mode in (MODE_INTER, MODE_SKIP) and self.ref_distance < 1:
+            raise CodecError("inter and skip blocks need a reference distance >= 1")
+        if self.mode == MODE_SKIP and self.mv != (0, 0):
+            raise CodecError("skip implies zero motion")
+
+
+def decision_bits(decision: BlockDecision, residual_bit_count: int) -> int:
+    """Total rate of one macroblock under the bit accounting model."""
+    if decision.mode == MODE_SKIP:
+        return SKIP_BITS
+    if decision.mode == MODE_INTRA:
+        return MODE_BITS + INTRA_BASE_BITS + int(residual_bit_count)
+    dx, dy = decision.mv
+    mv_bits = int(exp_golomb_signed_bits(np.array([dx, dy])).sum())
+    return MODE_BITS + decision.ref_distance + mv_bits + int(residual_bit_count)
 
 
 # --- motion search ----------------------------------------------------------
@@ -117,6 +153,66 @@ def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
         "coeffs": q,
     })
     return out
+
+
+# --- per-block decoding -----------------------------------------------------
+
+def block_decision(enc: EncodedPlane, m: int) -> BlockDecision:
+    """The decision record of block m (an INTRA mv slot carries the base)."""
+    mode = int(enc.modes[m])
+    if mode == MODE_INTRA:
+        return BlockDecision(MODE_INTRA, intra_base=int(enc.mv[m, 0]))
+    return BlockDecision(mode, int(enc.ref_dist[m]),
+                         (int(enc.mv[m, 0]), int(enc.mv[m, 1])))
+
+
+def conceal_block(prev_plane, mb_r: int, mb_c: int) -> np.ndarray:
+    """Temporal copy concealment; mid-gray for a first frame without history."""
+    if prev_plane is None:
+        return np.full((MB, MB), 128, dtype=np.uint8)
+    r0, c0 = mb_r * MB, mb_c * MB
+    return prev_plane[r0:r0 + MB, c0:c0 + MB].copy()
+
+
+def reconstruct_block(decision: BlockDecision, qcoeffs, refs, step: int,
+                      mb_r: int, mb_c: int) -> np.ndarray:
+    """Rebuild one block from its decision, validating the reference access."""
+    r0, c0 = mb_r * MB, mb_c * MB
+    if decision.mode == MODE_INTRA:
+        pred = np.full((MB, MB), float(decision.intra_base))
+        return apply_residual(pred, qcoeffs, step)
+    if decision.ref_distance > len(refs):
+        raise CodecError(
+            f"reference distance {decision.ref_distance} outside the buffer "
+            f"({len(refs)} planes)")
+    ref = refs[decision.ref_distance - 1]
+    if decision.mode == MODE_SKIP:
+        return ref[r0:r0 + MB, c0:c0 + MB].copy()
+    dx, dy = decision.mv
+    pr, pc = r0 - dy, c0 - dx
+    h, w = ref.shape
+    if pr < 0 or pc < 0 or pr + MB > h or pc + MB > w:
+        raise CodecError(f"motion vector {decision.mv} leaves the frame")
+    pred = ref[pr:pr + MB, pc:pc + MB].astype(np.float64)
+    return apply_residual(pred, qcoeffs, step)
+
+
+def oracle_decode_plane(enc: EncodedPlane, refs, conceal_source, received):
+    """Decode one plane block by block in raster order, concealing losses."""
+    hb, wb = enc.grid
+    out = np.empty((hb * MB, wb * MB), dtype=np.uint8)
+    concealed = np.zeros(hb * wb, dtype=bool)
+    for m in range(hb * wb):
+        mb_r, mb_c = divmod(m, wb)
+        r0, c0 = mb_r * MB, mb_c * MB
+        if not received[m]:
+            block = conceal_block(conceal_source, mb_r, mb_c)
+            concealed[m] = True
+        else:
+            block = reconstruct_block(block_decision(enc, m), enc.coeffs[m],
+                                      refs, enc.quant_step, mb_r, mb_c)
+        out[r0:r0 + MB, c0:c0 + MB] = block
+    return out, concealed
 
 
 # --- expected-error recursion -----------------------------------------------

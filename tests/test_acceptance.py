@@ -186,7 +186,6 @@ def test_criterion_5_selection_matches_enumeration():
         pc = PlaneCandidates(cset=cset,
                              chan=rng.uniform(0, 25, (n_mb, n_cand)),
                              chan_intra=rng.uniform(0, 25, n_mb),
-                             delta=np.zeros(n_mb),
                              intra=build_intra_candidates(planes[-1],
                                                           cfg.quant_step),
                              quant_step=cfg.quant_step)

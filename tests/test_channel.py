@@ -1,12 +1,20 @@
 """Packetization, the lossy channel and delayed feedback."""
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fvstream import (ChannelError, Component, PacketId, build_schedule,
-                      feedback_at, load_trace, lost_mb_mask, make_iid_trace,
-                      packetize, save_trace)
+                      generate_synthetic_stereo, load_trace, lost_mb_mask,
+                      make_iid_trace, packetize, save_trace)
+from fvstream.codec import PLANE_ORDER
+from fvstream.errortrack import ExpectedErrorTracker
+from fvstream.pipeline import ExperimentConfig, HarnessError, encode_stream
+
+from conftest import micro_scene_spec
 
 
 class TestPacketize:
@@ -108,45 +116,75 @@ class TestTrace:
         assert trace.frame_count() == 5
 
 
+@functools.lru_cache(maxsize=None)
+def feedback_log(rtt: int, frame_count: int = 8):
+    """Every outcome the encoder learns while coding the micro scene, in
+    order: (coding frame, revealed frame, received mask).  The first frame
+    is left unprotected, so each outcome arrives through feedback.  Returns
+    (log, trace)."""
+    spec = micro_scene_spec(frame_count)
+    cfg = ExperimentConfig(scene=spec, setups=("rfc",), rtt=rtt,
+                           protect_first_frame=False)
+    left, right, _ = generate_synthetic_stereo(spec)
+    orig = {}
+    for view, frames in ((0, left), (1, right)):
+        orig[(view, Component.TEXTURE)] = [f.texture.samples for f in frames]
+        orig[(view, Component.DEPTH)] = [f.disparity.samples for f in frames]
+    trace = make_iid_trace(3, 0.2, build_schedule(frame_count, 4, 4))
+    log = []
+    learn = ExpectedErrorTracker.set_frame_outcome
+
+    def spy(tracker, t, received):
+        # a tracker holds one pushed frame per frame already coded
+        log.append((tracker.frame_count, t, np.array(received)))
+        return learn(tracker, t, received)
+
+    with mock.patch.object(ExpectedErrorTracker, "set_frame_outcome", spy):
+        encode_stream(cfg, orig, "reactive", trace)
+    return log, trace
+
+
+def known_by(rtt: int, t: int, frame_count: int = 8) -> set:
+    """Frames whose outcome the encoder knows when it codes frame t."""
+    log, _ = feedback_log(rtt, frame_count)
+    return {f for coding, f, _ in log if coding <= t}
+
+
 class TestFeedback:
     @pytest.mark.example
     def test_nothing_known_before_one_round_trip(self):
-        trace = make_iid_trace(3, 0.2, build_schedule(12, 4, 2))
-        fb = feedback_at(trace, 3, 4)
-        assert fb.horizon == -1
-        assert fb.known == {}
+        assert known_by(4, 3) == set()
+        assert known_by(4, 4) == {0}
 
     @pytest.mark.example
     def test_zero_rtt_knows_everything_sent(self):
-        trace = make_iid_trace(3, 0.2, build_schedule(6, 4, 2))
-        fb = feedback_at(trace, 5, 0)
-        assert {pid.frame_index for pid in fb.known} == set(range(6))
+        # at rtt 0 every earlier frame is known, the one being coded is not
+        for t in range(8):
+            assert known_by(0, t) == set(range(t))
 
     @pytest.mark.example
     def test_rtt_4_at_frame_10_covers_frames_0_to_6(self):
-        trace = make_iid_trace(3, 0.2, build_schedule(12, 4, 2))
-        fb = feedback_at(trace, 10, 4)
-        assert fb.horizon == 6
-        assert {pid.frame_index for pid in fb.known} == set(range(7))
+        assert known_by(4, 10, frame_count=12) == set(range(7))
 
     def test_knowledge_grows_monotonically(self):
-        trace = make_iid_trace(9, 0.3, build_schedule(10, 3, 1))
-        prev: set = set()
-        for t in range(10):
-            known = set(feedback_at(trace, t, 2).known)
-            assert prev <= known
-            prev = known
+        # one outcome per frame, in order, each exactly one horizon late
+        for rtt in (0, 1, 3):
+            log, _ = feedback_log(rtt)
+            learned = [(coding, f) for coding, f, _ in log[::4]]
+            assert learned == [(f + max(rtt, 1), f)
+                               for f in range(8 - max(rtt, 1))]
 
     def test_negative_rtt_rejected(self):
-        trace = make_iid_trace(1, 0.0, build_schedule(2, 1, 1))
-        with pytest.raises(ChannelError):
-            feedback_at(trace, 3, -1)
+        with pytest.raises(HarnessError):
+            ExperimentConfig(rtt=-1)
 
     def test_feedback_matches_trace_outcomes(self):
-        trace = make_iid_trace(11, 0.4, build_schedule(8, 4, 2))
-        fb = feedback_at(trace, 7, 2)
-        for pid, lost in fb.known.items():
-            assert trace.lost(pid) == lost
+        log, trace = feedback_log(2)
+        assert len(log) == 4 * 6
+        for i, (_, f, received) in enumerate(log):
+            view, comp = PLANE_ORDER[i % 4]
+            assert np.array_equal(
+                received, ~lost_mb_mask(trace, f, view, comp, 4, 4))
 
 
 class TestLostBlockMask:

@@ -1,20 +1,22 @@
 """Block codec: transform, rate model, motion search, decode and container."""
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
-                            MODE_SKIP, SKIP_BITS, BlockDecision, CandidateSet,
+                            MODE_SKIP, PLANE_ORDER, SKIP_BITS, CandidateSet,
                             CodecConfig, CodecError, EncodedPlane,
                             build_inter_candidates, build_intra_candidates,
-                            code_against_prediction, conceal_block,
-                            decision_bits, decode_plane, dct16, dequantize,
-                            displacement_order, exp_golomb_signed_bits, idct16,
-                            motion_search, parse_stream, plane_blocks,
-                            quantize, reconstruct_block, residual_bits,
-                            serialize_stream)
-from fvstream.channel import Component
+                            code_against_prediction, decode_plane, dct16,
+                            dequantize, displacement_order,
+                            exp_golomb_signed_bits, idct16, motion_search,
+                            parse_stream, plane_blocks, quantize,
+                            residual_bits, serialize_stream)
+from fvstream.channel import Component, lost_mb_mask
+from fvstream.pipeline import decode_stream
 
 import oracles
 
@@ -28,6 +30,17 @@ def rand_plane(shape, seed, smooth=True):
         raw = np.apply_along_axis(lambda r: np.convolve(r, k, "same"), 1, raw)
         raw = np.apply_along_axis(lambda r: np.convolve(r, k, "same"), 0, raw)
     return np.clip(np.rint(raw), 0, 255).astype(np.uint8)
+
+
+def one_block_plane(mode, ref_dist, mv, coeffs=None, step=10):
+    """A 16x16 plane holding one macroblock record."""
+    if coeffs is None:
+        coeffs = np.zeros((16, 16), dtype=np.int32)
+    return EncodedPlane(modes=np.array([mode], dtype=np.int64),
+                        ref_dist=np.array([ref_dist], dtype=np.int64),
+                        mv=np.array([mv], dtype=np.int64),
+                        coeffs=np.asarray(coeffs, dtype=np.int32)[None],
+                        quant_step=step, grid=(1, 1))
 
 
 class TestTransform:
@@ -60,16 +73,16 @@ class TestRateModel:
     @pytest.mark.example
     def test_skip_costs_exactly_two_bits(self):
         assert SKIP_BITS == 2
-        assert decision_bits(BlockDecision(MODE_SKIP, 1), 999) == 2
+        assert oracles.decision_bits(oracles.BlockDecision(MODE_SKIP, 1), 999) == 2
 
     @pytest.mark.example
     def test_inter_prev_frame_zero_mv_zero_residual_is_five_bits(self):
-        d = BlockDecision(MODE_INTER, 1, (0, 0))
-        assert decision_bits(d, 0) == 5
+        d = oracles.BlockDecision(MODE_INTER, 1, (0, 0))
+        assert oracles.decision_bits(d, 0) == 5
 
     def test_intra_carries_mode_plus_base_plus_residual(self):
-        d = BlockDecision(MODE_INTRA, intra_base=100)
-        assert decision_bits(d, 7) == MODE_BITS + INTRA_BASE_BITS + 7
+        d = oracles.BlockDecision(MODE_INTRA, intra_base=100)
+        assert oracles.decision_bits(d, 7) == MODE_BITS + INTRA_BASE_BITS + 7
 
     @given(st.integers(-5000, 5000))
     def test_exp_golomb_length_matches_reference(self, v):
@@ -218,8 +231,8 @@ class TestIntra:
         # block by dequant 20 spread over 16 pixels: 100 + 5 = 105
         q = np.zeros((16, 16), dtype=np.int32)
         q[::4, ::4] = 2
-        dec = BlockDecision(MODE_INTRA, intra_base=100)
-        rec = reconstruct_block(dec, q, [], 10, 0, 0)
+        enc = one_block_plane(MODE_INTRA, 0, (100, 0), q)
+        rec, _ = decode_plane(enc, [], None, np.ones(1, dtype=bool))
         assert (rec == 105).all()
 
     def test_flat_block_codes_losslessly(self):
@@ -300,8 +313,8 @@ class TestCandidates:
                 assert np.array_equal(cset.coeffs[m, cb], q)
                 assert np.array_equal(cset.recon[m, cb], rec)
                 assert cset.distortion[m, cb] == dist
-                assert cset.bits[m, cb] == decision_bits(
-                    BlockDecision(MODE_INTER, d, (dx, dy)), int(rbits))
+                assert cset.bits[m, cb] == oracles.decision_bits(
+                    oracles.BlockDecision(MODE_INTER, d, (dx, dy)), int(rbits))
         assert (cset.mv[:4, 2] == 0).all()
         assert cset.mv[5:8, 2].tolist() == [[2, 0]] * 3
         assert cset.mv[8:, 2].tolist() == [[0, 2]] * 4
@@ -321,29 +334,41 @@ class TestCandidates:
             assert np.array_equal(cands[c]["recon"], cset.recon[2, c])
 
     def test_decision_validation(self):
-        with pytest.raises(CodecError):
-            BlockDecision(7)
-        with pytest.raises(CodecError):
-            BlockDecision(MODE_INTER, 0)
-        with pytest.raises(CodecError):
-            BlockDecision(MODE_INTRA, intra_base=300)
+        refs = [rand_plane((16, 16), seed=54)]
+        for mode, ref_dist, mv in ((7, 0, (0, 0)), (MODE_INTER, 0, (0, 0)),
+                                   (MODE_INTRA, 0, (300, 0))):
+            enc = one_block_plane(mode, ref_dist, mv)
+            with pytest.raises(CodecError):
+                decode_plane(enc, refs, None, np.ones(1, dtype=bool))
+            # the record of a lost block is never read
+            out, concealed = decode_plane(enc, refs, None,
+                                          np.zeros(1, dtype=bool))
+            assert (out == 128).all() and concealed.tolist() == [True]
 
 
 class TestDecode:
     def test_conceal_copies_previous_or_fills_gray(self):
         prev = rand_plane((32, 32), seed=81)
-        got = conceal_block(prev, 1, 0)
-        assert np.array_equal(got, prev[16:32, 0:16])
-        assert (conceal_block(None, 0, 0) == 128).all()
+        enc = EncodedPlane(modes=np.full(4, MODE_SKIP, dtype=np.uint8),
+                           ref_dist=np.ones(4, dtype=np.uint8),
+                           mv=np.zeros((4, 2), dtype=np.int16),
+                           coeffs=np.zeros((4, 16, 16), dtype=np.int32),
+                           quant_step=10, grid=(2, 2))
+        lost = np.zeros(4, dtype=bool)
+        got, _ = decode_plane(enc, [], prev, lost)
+        assert np.array_equal(got[16:32, 0:16], prev[16:32, 0:16])
+        assert np.array_equal(got, prev)
+        got, _ = decode_plane(enc, [], None, lost)
+        assert (got == 128).all()
 
     def test_reconstruct_validates_reference_depth_and_mv(self):
-        q = np.zeros((16, 16), dtype=np.int32)
-        with pytest.raises(CodecError):
-            reconstruct_block(BlockDecision(MODE_INTER, 2, (0, 0)), q,
-                              [np.zeros((32, 32), dtype=np.uint8)], 10, 0, 0)
-        with pytest.raises(CodecError):
-            reconstruct_block(BlockDecision(MODE_INTER, 1, (1, 0)), q,
-                              [np.zeros((32, 32), dtype=np.uint8)], 10, 0, 0)
+        refs = [np.zeros((16, 16), dtype=np.uint8)]
+        for ref_dist, mv in ((2, (0, 0)), (1, (1, 0))):
+            enc = one_block_plane(MODE_INTER, ref_dist, mv)
+            with pytest.raises(CodecError):
+                decode_plane(enc, refs, None, np.ones(1, dtype=bool))
+            out, _ = decode_plane(enc, refs, None, np.zeros(1, dtype=bool))
+            assert (out == 128).all()
 
     def test_decode_reconstructs_received_and_conceals_lost(self):
         plane = rand_plane((32, 32), seed=91)
@@ -377,6 +402,64 @@ class TestDecode:
                                       np.array([True, True, False, True]))
         assert (plane_blocks(out)[2] == 128).all()
         assert np.array_equal(plane_blocks(out)[0], rec[0])
+
+
+    @settings(max_examples=300)
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3), n_refs=st.integers(0, 3),
+           step=st.integers(1, 11), malformed=st.booleans(),
+           with_source=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(hb=1, wb=2, n_refs=0, step=10, malformed=False, with_source=False,
+             seed=0)
+    def test_batched_decode_matches_the_block_oracle(self, hb, wb, n_refs, step,
+                                                     malformed, with_source,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        n_mb = hb * wb
+        shape = (16 * hb, 16 * wb)
+        refs = [rng.integers(0, 256, shape).astype(np.uint8)
+                for _ in range(n_refs)]
+        source = rng.integers(0, 256, shape).astype(np.uint8) if with_source else None
+        modes = rng.integers(0, 3, n_mb)
+        ref_dist = rng.integers(1, max(n_refs, 1) + 1, n_mb)
+        mv = np.zeros((n_mb, 2), dtype=np.int64)
+        for m in range(n_mb):
+            top, left = (m // wb) * 16, (m % wb) * 16
+            if modes[m] == MODE_INTRA:
+                mv[m, 0] = rng.integers(0, 256)
+                ref_dist[m] = 0
+            elif modes[m] == MODE_INTER:       # predictor inside the frame
+                mv[m] = (rng.integers(left - shape[1] + 16, left + 1),
+                         rng.integers(top - shape[0] + 16, top + 1))
+        if malformed:
+            # corrupt a few fields: unknown modes, references past the
+            # buffer, skip motion, out-of-frame vectors, base levels past
+            # 8 bits, and intra records that name a reference
+            for m in rng.choice(n_mb, rng.integers(1, n_mb + 1), replace=False):
+                field = rng.integers(0, 4)
+                if field == 0:
+                    modes[m] = rng.integers(3, 256)
+                elif field == 1:
+                    ref_dist[m] = rng.integers(0, 6)
+                else:
+                    mv[m, field - 2] = rng.integers(-300, 300)
+        coeffs = np.where(rng.random((n_mb, 16, 16)) < 0.1,
+                          rng.integers(-40, 41, (n_mb, 16, 16)), 0)
+        enc = EncodedPlane(modes=modes.astype(np.uint8),
+                           ref_dist=ref_dist.astype(np.uint8),
+                           mv=mv.astype(np.int16),
+                           coeffs=coeffs.astype(np.int32), quant_step=step,
+                           grid=(hb, wb))
+        received = rng.random(n_mb) < 0.7
+        try:
+            want = oracles.oracle_decode_plane(enc, refs, source, received)
+        except CodecError:
+            with pytest.raises(CodecError):
+                decode_plane(enc, refs, source, received)
+            return
+        got = decode_plane(enc, refs, source, received)
+        assert got[0].dtype == np.uint8 and got[0].shape == shape
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestContainer:
@@ -456,6 +539,58 @@ class TestContainer:
             parse_stream(bytes(data[:cut]))
         except CodecError as exc:
             assert "\n" not in str(exc)
+
+    @given(cut=st.one_of(st.none(), st.integers(0, 2 ** 20)),
+           edits=st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)),
+                          max_size=4),
+           lost_edits=st.lists(st.tuples(
+               st.integers(0, 7), st.integers(0, 3), st.integers(0, 3),
+               st.sampled_from(["modes", "ref_dist", "mvx", "mvy", "coeffs"]),
+               st.integers(-32768, 32767)), max_size=8))
+    @example(cut=None, edits=[], lost_edits=[(3, 0, 0, "mvx", 30000)])
+    def test_any_damaged_stream_decodes_or_raises_codec_error(
+            self, lossy_micro_stream, cut, edits, lost_edits):
+        # byte edits reach the parser and the records of received blocks;
+        # the records of lost blocks get arbitrary values after parsing
+        cfg, stream, blob, trace = lossy_micro_stream
+        data = bytearray(blob)
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        if cut is not None:
+            data = data[:cut % (len(data) + 1)]
+        try:
+            _, _, _, frames = parse_stream(bytes(data))
+            for t, plane, m, name, value in lost_edits:
+                key = PLANE_ORDER[plane]
+                if t >= len(frames) or not lost_mb_mask(
+                        trace, t, *key, 4, cfg.packets_for(key[1], 4))[m]:
+                    continue
+                enc = frames[t][key]
+                if name == "mvx":
+                    enc.mv[m, 0] = value
+                elif name == "mvy":
+                    enc.mv[m, 1] = value
+                elif name == "coeffs":
+                    enc.coeffs[m] = value
+                else:
+                    getattr(enc, name)[m] = value % 256
+            decode_stream(cfg, dataclasses.replace(stream, frames=frames), trace)
+        except CodecError as exc:
+            assert "\n" not in str(exc)
+
+    def test_decode_stream_rejects_planes_of_another_size(self,
+                                                         lossy_micro_stream):
+        # 16x64 holds the same 4 blocks as the scene's 32x32, so the stream
+        # parses; zero motion keeps every predictor inside the frame
+        cfg, stream, blob, trace = lossy_micro_stream
+        data = bytearray(blob)
+        data[5:9] = (16).to_bytes(2, "little") + (64).to_bytes(2, "little")
+        _, _, _, frames = parse_stream(bytes(data))
+        for frame in frames:
+            for enc in frame.values():
+                enc.mv[enc.modes != MODE_INTRA] = 0
+        with pytest.raises(CodecError):
+            decode_stream(cfg, dataclasses.replace(stream, frames=frames), trace)
 
     @pytest.mark.parametrize("field, value", [("coeffs", 40000),
                                               ("coeffs", -32769),

@@ -1,17 +1,22 @@
 """Expected-error recursion on the sender and actual tracking on the receiver."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, EncodedPlane,
-                            build_intra_candidates)
+from fvstream.channel import Component, lost_mb_mask
+from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CodecError,
+                            EncodedPlane, build_intra_candidates, parse_stream,
+                            predictor_blocks)
 from fvstream.errortrack import (DEFAULT_GAMMA, DecoderTracker,
                                  ExpectedErrorTracker, TrackingError,
-                                 block_footprint, candidate_expected_errors,
+                                 candidate_expected_errors,
                                  estimate_delta_history, footprint_state_sum,
                                  innovation_term, intra_expected_error,
                                  propagate_received)
+from fvstream.pipeline import decode_stream
 
 import oracles
 
@@ -65,32 +70,43 @@ def random_decisions(rng, grid, frame_count, max_ref=3, mv_range=4):
     return frames
 
 
+def state_sum_weights(m, mv, grid):
+    """footprint_state_sum over one-hot states: the overlap weight of every
+    block under the predictor of block m, zero weights dropped."""
+    n_mb = grid[0] * grid[1]
+    one = np.array([1]), np.array([mv[0]]), np.array([mv[1]]), np.array([m])
+    got = {k: float(footprint_state_sum(np.eye(n_mb)[k][None], *one, grid)[0])
+           for k in range(n_mb)}
+    return {k: w for k, w in got.items() if w != 0.0}
+
+
 class TestFootprint:
     @pytest.mark.example
     def test_quarter_offset_weights(self):
         # mv (-4, 0) on a 1x2 grid: 3/4 of the predictor stays home
-        out = block_footprint(0, (-4, 0), (1, 2))
-        assert out == [(0, 0.75), (1, 0.25)]
+        out = state_sum_weights(0, (-4, 0), (1, 2))
+        assert out == {0: 0.75, 1: 0.25}
 
     def test_zero_motion_is_identity(self):
-        assert block_footprint(3, (0, 0), (2, 2)) == [(3, 1.0)]
+        assert state_sum_weights(3, (0, 0), (2, 2)) == {3: 1.0}
 
     def test_predictor_must_stay_inside(self):
-        with pytest.raises(TrackingError):
-            block_footprint(0, (4, 0), (1, 2))
+        # the footprint assumes an in-frame predictor; the decoder's gather
+        # rejects any other before a tracker reads the record
+        refs = np.zeros((1, 16, 32), dtype=np.uint8)
+        with pytest.raises(CodecError):
+            predictor_blocks(refs, 1, np.array([[4, 0]]), np.array([0]), (1, 2))
 
     @given(st.integers(0, 5), st.integers(-8, 8), st.integers(-8, 8))
     def test_matches_pixel_counting(self, m, dx, dy):
         grid = (2, 3)
         try:
-            lib = block_footprint(m, (dx, dy), grid)
-        except TrackingError:
-            with pytest.raises(ValueError):
-                oracles.footprint_weights(m, (dx, dy), grid)
+            want = oracles.footprint_weights(m, (dx, dy), grid)
+        except ValueError:      # the predictor leaves the frame
             return
-        want = oracles.footprint_weights(m, (dx, dy), grid)
-        assert dict(lib) == want
-        assert sum(f for _, f in lib) == 1.0
+        got = state_sum_weights(m, (dx, dy), grid)
+        assert got == want
+        assert sum(got.values()) == 1.0
 
     def test_state_sum_matches_weights(self):
         rng = np.random.default_rng(17)
@@ -372,3 +388,22 @@ class TestDecoderTracker:
         with pytest.raises(TrackingError):
             tr.update_frame(1, self._planes(0), self._encs(MODE_INTRA, 0),
                             self._received())
+
+    def test_lost_records_are_never_read(self, lossy_micro_stream):
+        # a lost frame-3 texture record whose vector points 30000 columns
+        # away must leave the receiver exactly as a valid record does
+        cfg, stream, blob, trace = lossy_micro_stream
+        key = (0, Component.TEXTURE)
+        assert lost_mb_mask(trace, 3, *key, 4, cfg.packets_for(key[1], 4))[0]
+        _, _, _, valid = parse_stream(blob)
+        _, _, _, bad = parse_stream(blob)
+        bad[3][key].mv[0] = (30000, 0)
+        want = decode_stream(cfg, dataclasses.replace(stream, frames=valid), trace)
+        got = decode_stream(cfg, dataclasses.replace(stream, frames=bad), trace)
+        for view in (0, 1):
+            for comp in (0, 1):
+                for t in range(len(valid)):
+                    assert np.array_equal(got.tracker.state(view, comp, t),
+                                          want.tracker.state(view, comp, t))
+                    assert np.array_equal(got.planes[(view, comp)][t],
+                                          want.planes[(view, comp)][t])

@@ -46,7 +46,6 @@ def crafted_candidates(chan, chan_intra, distortion=None, bits=None):
     flat = np.full((16, 16 * n_mb), 100, dtype=np.uint8)
     return PlaneCandidates(cset=cset, chan=chan,
                            chan_intra=np.asarray(chan_intra, dtype=np.float64),
-                           delta=np.zeros(n_mb),
                            intra=build_intra_candidates(flat, 10), quant_step=10)
 
 
@@ -226,7 +225,7 @@ class TestSelectPlane:
         n_mb = cset.n_mb
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((n_mb, cset.n_candidates)),
-                             chan_intra=np.zeros(n_mb), delta=np.zeros(n_mb),
+                             chan_intra=np.zeros(n_mb),
                              intra=build_intra_candidates(frames[3], 10),
                              quant_step=10)
         cols = texture_channel_columns(pc, "independent")
@@ -246,7 +245,6 @@ class TestSelectPlane:
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((cset.n_mb, cset.n_candidates)),
                              chan_intra=np.zeros(cset.n_mb),
-                             delta=np.zeros(cset.n_mb),
                              intra=build_intra_candidates(frames[3], 10),
                              quant_step=10)
         cols = texture_channel_columns(pc, "independent")
@@ -265,7 +263,6 @@ class TestSelectPlane:
         n_mb, n_cand = cset.n_mb, cset.n_candidates
         pc = PlaneCandidates(cset=cset, chan=rng.uniform(0, 20, (n_mb, n_cand)),
                              chan_intra=rng.uniform(0, 20, n_mb),
-                             delta=np.zeros(n_mb),
                              intra=build_intra_candidates(frames[2], 10),
                              quant_step=10)
         cols = texture_channel_columns(pc, "independent")
@@ -496,15 +493,13 @@ def replay_frame(cfg, orig, mode, trace, stream, t_star):
     packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
     recon = stream.recon
 
-    known_upto = -1
     for t in range(t_star + 1):
-        while known_upto < min(t - cfg.rtt, t - 1):
-            f = known_upto + 1
+        f = t - max(cfg.rtt, 1)
+        if f >= 0:
             for key in PLANE_ORDER:
                 rcv = ~lost_mb_mask(trace, f, key[0], key[1], n_mb,
                                     packets[key])
                 trackers[key].set_frame_outcome(f, rcv)
-            known_upto = f
         if t == t_star:
             break
         for key in PLANE_ORDER:
@@ -532,7 +527,7 @@ def replay_frame(cfg, orig, mode, trace, stream, t_star):
             cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
             pcs[key] = PlaneCandidates(
                 cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
-                chan_intra=np.zeros(n_mb), delta=delta[key],
+                chan_intra=np.zeros(n_mb),
                 intra=build_intra_candidates(orig[key][t], ccfg.quant_step),
                 quant_step=ccfg.quant_step)
 

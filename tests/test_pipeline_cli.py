@@ -7,6 +7,7 @@ import pytest
 
 from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import load_report, main
+from fvstream import pipeline
 from fvstream.codec import PLANE_ORDER
 from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                ExperimentReport, HarnessError, compare_setups,
@@ -122,6 +123,26 @@ class TestLosslessLoop:
                 for t in range(8):
                     assert (dec.tracker.state(view, comp, t) == 0.0).all()
         assert dec.lost_packets == [0] * 8
+
+    def test_only_tracking_modes_compute_the_innovation(self, micro_scene,
+                                                        tmp_path, monkeypatch):
+        # the reactive taint ignores the innovation, so it must not pay for it
+        cfg = micro_config(tmp_path)
+        orig = {}
+        for view, frames in ((0, micro_scene.left), (1, micro_scene.right)):
+            orig[(view, Component.TEXTURE)] = [f.texture.samples for f in frames]
+            orig[(view, Component.DEPTH)] = [f.disparity.samples for f in frames]
+        trace = make_iid_trace(7, 0.05, build_schedule(8, 4, 4), frozenset({0}))
+        calls = []
+        innovation = pipeline.innovation_term
+        monkeypatch.setattr(pipeline, "innovation_term",
+                            lambda *a: calls.append(a) or innovation(*a))
+        counts = {}
+        for mode in ("reactive", "independent"):
+            calls.clear()
+            encode_stream(cfg, orig, mode, trace)
+            counts[mode] = len(calls)
+        assert counts == {"reactive": 0, "independent": 4 * 8}
 
     def test_synthesis_scores_one_value_per_frame(self, micro_scene, tmp_path):
         cfg = micro_config(tmp_path, loss_rates=(0.0,))
