@@ -8,12 +8,11 @@ the two decoded views into a virtual middle view, optionally weighting by
 tracked reliability.
 """
 
-from .frames import (PlaneError, FramePlane, ViewFrame, QualityReport,
-                     mean_abs_error, mse, psnr, load_pgm, save_pgm, load_plane,
-                     save_plane, load_yuv420_luma, save_yuv420_luma)
+from .frames import (PlaneError, FramePlane, ViewFrame, mse, psnr, load_pgm,
+                     save_pgm)
 from .scenegen import (SceneSpecError, SyntheticSceneSpec, TextureSpec,
                        ObjectSpec, default_scene_spec, generate_synthetic_stereo,
-                       load_scene_spec, scene_from_dict)
+                       scene_from_dict)
 from .channel import (ChannelError, Component, PacketId, LossTrace,
                       build_schedule, packetize, make_iid_trace, lost_mb_mask,
                       save_trace, load_trace)
@@ -39,12 +38,10 @@ from .pipeline import (HarnessError, ExperimentConfig, ExperimentReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PlaneError", "FramePlane", "ViewFrame", "QualityReport",
-    "mean_abs_error", "mse", "psnr", "load_pgm", "save_pgm", "load_plane",
-    "save_plane", "load_yuv420_luma", "save_yuv420_luma",
+    "PlaneError", "FramePlane", "ViewFrame", "mse", "psnr", "load_pgm",
+    "save_pgm",
     "SceneSpecError", "SyntheticSceneSpec", "TextureSpec", "ObjectSpec",
-    "default_scene_spec", "generate_synthetic_stereo", "load_scene_spec",
-    "scene_from_dict",
+    "default_scene_spec", "generate_synthetic_stereo", "scene_from_dict",
     "ChannelError", "Component", "PacketId", "LossTrace",
     "build_schedule", "packetize", "make_iid_trace",
     "lost_mb_mask", "save_trace", "load_trace",

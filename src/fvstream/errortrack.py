@@ -98,6 +98,24 @@ def propagate_received(states_by_dist: np.ndarray, modes: np.ndarray,
     return np.where(intra, 0.0, gamma * s)
 
 
+def next_state(states: list[np.ndarray], t: int, modes: np.ndarray,
+               ref_dist: np.ndarray, mv: np.ndarray, delta: np.ndarray,
+               p, gamma: float, grid: tuple[int, int]) -> np.ndarray:
+    """One step of the recursion: e[t] from the states of the frames before t.
+
+    p is the per-MB delivery probability, planned or known 0/1; states past
+    the start count as zero.
+    """
+    n_mb = modes.shape[0]
+    depth = max(1, int(ref_dist.max()) if ref_dist.size else 1)
+    refs = np.zeros((depth, n_mb))
+    for d in range(1, min(depth, t) + 1):
+        refs[d - 1] = states[t - d]
+    e_plus = propagate_received(refs, modes, ref_dist, mv, gamma, grid)
+    prev = states[t - 1] if t >= 1 else np.zeros(n_mb)
+    return p * e_plus + (1.0 - p) * (prev + delta)
+
+
 # ---------------------------------------------------------------------------
 # sender-side expectation lattice
 # ---------------------------------------------------------------------------
@@ -150,13 +168,8 @@ class ExpectedErrorTracker:
 
     def _compute_state(self, t: int) -> np.ndarray:
         rec = self._frames[t]
-        depth = max(1, int(rec.ref_dist.max()) if rec.ref_dist.size else 1)
-        refs = self.reference_states(t, depth)
-        e_plus = propagate_received(refs, rec.modes, rec.ref_dist, rec.mv,
-                                    self.gamma, self.grid)
-        prev = self._states[t - 1] if t >= 1 else np.zeros(self.n_mb)
-        e_minus = prev + rec.delta
-        return rec.p * e_plus + (1.0 - rec.p) * e_minus
+        return next_state(self._states, t, rec.modes, rec.ref_dist, rec.mv,
+                          rec.delta, rec.p, self.gamma, self.grid)
 
     def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
                    mv: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -261,21 +274,12 @@ class DecoderTracker:
 
     def _track_plane(self, view: int, comp: int, t: int, enc: EncodedPlane,
                      received: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        series = self._states[(view, comp)]
         # the decoder never reads the record of a lost block, so neither do
-        # we: such a row propagates as INTRA, and np.where drops it below
-        modes = np.where(received, enc.modes, MODE_INTRA)
-        ref_dist = np.where(received, enc.ref_dist, 0)
-        depth = max(1, int(ref_dist.max()) if t > 0 else 1)
-        refs = np.zeros((depth, self.n_mb))
-        for d in range(1, depth + 1):
-            if t - d >= 0:
-                refs[d - 1] = series[t - d]
-        e_plus = propagate_received(refs, modes, ref_dist, enc.mv,
-                                    self.gamma, self.grid)
-        prev = series[t - 1] if t >= 1 else np.zeros(self.n_mb)
-        e_minus = prev + delta
-        return np.where(received, e_plus, e_minus)
+        # we: such a row propagates as INTRA and carries no weight below
+        return next_state(self._states[(view, comp)], t,
+                          np.where(received, enc.modes, MODE_INTRA),
+                          np.where(received, enc.ref_dist, 0), enc.mv, delta,
+                          received.astype(np.float64), self.gamma, self.grid)
 
     def update_frame(self, t: int,
                      decoded: dict[tuple[int, int], np.ndarray],

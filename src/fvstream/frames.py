@@ -7,15 +7,12 @@ baseline (the disparity scale factor is applied at synthesis time).
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MB_SIZE = 16
 PSNR_CAP_DB = 99.0
-
-PLANE_FORMATS = ("pgm", "yuv420")
 
 
 class PlaneError(ValueError):
@@ -96,14 +93,6 @@ def _as_samples(plane) -> np.ndarray:
     return np.asarray(plane)
 
 
-def mean_abs_error(a, b) -> float:
-    x = _as_samples(a).astype(np.float64)
-    y = _as_samples(b).astype(np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return float(np.mean(np.abs(x - y)))
-
-
 def mse(a, b) -> float:
     x = _as_samples(a).astype(np.float64)
     y = _as_samples(b).astype(np.float64)
@@ -118,36 +107,6 @@ def psnr(a, b, cap_db: float = PSNR_CAP_DB) -> float:
     if err <= 0.0:
         return cap_db
     return min(cap_db, 10.0 * np.log10(255.0 * 255.0 / err))
-
-
-@dataclass
-class QualityReport:
-    """Per-frame fidelity of a synthesized sequence against its reference."""
-
-    frame_psnr: list[float] = field(default_factory=list)
-    frame_mae: list[float] = field(default_factory=list)
-    cap_db: float = PSNR_CAP_DB
-
-    @classmethod
-    def from_sequences(cls, reference, test, cap_db: float = PSNR_CAP_DB) -> "QualityReport":
-        if len(reference) != len(test):
-            raise ValueError("sequence lengths differ")
-        rep = cls(cap_db=cap_db)
-        for ref, out in zip(reference, test):
-            rep.add_frame(ref, out)
-        return rep
-
-    def add_frame(self, reference, test) -> None:
-        self.frame_psnr.append(psnr(reference, test, self.cap_db))
-        self.frame_mae.append(mean_abs_error(reference, test))
-
-    @property
-    def average_psnr(self) -> float:
-        return float(np.mean(self.frame_psnr)) if self.frame_psnr else 0.0
-
-    @property
-    def average_mae(self) -> float:
-        return float(np.mean(self.frame_mae)) if self.frame_mae else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,51 +167,3 @@ def load_pgm(path) -> FramePlane:
         raise PlaneError(f"PGM payload truncated in {path}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     return FramePlane(arr.copy())
-
-
-def load_yuv420_luma(path, width: int, height: int, frame_index: int = 0) -> FramePlane:
-    """Read the luma plane of one frame from a raw planar YUV 4:2:0 file."""
-    frame_bytes = width * height * 3 // 2
-    offset = frame_index * frame_bytes
-    size = os.path.getsize(path)
-    if offset + width * height > size:
-        raise PlaneError(
-            f"YUV file too short for frame {frame_index} at {width}x{height}"
-        )
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        payload = fh.read(width * height)
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return FramePlane(arr.copy())
-
-
-def save_yuv420_luma(path, plane, append: bool = False) -> None:
-    """Write a plane as one YUV 4:2:0 frame with neutral chroma."""
-    arr = _as_samples(plane)
-    h, w = arr.shape
-    chroma = np.full((h // 2, w // 2), 128, dtype=np.uint8)
-    mode = "ab" if append else "wb"
-    with open(path, mode) as fh:
-        fh.write(arr.astype(np.uint8).tobytes())
-        fh.write(chroma.tobytes())
-        fh.write(chroma.tobytes())
-
-
-def load_plane(path, fmt: str = "pgm", width: int | None = None,
-               height: int | None = None, frame_index: int = 0) -> FramePlane:
-    if fmt == "pgm":
-        return load_pgm(path)
-    if fmt == "yuv420":
-        if width is None or height is None:
-            raise PlaneError("yuv420 input needs explicit width and height")
-        return load_yuv420_luma(path, width, height, frame_index)
-    raise PlaneError(f"unknown plane format {fmt!r}, expected one of {PLANE_FORMATS}")
-
-
-def save_plane(path, plane, fmt: str = "pgm") -> None:
-    if fmt == "pgm":
-        save_pgm(path, plane)
-    elif fmt == "yuv420":
-        save_yuv420_luma(path, plane)
-    else:
-        raise PlaneError(f"unknown plane format {fmt!r}, expected one of {PLANE_FORMATS}")

@@ -66,14 +66,16 @@ class PlaneCandidates:
 
 def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
                            cfg: CodecConfig, tracker: ExpectedErrorTracker,
-                           t: int, delta: np.ndarray, p: float) -> PlaneCandidates:
+                           t: int, delta: np.ndarray) -> PlaneCandidates:
+    """Coding options of one plane with their expected errors under the
+    tracker's planned delivery probability."""
     cset = build_inter_candidates(orig, refs, cfg)
     ref_states = tracker.reference_states(t, len(refs))
     prev = tracker.state(t - 1) if t >= 1 else np.zeros(tracker.n_mb)
-    chan = candidate_expected_errors(ref_states, prev, delta, p, tracker.gamma,
-                                     cset.mode_col, cset.ref_col, cset.mv,
-                                     tracker.grid)
-    chan_intra = intra_expected_error(prev, delta, p)
+    chan = candidate_expected_errors(ref_states, prev, delta, tracker.p_plan,
+                                     tracker.gamma, cset.mode_col, cset.ref_col,
+                                     cset.mv, tracker.grid)
+    chan_intra = intra_expected_error(prev, delta, tracker.p_plan)
     return PlaneCandidates(cset=cset, chan=chan, chan_intra=chan_intra,
                            intra=build_intra_candidates(orig, cfg.quant_step),
                            quant_step=cfg.quant_step)
@@ -95,12 +97,9 @@ def opposing_cap(corr: CorrespondenceSets, opp_error_prev: np.ndarray,
     penalty) plus this block's own innovation; +inf for blocks without a
     correspondence so a min() against it is a no-op.
     """
-    n_mb = opp_error_prev.shape[0]
-    cap = np.full(n_mb, np.inf)
-    for m in np.flatnonzero(corr.member):
-        ks = corr.covering[m]
-        cap[m] = np.max(opp_error_prev[ks] + opp_penalty_prev[ks]) + delta_tex[m]
-    return cap
+    worst = np.full(opp_error_prev.shape[0], -np.inf)
+    np.maximum.at(worst, corr.src, (opp_error_prev + opp_penalty_prev)[corr.tgt])
+    return np.where(corr.member, worst + delta_tex, np.inf)
 
 
 def texture_channel_columns(pc: PlaneCandidates, mode: str,
@@ -255,18 +254,15 @@ class ReactiveTaint(ExpectedErrorTracker):
         """Taint mask per pushed frame."""
         return [s > 0.0 for s in self._states]
 
-    def valid_candidates(self, cset: CandidateSet, t: int) -> np.ndarray:
-        """(n_mb, n_cand + 1) mask of candidates with untainted references."""
-        lattice = self.lattice()
-        stack = np.zeros((int(cset.ref_col.max()), self.n_mb))
-        for d in range(1, min(len(stack), t) + 1):
-            stack[d - 1] = lattice[t - d]
-        zeros = np.zeros(self.n_mb)
-        overlap = candidate_expected_errors(stack, zeros, zeros, 1.0, 1.0,
-                                            cset.mode_col, cset.ref_col,
-                                            cset.mv, self.grid)
-        return np.concatenate([overlap == 0.0,
-                               np.ones((self.n_mb, 1), dtype=bool)], axis=1)
+    def valid_candidates(self, pc: PlaneCandidates) -> np.ndarray:
+        """(n_mb, n_cand + 1) mask of candidates with untainted references.
+
+        pc must be built against this taint: with certain delivery and no
+        attenuation, a candidate's expected error is exactly its
+        predictor's overlap with the reference taint.
+        """
+        return np.concatenate([pc.chan == 0.0,
+                               np.ones((pc.n_mb, 1), dtype=bool)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ import numpy as np
 from .channel import (Component, LossTrace, build_schedule, lost_mb_mask,
                       make_iid_trace, save_trace)
 from .codec import (PLANE_ORDER, CodecConfig, CodecError, EncodedPlane,
-                    build_inter_candidates, build_intra_candidates,
                     decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
-from .optimizer import (PlaneCandidates, ReactiveTaint, build_plane_candidates,
-                        code_plane_all_intra, depth_channel_columns,
-                        g_eval, opposing_cap, select_plane, step1_minimum,
+from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
+                        ReactiveTaint, build_plane_candidates,
+                        code_plane_all_intra, depth_channel_columns, g_eval,
+                        opposing_cap, select_plane, step1_minimum,
                         texture_channel_columns, tune_to_band)
 from .scenegen import (SyntheticSceneSpec, default_scene_spec,
                        generate_synthetic_stereo, scene_from_dict)
@@ -124,19 +124,38 @@ class ExperimentConfig:
         return min(want, n_mb)          # tiny frames: fewer packets than MBs
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None))}
+
+
+def _json_is(value, kind: str) -> bool:
+    # bool subclasses int, but a JSON true is no number
+    return (isinstance(value, _JSON_TYPES[kind])
+            and (kind == "bool") == isinstance(value, bool))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise HarnessError("config must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    extra = set(d) - known
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    extra = set(d) - set(known)
     if extra:
         raise HarnessError(f"unknown config fields {sorted(extra)}")
     kw = dict(d)
-    if "scene" in kw:
-        kw["scene"] = scene_from_dict(kw["scene"])
-    for name in ("setups", "loss_rates", "seeds"):
-        if name in kw:
-            kw[name] = tuple(kw[name])
+    for name, value in d.items():
+        kind = known[name]
+        if name == "scene":
+            kw[name] = scene_from_dict(value)
+        elif kind.startswith("tuple["):
+            item = kind[len("tuple["):-len(", ...]")]
+            if not (isinstance(value, list)
+                    and all(_json_is(x, item) for x in value)):
+                raise HarnessError(f"config field {name!r} must be a list "
+                                   f"of {item}")
+            kw[name] = tuple(value)
+        elif not _json_is(value, kind):
+            raise HarnessError(f"config field {name!r} must be {kind}, "
+                               f"got {type(value).__name__}")
     return ExperimentConfig(**kw)
 
 
@@ -186,6 +205,165 @@ def _plane_lists(left: list[ViewFrame], right: list[ViewFrame]
     return out
 
 
+@dataclass
+class FramePlan:
+    """What one frame's selection needs, per plane: candidates, channel
+    columns and (reactive only) valid masks.  Cross mode also keeps each
+    view's opposing cap and correspondence membership."""
+
+    orig: dict[tuple[int, Component], np.ndarray]
+    pcs: dict[tuple[int, Component], PlaneCandidates]
+    cols: dict[tuple[int, Component], np.ndarray]
+    valid: dict[tuple[int, Component], np.ndarray]
+    caps: dict[int, np.ndarray]
+    members: dict[int, np.ndarray]
+
+    def select(self, lam: float) -> dict[tuple[int, Component], PlaneSelection]:
+        return {key: select_plane(self.orig[key], self.pcs[key], self.cols[key],
+                                  lam, self.valid.get(key))
+                for key in PLANE_ORDER}
+
+
+class EncoderState:
+    """The sender's state under one selection mode, advanced frame by frame.
+
+    Holds the reconstructions, one tracker per plane, the innovation per
+    plane and frame, and one curvature map per reconstructed view.  Frame t
+    runs learn(t), then plan(t) and a selection (frame 0 is all INTRA), then
+    commit(t, ...).
+    """
+
+    def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
+                 trace: LossTrace):
+        if mode not in OPTIMIZER_MODES:
+            raise HarnessError(f"unknown selection mode {mode!r}")
+        h, w = orig[(0, Component.TEXTURE)][0].shape
+        self.cfg, self.orig, self.mode, self.trace = cfg, orig, mode, trace
+        self.grid = (h // 16, w // 16)
+        self.n_mb = self.grid[0] * self.grid[1]
+        self.sens = SensitivityParams(threshold=cfg.threshold,
+                                      max_deviation=cfg.max_deviation)
+        # the reactive baseline tracks the support of the same recursion
+        self.trackers = {key: (ReactiveTaint(self.grid) if mode == "reactive"
+                               else ExpectedErrorTracker(
+                                   self.grid, 1.0 - trace.loss_rate, cfg.gamma))
+                         for key in PLANE_ORDER}
+        self.packets = {key: cfg.packets_for(key[1], self.n_mb)
+                        for key in PLANE_ORDER}
+        self.recon: dict[tuple[int, Component], list[np.ndarray]] = {
+            key: [] for key in PLANE_ORDER}
+        self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
+            key: [] for key in PLANE_ORDER}
+        self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
+
+    def learn(self, t: int) -> None:
+        """The outcome of frame t - max(rtt, 1) arrives as frame t is coded."""
+        f = t - max(self.cfg.rtt, 1)
+        if f >= 0:
+            for key in PLANE_ORDER:
+                self.trackers[key].set_frame_outcome(
+                    f, ~lost_mb_mask(self.trace, f, *key, self.n_mb,
+                                     self.packets[key]))
+
+    def innovation(self, key: tuple[int, Component], t: int) -> np.ndarray:
+        """Frame t's innovation against the previous reconstruction; zero for
+        the reactive taint, which ignores it."""
+        series = self.delta[key]
+        if len(series) == t:
+            if self.mode == "reactive":
+                series.append(np.zeros(self.n_mb))
+            else:
+                series.append(innovation_term(
+                    self.orig[key][t], self.recon[key][t - 1] if t else None))
+        return series[t]
+
+    def curvature(self, view: int, k: int) -> np.ndarray:
+        """Curvature map of view's reconstruction k."""
+        if k not in self.curv[view]:
+            self.curv[view][k] = curvature_map(
+                self.recon[(view, Component.TEXTURE)][k],
+                self.recon[(view, Component.DEPTH)][k],
+                self.recon[(1 - view, Component.TEXTURE)][k], view,
+                self.cfg.eta, self.sens)
+        return self.curv[view][k]
+
+    def plan(self, t: int) -> FramePlan:
+        """Candidates and channel terms of frame t >= 1 under the mode."""
+        cfg, recon, trackers = self.cfg, self.recon, self.trackers
+        pcs = {}
+        for key in PLANE_ORDER:
+            refs = [recon[key][t - d]
+                    for d in range(1, min(cfg.ref_window, t) + 1)]
+            pcs[key] = build_plane_candidates(
+                self.orig[key][t], refs, cfg.codec_config(key[1]),
+                trackers[key], t, self.innovation(key, t))
+        cols, valid, caps, members = {}, {}, {}, {}
+        if self.mode == "reactive":
+            # no channel term, only references free of known taint
+            for key in PLANE_ORDER:
+                cols[key] = np.zeros((self.n_mb, pcs[key].n_candidates + 1))
+                valid[key] = trackers[key].valid_candidates(pcs[key])
+        elif self.mode == "independent":
+            for key in PLANE_ORDER:
+                cols[key] = (texture_channel_columns(pcs[key], "independent")
+                             if key[1] == Component.TEXTURE else
+                             depth_channel_columns(pcs[key], "independent",
+                                                   self.curvature(key[0], t - 1)))
+        else:
+            for v in (0, 1):
+                o, tex, dep = 1 - v, (v, Component.TEXTURE), (v, Component.DEPTH)
+                corr = correspondence_sets(recon[tex][t - 1], recon[dep][t - 1],
+                                           v, cfg.eta)
+                # state t-1 meets the map of reconstruction t-2 (0 at t=1):
+                # the golden digests pin this pairing
+                opp_pen = g_eval(self.curvature(o, max(t - 2, 0)),
+                                 trackers[(o, Component.DEPTH)].state(t - 1))
+                opp_err = trackers[(o, Component.TEXTURE)].state(t - 1)
+                caps[v] = opposing_cap(corr, opp_err, opp_pen,
+                                       self.innovation(tex, t))
+                members[v] = corr.member
+                _, tex_val = step1_minimum(pcs[tex])
+                _, dep_val = step1_minimum(pcs[dep])
+                curv = self.curvature(v, t - 1)
+                cols[tex] = texture_channel_columns(
+                    pcs[tex], "cross", member=corr.member,
+                    penalty_fixed=g_eval(curv, dep_val), cap=caps[v])
+                cols[dep] = depth_channel_columns(
+                    pcs[dep], "cross", curv, member=corr.member,
+                    error_fixed=tex_val, cap=caps[v])
+        return FramePlan(orig={key: self.orig[key][t] for key in PLANE_ORDER},
+                         pcs=pcs, cols=cols, valid=valid, caps=caps,
+                         members=members)
+
+    def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane],
+               recon: dict[tuple[int, Component], np.ndarray]) -> None:
+        """Push frame t's final decisions and reconstructions."""
+        for key in PLANE_ORDER:
+            enc = frame[key]
+            delta = self.innovation(key, t)
+            self.recon[key].append(recon[key])
+            self.trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv, delta)
+            if t == 0 and self.cfg.protect_first_frame:
+                self.trackers[key].set_frame_outcome(
+                    0, np.ones(self.n_mb, dtype=bool))
+
+
+def _select_frame(plan: FramePlan, lam: float, target: float | None,
+                  cfg: ExperimentConfig):
+    """Select every plane at lam, or with target, drive the frame's bits into
+    the band by adjusting lam: (selections, lam, bits, in band, infeasible).
+    The plan's candidates are freed on return, before the next frame's."""
+    def run(lam_trial: float):
+        sels = plan.select(lam_trial)
+        return sum(s.total_bits for s in sels.values()), sels
+
+    if target is None:
+        bits, sels = run(lam)
+        return sels, lam, bits, True, False
+    tuned = tune_to_band(run, lam, target, cfg.rate_band, cfg.max_lambda_trials)
+    return tuned.payload, tuned.lam, tuned.bits, tuned.in_band, tuned.infeasible
+
+
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                   trace: LossTrace,
                   frame_targets: list[float] | None = None) -> EncodedStream:
@@ -194,183 +372,46 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     frame_targets, when given, are per-frame bit budgets (the baseline's
     spend) driven to within the configured band by lambda adjustment.
     """
-    h, w = orig[(0, Component.TEXTURE)][0].shape
-    grid = (h // 16, w // 16)
-    n_mb = grid[0] * grid[1]
-    T = len(orig[(0, Component.TEXTURE)])
-    p_plan = 1.0 - trace.loss_rate
-    sens = SensitivityParams(threshold=cfg.threshold,
-                             max_deviation=cfg.max_deviation)
-    needs_tracking = mode in ("independent", "cross")
-
-    # the reactive baseline tracks the support of the same recursion
-    trackers = {key: (ExpectedErrorTracker(grid, p_plan, cfg.gamma)
-                      if needs_tracking else ReactiveTaint(grid))
-                for key in PLANE_ORDER}
-    packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
-    curv: dict[int, list[np.ndarray]] = {0: [], 1: []}
-
-    recon: dict[tuple[int, Component], list[np.ndarray]] = {key: [] for key in PLANE_ORDER}
-    frames_out: list[dict] = []
-    records_out: list[dict] = []
-    bits_out: list[int] = []
-    lambdas: list[float] = []
-    in_band: list[bool] = []
-    infeasible: list[bool] = []
-    targets_used: list[float] = []
+    state = EncoderState(cfg, orig, mode, trace)
+    hb, wb = state.grid
+    out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
+                        bits_per_frame=[], lambdas=[], in_band=[],
+                        infeasible=[], targets=[])
     lam = cfg.base_lambda
-
-    for t in range(T):
-        # the outcome of frame t - max(rtt, 1) arrives as frame t is coded
-        f = t - max(cfg.rtt, 1)
-        if f >= 0:
-            for key in PLANE_ORDER:
-                trackers[key].set_frame_outcome(
-                    f, ~lost_mb_mask(trace, f, *key, n_mb, packets[key]))
-
+    for t in range(len(orig[(0, Component.TEXTURE)])):
+        state.learn(t)
+        frame, rec, planes = {}, {}, {}
         if t == 0:
-            frame = {}
-            rec = {}
-            total = 0
             for key in PLANE_ORDER:
-                enc, rc, bits_mb = code_plane_all_intra(
+                frame[key], planes[key], bits_mb = code_plane_all_intra(
                     orig[key][0], cfg.codec_config(key[1]).quant_step)
-                frame[key] = enc
-                recon[key].append(rc)
-                total += int(bits_mb.sum())
                 diff = np.abs(orig[key][0].astype(np.float64)
-                              - rc.astype(np.float64))
-                dsrc = diff.reshape(grid[0], 16, grid[1], 16).mean(axis=(1, 3))
+                              - planes[key].astype(np.float64))
+                dsrc = diff.reshape(hb, 16, wb, 16).mean(axis=(1, 3))
                 rec[key] = PlaneRecord(bits=bits_mb, dsrc=dsrc.ravel(),
-                                       chan_error=np.zeros(n_mb),
-                                       channel=np.zeros(n_mb), cost=None)
-                trackers[key].push_frame(
-                    enc.modes, enc.ref_dist, enc.mv,
-                    innovation_term(orig[key][0], None) if needs_tracking else None)
-                if cfg.protect_first_frame:
-                    trackers[key].set_frame_outcome(0, np.ones(n_mb, dtype=bool))
-            frames_out.append(frame)
-            records_out.append(rec)
-            bits_out.append(total)
-            lambdas.append(lam)
-            in_band.append(True)
-            infeasible.append(False)
-            targets_used.append(float(total))
-            if needs_tracking:
-                for v in (0, 1):
-                    curv[v].append(curvature_map(
-                        recon[(v, Component.TEXTURE)][0],
-                        recon[(v, Component.DEPTH)][0],
-                        recon[(1 - v, Component.TEXTURE)][0], v, cfg.eta, sens))
-            continue
-
-        depth_refs = min(cfg.ref_window, t)
-        refs = {key: [recon[key][t - d] for d in range(1, depth_refs + 1)]
-                for key in PLANE_ORDER}
-        # the reactive taint ignores the innovation
-        delta = {key: innovation_term(orig[key][t], recon[key][t - 1])
-                 if needs_tracking else None for key in PLANE_ORDER}
-
-        pcs: dict = {}
-        extras: dict = {}
-        valids: dict = {}
-        for key in PLANE_ORDER:
-            ccfg = cfg.codec_config(key[1])
-            if needs_tracking:
-                pcs[key] = build_plane_candidates(orig[key][t], refs[key], ccfg,
-                                                  trackers[key], t, delta[key],
-                                                  p_plan)
-                continue
-            # reactive: no channel term, only references free of known taint
-            cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
-            pcs[key] = PlaneCandidates(
-                cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
-                chan_intra=np.zeros(n_mb),
-                intra=build_intra_candidates(orig[key][t], ccfg.quant_step),
-                quant_step=ccfg.quant_step)
-            extras[key] = np.zeros((n_mb, cset.n_candidates + 1))
-            valids[key] = trackers[key].valid_candidates(cset, t)
-
-        if needs_tracking:
-            for v in (0, 1):
-                curv[v].append(curvature_map(
-                    recon[(v, Component.TEXTURE)][t - 1],
-                    recon[(v, Component.DEPTH)][t - 1],
-                    recon[(1 - v, Component.TEXTURE)][t - 1], v, cfg.eta, sens))
-            if mode == "independent":
-                for key in PLANE_ORDER:
-                    if key[1] == Component.TEXTURE:
-                        extras[key] = texture_channel_columns(pcs[key],
-                                                              "independent")
-                    else:
-                        extras[key] = depth_channel_columns(
-                            pcs[key], "independent", curv[key[0]][t])
-            else:
-                caps = {}
-                tex_val = {}
-                dep_val = {}
-                for v in (0, 1):
-                    _, tex_val[v] = step1_minimum(pcs[(v, Component.TEXTURE)])
-                    _, dep_val[v] = step1_minimum(pcs[(v, Component.DEPTH)])
-                for v in (0, 1):
-                    o = 1 - v
-                    corr = correspondence_sets(
-                        recon[(v, Component.TEXTURE)][t - 1],
-                        recon[(v, Component.DEPTH)][t - 1], v, cfg.eta)
-                    opp_err = trackers[(o, Component.TEXTURE)].state(t - 1)
-                    opp_pen = g_eval(curv[o][t - 1],
-                                     trackers[(o, Component.DEPTH)].state(t - 1))
-                    caps[v] = opposing_cap(corr, opp_err, opp_pen,
-                                           delta[(v, Component.TEXTURE)])
-                    gfix = g_eval(curv[v][t], dep_val[v])
-                    extras[(v, Component.TEXTURE)] = texture_channel_columns(
-                        pcs[(v, Component.TEXTURE)], "cross",
-                        member=corr.member, penalty_fixed=gfix, cap=caps[v])
-                    extras[(v, Component.DEPTH)] = depth_channel_columns(
-                        pcs[(v, Component.DEPTH)], "cross", curv[v][t],
-                        member=corr.member, error_fixed=tex_val[v],
-                        cap=caps[v])
-
-        def run(lam_trial: float):
-            sels = {key: select_plane(orig[key][t], pcs[key], extras[key],
-                                      lam_trial, valids.get(key))
-                    for key in PLANE_ORDER}
-            return sum(s.total_bits for s in sels.values()), sels
-
-        if frame_targets is not None:
-            tuned = tune_to_band(run, lam, frame_targets[t], cfg.rate_band,
-                                 cfg.max_lambda_trials)
-            lam = tuned.lam
-            bits_t, sels = tuned.bits, tuned.payload
-            band_ok, infeas = tuned.in_band, tuned.infeasible
-            targets_used.append(float(frame_targets[t]))
+                                       chan_error=np.zeros(state.n_mb),
+                                       channel=np.zeros(state.n_mb), cost=None)
+            bits_t = sum(int(r.bits.sum()) for r in rec.values())
+            band_ok, infeas, target = True, False, None
         else:
-            bits_t, sels = run(lam)
-            band_ok, infeas = True, False
-            targets_used.append(float(bits_t))
-
-        frame = {}
-        rec = {}
-        for key in PLANE_ORDER:
-            sel = sels[key]
-            frame[key] = sel.enc
-            recon[key].append(sel.recon)
-            rec[key] = PlaneRecord(bits=sel.bits, dsrc=sel.dsrc,
-                                   chan_error=sel.chan_error,
-                                   channel=sel.channel, cost=sel.cost)
-            trackers[key].push_frame(sel.enc.modes, sel.enc.ref_dist,
-                                     sel.enc.mv, delta[key])
-        frames_out.append(frame)
-        records_out.append(rec)
-        bits_out.append(int(bits_t))
-        lambdas.append(lam)
-        in_band.append(bool(band_ok))
-        infeasible.append(bool(infeas))
-
-    return EncodedStream(mode=mode, frames=frames_out, records=records_out,
-                         recon=recon, bits_per_frame=bits_out, lambdas=lambdas,
-                         in_band=in_band, infeasible=infeasible,
-                         targets=targets_used)
+            target = None if frame_targets is None else float(frame_targets[t])
+            sels, lam, bits_t, band_ok, infeas = _select_frame(
+                state.plan(t), lam, target, cfg)
+            for key, sel in sels.items():
+                frame[key], planes[key] = sel.enc, sel.recon
+                rec[key] = PlaneRecord(bits=sel.bits, dsrc=sel.dsrc,
+                                       chan_error=sel.chan_error,
+                                       channel=sel.channel, cost=sel.cost)
+        state.commit(t, frame, planes)
+        out.frames.append(frame)
+        out.records.append(rec)
+        out.bits_per_frame.append(int(bits_t))
+        out.lambdas.append(lam)
+        out.in_band.append(bool(band_ok))
+        out.infeasible.append(bool(infeas))
+        # without a budget the frame's own spend is its target
+        out.targets.append(float(bits_t) if target is None else target)
+    return out
 
 
 # ---------------------------------------------------------------------------

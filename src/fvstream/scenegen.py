@@ -9,8 +9,7 @@ j + d at its column j, a virtual view at position v shifts by rint(d * v).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,6 +228,8 @@ def _offsets_from_dict(d: dict, frame_count: int) -> tuple[tuple[int, int], ...]
 
 
 def scene_from_dict(d: dict) -> SyntheticSceneSpec:
+    if not isinstance(d, dict):
+        raise SceneSpecError(f"scene must be an object, got {type(d).__name__}")
     try:
         frame_count = int(d["frame_count"])
         bg = d.get("background", {})
@@ -251,13 +252,12 @@ def scene_from_dict(d: dict) -> SyntheticSceneSpec:
             background_texture=_texture_from_dict(bg.get("texture", {})),
             objects=tuple(objects),
         )
+    except SceneSpecError:
+        raise
     except KeyError as exc:
         raise SceneSpecError(f"missing scene field {exc.args[0]!r}") from exc
-
-
-def load_scene_spec(path) -> SyntheticSceneSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SceneSpecError(f"malformed scene: {exc}") from exc
 
 
 def _triangle_offsets(frame_count: int, step: int, swing: int, axis: int

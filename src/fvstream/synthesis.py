@@ -13,7 +13,7 @@ distance-weighted result bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -281,13 +281,13 @@ class CorrespondenceSets:
     """Block-level visibility of one view inside the opposing view.
 
     member[m] is True when at least half of the block's pixels land in-frame
-    and survive z-buffering in the opposing view; covering[m] lists the
-    opposing MBs containing those surviving pixels (sorted, empty for
-    non-members).
+    and survive z-buffering in the opposing view.  (src[i], tgt[i]) are the
+    unique (block, opposing block) pairs linked by a surviving pixel, sorted.
     """
 
     member: np.ndarray
-    covering: list[np.ndarray] = field(default_factory=list)
+    src: np.ndarray
+    tgt: np.ndarray
 
 
 def correspondence_sets(texture: np.ndarray, disparity: np.ndarray,
@@ -296,9 +296,8 @@ def correspondence_sets(texture: np.ndarray, disparity: np.ndarray,
     position = 1.0 if source_view == 0 else 0.0
     w = warp_view(texture, disparity, source_view, position, eta)
     h, width = texture.shape
-    grid = (h // MB_SIZE, width // MB_SIZE)
-    hb, wb = grid
-    n_mb = hb * wb
+    wb = width // MB_SIZE
+    n_mb = (h // MB_SIZE) * wb
 
     rows, tcols = np.nonzero(w.covered)
     src_cols = w.src_col[rows, tcols]
@@ -307,13 +306,6 @@ def correspondence_sets(texture: np.ndarray, disparity: np.ndarray,
 
     counts = np.bincount(src_mb, minlength=n_mb)
     member = counts >= (MB_SIZE * MB_SIZE) // 2
-
-    covering: list[np.ndarray] = []
     pairs = np.unique(src_mb * n_mb + tgt_mb)
-    srcs, tgts = pairs // n_mb, pairs % n_mb
-    for m in range(n_mb):
-        if member[m]:
-            covering.append(tgts[srcs == m])
-        else:
-            covering.append(np.empty(0, dtype=np.int64))
-    return CorrespondenceSets(member=member, covering=covering)
+    return CorrespondenceSets(member=member, src=pairs // n_mb,
+                              tgt=pairs % n_mb)

@@ -412,7 +412,8 @@ def fraction_weights(d0, d1, c):
 
 
 def brute_correspondence(texture, disparity, view: int, eta: float):
-    """Block membership and covering sets from a full-baseline warp."""
+    """Block membership and sorted (block, opposing block) pairs from a
+    full-baseline warp."""
     h, w = texture.shape
     wb = w // MB
     n_mb = (h // MB) * wb
@@ -429,13 +430,8 @@ def brute_correspondence(texture, disparity, view: int, eta: float):
             tmb = (i // MB) * wb + tc // MB
             counts[smb] += 1
             pairs.add((smb, tmb))
-    member = np.zeros(n_mb, dtype=bool)
-    covering: list[list[int]] = [[] for _ in range(n_mb)]
-    for m in range(n_mb):
-        member[m] = counts.get(m, 0) >= (MB * MB) // 2
-        if member[m]:
-            covering[m] = sorted(t for s, t in pairs if s == m)
-    return member, covering
+    member = np.array([counts.get(m, 0) >= (MB * MB) // 2 for m in range(n_mb)])
+    return member, sorted(pairs)
 
 
 # --- rate-distortion selection ----------------------------------------------

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
-                            MODE_SKIP, PLANE_ORDER, SKIP_BITS, CandidateSet,
-                            CodecConfig, CodecError, EncodedPlane,
-                            build_inter_candidates, build_intra_candidates,
-                            code_against_prediction, decode_plane, dct16,
+                            MODE_SKIP, PLANE_ORDER, SKIP_BITS, CodecConfig,
+                            CodecError, EncodedPlane, build_inter_candidates,
+                            build_intra_candidates, code_against_prediction,
+                            decode_plane, dct16,
                             dequantize, displacement_order,
                             exp_golomb_signed_bits, idct16, motion_search,
                             parse_stream, plane_blocks, quantize,

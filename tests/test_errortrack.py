@@ -3,16 +3,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fvstream.channel import Component, lost_mb_mask
 from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CodecError,
-                            EncodedPlane, build_intra_candidates, parse_stream,
-                            predictor_blocks)
-from fvstream.errortrack import (DEFAULT_GAMMA, DecoderTracker,
-                                 ExpectedErrorTracker, TrackingError,
-                                 candidate_expected_errors,
+                            EncodedPlane, parse_stream, predictor_blocks)
+from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
+                                 TrackingError, candidate_expected_errors,
                                  estimate_delta_history, footprint_state_sum,
                                  innovation_term, intra_expected_error,
                                  propagate_received)

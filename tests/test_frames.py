@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fvstream import (FramePlane, PlaneError, QualityReport, ViewFrame,
-                      load_plane, load_pgm, load_yuv420_luma, mean_abs_error,
-                      mse, psnr, save_pgm, save_plane, save_yuv420_luma)
+from fvstream import (FramePlane, PlaneError, ViewFrame, load_pgm, mse, psnr,
+                      save_pgm)
 
 
 def plane(value, shape=(16, 16)):
@@ -71,12 +70,6 @@ class TestMetrics:
         # psnr hits 0 only when MSE reaches 255^2
         assert psnr(plane(0), plane(255)) == pytest.approx(0.0, abs=1e-12)
 
-    def test_mean_abs_error(self):
-        a = np.zeros((16, 16), dtype=np.uint8)
-        b = a.copy()
-        b[0, :4] = 8
-        assert mean_abs_error(a, b) == pytest.approx(32 / 256)
-
     def test_metrics_reject_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse(plane(0), plane(0, (16, 32)))
@@ -86,20 +79,6 @@ class TestMetrics:
         a, b = plane(u), plane(v)
         assert psnr(a, b) == psnr(b, a)
         assert 0.0 <= psnr(a, b) <= 99.0
-
-    def test_quality_report_averages(self):
-        ref = [plane(10), plane(10)]
-        out = [plane(10), plane(26)]
-        rep = QualityReport.from_sequences(ref, out)
-        assert rep.frame_psnr[0] == 99.0
-        assert rep.frame_mae == [0.0, 16.0]
-        assert rep.average_psnr == pytest.approx(
-            (99.0 + 10.0 * math.log10(255.0 ** 2 / 256.0)) / 2)
-
-    def test_quality_report_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            QualityReport.from_sequences([plane(0)], [])
-
 
 class TestPlaneIO:
     def test_pgm_round_trip(self, tmp_path):
@@ -131,30 +110,3 @@ class TestPlaneIO:
         path.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
         with pytest.raises(PlaneError):
             load_pgm(path)
-
-    def test_yuv420_round_trip_with_frame_index(self, tmp_path):
-        rng = np.random.default_rng(6)
-        frames = [rng.integers(0, 256, (16, 32), dtype=np.uint8) for _ in range(3)]
-        path = tmp_path / "seq.yuv"
-        save_yuv420_luma(path, frames[0])
-        for f in frames[1:]:
-            save_yuv420_luma(path, f, append=True)
-        for i, f in enumerate(frames):
-            got = load_yuv420_luma(path, 32, 16, frame_index=i)
-            assert np.array_equal(got.samples, f)
-        with pytest.raises(PlaneError):
-            load_yuv420_luma(path, 32, 16, frame_index=3)
-
-    def test_generic_loader_dispatch(self, tmp_path):
-        arr = plane(77)
-        pg = tmp_path / "x.pgm"
-        save_plane(pg, arr, "pgm")
-        assert np.array_equal(load_plane(pg).samples, arr)
-        yv = tmp_path / "x.yuv"
-        save_plane(yv, arr, "yuv420")
-        got = load_plane(yv, "yuv420", width=16, height=16)
-        assert np.array_equal(got.samples, arr)
-        with pytest.raises(PlaneError):
-            load_plane(yv, "yuv420")
-        with pytest.raises(PlaneError):
-            load_plane(pg, "bmp")

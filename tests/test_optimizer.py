@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvstream.channel import Component, build_schedule, lost_mb_mask, make_iid_trace
+from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, PLANE_ORDER,
                             CandidateSet, CodecConfig, build_inter_candidates,
                             build_intra_candidates, decode_plane)
-from fvstream.errortrack import ExpectedErrorTracker, innovation_term
+from fvstream.errortrack import (ExpectedErrorTracker,
+                                 candidate_expected_errors, innovation_term,
+                                 intra_expected_error)
 from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
                                 build_plane_candidates, code_plane_all_intra,
                                 depth_channel_columns, opposing_cap,
@@ -18,9 +20,8 @@ from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
                                 texture_channel_columns, tune_to_band)
 from fvstream import pipeline
 from fvstream.pipeline import ExperimentConfig, encode_stream
-from fvstream.scenegen import generate_synthetic_stereo
-from fvstream.sensitivity import SensitivityParams, curvature_map, g_eval
-from fvstream.synthesis import CorrespondenceSets, correspondence_sets
+from fvstream.sensitivity import g_eval
+from fvstream.synthesis import CorrespondenceSets
 
 import oracles
 
@@ -145,9 +146,10 @@ class TestChannelColumns:
 class TestOpposingCap:
     @pytest.mark.example
     def test_worst_covering_block_plus_innovation(self):
-        corr = CorrespondenceSets(
-            member=np.array([True, False]),
-            covering=[np.array([0, 1]), np.empty(0, dtype=np.int64)])
+        # the pair of non-member block 1 must not count
+        corr = CorrespondenceSets(member=np.array([True, False]),
+                                  src=np.array([0, 0, 1]),
+                                  tgt=np.array([0, 1, 1]))
         cap = opposing_cap(corr, np.array([3.0, 7.0]), np.array([1.0, 2.0]),
                            np.array([0.5, 0.9]))
         assert cap[0] == 9.5
@@ -159,10 +161,14 @@ class TestOpposingCap:
         rng = np.random.default_rng(seed)
         n_mb = 6
         member = rng.random(n_mb) < 0.7
+        # non-members may be linked too (below half coverage); their
+        # pairs must be ignored
         covering = [np.sort(rng.choice(n_mb, rng.integers(1, 4), replace=False))
-                    if member[m] else np.empty(0, dtype=np.int64)
-                    for m in range(n_mb)]
-        corr = CorrespondenceSets(member=member, covering=covering)
+                    for _ in range(n_mb)]
+        src = np.concatenate([np.full(len(ks), m)
+                              for m, ks in enumerate(covering)])
+        corr = CorrespondenceSets(member=member, src=src,
+                                  tgt=np.concatenate(covering))
         err = rng.uniform(0, 20, n_mb)
         pen = rng.uniform(0, 10, n_mb)
         delta = rng.uniform(0, 5, n_mb)
@@ -287,8 +293,7 @@ class TestSelectPlane:
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=2)
         delta = innovation_term(frames[1], frames[0])
-        pc = build_plane_candidates(frames[1], [frames[0]], cfg, tr, 1, delta,
-                                    p=1.0)
+        pc = build_plane_candidates(frames[1], [frames[0]], cfg, tr, 1, delta)
         assert (texture_channel_columns(pc, "independent") == 0.0).all()
 
     @pytest.mark.parametrize("step", [2, 10])
@@ -300,7 +305,7 @@ class TestSelectPlane:
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=step, search_range=4, ref_window=1)
         pc = build_plane_candidates(frames[1], [rec0], cfg, tr, 1,
-                                    innovation_term(frames[1], rec0), p=0.9)
+                                    innovation_term(frames[1], rec0))
         sel = select_plane(frames[1], pc,
                            texture_channel_columns(pc, "independent"), 0.01)
         assert pc.quant_step == step
@@ -365,11 +370,54 @@ class TestReactiveTaint:
             distortion=np.zeros((2, 3)),
             recon=np.zeros((2, 3, 16, 16), dtype=np.uint8),
             coeffs=np.zeros((2, 3, 16, 16), dtype=np.int32))
-        valid = rt.valid_candidates(cset, 2)
+        # what build_plane_candidates charges against the taint at frame 2
+        zeros = np.zeros(2)
+        chan = candidate_expected_errors(rt.reference_states(2, 1), rt.state(1),
+                                         zeros, rt.p_plan, rt.gamma,
+                                         cset.mode_col, cset.ref_col, cset.mv,
+                                         rt.grid)
+        pc = PlaneCandidates(cset=cset, chan=chan,
+                             chan_intra=intra_expected_error(rt.state(1), zeros,
+                                                             rt.p_plan),
+                             intra=None, quant_step=10)
+        assert pc.chan_intra.tolist() == [0.0, 0.0]
+        valid = rt.valid_candidates(pc)
         # block 0 sits on the lost region: no reference escapes it
         assert valid[0].tolist() == [False, False, False, True]
         # block 1 is clean unless the motion vector reaches across
         assert valid[1].tolist() == [True, True, False, True]
+
+    def test_reactive_plan_masks_what_overlaps_the_lattice(self,
+                                                          replay_setup):
+        # with delivery planned certain, no attenuation and zero innovation,
+        # a candidate's expected error is its overlap with the taint lattice
+        cfg, orig, trace = replay_setup
+        stream = encode_stream(cfg, orig, "reactive", trace)
+        state = pipeline.EncoderState(cfg, orig, "reactive", trace)
+        masked = 0
+        for t in range(len(stream.frames)):
+            state.learn(t)
+            if t:
+                plan = state.plan(t)
+                for key in PLANE_ORDER:
+                    pc, rt = plan.pcs[key], state.trackers[key]
+                    lattice = rt.lattice()
+                    stack = np.array([lattice[t - d] for d in
+                                      range(1, pc.cset.ref_col.max() + 1)],
+                                     dtype=np.float64)
+                    zeros = np.zeros(pc.n_mb)
+                    overlap = candidate_expected_errors(
+                        stack, zeros, zeros, 1.0, 1.0, pc.cset.mode_col,
+                        pc.cset.ref_col, pc.cset.mv, rt.grid)
+                    assert np.array_equal(plan.valid[key][:, :-1],
+                                          overlap == 0.0)
+                    assert plan.valid[key][:, -1].all()
+                    assert (pc.chan_intra == 0.0).all()
+                    assert (plan.cols[key] == 0.0).all()
+                    masked += int((overlap > 0.0).sum())
+            state.commit(t, stream.frames[t],
+                         {key: stream.recon[key][t] for key in PLANE_ORDER})
+        assert masked > 0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60)
@@ -478,110 +526,16 @@ class TestLambdaControl:
 
 
 def replay_frame(cfg, orig, mode, trace, stream, t_star):
-    """Rebuild the encoder's saved decision state at one instant from its
-    outputs alone, and run the per-plane selection again."""
-    h, w = orig[(0, Component.TEXTURE)][0].shape
-    grid = (h // 16, w // 16)
-    n_mb = grid[0] * grid[1]
-    p_plan = 1.0 - trace.loss_rate
-    sens = SensitivityParams(threshold=cfg.threshold,
-                             max_deviation=cfg.max_deviation)
-    needs_tracking = mode in ("independent", "cross")
-    trackers = {key: (ExpectedErrorTracker(grid, p_plan, cfg.gamma)
-                      if needs_tracking else ReactiveTaint(grid))
-                for key in PLANE_ORDER}
-    packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
-    recon = stream.recon
-
-    for t in range(t_star + 1):
-        f = t - max(cfg.rtt, 1)
-        if f >= 0:
-            for key in PLANE_ORDER:
-                rcv = ~lost_mb_mask(trace, f, key[0], key[1], n_mb,
-                                    packets[key])
-                trackers[key].set_frame_outcome(f, rcv)
-        if t == t_star:
-            break
-        for key in PLANE_ORDER:
-            enc = stream.frames[t][key]
-            prev = recon[key][t - 1] if t >= 1 else None
-            delta = innovation_term(orig[key][t], prev)
-            trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv, delta)
-            if t == 0 and cfg.protect_first_frame:
-                trackers[key].set_frame_outcome(0, np.ones(n_mb, dtype=bool))
-
-    t = t_star
-    depth_refs = min(cfg.ref_window, t)
-    refs = {key: [recon[key][t - d] for d in range(1, depth_refs + 1)]
-            for key in PLANE_ORDER}
-    delta = {key: innovation_term(orig[key][t], recon[key][t - 1])
-             for key in PLANE_ORDER}
-    pcs = {}
-    for key in PLANE_ORDER:
-        ccfg = cfg.codec_config(key[1])
-        if needs_tracking:
-            pcs[key] = build_plane_candidates(orig[key][t], refs[key], ccfg,
-                                              trackers[key], t, delta[key],
-                                              p_plan)
-        else:
-            cset = build_inter_candidates(orig[key][t], refs[key], ccfg)
-            pcs[key] = PlaneCandidates(
-                cset=cset, chan=np.zeros((n_mb, cset.n_candidates)),
-                chan_intra=np.zeros(n_mb),
-                intra=build_intra_candidates(orig[key][t], ccfg.quant_step),
-                quant_step=ccfg.quant_step)
-
-    def curv_at(v, j):
-        src = max(j - 1, 0)
-        return curvature_map(recon[(v, Component.TEXTURE)][src],
-                             recon[(v, Component.DEPTH)][src],
-                             recon[(1 - v, Component.TEXTURE)][src],
-                             v, cfg.eta, sens)
-
-    extras = {}
-    valids = {}
-    caps = {}
-    members = {}
-    if mode == "reactive":
-        for key in PLANE_ORDER:
-            extras[key] = np.zeros((n_mb, pcs[key].n_candidates + 1))
-            valids[key] = trackers[key].valid_candidates(pcs[key].cset, t)
-    elif mode == "independent":
-        for key in PLANE_ORDER:
-            if key[1] == Component.TEXTURE:
-                extras[key] = texture_channel_columns(pcs[key], "independent")
-            else:
-                extras[key] = depth_channel_columns(pcs[key], "independent",
-                                                    curv_at(key[0], t))
-    else:
-        tex_val = {}
-        dep_val = {}
-        for v in (0, 1):
-            _, tex_val[v] = step1_minimum(pcs[(v, Component.TEXTURE)])
-            _, dep_val[v] = step1_minimum(pcs[(v, Component.DEPTH)])
-        for v in (0, 1):
-            o = 1 - v
-            corr = correspondence_sets(recon[(v, Component.TEXTURE)][t - 1],
-                                       recon[(v, Component.DEPTH)][t - 1],
-                                       v, cfg.eta)
-            opp_err = trackers[(o, Component.TEXTURE)].state(t - 1)
-            opp_pen = g_eval(curv_at(o, t - 1),
-                             trackers[(o, Component.DEPTH)].state(t - 1))
-            caps[v] = opposing_cap(corr, opp_err, opp_pen,
-                                   delta[(v, Component.TEXTURE)])
-            members[v] = corr.member
-            gfix = g_eval(curv_at(v, t), dep_val[v])
-            extras[(v, Component.TEXTURE)] = texture_channel_columns(
-                pcs[(v, Component.TEXTURE)], "cross", member=corr.member,
-                penalty_fixed=gfix, cap=caps[v])
-            extras[(v, Component.DEPTH)] = depth_channel_columns(
-                pcs[(v, Component.DEPTH)], "cross", curv_at(v, t),
-                member=corr.member, error_fixed=tex_val[v], cap=caps[v])
-
-    sels = {key: select_plane(orig[key][t], pcs[key], extras[key],
-                              stream.lambdas[t], valids.get(key))
-            for key in PLANE_ORDER}
-    return sels, extras, caps, members
+    """Rebuild the encoder's state at one instant from its recorded frames and
+    reconstructions alone, then plan and select that frame again."""
+    state = pipeline.EncoderState(cfg, orig, mode, trace)
+    for t in range(t_star):
+        state.learn(t)
+        state.commit(t, stream.frames[t],
+                     {key: stream.recon[key][t] for key in PLANE_ORDER})
+    state.learn(t_star)
+    plan = state.plan(t_star)
+    return plan.select(stream.lambdas[t_star]), plan.cols, plan.caps, plan.members
 
 
 @pytest.fixture(scope="module")
@@ -659,8 +613,8 @@ class TestIntraBuildCount:
                    if (name == "fvstream" or name.startswith("fvstream."))
                    and getattr(mod, "build_intra_candidates", None)
                    is build_intra_candidates]
-        assert {"fvstream.codec", "fvstream.optimizer",
-                "fvstream.pipeline"} <= {mod.__name__ for mod in holders}
+        assert {"fvstream.codec", "fvstream.optimizer"} <= {
+            mod.__name__ for mod in holders}
         for mod in holders:
             monkeypatch.setattr(mod, "build_intra_candidates",
                                 counted("intra", build_intra_candidates))

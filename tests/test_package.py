@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, every
 module's error type can be caught from the package itself, and every
 function the benchmark wraps by name still exists."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -50,3 +51,25 @@ def test_perfbench_hooks_resolve(monkeypatch):
         if not (module.startswith("fvstream.") and callable(holder)):
             unresolved.append(f"{module}:{attr}")
     assert unresolved == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in sorted((root / "src" / "fvstream").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((root / "tests").glob("*.py"))
+    assert [u for p in paths for u in _unused_imports(p)] == []

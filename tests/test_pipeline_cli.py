@@ -1,19 +1,47 @@
 """End-to-end harness behavior: config, artifact tree, reports and the CLI."""
+import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import load_report, main
 from fvstream import pipeline
 from fvstream.codec import PLANE_ORDER
+from fvstream.scenegen import SceneSpecError
 from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                ExperimentReport, HarnessError, compare_setups,
                                config_from_dict, decode_stream, emit_plot_data,
                                encode_stream, resolve_output_root,
                                run_experiment, synthesize_sequence)
+
+#: top-level config keys, one unknown, and a JSON value drawn for each
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
+_SCENE_DICTS = st.dictionaries(
+    st.sampled_from(["width", "height", "frame_count", "background", "objects"]),
+    st.one_of(st.integers(-64, 64), st.lists(st.dictionaries(
+        st.sampled_from(["height", "width", "row", "col", "disparity",
+                         "texture", "trajectory"]),
+        st.one_of(st.integers(-64, 64), st.text(max_size=3),
+                  st.dictionaries(st.sampled_from(["kind", "value", "offsets",
+                                                   "velocity"]),
+                                  st.one_of(st.integers(-8, 8),
+                                            st.sampled_from(["flat", "linear",
+                                                             "offsets"])),
+                                  max_size=2)),
+        max_size=4), max_size=2), st.text(max_size=3)),
+    max_size=5)
+JSON_VALUES = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
+                 | st.floats(allow_nan=False) | st.text(max_size=5),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=6),
+    st.lists(st.sampled_from(["rfc", "rps1", "rps2", "arps"]), max_size=4),
+    st.lists(st.floats(0, 1), max_size=3), _SCENE_DICTS)
 
 MICRO_SCENE_DICT = {
     "width": 32, "height": 32, "frame_count": 8,
@@ -85,6 +113,33 @@ class TestConfig:
         assert cfg.rtt == 3
         assert cfg.loss_rates == (0.1,)
         assert cfg.seeds == (42,)
+
+    @pytest.mark.parametrize("doc", [
+        {"rtt": "x"}, {"rtt": 2.5}, {"rtt": True}, {"seeds": 3},
+        {"seeds": [1.5]}, {"loss_rates": ["a"]}, {"setups": "rfc"},
+        {"protect_first_frame": 1}, {"output_root": 3}])
+    def test_from_dict_rejects_wrong_types(self, doc):
+        with pytest.raises(HarnessError):
+            config_from_dict(doc)
+
+    def test_from_dict_rejects_a_scene_that_is_no_object(self):
+        with pytest.raises(SceneSpecError):
+            config_from_dict({"scene": 5})
+        with pytest.raises(SceneSpecError):
+            config_from_dict({"scene": dict(MICRO_SCENE_DICT, objects=5)})
+
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES,
+                           max_size=4))
+    @settings(max_examples=200)
+    def test_from_dict_loads_or_raises_its_own_error(self, doc):
+        try:
+            cfg = config_from_dict(doc)
+        except (HarnessError, SceneSpecError):
+            return
+        for name, value in doc.items():
+            if name != "scene":
+                got = getattr(cfg, name)
+                assert (list(got) if isinstance(got, tuple) else got) == value
 
     def test_packet_counts_clamp_to_the_block_count(self):
         cfg = ExperimentConfig()
@@ -304,6 +359,21 @@ class TestCli:
         rc = main(["run", "--config", str(bad_cfg)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"rtt": "x"}, {"scene": 5}, {"seeds": 3}, {"loss_rates": ["a"]},
+        {"rtt": 2.5}, {"rtt": True, "seeds": [1.5]}])
+    def test_mistyped_config_exits_1_with_one_line(self, tmp_path, capsys,
+                                                   doc):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["trace", "--config", str(bad), "--seed", "1",
+                   "--rate", "0.1", "--out", str(tmp_path / "t.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.txt").exists()
 
     def test_rejects_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -9,7 +9,7 @@ from fvstream.synthesis import (SynthesisError, SynthesisParams, WarpedView,
                                 blend_adaptive, blend_standard,
                                 correspondence_sets, expand_block_values,
                                 fill_holes, gather_at_targets,
-                                reliability_weights, shift_factor,
+                                reliability_weights,
                                 synthesize_view, warp_view,
                                 worst_case_distortion_map)
 
@@ -346,6 +346,10 @@ class TestSynthesizeView:
         assert mse(ada.plane, truth) < mse(std.plane, truth)
 
 
+def pairs_of(cs):
+    return [(int(a), int(b)) for a, b in zip(cs.src, cs.tgt)]
+
+
 class TestCorrespondence:
     def test_flat_shift_membership_and_covering(self):
         # disp 24 moves view-0 content 24 columns left at the far position:
@@ -354,10 +358,7 @@ class TestCorrespondence:
         disp = np.full((16, 64), 24, dtype=np.uint8)
         cs = correspondence_sets(tex, disp, 0, 1.0)
         assert cs.member.tolist() == [False, True, True, True]
-        assert cs.covering[0].size == 0
-        assert cs.covering[1].tolist() == [0]
-        assert cs.covering[2].tolist() == [0, 1]
-        assert cs.covering[3].tolist() == [1, 2]
+        assert pairs_of(cs) == [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]
 
     def test_occluded_background_loses_membership(self):
         # a near strip hides the background columns behind it
@@ -365,20 +366,18 @@ class TestCorrespondence:
         disp = np.full((32, 64), 2, dtype=np.uint8)
         disp[:, 32:48] = 18
         cs = correspondence_sets(tex, disp, 0, 1.0)
-        member, covering = oracles.brute_correspondence(tex, disp, 0, 1.0)
+        member, pairs = oracles.brute_correspondence(tex, disp, 0, 1.0)
         assert cs.member.tolist() == member.tolist()
-        for m in range(len(covering)):
-            assert cs.covering[m].tolist() == covering[m]
+        assert pairs_of(cs) == pairs
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]))
     @settings(max_examples=20)
     def test_matches_counting_oracle(self, seed, view):
         tex, disp = random_view(seed, h=32, w=48, max_disp=12)
         cs = correspondence_sets(tex, disp, view, 1.0)
-        member, covering = oracles.brute_correspondence(tex, disp, view, 1.0)
+        member, pairs = oracles.brute_correspondence(tex, disp, view, 1.0)
         assert cs.member.tolist() == member.tolist()
-        for m in range(len(covering)):
-            assert cs.covering[m].tolist() == covering[m]
+        assert pairs_of(cs) == pairs
 
     def test_identity_geometry_covers_itself(self, scene64):
         lt = scene64.left[0]
