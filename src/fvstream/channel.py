@@ -162,36 +162,66 @@ def save_trace(path, trace: LossTrace) -> None:
                      f"{pid.packet_index} {int(lost)}\n")
 
 
+def _count(text: str, what: str) -> int:
+    # ASCII digits only: int() would also take signs, spaces and underscores
+    if not (text.isascii() and text.isdigit()):
+        raise ChannelError(f"{what} {text!r} is not a nonnegative integer")
+    return int(text)
+
+
 def load_trace(path) -> LossTrace:
+    """Read a trace written by save_trace; malformed input raises ChannelError.
+
+    Each (frame, view, component) must hold packets 0..n-1, each once.
+    """
     seed, rate, generator = 0, 0.0, GENERATOR_NAME
     protected: frozenset[int] = frozenset()
     entries: list[tuple[PacketId, bool]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" not in tok:
-                        continue
-                    key, val = tok.split("=", 1)
-                    if key == "seed":
-                        seed = int(val)
-                    elif key == "loss_rate":
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ChannelError(f"trace file is not ASCII: {exc.reason}") from None
+    for line in lines:
+        if line.startswith("#"):
+            for tok in line[1:].split():
+                key, _, val = tok.partition("=")
+                if key == "seed":
+                    seed = _count(val, "seed")
+                elif key == "loss_rate":
+                    try:
                         rate = float(val)
-                    elif key == "generator":
-                        generator = val
-                    elif key == "protected" and val:
-                        protected = frozenset(int(f) for f in val.split(","))
-                continue
+                    except ValueError:
+                        raise ChannelError(f"loss rate {val!r} is not a "
+                                           f"number") from None
+                    if not 0.0 <= rate <= 1.0:
+                        raise ChannelError(f"loss rate {val!r} outside [0, 1]")
+                elif key == "generator":
+                    generator = val
+                elif key == "protected" and val:
+                    protected = frozenset(_count(f, "protected frame")
+                                          for f in val.split(","))
+        elif line:
             parts = line.split()
             if len(parts) != 5:
                 raise ChannelError(f"bad trace line: {line!r}")
             frame, view, comp, packet, lost = parts
-            entries.append((
-                PacketId(int(frame), int(view), Component.from_label(comp), int(packet)),
-                bool(int(lost)),
-            ))
+            if lost not in ("0", "1"):
+                raise ChannelError(f"lost flag {lost!r} is neither 0 nor 1")
+            entries.append((PacketId(_count(frame, "frame"),
+                                     _count(view, "view"),
+                                     Component.from_label(comp),
+                                     _count(packet, "packet index")),
+                            lost == "1"))
+    if not entries:
+        raise ChannelError("trace holds no packets")
+    packets: dict[tuple, list[int]] = {}
+    for pid, _ in entries:
+        packets.setdefault((pid.frame_index, pid.view_id, pid.component),
+                           []).append(pid.packet_index)
+    for (f, v, comp), idx in packets.items():
+        if sorted(idx) != list(range(len(idx))):
+            raise ChannelError(f"frame {f} view {v} {comp.label} does not "
+                               f"hold packets 0..{len(idx) - 1} once each")
     return LossTrace(seed=seed, loss_rate=rate, entries=entries,
                      generator=generator, protected_frames=protected)

@@ -20,6 +20,12 @@ batched reconstruction path, whole planes at a time: `predictor_blocks`
 gathers the motion-compensated predictors and `apply_residual` adds the
 dequantized residuals, so without losses the two stay bit identical.
 
+`build_inter_candidates` trial-codes every option of a plane into one
+CandidateSet, one column per option: SKIP, then per reference distance a
+zero-motion and a searched INTER column, and INTRA last.  A plane without
+references has the INTRA column alone.  Selection ties keep the first
+column, so this order is the tie-break.
+
 A motion vector is the displacement of scene content: mv (dx, dy) predicts
 the block at (row - dy, col - dx) of the reference frame.  The search emits
 only vectors whose predictor lies fully inside the frame.
@@ -273,22 +279,23 @@ def predictor_blocks(ref_stack: np.ndarray, dist, mv: np.ndarray,
 
 @dataclass
 class CandidateSet:
-    """Per-macroblock INTER and SKIP coding options for one plane.
+    """Per-macroblock coding options for one plane, one column per option.
 
     Column order fixes the selection tie-break: SKIP first, then for each
     reference distance in increasing order a zero-motion column followed by
-    the searched best-motion column.  INTRA is built separately (it needs no
-    references) and joins as the final column at selection time.
+    the searched best-motion column, and INTRA last.  The INTRA column has
+    reference distance 0 and carries its base level in the mv slot, as the
+    bitstream does.  Without references INTRA is the only column.
     """
 
     mode_col: np.ndarray        # (n_cand,) uint8
     ref_col: np.ndarray         # (n_cand,) int16 reference distance
     mv: np.ndarray              # (n_mb, n_cand, 2) int16 (dx, dy)
-    sad: np.ndarray             # (n_mb, n_cand) float64
     bits: np.ndarray            # (n_mb, n_cand) int64
     distortion: np.ndarray      # (n_mb, n_cand) mean-abs reconstruction error
     recon: np.ndarray           # (n_mb, n_cand, 16, 16) uint8
     coeffs: np.ndarray          # (n_mb, n_cand, 16, 16) int32 quantized
+    quant_step: int             # step every column was coded at
 
     @property
     def n_candidates(self) -> int:
@@ -318,49 +325,50 @@ def code_against_prediction(pred: np.ndarray, orig: np.ndarray, step: int
 
 def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
                            cfg: CodecConfig) -> CandidateSet:
-    """Search and trial-code all INTER and SKIP candidates of one plane.
+    """Search and trial-code every candidate of one plane, INTRA last.
 
     refs[d-1] is the reconstructed plane at distance d; the list is already
-    limited to the frames available inside the reference window.
+    limited to the frames available inside the reference window, and may be
+    empty.
     """
-    if not refs:
-        raise CodecError("inter candidates need at least one reference")
     h, w = cur.shape
     grid = (h // MB_SIZE, w // MB_SIZE)
     n_mb = grid[0] * grid[1]
     n_refs = len(refs)
-    n_cand = 1 + 2 * n_refs
-
-    ref_stack = np.stack(refs)
-    best_mv, best_sad, zero_sad = motion_search(cur, ref_stack, cfg.search_range)
+    n_cand = 2 + 2 * n_refs if refs else 1
 
     mode_col = np.empty(n_cand, dtype=np.uint8)
     ref_col = np.empty(n_cand, dtype=np.int16)
     mv = np.zeros((n_mb, n_cand, 2), dtype=np.int16)
-    sad = np.empty((n_mb, n_cand))
     bits = np.empty((n_mb, n_cand), dtype=np.int64)
     distortion = np.empty((n_mb, n_cand))
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
     coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int32)
 
-    orig_blocks = plane_blocks(cur).astype(np.float64)
+    # last column: INTRA, its base level riding the mv slot
+    mode_col[-1], ref_col[-1] = MODE_INTRA, 0
+    (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
+     mv[:, -1, 0]) = build_intra_candidates(cur, cfg.quant_step)
 
-    # column 0: SKIP
-    coloc0 = plane_blocks(refs[0])
-    mode_col[0] = MODE_SKIP
-    ref_col[0] = 1
-    sad[:, 0] = zero_sad[0]
-    bits[:, 0] = SKIP_BITS
-    recon[:, 0] = coloc0
-    distortion[:, 0] = np.abs(coloc0.astype(np.float64) - orig_blocks).mean(axis=(1, 2))
+    if refs:
+        ref_stack = np.stack(refs)
+        best_mv, _, _ = motion_search(cur, ref_stack, cfg.search_range)
+        orig_blocks = plane_blocks(cur).astype(np.float64)
+
+        # column 0: SKIP
+        coloc0 = plane_blocks(refs[0])
+        mode_col[0] = MODE_SKIP
+        ref_col[0] = 1
+        bits[:, 0] = SKIP_BITS
+        recon[:, 0] = coloc0
+        distortion[:, 0] = np.abs(coloc0.astype(np.float64)
+                                  - orig_blocks).mean(axis=(1, 2))
 
     for d in range(1, n_refs + 1):
         cz, cb = 2 * d - 1, 2 * d
         mode_col[cz] = mode_col[cb] = MODE_INTER
         ref_col[cz] = ref_col[cb] = d
         mv[:, cb, :] = best_mv[d - 1]
-        sad[:, cz] = zero_sad[d - 1]
-        sad[:, cb] = best_sad[d - 1]
 
         coloc = plane_blocks(refs[d - 1]).astype(np.float64)
         q, rec, rbits, dist = code_against_prediction(coloc, orig_blocks,
@@ -382,9 +390,9 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
             mv_bits = exp_golomb_signed_bits(mv[:, col, :]).sum(axis=1)
             bits[:, col] = MODE_BITS + d + mv_bits + rb
 
-    return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, sad=sad,
-                        bits=bits, distortion=distortion, recon=recon,
-                        coeffs=coeffs)
+    return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, bits=bits,
+                        distortion=distortion, recon=recon, coeffs=coeffs,
+                        quant_step=cfg.quant_step)
 
 
 def build_intra_candidates(plane: np.ndarray, step: int

@@ -26,7 +26,7 @@ import numpy as np
 
 from .codec import MODE_INTRA, EncodedPlane
 from .frames import MB_SIZE
-from .synthesis import expand_block_values, warp_view
+from .synthesis import WarpedView, warp_view
 
 DEFAULT_GAMMA = 0.9
 
@@ -127,7 +127,6 @@ class _FrameRecord:
     mv: np.ndarray
     delta: np.ndarray
     p: np.ndarray               # per-MB delivery probability currently assumed
-    known: bool = False
 
 
 class ExpectedErrorTracker:
@@ -188,7 +187,6 @@ class ExpectedErrorTracker:
             raise TrackingError(f"no frame {t} pushed yet")
         rec = self._frames[t]
         rec.p = np.asarray(received, dtype=np.float64)
-        rec.known = True
         for f in range(t, len(self._frames)):
             self._states[f] = self._compute_state(f)
 
@@ -201,29 +199,20 @@ def candidate_expected_errors(ref_states: np.ndarray, prev_state: np.ndarray,
 
     ref_states: (D, n_mb) prior states by distance; mv: (n_mb, n_cand, 2).
     The e_minus branch is candidate-independent; only the inherited e_plus
-    varies with the reference and motion choice.
+    varies with the reference and motion choice, and is zero for INTRA.
     """
     n_mb, n_cand = mv.shape[0], mv.shape[1]
-    e_minus = prev_state + delta
-    idx = np.arange(n_mb)
-    out = np.empty((n_mb, n_cand))
-    for c in range(n_cand):
-        if mode_col[c] == MODE_INTRA:
-            e_plus = np.zeros(n_mb)
-        else:
-            dist = np.full(n_mb, int(ref_col[c]), dtype=np.int64)
-            s = footprint_state_sum(ref_states, dist,
-                                    mv[:, c, 0].astype(np.int64),
-                                    mv[:, c, 1].astype(np.int64), idx, grid)
-            e_plus = gamma * s
-        out[:, c] = p * e_plus + (1.0 - p) * e_minus
-    return out
-
-
-def intra_expected_error(prev_state: np.ndarray, delta: np.ndarray,
-                         p: float) -> np.ndarray:
-    """Expected error of the INTRA candidate (e_plus is identically zero)."""
-    return (1.0 - p) * (prev_state + delta)
+    moved = np.flatnonzero(mode_col != MODE_INTRA)
+    shape = (n_mb, moved.size)
+    s = footprint_state_sum(
+        ref_states,
+        np.broadcast_to(ref_col[moved].astype(np.int64), shape).ravel(),
+        mv[:, moved, 0].astype(np.int64).ravel(),
+        mv[:, moved, 1].astype(np.int64).ravel(),
+        np.repeat(np.arange(n_mb), moved.size), grid)
+    e_plus = np.zeros((n_mb, n_cand))
+    e_plus[:, moved] = gamma * s.reshape(shape)
+    return p * e_plus + (1.0 - p) * (prev_state + delta)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +231,43 @@ def estimate_delta_history(dec_prev: np.ndarray | None,
     if dec_prev is None or dec_prevprev is None:
         return np.zeros(grid[0] * grid[1])
     return innovation_term(dec_prev, dec_prevprev)
+
+
+def cross_view_states(state: np.ndarray, opp_state: np.ndarray,
+                      warped: WarpedView, prev_tex: np.ndarray,
+                      prev_state: np.ndarray, lost: np.ndarray,
+                      grid: tuple[int, int], min_coverage: int) -> np.ndarray:
+    """Texture states of one view after the cross-view delta estimate.
+
+    warped is the opposing view's decoded texture warped onto this view.  A
+    lost block with at least min_coverage covered pixels, whose covered
+    pixels all map to opposing blocks of error below the block's own state,
+    is re-tracked as prev_state + the mean |warped - prev_tex| over its
+    covered pixels; every other block keeps its state.
+    """
+    hb, wb = grid
+    lost_mb = np.flatnonzero(lost)
+    br, bc = np.divmod(lost_mb, wb)
+
+    def per_block(plane: np.ndarray) -> np.ndarray:
+        # (lost blocks, 256) gathered from the (hb, 16, wb, 16) view
+        return (plane.reshape(hb, MB_SIZE, wb, MB_SIZE)[br, :, bc, :]
+                .reshape(lost_mb.size, MB_SIZE * MB_SIZE))
+
+    covered = per_block(warped.covered)
+    n_cov = covered.sum(axis=1)
+    # the warp is horizontal: a pixel's source block shares its block row
+    src_mb = ((br * wb)[:, None]
+              + np.maximum(per_block(warped.src_col), 0) // MB_SIZE)
+    worst = np.where(covered, opp_state[src_mb], -np.inf).max(axis=1)
+    # integer differences: the sums are exact in any order
+    diff = np.abs(per_block(warped.value).astype(np.int64)
+                  - per_block(prev_tex).astype(np.int64))
+    delta = np.where(covered, diff, 0).sum(axis=1) / np.maximum(n_cov, 1)
+    rescue = (n_cov >= min_coverage) & (worst < state[lost_mb])
+    out = state.copy()
+    out[lost_mb[rescue]] = prev_state[lost_mb[rescue]] + delta[rescue]
+    return out
 
 
 class DecoderTracker:
@@ -316,43 +342,23 @@ class DecoderTracker:
 
         # texture pass B: cross-view delta for lost blocks where the
         # opposing view is strictly more reliable
-        final: dict[int, np.ndarray] = {view: pass_a[view].copy() for view in (0, 1)}
         for view in (0, 1):
+            final = pass_a[view]
             lost = ~received[(view, 0)]
-            if not lost.any():
-                continue
-            opp = 1 - view
-            warped = warp_view(decoded[(opp, 0)], decoded[(opp, 1)], opp,
-                               float(view), self.eta)
-            src_mb_err = expand_block_values(pass_a[opp], self.grid)
-            src_err_at_t = np.where(
-                warped.covered,
-                np.take_along_axis(src_mb_err,
-                                   np.clip(warped.src_col, 0,
-                                           src_mb_err.shape[1] - 1), axis=1),
-                0.0)
-            prev_tex = self._prev_decoded(view, 0, 1)
-            if prev_tex is None:
-                prev_tex = np.full(decoded[(view, 0)].shape, 128, dtype=np.uint8)
-            prev_state = (self._states[(view, 0)][t - 1] if t >= 1
-                          else np.zeros(self.n_mb))
-            hb, wb = self.grid
-            for m in np.flatnonzero(lost):
-                r0 = (m // wb) * MB_SIZE
-                c0 = (m % wb) * MB_SIZE
-                sl = np.s_[r0:r0 + MB_SIZE, c0:c0 + MB_SIZE]
-                cov = warped.covered[sl]
-                n_cov = int(cov.sum())
-                if n_cov < self.MIN_COVERAGE:
-                    continue
-                if float(src_err_at_t[sl][cov].max()) >= float(pass_a[view][m]):
-                    continue
-                diff = np.abs(warped.value[sl].astype(np.float64)
-                              - prev_tex[sl].astype(np.float64))
-                delta1 = float(diff[cov].sum() / n_cov)
-                final[view][m] = prev_state[m] + delta1
-        for view in (0, 1):
-            self._states[(view, 0)].append(final[view])
+            if lost.any():
+                opp = 1 - view
+                warped = warp_view(decoded[(opp, 0)], decoded[(opp, 1)], opp,
+                                   float(view), self.eta)
+                prev_tex = self._prev_decoded(view, 0, 1)
+                if prev_tex is None:
+                    prev_tex = np.full(decoded[(view, 0)].shape, 128,
+                                       dtype=np.uint8)
+                prev_state = (self._states[(view, 0)][t - 1] if t >= 1
+                              else np.zeros(self.n_mb))
+                final = cross_view_states(pass_a[view], pass_a[opp], warped,
+                                          prev_tex, prev_state, lost,
+                                          self.grid, self.MIN_COVERAGE)
+            self._states[(view, 0)].append(final)
 
         for view in (0, 1):
             for comp in (0, 1):

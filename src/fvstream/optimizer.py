@@ -25,11 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import (MODE_INTRA, CandidateSet, CodecConfig, EncodedPlane,
-                    assemble_plane, build_inter_candidates,
-                    build_intra_candidates)
-from .errortrack import (ExpectedErrorTracker, candidate_expected_errors,
-                         intra_expected_error)
+from .codec import (CandidateSet, CodecConfig, EncodedPlane, assemble_plane,
+                    build_inter_candidates)
+from .errortrack import ExpectedErrorTracker, candidate_expected_errors
 from .frames import MB_SIZE
 from .sensitivity import g_eval
 from .synthesis import CorrespondenceSets
@@ -51,17 +49,10 @@ class PlaneCandidates:
 
     cset: CandidateSet
     chan: np.ndarray        # (n_mb, n_cand) expected error per candidate
-    chan_intra: np.ndarray  # (n_mb,) expected error of the INTRA choice
-    intra: tuple            # build_intra_candidates of the plane, built once
-    quant_step: int         # step every candidate of the plane is coded at
 
     @property
     def n_mb(self) -> int:
         return self.chan.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        return self.chan.shape[1]
 
 
 def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
@@ -75,17 +66,15 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
     chan = candidate_expected_errors(ref_states, prev, delta, tracker.p_plan,
                                      tracker.gamma, cset.mode_col, cset.ref_col,
                                      cset.mv, tracker.grid)
-    chan_intra = intra_expected_error(prev, delta, tracker.p_plan)
-    return PlaneCandidates(cset=cset, chan=chan, chan_intra=chan_intra,
-                           intra=build_intra_candidates(orig, cfg.quant_step),
-                           quant_step=cfg.quant_step)
+    return PlaneCandidates(cset=cset, chan=chan)
 
 
 def step1_minimum(pc: PlaneCandidates) -> tuple[np.ndarray, np.ndarray]:
     """Per-MB first index and value of the smallest expected error over the
     motion candidates (INTRA excluded: the step picks a reference)."""
-    idx = np.argmin(pc.chan, axis=1)
-    return idx, pc.chan[np.arange(pc.n_mb), idx]
+    motion = pc.chan[:, :-1]
+    idx = np.argmin(motion, axis=1)
+    return idx, motion[np.arange(pc.n_mb), idx]
 
 
 def opposing_cap(corr: CorrespondenceSets, opp_error_prev: np.ndarray,
@@ -106,8 +95,8 @@ def texture_channel_columns(pc: PlaneCandidates, mode: str,
                             member: np.ndarray | None = None,
                             penalty_fixed: np.ndarray | None = None,
                             cap: np.ndarray | None = None) -> np.ndarray:
-    """(n_mb, n_cand + 1) channel distortion per texture candidate, INTRA last."""
-    cols = np.concatenate([pc.chan, pc.chan_intra[:, None]], axis=1)
+    """(n_mb, n_cand) channel distortion per texture candidate."""
+    cols = pc.chan
     if mode == "independent":
         return cols
     if mode != "cross":
@@ -120,9 +109,8 @@ def depth_channel_columns(pc: PlaneCandidates, mode: str, curvature: np.ndarray,
                           member: np.ndarray | None = None,
                           error_fixed: np.ndarray | None = None,
                           cap: np.ndarray | None = None) -> np.ndarray:
-    """(n_mb, n_cand + 1) channel distortion per depth candidate, INTRA last."""
-    eps = np.concatenate([pc.chan, pc.chan_intra[:, None]], axis=1)
-    penalty = g_eval(curvature[:, None], eps)
+    """(n_mb, n_cand) channel distortion per depth candidate."""
+    penalty = g_eval(curvature[:, None], pc.chan)
     if mode == "independent":
         return penalty
     if mode != "cross":
@@ -147,79 +135,41 @@ class PlaneSelection:
     dsrc: np.ndarray          # per-MB source distortion of the chosen option
     channel: np.ndarray       # per-MB channel term entering the cost
     chan_error: np.ndarray    # per-MB expected error of the chosen option
-    chosen_col: np.ndarray    # candidate column; n_cand means INTRA
-    intra_dsrc: np.ndarray    # per-MB INTRA source distortion
-    intra_bits: np.ndarray    # per-MB INTRA rate
+    chosen_col: np.ndarray    # candidate column; the last one is INTRA
 
 
 def select_plane(orig: np.ndarray, pc: PlaneCandidates, channel_cols: np.ndarray,
                  lam: float, valid: np.ndarray | None = None) -> PlaneSelection:
     """Pick the cheapest candidate per block and reconstruct the plane.
 
-    channel_cols has one column per motion candidate plus an INTRA column at
-    the end (INTRA options come from pc.intra); valid (same layout, optional)
-    disables candidates.  Cost is (source distortion + channel term)
-    + lambda * bits; ties keep the first column, INTRA last.  The plane is
-    labelled with pc.quant_step, the step its candidates were coded at.
+    channel_cols has one column per candidate of pc.cset; valid (same
+    layout, optional) disables candidates.  Cost is (source distortion +
+    channel term) + lambda * bits; ties keep the first column, INTRA last.
+    The plane is labelled with the step its candidates were coded at.
     """
     cset = pc.cset
-    n_mb, n_cand = pc.chan.shape
     h, w = orig.shape
-    hb, wb = h // MB_SIZE, w // MB_SIZE
+    grid = (h // MB_SIZE, w // MB_SIZE)
 
-    q_i, rec_i, intra_bits, intra_dsrc, intra_base = pc.intra
-
-    cost_cols = np.empty((n_mb, n_cand + 1))
-    cost_cols[:, :n_cand] = (cset.distortion + channel_cols[:, :n_cand]) \
-        + lam * cset.bits
-    cost_cols[:, n_cand] = (intra_dsrc + channel_cols[:, n_cand]) \
-        + lam * intra_bits
+    cost_cols = (cset.distortion + channel_cols) + lam * cset.bits
     if valid is not None:
         cost_cols = np.where(valid, cost_cols, np.inf)
 
-    # first minimum wins ties, with INTRA in the last column
+    # first minimum wins ties
     chosen = np.argmin(cost_cols, axis=1).astype(np.int32)
-    rows = np.arange(n_mb)
-    is_intra = chosen == n_cand
-    kc = np.where(is_intra, 0, chosen)  # in-range column for candidate gathers
-
-    modes = np.where(is_intra, MODE_INTRA, cset.mode_col[kc]).astype(np.uint8)
-    ref_dist = np.where(is_intra, 0, cset.ref_col[kc]).astype(np.uint8)
-    # intra rows ride the mv slot with (base, 0)
-    intra_mv = np.stack([intra_base, np.zeros_like(intra_base)], axis=1)
-    mv = np.where(is_intra[:, None], intra_mv, cset.mv[rows, kc]).astype(np.int16)
-    coeffs = np.where(is_intra[:, None, None], q_i,
-                      cset.coeffs[rows, kc]).astype(np.int32)
-    blocks = np.where(is_intra[:, None, None], rec_i, cset.recon[rows, kc])
-    bits = np.where(is_intra, intra_bits, cset.bits[rows, kc]).astype(np.int64)
-    dsrc = np.where(is_intra, intra_dsrc, cset.distortion[rows, kc])
-    chan_error = np.where(is_intra, pc.chan_intra, pc.chan[rows, kc])
-    recon = assemble_plane(blocks.astype(np.uint8), (hb, wb))
-
-    enc = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv, coeffs=coeffs,
-                       quant_step=pc.quant_step, grid=(hb, wb))
-    return PlaneSelection(enc=enc, recon=recon, total_bits=int(bits.sum()),
-                          cost=cost_cols[rows, chosen], bits=bits, dsrc=dsrc,
+    rows = np.arange(pc.n_mb)
+    bits = cset.bits[rows, chosen]
+    enc = EncodedPlane(modes=cset.mode_col[chosen],
+                       ref_dist=cset.ref_col[chosen].astype(np.uint8),
+                       mv=cset.mv[rows, chosen], coeffs=cset.coeffs[rows, chosen],
+                       quant_step=cset.quant_step, grid=grid)
+    return PlaneSelection(enc=enc,
+                          recon=assemble_plane(cset.recon[rows, chosen], grid),
+                          total_bits=int(bits.sum()),
+                          cost=cost_cols[rows, chosen], bits=bits,
+                          dsrc=cset.distortion[rows, chosen],
                           channel=channel_cols[rows, chosen],
-                          chan_error=chan_error, chosen_col=chosen,
-                          intra_dsrc=intra_dsrc,
-                          intra_bits=intra_bits.astype(np.int64))
-
-
-def code_plane_all_intra(orig: np.ndarray, quant_step: int
-                         ) -> tuple[EncodedPlane, np.ndarray, np.ndarray]:
-    """Force every block INTRA (first frame); returns (enc, recon, per-MB bits)."""
-    h, w = orig.shape
-    hb, wb = h // MB_SIZE, w // MB_SIZE
-    n_mb = hb * wb
-    q, rec, bits, _, base = build_intra_candidates(orig, quant_step)
-    mv = np.zeros((n_mb, 2), dtype=np.int16)
-    mv[:, 0] = base
-    enc = EncodedPlane(modes=np.full(n_mb, MODE_INTRA, dtype=np.uint8),
-                       ref_dist=np.zeros(n_mb, dtype=np.uint8),
-                       mv=mv, coeffs=q.astype(np.int32),
-                       quant_step=quant_step, grid=(hb, wb))
-    return enc, assemble_plane(rec, (hb, wb)), bits.astype(np.int64)
+                          chan_error=pc.chan[rows, chosen], chosen_col=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +205,13 @@ class ReactiveTaint(ExpectedErrorTracker):
         return [s > 0.0 for s in self._states]
 
     def valid_candidates(self, pc: PlaneCandidates) -> np.ndarray:
-        """(n_mb, n_cand + 1) mask of candidates with untainted references.
+        """(n_mb, n_cand) mask of candidates with untainted references.
 
         pc must be built against this taint: with certain delivery and no
         attenuation, a candidate's expected error is exactly its
-        predictor's overlap with the reference taint.
+        predictor's overlap with the reference taint, and INTRA's is zero.
         """
-        return np.concatenate([pc.chan == 0.0,
-                               np.ones((pc.n_mb, 1), dtype=bool)], axis=1)
+        return pc.chan == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,16 @@ import numpy as np
 from .channel import (Component, LossTrace, build_schedule, lost_mb_mask,
                       make_iid_trace, save_trace)
 from .codec import (PLANE_ORDER, CodecConfig, CodecError, EncodedPlane,
-                    decode_plane)
+                    build_inter_candidates, decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
 from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
                         ReactiveTaint, build_plane_candidates,
-                        code_plane_all_intra, depth_channel_columns, g_eval,
+                        depth_channel_columns, g_eval,
                         opposing_cap, select_plane, step1_minimum,
                         texture_channel_columns, tune_to_band)
 from .scenegen import (SyntheticSceneSpec, default_scene_spec,
-                       generate_synthetic_stereo, scene_from_dict)
+                       generate_synthetic_stereo, json_is, scene_from_dict)
 from .sensitivity import SensitivityParams, curvature_map
 from .synthesis import SynthesisParams, correspondence_sets, synthesize_view
 
@@ -124,16 +124,6 @@ class ExperimentConfig:
         return min(want, n_mb)          # tiny frames: fewer packets than MBs
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "str | None": (str, type(None))}
-
-
-def _json_is(value, kind: str) -> bool:
-    # bool subclasses int, but a JSON true is no number
-    return (isinstance(value, _JSON_TYPES[kind])
-            and (kind == "bool") == isinstance(value, bool))
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise HarnessError("config must be a JSON object")
@@ -149,11 +139,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         elif kind.startswith("tuple["):
             item = kind[len("tuple["):-len(", ...]")]
             if not (isinstance(value, list)
-                    and all(_json_is(x, item) for x in value)):
+                    and all(json_is(x, item) for x in value)):
                 raise HarnessError(f"config field {name!r} must be a list "
                                    f"of {item}")
             kw[name] = tuple(value)
-        elif not _json_is(value, kind):
+        elif not json_is(value, kind):
             raise HarnessError(f"config field {name!r} must be {kind}, "
                                f"got {type(value).__name__}")
     return ExperimentConfig(**kw)
@@ -173,21 +163,10 @@ def resolve_output_root(cfg: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PlaneRecord:
-    """Per-MB bookkeeping of one encoded plane, for reports and oracles."""
-
-    bits: np.ndarray
-    dsrc: np.ndarray
-    chan_error: np.ndarray      # expected tracked error of the chosen option
-    channel: np.ndarray         # channel distortion term charged in the cost
-    cost: np.ndarray | None     # chosen Lagrangian cost (None for frame 0)
-
-
-@dataclass
 class EncodedStream:
     mode: str
     frames: list[dict[tuple[int, Component], EncodedPlane]]
-    records: list[dict[tuple[int, Component], PlaneRecord]]
+    records: list[dict[tuple[int, Component], PlaneSelection]]
     recon: dict[tuple[int, Component], list[np.ndarray]]
     bits_per_frame: list[int]
     lambdas: list[float]
@@ -229,8 +208,7 @@ class EncoderState:
 
     Holds the reconstructions, one tracker per plane, the innovation per
     plane and frame, and one curvature map per reconstructed view.  Frame t
-    runs learn(t), then plan(t) and a selection (frame 0 is all INTRA), then
-    commit(t, ...).
+    runs learn(t), then plan(t) and a selection, then commit(t, ...).
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
@@ -288,20 +266,33 @@ class EncoderState:
         return self.curv[view][k]
 
     def plan(self, t: int) -> FramePlan:
-        """Candidates and channel terms of frame t >= 1 under the mode."""
+        """Candidates and channel terms of frame t under the mode.
+
+        Frame 0 has no references: its candidates are INTRA alone, planned
+        with zero expected error and no channel term.
+        """
         cfg, recon, trackers = self.cfg, self.recon, self.trackers
+        orig = {key: self.orig[key][t] for key in PLANE_ORDER}
+        if t == 0:
+            zeros = np.zeros((self.n_mb, 1))
+            pcs = {key: PlaneCandidates(cset=build_inter_candidates(
+                       orig[key], [], cfg.codec_config(key[1])), chan=zeros)
+                   for key in PLANE_ORDER}
+            return FramePlan(orig=orig, pcs=pcs,
+                             cols=dict.fromkeys(PLANE_ORDER, zeros), valid={},
+                             caps={}, members={})
         pcs = {}
         for key in PLANE_ORDER:
             refs = [recon[key][t - d]
                     for d in range(1, min(cfg.ref_window, t) + 1)]
             pcs[key] = build_plane_candidates(
-                self.orig[key][t], refs, cfg.codec_config(key[1]),
+                orig[key], refs, cfg.codec_config(key[1]),
                 trackers[key], t, self.innovation(key, t))
         cols, valid, caps, members = {}, {}, {}, {}
         if self.mode == "reactive":
             # no channel term, only references free of known taint
             for key in PLANE_ORDER:
-                cols[key] = np.zeros((self.n_mb, pcs[key].n_candidates + 1))
+                cols[key] = np.zeros_like(pcs[key].chan)
                 valid[key] = trackers[key].valid_candidates(pcs[key])
         elif self.mode == "independent":
             for key in PLANE_ORDER:
@@ -331,9 +322,8 @@ class EncoderState:
                 cols[dep] = depth_channel_columns(
                     pcs[dep], "cross", curv, member=corr.member,
                     error_fixed=tex_val, cap=caps[v])
-        return FramePlan(orig={key: self.orig[key][t] for key in PLANE_ORDER},
-                         pcs=pcs, cols=cols, valid=valid, caps=caps,
-                         members=members)
+        return FramePlan(orig=orig, pcs=pcs, cols=cols, valid=valid,
+                         caps=caps, members=members)
 
     def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane],
                recon: dict[tuple[int, Component], np.ndarray]) -> None:
@@ -373,38 +363,21 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     spend) driven to within the configured band by lambda adjustment.
     """
     state = EncoderState(cfg, orig, mode, trace)
-    hb, wb = state.grid
     out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
                         bits_per_frame=[], lambdas=[], in_band=[],
                         infeasible=[], targets=[])
     lam = cfg.base_lambda
     for t in range(len(orig[(0, Component.TEXTURE)])):
         state.learn(t)
-        frame, rec, planes = {}, {}, {}
-        if t == 0:
-            for key in PLANE_ORDER:
-                frame[key], planes[key], bits_mb = code_plane_all_intra(
-                    orig[key][0], cfg.codec_config(key[1]).quant_step)
-                diff = np.abs(orig[key][0].astype(np.float64)
-                              - planes[key].astype(np.float64))
-                dsrc = diff.reshape(hb, 16, wb, 16).mean(axis=(1, 3))
-                rec[key] = PlaneRecord(bits=bits_mb, dsrc=dsrc.ravel(),
-                                       chan_error=np.zeros(state.n_mb),
-                                       channel=np.zeros(state.n_mb), cost=None)
-            bits_t = sum(int(r.bits.sum()) for r in rec.values())
-            band_ok, infeas, target = True, False, None
-        else:
-            target = None if frame_targets is None else float(frame_targets[t])
-            sels, lam, bits_t, band_ok, infeas = _select_frame(
-                state.plan(t), lam, target, cfg)
-            for key, sel in sels.items():
-                frame[key], planes[key] = sel.enc, sel.recon
-                rec[key] = PlaneRecord(bits=sel.bits, dsrc=sel.dsrc,
-                                       chan_error=sel.chan_error,
-                                       channel=sel.channel, cost=sel.cost)
-        state.commit(t, frame, planes)
+        # frame 0 is all INTRA: no budget can move it
+        target = (None if frame_targets is None or t == 0
+                  else float(frame_targets[t]))
+        sels, lam, bits_t, band_ok, infeas = _select_frame(
+            state.plan(t), lam, target, cfg)
+        frame = {key: sel.enc for key, sel in sels.items()}
+        state.commit(t, frame, {key: sel.recon for key, sel in sels.items()})
         out.frames.append(frame)
-        out.records.append(rec)
+        out.records.append(sels)
         out.bits_per_frame.append(int(bits_t))
         out.lambdas.append(lam)
         out.in_band.append(bool(band_ok))

@@ -9,7 +9,8 @@ j + d at its column j, a virtual view at position v shifts by rint(d * v).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class TextureSpec:
             raise SceneSpecError(f"unknown texture kind {self.kind!r}")
         if self.kind == "checker" and self.cell <= 0:
             raise SceneSpecError("checker cell size must be positive")
+        for name in ("value", "low", "high"):
+            if not 0 <= getattr(self, name) <= 255:
+                raise SceneSpecError(f"texture {name} outside [0, 255]")
 
     def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -200,64 +204,92 @@ def generate_synthetic_stereo(spec: SyntheticSceneSpec
 # JSON scene descriptions
 # ---------------------------------------------------------------------------
 
-def _texture_from_dict(d: dict) -> TextureSpec:
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None)), "object": dict, "list": list}
+
+
+def json_is(value, kind: str) -> bool:
+    """Whether a decoded JSON value has the named type."""
+    # bool subclasses int, but a JSON true is no number; json.load also
+    # takes NaN and Infinity, which no field can use
+    return (isinstance(value, _JSON_TYPES[kind])
+            and (kind == "bool") == isinstance(value, bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+_SCENE_FIELDS = {"width": "int", "height": "int", "frame_count": "int",
+                 "background": "object", "objects": "list"}
+_BACKGROUND_FIELDS = {"disparity": "int", "texture": "object"}
+_OBJECT_FIELDS = {"height": "int", "width": "int", "row": "int", "col": "int",
+                  "disparity": "int", "texture": "object",
+                  "trajectory": "object"}
+_TRAJECTORY_FIELDS = {"kind": "str", "velocity": "list", "offsets": "list"}
+_TEXTURE_FIELDS = {f.name: f.type for f in fields(TextureSpec)}
+
+
+def _checked(d, what: str, schema: dict[str, str],
+             required: tuple[str, ...] = ()) -> dict:
+    """d itself, once it is an object holding the required fields and only
+    fields of the schema, each of its JSON type."""
     if not isinstance(d, dict):
-        raise SceneSpecError(f"texture must be an object, got {type(d).__name__}")
-    kind = d.get("kind", "flat")
-    known = {f for f in TextureSpec.__dataclass_fields__}
-    extra = set(d) - known
+        raise SceneSpecError(f"{what} must be an object, got {type(d).__name__}")
+    extra = set(d) - set(schema)
     if extra:
-        raise SceneSpecError(f"unknown texture fields {sorted(extra)}")
-    return TextureSpec(**{k: v for k, v in d.items()})
+        raise SceneSpecError(f"unknown {what} fields {sorted(extra)}")
+    for name in required:
+        if name not in d:
+            raise SceneSpecError(f"missing {what} field {name!r}")
+    for name, value in d.items():
+        if not json_is(value, schema[name]):
+            raise SceneSpecError(f"{what} field {name!r} must be "
+                                 f"{schema[name]}, got {type(value).__name__}")
+    return d
 
 
-def _offsets_from_dict(d: dict, frame_count: int) -> tuple[tuple[int, int], ...]:
-    traj = d.get("trajectory", {"kind": "static"})
+def _int_pair(value, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(json_is(x, "int") for x in value)):
+        raise SceneSpecError(f"{what} must be a pair of integers")
+    return value[0], value[1]
+
+
+def _texture_from_dict(d) -> TextureSpec:
+    return TextureSpec(**_checked(d, "texture", _TEXTURE_FIELDS))
+
+
+def _offsets_from_dict(traj, frame_count: int) -> tuple[tuple[int, int], ...]:
+    traj = _checked(traj, "trajectory", _TRAJECTORY_FIELDS)
     kind = traj.get("kind", "static")
     if kind == "static":
         return tuple((0, 0) for _ in range(frame_count))
     if kind == "linear":
-        vr, vc = traj.get("velocity", [0, 0])
-        return tuple((int(vr) * t, int(vc) * t) for t in range(frame_count))
+        vr, vc = _int_pair(traj.get("velocity", [0, 0]), "trajectory velocity")
+        return tuple((vr * t, vc * t) for t in range(frame_count))
     if kind == "offsets":
-        offs = traj.get("offsets")
-        if offs is None:
+        if "offsets" not in traj:
             raise SceneSpecError("trajectory kind 'offsets' needs an offsets list")
-        return tuple((int(r), int(c)) for r, c in offs)
+        return tuple(_int_pair(o, "trajectory offset") for o in traj["offsets"])
     raise SceneSpecError(f"unknown trajectory kind {kind!r}")
 
 
-def scene_from_dict(d: dict) -> SyntheticSceneSpec:
-    if not isinstance(d, dict):
-        raise SceneSpecError(f"scene must be an object, got {type(d).__name__}")
-    try:
-        frame_count = int(d["frame_count"])
-        bg = d.get("background", {})
-        objects = []
-        for od in d.get("objects", []):
-            objects.append(ObjectSpec(
-                height=int(od["height"]),
-                width=int(od["width"]),
-                row=int(od["row"]),
-                col=int(od["col"]),
-                disparity=int(od["disparity"]),
-                texture=_texture_from_dict(od.get("texture", {})),
-                offsets=_offsets_from_dict(od, frame_count),
-            ))
-        return SyntheticSceneSpec(
-            width=int(d["width"]),
-            height=int(d["height"]),
-            frame_count=frame_count,
-            background_disparity=int(bg.get("disparity", 0)),
-            background_texture=_texture_from_dict(bg.get("texture", {})),
-            objects=tuple(objects),
-        )
-    except SceneSpecError:
-        raise
-    except KeyError as exc:
-        raise SceneSpecError(f"missing scene field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SceneSpecError(f"malformed scene: {exc}") from exc
+def scene_from_dict(d) -> SyntheticSceneSpec:
+    d = _checked(d, "scene", _SCENE_FIELDS, ("width", "height", "frame_count"))
+    bg = _checked(d.get("background", {}), "background", _BACKGROUND_FIELDS)
+    objects = []
+    for od in d.get("objects", []):
+        od = _checked(od, "object", _OBJECT_FIELDS,
+                      ("height", "width", "row", "col", "disparity"))
+        objects.append(ObjectSpec(
+            height=od["height"], width=od["width"], row=od["row"],
+            col=od["col"], disparity=od["disparity"],
+            texture=_texture_from_dict(od.get("texture", {})),
+            offsets=_offsets_from_dict(od.get("trajectory", {}),
+                                       d["frame_count"])))
+    return SyntheticSceneSpec(
+        width=d["width"], height=d["height"], frame_count=d["frame_count"],
+        background_disparity=bg.get("disparity", 0),
+        background_texture=_texture_from_dict(bg.get("texture", {})),
+        objects=tuple(objects))
 
 
 def _triangle_offsets(frame_count: int, step: int, swing: int, axis: int

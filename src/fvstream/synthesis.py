@@ -232,10 +232,6 @@ def gather_at_targets(source_map: np.ndarray, warped: WarpedView) -> np.ndarray:
 class SynthesisResult:
     plane: np.ndarray            # (H, W) uint8, holes filled
     holes: np.ndarray            # (H, W) bool, pre-fill hole mask
-    left: WarpedView
-    right: WarpedView
-    r0: np.ndarray | None = None
-    r1: np.ndarray | None = None
 
 
 def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
@@ -251,7 +247,6 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
     """
     wl = warp_view(left_texture, left_disparity, 0, params.position, params.eta)
     wr = warp_view(right_texture, right_disparity, 1, params.position, params.eta)
-    r0 = r1 = None
     if params.mode == "adaptive":
         if left_errors is None or right_errors is None:
             raise SynthesisError("adaptive blending needs tracked errors for both views")
@@ -261,15 +256,14 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
                                            shift_factor(1, params.position, params.eta))
         d0_t = gather_at_targets(d0_src, wl)
         d1_t = gather_at_targets(d1_src, wr)
-        plane, holes, r0, r1 = blend_adaptive(wl, wr, params.position, d0_t, d1_t,
-                                              params.reliability_c)
+        plane, holes, _, _ = blend_adaptive(wl, wr, params.position, d0_t, d1_t,
+                                            params.reliability_c)
     else:
         plane, holes = blend_standard(wl, wr, params.position)
     disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
                           np.where(wr.covered, wr.disparity, 0))
     filled = fill_holes(plane, holes, disp_ctx)
-    return SynthesisResult(plane=filled, holes=holes, left=wl, right=wr,
-                           r0=r0, r1=r1)
+    return SynthesisResult(plane=filled, holes=holes)
 
 
 # ---------------------------------------------------------------------------

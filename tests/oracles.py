@@ -125,18 +125,18 @@ def code_intra_block(orig_block, step: int):
 def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
     """Candidate list for a single macroblock, in selection order.
 
-    A per-block view of the batched path; the INTRA candidate comes last.
+    A per-block view of the batched path's motion columns, then the INTRA
+    candidate coded block by block, last.
     """
     out = []
     if refs:
         cset = build_inter_candidates(plane, refs[:cfg.ref_window], cfg)
-        for c in range(cset.n_candidates):
+        for c in range(cset.n_candidates - 1):
             out.append({
                 "decision": BlockDecision(int(cset.mode_col[c]),
                                           int(cset.ref_col[c]),
                                           (int(cset.mv[mb_index, c, 0]),
                                            int(cset.mv[mb_index, c, 1]))),
-                "sad": float(cset.sad[mb_index, c]),
                 "bits": int(cset.bits[mb_index, c]),
                 "distortion": float(cset.distortion[mb_index, c]),
                 "recon": cset.recon[mb_index, c],
@@ -146,7 +146,6 @@ def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
     q, rec, ibits, idist, base = code_intra_block(orig, cfg.quant_step)
     out.append({
         "decision": BlockDecision(MODE_INTRA, intra_base=base),
-        "sad": float(np.abs(orig - float(base)).sum()),
         "bits": ibits,
         "distortion": idist,
         "recon": rec,
@@ -323,6 +322,35 @@ def oracle_taint_lattice(decisions, lost, grid) -> list[np.ndarray]:
     return out
 
 
+def oracle_cross_view_states(state, opp_state, warped, prev_tex, prev_state,
+                             lost, grid, min_coverage: int) -> np.ndarray:
+    """The receiver's cross-view pass, one lost block at a time."""
+    hb, wb = grid
+    src_mb_err = np.repeat(np.repeat(np.asarray(opp_state, dtype=np.float64)
+                                     .reshape(hb, wb), MB, axis=0), MB, axis=1)
+    src_err_at_t = np.where(
+        warped.covered,
+        np.take_along_axis(src_mb_err, np.clip(warped.src_col, 0,
+                                               src_mb_err.shape[1] - 1), axis=1),
+        0.0)
+    final = np.array(state, dtype=np.float64)
+    for m in np.flatnonzero(lost):
+        r0 = (m // wb) * MB
+        c0 = (m % wb) * MB
+        sl = np.s_[r0:r0 + MB, c0:c0 + MB]
+        cov = warped.covered[sl]
+        n_cov = int(cov.sum())
+        if n_cov < min_coverage:
+            continue
+        if float(src_err_at_t[sl][cov].max()) >= float(state[m]):
+            continue
+        diff = np.abs(warped.value[sl].astype(np.float64)
+                      - prev_tex[sl].astype(np.float64))
+        delta1 = float(diff[cov].sum() / n_cov)
+        final[m] = prev_state[m] + delta1
+    return final
+
+
 # --- disparity sensitivity --------------------------------------------------
 
 def block_profile(own_texture, own_disparity, opp_texture, source_view: int,
@@ -460,11 +488,11 @@ def oracle_select(dsrc_cols, chan_cols, bits_cols, lam: float, valid=None):
     return chosen, costs
 
 
-def oracle_texture_columns(chan, chan_intra, mode: str, member=None,
-                           penalty_fixed=None, cap=None):
+def oracle_texture_columns(chan, mode: str, member=None, penalty_fixed=None,
+                           cap=None):
     """Channel-term columns for a texture plane, one row per block."""
     n_mb, n_cand = np.asarray(chan).shape
-    out = [[0.0] * (n_cand + 1) for _ in range(n_mb)]
+    out = [[0.0] * n_cand for _ in range(n_mb)]
     for m in range(n_mb):
         for k in range(n_cand):
             e = float(chan[m][k])
@@ -475,26 +503,18 @@ def oracle_texture_columns(chan, chan_intra, mode: str, member=None,
                     out[m][k] = min(e + float(penalty_fixed[m]), float(cap[m]))
                 else:
                     out[m][k] = e
-        if mode == "independent":
-            out[m][n_cand] = float(chan_intra[m])
-        else:
-            if member[m]:
-                out[m][n_cand] = min(float(chan_intra[m]) + float(penalty_fixed[m]),
-                                     float(cap[m]))
-            else:
-                out[m][n_cand] = float(chan_intra[m])
     return out
 
 
-def oracle_depth_columns(chan, chan_intra, mode: str, curvature,
-                         member=None, error_fixed=None, cap=None):
+def oracle_depth_columns(chan, mode: str, curvature, member=None,
+                         error_fixed=None, cap=None):
     """Channel-term columns for a depth plane under the quadratic penalty."""
     n_mb, n_cand = np.asarray(chan).shape
-    out = [[0.0] * (n_cand + 1) for _ in range(n_mb)]
+    out = [[0.0] * n_cand for _ in range(n_mb)]
     for m in range(n_mb):
         a = float(curvature[m])
-        for k in range(n_cand + 1):
-            eps = float(chan_intra[m]) if k == n_cand else float(chan[m][k])
+        for k in range(n_cand):
+            eps = float(chan[m][k])
             if mode == "independent":
                 out[m][k] = 0.5 * a * eps * eps
             else:

@@ -13,8 +13,7 @@ import pytest
 from conftest import (_EXAMPLE_NODES, micro_scene_spec, record_criterion,
                       scene64_spec)
 from fvstream.channel import Component, build_schedule, make_iid_trace
-from fvstream.codec import (CodecConfig, build_inter_candidates,
-                            build_intra_candidates)
+from fvstream.codec import CodecConfig, build_inter_candidates
 from fvstream.errortrack import ExpectedErrorTracker, innovation_term
 from fvstream.frames import MB_SIZE, mse
 from fvstream.optimizer import (PlaneCandidates, depth_channel_columns,
@@ -183,12 +182,10 @@ def test_criterion_5_selection_matches_enumeration():
                           search_range=4, ref_window=W)
         cset = build_inter_candidates(planes[-1], planes[:-1][::-1], cfg)
         n_mb, n_cand = cset.n_mb, cset.n_candidates
-        pc = PlaneCandidates(cset=cset,
-                             chan=rng.uniform(0, 25, (n_mb, n_cand)),
-                             chan_intra=rng.uniform(0, 25, n_mb),
-                             intra=build_intra_candidates(planes[-1],
-                                                          cfg.quant_step),
-                             quant_step=cfg.quant_step)
+        chan = np.empty((n_mb, n_cand))
+        chan[:, :-1] = rng.uniform(0, 25, (n_mb, n_cand - 1))
+        chan[:, -1] = rng.uniform(0, 25, n_mb)      # INTRA, drawn last
+        pc = PlaneCandidates(cset=cset, chan=chan)
         mode = str(rng.choice(["reactive", "independent", "cross"]))
         member = rng.random(n_mb) < 0.6
         pen = rng.uniform(0, 6, n_mb)
@@ -197,23 +194,19 @@ def test_criterion_5_selection_matches_enumeration():
         efix = rng.uniform(0, 15, n_mb)
         texture = rng.random() < 0.5
         if mode == "reactive":      # the baseline charges no channel term
-            cols = np.zeros((n_mb, n_cand + 1))
+            cols = np.zeros((n_mb, n_cand))
         elif texture:
             cols = texture_channel_columns(pc, mode, member=member,
                                            penalty_fixed=pen, cap=cap)
         else:
             cols = depth_channel_columns(pc, mode, curv, member=member,
                                          error_fixed=efix, cap=cap)
-        valid = rng.random((n_mb, n_cand + 1)) < 0.85
-        valid[:, n_cand] = True
+        valid = rng.random((n_mb, n_cand)) < 0.85
+        valid[:, -1] = True
         lam = float(10.0 ** rng.uniform(-4, 1))
         sel = select_plane(planes[-1], pc, cols, lam, valid=valid)
-        dsrc_cols = np.concatenate([cset.distortion,
-                                    sel.intra_dsrc[:, None]], axis=1)
-        bits_cols = np.concatenate([cset.bits, sel.intra_bits[:, None]],
-                                   axis=1)
-        chosen, costs = oracles.oracle_select(dsrc_cols, cols, bits_cols, lam,
-                                              valid)
+        chosen, costs = oracles.oracle_select(cset.distortion, cols, cset.bits,
+                                              lam, valid)
         assert sel.chosen_col.tolist() == chosen
         assert sel.cost.tolist() == costs
         instances += 1

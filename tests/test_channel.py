@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvstream import (ChannelError, Component, PacketId, build_schedule,
@@ -232,3 +232,59 @@ class TestTraceFiles:
         save_trace(a, trace)
         save_trace(b, trace)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "0 0 texture x 0\n",                        # non-integer field
+        "0 0 texture 0 0\n0 0 texture 0 1\n",     # duplicate packet
+        "0 0 texture 0 7\n",                        # lost flag not 0/1
+        "0 0 texture 0 0\n0 0 texture 2 0\n",     # gap in packet indices
+        "-1 0 texture 0 0\n", "0 +1 texture 0 0\n", "0 0 texture 1_0 0\n",
+        "0 0 colour 0 0\n", "0 0 texture 0\n", "",
+        "# seed=x\n0 0 texture 0 0\n",
+        "# loss_rate=abc\n0 0 texture 0 0\n",
+        "# loss_rate=1.5\n0 0 texture 0 0\n",
+        "# loss_rate=nan\n0 0 texture 0 0\n",
+        "# protected=0,a\n0 0 texture 0 0\n",
+        "0 0 texture \u0661 0\n",                 # not ASCII
+    ])
+    def test_malformed_trace_raises_channel_error(self, tmp_path, text):
+        path = tmp_path / "trace.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ChannelError):
+            load_trace(path)
+
+    @given(st.lists(st.one_of(
+        # one plane's packets 0..n-1, each line lost or not
+        st.tuples(st.integers(0, 2), st.integers(0, 1),
+                  st.sampled_from(["texture", "depth"]),
+                  st.lists(st.integers(0, 1), min_size=1, max_size=3)).map(
+            lambda f: "\n".join(f"{f[0]} {f[1]} {f[2]} {p} {lost}"
+                                for p, lost in enumerate(f[3]))),
+        st.tuples(st.integers(0, 2), st.integers(0, 1),
+                  st.sampled_from(["texture", "depth"]), st.integers(0, 3),
+                  st.integers(0, 1)).map(
+            lambda f: " ".join(str(x) for x in f)),
+        st.lists(st.sampled_from(["0", "1", "7", "-1", "x", "texture",
+                                  "depth", "#", "seed=3", "loss_rate=0.5",
+                                  "protected=0", "protected=,", "1.5"]),
+                 max_size=6).map(" ".join),
+        st.text(st.characters(max_codepoint=127), max_size=12)),
+        max_size=8))
+    @settings(max_examples=200)
+    def test_any_trace_file_loads_or_raises_channel_error(self,
+                                                          tmp_path_factory,
+                                                          lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz_trace.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            trace = load_trace(path)
+        except ChannelError:
+            return
+        planes = {}
+        for pid, _ in trace.entries:
+            key = (pid.frame_index, pid.view_id, pid.component)
+            planes[key] = planes.get(key, 0) + 1
+        for (frame, view, comp), n in planes.items():
+            lost = lost_mb_mask(trace, frame, view, comp, n, n)
+            assert lost.tolist() == [trace.lost(PacketId(frame, view, comp, p))
+                                     for p in range(n)]

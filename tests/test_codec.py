@@ -263,24 +263,39 @@ class TestCandidates:
         plane = rand_plane((32, 32), seed=51)
         refs = [rand_plane((32, 32), seed=52), rand_plane((32, 32), seed=53)]
         cset = build_inter_candidates(plane, refs, CodecConfig(search_range=2))
-        assert cset.n_candidates == 5
+        assert cset.n_candidates == 6
         assert cset.mode_col.tolist() == [MODE_SKIP, MODE_INTER, MODE_INTER,
-                                          MODE_INTER, MODE_INTER]
-        assert cset.ref_col.tolist() == [1, 1, 1, 2, 2]
+                                          MODE_INTER, MODE_INTER, MODE_INTRA]
+        assert cset.ref_col.tolist() == [1, 1, 1, 2, 2, 0]
         assert (cset.mv[:, 0] == 0).all()   # skip
         assert (cset.mv[:, 1] == 0).all()   # zero-mv inter, d=1
         assert (cset.mv[:, 3] == 0).all()   # zero-mv inter, d=2
+        # intra: the base level rides the mv slot
+        base = build_intra_candidates(plane, 10)[4]
+        assert cset.mv[:, 5].tolist() == [[int(b), 0] for b in base]
+        assert cset.quant_step == 10
 
-    def test_empty_reference_list_rejected(self):
-        with pytest.raises(CodecError):
-            build_inter_candidates(rand_plane((32, 32), 1), [], CodecConfig())
+    def test_no_references_leave_the_intra_column_alone(self):
+        plane = rand_plane((32, 48), 1)
+        cset = build_inter_candidates(plane, [], CodecConfig(quant_step=6))
+        q, rec, bits, dist, base = build_intra_candidates(plane, 6)
+        assert cset.mode_col.tolist() == [MODE_INTRA]
+        assert cset.ref_col.tolist() == [0]
+        assert cset.quant_step == 6
+        assert np.array_equal(cset.coeffs[:, 0], q)
+        assert np.array_equal(cset.recon[:, 0], rec)
+        assert np.array_equal(cset.bits[:, 0], bits)
+        assert np.array_equal(cset.distortion[:, 0], dist)
+        assert np.array_equal(cset.mv[:, 0, 0], base)
+        assert (cset.mv[:, 0, 1] == 0).all()
 
     @pytest.mark.example
     def test_static_content_skips_for_free(self):
         plane = rand_plane((32, 32), seed=61)
         cset = build_inter_candidates(plane, [plane.copy()],
                                       CodecConfig(search_range=2))
-        assert (cset.sad[:, 0] == 0).all()
+        _, _, zero_sad = motion_search(plane, plane[None], 2)
+        assert (zero_sad[0] == 0).all()
         assert (cset.distortion[:, 0] == 0).all()
         assert (cset.bits[:, 0] == SKIP_BITS).all()
         assert np.array_equal(cset.recon[:, 0], plane_blocks(plane))
@@ -329,7 +344,7 @@ class TestCandidates:
         assert cands[0]["decision"].mode == MODE_SKIP
         assert cands[-1]["decision"].mode == MODE_INTRA
         cset = build_inter_candidates(plane, refs, cfg)
-        for c in range(3):
+        for c in range(4):
             assert cands[c]["bits"] == int(cset.bits[2, c])
             assert np.array_equal(cands[c]["recon"], cset.recon[2, c])
 

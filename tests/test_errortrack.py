@@ -11,10 +11,11 @@ from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CodecError,
                             EncodedPlane, parse_stream, predictor_blocks)
 from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
                                  TrackingError, candidate_expected_errors,
-                                 estimate_delta_history, footprint_state_sum,
-                                 innovation_term, intra_expected_error,
-                                 propagate_received)
+                                 cross_view_states, estimate_delta_history,
+                                 footprint_state_sum,
+                                 innovation_term, propagate_received)
 from fvstream.pipeline import decode_stream
+from fvstream.synthesis import warp_view
 
 import oracles
 
@@ -164,13 +165,19 @@ class TestPropagation:
         got = candidate_expected_errors(ref_states, prev, delta, 0.95, 0.9,
                                         np.array([MODE_INTRA]), np.array([0]),
                                         mv, (1, 2))
-        want = intra_expected_error(prev, delta, 0.95)
+        want = (1.0 - 0.95) * (prev + delta)
         assert np.allclose(got[:, 0], want, atol=1e-15)
         assert got[0, 0] == pytest.approx(0.05 * 7.4, rel=1e-12)
 
     def test_full_delivery_leaves_no_concealment_term(self):
         prev = np.array([4.0, 9.0])
-        assert (intra_expected_error(prev, np.array([1.0, 2.0]), 1.0) == 0.0).all()
+        mv = np.zeros((2, 1, 2), dtype=np.int64)
+        mv[:, 0, 0] = 150                   # a base level, not a displacement
+        got = candidate_expected_errors(np.zeros((1, 2)), prev,
+                                        np.array([1.0, 2.0]), 1.0, 0.9,
+                                        np.array([MODE_INTRA]), np.array([0]),
+                                        mv, (1, 2))
+        assert (got == 0.0).all()
 
 
 class TestInnovation:
@@ -380,6 +387,23 @@ class TestDecoderTracker:
         # did not change, so every covered block drops back to zero
         assert tr.state(1, 0, 2).tolist() == [0.0] * 4
         assert tr.state(0, 0, 2).tolist() == [0.0] * 4
+
+    @given(st.integers(0, 10 ** 6))
+    def test_cross_view_pass_matches_the_block_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        n_mb, shape = grid[0] * grid[1], (grid[0] * 16, grid[1] * 16)
+        view = int(rng.integers(0, 2))
+        # the opposing view's decoded planes, warped onto this view
+        warped = warp_view(rng.integers(0, 256, shape).astype(np.uint8),
+                           rng.integers(0, 24, shape).astype(np.uint8),
+                           1 - view, float(view))
+        args = (rng.uniform(0, 20, n_mb), rng.uniform(0, 20, n_mb), warped,
+                rng.integers(0, 256, shape).astype(np.uint8),
+                rng.uniform(0, 20, n_mb), rng.random(n_mb) < 0.6, grid,
+                DecoderTracker.MIN_COVERAGE)
+        got = cross_view_states(*args)
+        assert np.array_equal(got, oracles.oracle_cross_view_states(*args))
 
     def test_frame_index_must_advance_in_order(self):
         tr = DecoderTracker(self.GRID)

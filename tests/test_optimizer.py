@@ -11,11 +11,10 @@ from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, PLANE_ORDER,
                             CandidateSet, CodecConfig, build_inter_candidates,
                             build_intra_candidates, decode_plane)
 from fvstream.errortrack import (ExpectedErrorTracker,
-                                 candidate_expected_errors, innovation_term,
-                                 intra_expected_error)
+                                 candidate_expected_errors, innovation_term)
 from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
-                                build_plane_candidates, code_plane_all_intra,
-                                depth_channel_columns, opposing_cap,
+                                build_plane_candidates, depth_channel_columns,
+                                opposing_cap,
                                 select_plane, step1_minimum,
                                 texture_channel_columns, tune_to_band)
 from fvstream import pipeline
@@ -26,28 +25,46 @@ from fvstream.synthesis import CorrespondenceSets
 import oracles
 
 
-def crafted_candidates(chan, chan_intra, distortion=None, bits=None):
-    """A PlaneCandidates with hand-picked numbers and inert coding payloads;
-    the INTRA options are those of a flat 100 plane of n_mb blocks."""
+def crafted_candidates(chan, distortion=None, bits=None):
+    """A PlaneCandidates with hand-picked numbers, INTRA in the last column.
+
+    The motion columns carry the given distortion and bits (zero and one by
+    default) and inert coding payloads; the INTRA column codes a flat 100
+    plane of n_mb blocks.
+    """
     chan = np.asarray(chan, dtype=np.float64)
     n_mb, n_cand = chan.shape
-    if distortion is None:
-        distortion = np.zeros((n_mb, n_cand))
-    if bits is None:
-        bits = np.ones((n_mb, n_cand), dtype=np.int64)
-    cset = CandidateSet(
-        mode_col=np.full(n_cand, MODE_INTER, dtype=np.uint8),
-        ref_col=np.ones(n_cand, dtype=np.int16),
-        mv=np.zeros((n_mb, n_cand, 2), dtype=np.int16),
-        sad=np.zeros((n_mb, n_cand)),
-        bits=np.asarray(bits, dtype=np.int64),
-        distortion=np.asarray(distortion, dtype=np.float64),
-        recon=np.zeros((n_mb, n_cand, 16, 16), dtype=np.uint8),
-        coeffs=np.zeros((n_mb, n_cand, 16, 16), dtype=np.int32))
     flat = np.full((16, 16 * n_mb), 100, dtype=np.uint8)
-    return PlaneCandidates(cset=cset, chan=chan,
-                           chan_intra=np.asarray(chan_intra, dtype=np.float64),
-                           intra=build_intra_candidates(flat, 10), quant_step=10)
+    q, rec, ibits, idist, base = build_intra_candidates(flat, 10)
+    all_dist = np.zeros((n_mb, n_cand))
+    all_bits = np.ones((n_mb, n_cand), dtype=np.int64)
+    if distortion is not None:
+        all_dist[:, :-1] = distortion
+    if bits is not None:
+        all_bits[:, :-1] = bits
+    all_dist[:, -1], all_bits[:, -1] = idist, ibits
+    mv = np.zeros((n_mb, n_cand, 2), dtype=np.int16)
+    mv[:, -1, 0] = base
+    recon = np.zeros((n_mb, n_cand, 16, 16), dtype=np.uint8)
+    recon[:, -1] = rec
+    coeffs = np.zeros((n_mb, n_cand, 16, 16), dtype=np.int32)
+    coeffs[:, -1] = q
+    cset = CandidateSet(
+        mode_col=np.array([MODE_INTER] * (n_cand - 1) + [MODE_INTRA],
+                          dtype=np.uint8),
+        ref_col=np.array([1] * (n_cand - 1) + [0], dtype=np.int16),
+        mv=mv, bits=all_bits, distortion=all_dist, recon=recon,
+        coeffs=coeffs, quant_step=10)
+    return PlaneCandidates(cset=cset, chan=chan)
+
+
+def intra_frame(plane, step):
+    """Code a plane as the encoder codes frame 0: its INTRA-only candidate
+    set, selected with no channel term."""
+    cset = build_inter_candidates(plane, [], CodecConfig(quant_step=step))
+    zeros = np.zeros((cset.n_mb, 1))
+    return select_plane(plane, PlaneCandidates(cset=cset, chan=zeros), zeros,
+                        0.0)
 
 
 def drifting_planes(seed, n_frames=4, h=32, w=32):
@@ -64,8 +81,7 @@ def drifting_planes(seed, n_frames=4, h=32, w=32):
 
 class TestChannelColumns:
     def setup_method(self):
-        self.pc = crafted_candidates(chan=[[5.5, 2.0], [1.0, 4.0]],
-                                     chan_intra=[0.8, 0.2])
+        self.pc = crafted_candidates(chan=[[5.5, 2.0, 0.8], [1.0, 4.0, 0.2]])
 
     def test_independent_texture_is_the_expected_error(self):
         cols = texture_channel_columns(self.pc, "independent")
@@ -74,14 +90,14 @@ class TestChannelColumns:
     @pytest.mark.example
     def test_independent_depth_applies_the_quadratic_penalty(self):
         # curvature 2 and expected disparity error 3 cost 9
-        pc = crafted_candidates(chan=[[3.0]], chan_intra=[0.0])
+        pc = crafted_candidates(chan=[[3.0, 0.0]])
         cols = depth_channel_columns(pc, "independent", np.array([2.0]))
         assert cols[0].tolist() == [9.0, 0.0]
 
     @pytest.mark.example
     def test_cross_texture_adds_the_fixed_depth_penalty_then_caps(self):
         # 5.5 + g(2, 3) = 14.5, capped at 12 when the opposing view is better
-        pc = crafted_candidates(chan=[[5.5]], chan_intra=[20.0])
+        pc = crafted_candidates(chan=[[5.5, 20.0]])
         gfix = np.array([g_eval(2.0, 3.0)])
         member = np.array([True])
         tight = texture_channel_columns(pc, "cross", member=member,
@@ -102,7 +118,7 @@ class TestChannelColumns:
         assert cols[1].tolist() == [1.5, 2.2, 0.7]
 
     def test_cross_depth_swaps_in_the_fixed_texture_error(self):
-        pc = crafted_candidates(chan=[[1.0, 2.0]], chan_intra=[0.0])
+        pc = crafted_candidates(chan=[[1.0, 2.0, 0.0]])
         cols = depth_channel_columns(pc, "cross", np.array([2.0]),
                                      member=np.array([True]),
                                      error_fixed=np.array([3.0]),
@@ -124,8 +140,10 @@ class TestChannelColumns:
     def test_matches_scalar_oracles(self, seed, mode):
         rng = np.random.default_rng(seed)
         n_mb, n_cand = 6, 4
-        pc = crafted_candidates(chan=rng.uniform(0, 30, (n_mb, n_cand)),
-                                chan_intra=rng.uniform(0, 10, n_mb))
+        chan = np.empty((n_mb, n_cand + 1))
+        chan[:, :-1] = rng.uniform(0, 30, (n_mb, n_cand))
+        chan[:, -1] = rng.uniform(0, 10, n_mb)
+        pc = crafted_candidates(chan=chan)
         member = rng.random(n_mb) < 0.5
         pen = rng.uniform(0, 8, n_mb)
         cap = np.where(member, rng.uniform(0, 40, n_mb), np.inf)
@@ -133,13 +151,13 @@ class TestChannelColumns:
         efix = rng.uniform(0, 20, n_mb)
         tex = texture_channel_columns(pc, mode, member=member,
                                       penalty_fixed=pen, cap=cap)
-        want_t = oracles.oracle_texture_columns(pc.chan, pc.chan_intra, mode,
-                                                member, pen, cap)
+        want_t = oracles.oracle_texture_columns(pc.chan, mode, member, pen,
+                                                cap)
         assert np.array_equal(tex, np.asarray(want_t))
         dep = depth_channel_columns(pc, mode, curv, member=member,
                                     error_fixed=efix, cap=cap)
-        want_d = oracles.oracle_depth_columns(pc.chan, pc.chan_intra, mode,
-                                              curv, member, efix, cap)
+        want_d = oracles.oracle_depth_columns(pc.chan, mode, curv, member,
+                                              efix, cap)
         assert np.array_equal(dep, np.asarray(want_d))
 
 
@@ -177,8 +195,8 @@ class TestOpposingCap:
         assert got.tolist() == want
 
     def test_step1_takes_the_first_minimum(self):
-        pc = crafted_candidates(chan=[[4.0, 1.0, 1.0], [2.0, 2.0, 5.0]],
-                                chan_intra=[0.0, 0.0])
+        pc = crafted_candidates(chan=[[4.0, 1.0, 1.0, 0.0],
+                                      [2.0, 2.0, 5.0, 0.0]])
         idx, val = step1_minimum(pc)
         assert idx.tolist() == [1, 0]
         assert val.tolist() == [1.0, 2.0]
@@ -188,8 +206,8 @@ class TestSelectPlane:
     ORIG = np.full((16, 16), 100, dtype=np.uint8)
 
     def _pick(self, lam, chan=(5.0, 3.0), dist=(4.0, 2.0), bits=(10, 20)):
-        pc = crafted_candidates(chan=[list(chan)], chan_intra=[7.0],
-                                distortion=[list(dist)], bits=[list(bits)])
+        pc = crafted_candidates(chan=[[*chan, 7.0]], distortion=[list(dist)],
+                                bits=[list(bits)])
         cols = texture_channel_columns(pc, "independent")
         valid = np.array([[True, True, False]])     # keep the arithmetic crafted
         return select_plane(self.ORIG, pc, cols, lam, valid=valid)
@@ -215,7 +233,7 @@ class TestSelectPlane:
         assert sel.cost[0] == 5.0
 
     def test_all_motion_disabled_forces_intra(self):
-        pc = crafted_candidates(chan=[[0.0, 0.0]], chan_intra=[0.0])
+        pc = crafted_candidates(chan=[[0.0, 0.0, 0.0]])
         cols = texture_channel_columns(pc, "independent")
         valid = np.array([[False, False, True]])
         sel = select_plane(self.ORIG, pc, cols, 0.01, valid=valid)
@@ -228,31 +246,20 @@ class TestSelectPlane:
         frames = drifting_planes(3)
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=3)
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
-        n_mb = cset.n_mb
         pc = PlaneCandidates(cset=cset,
-                             chan=np.zeros((n_mb, cset.n_candidates)),
-                             chan_intra=np.zeros(n_mb),
-                             intra=build_intra_candidates(frames[3], 10),
-                             quant_step=10)
+                             chan=np.zeros((cset.n_mb, cset.n_candidates)))
         cols = texture_channel_columns(pc, "independent")
         heavy = select_plane(frames[3], pc, cols, 1.0e12)
-        all_bits = np.concatenate(
-            [cset.bits, heavy.intra_bits[:, None]], axis=1)
-        assert np.array_equal(heavy.bits, all_bits.min(axis=1))
+        assert np.array_equal(heavy.bits, cset.bits.min(axis=1))
         light = select_plane(frames[3], pc, cols, 0.0)
-        all_dist = np.concatenate(
-            [cset.distortion, heavy.intra_dsrc[:, None]], axis=1)
-        assert np.array_equal(light.dsrc, all_dist.min(axis=1))
+        assert np.array_equal(light.dsrc, cset.distortion.min(axis=1))
 
     def test_bits_nonincreasing_in_lambda(self):
         frames = drifting_planes(7)
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=3)
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
         pc = PlaneCandidates(cset=cset,
-                             chan=np.zeros((cset.n_mb, cset.n_candidates)),
-                             chan_intra=np.zeros(cset.n_mb),
-                             intra=build_intra_candidates(frames[3], 10),
-                             quant_step=10)
+                             chan=np.zeros((cset.n_mb, cset.n_candidates)))
         cols = texture_channel_columns(pc, "independent")
         lams = [0.0, 0.002, 0.01, 0.05, 0.25, 1.0, 10.0, 1.0e6]
         totals = [select_plane(frames[3], pc, cols, lam).total_bits
@@ -267,20 +274,17 @@ class TestSelectPlane:
         cfg = CodecConfig(quant_step=10, search_range=3, ref_window=2)
         cset = build_inter_candidates(frames[2], [frames[1], frames[0]], cfg)
         n_mb, n_cand = cset.n_mb, cset.n_candidates
-        pc = PlaneCandidates(cset=cset, chan=rng.uniform(0, 20, (n_mb, n_cand)),
-                             chan_intra=rng.uniform(0, 20, n_mb),
-                             intra=build_intra_candidates(frames[2], 10),
-                             quant_step=10)
+        chan = np.empty((n_mb, n_cand))
+        chan[:, :-1] = rng.uniform(0, 20, (n_mb, n_cand - 1))
+        chan[:, -1] = rng.uniform(0, 20, n_mb)
+        pc = PlaneCandidates(cset=cset, chan=chan)
         cols = texture_channel_columns(pc, "independent")
-        valid = rng.random((n_mb, n_cand + 1)) < 0.8
-        valid[:, n_cand] = True             # INTRA stays available
+        valid = rng.random((n_mb, n_cand)) < 0.8
+        valid[:, -1] = True                 # INTRA stays available
         lam = float(rng.uniform(0.0, 0.1))
         sel = select_plane(frames[2], pc, cols, lam, valid=valid)
-        dsrc_cols = np.concatenate(
-            [cset.distortion, sel.intra_dsrc[:, None]], axis=1)
-        bits_cols = np.concatenate([cset.bits, sel.intra_bits[:, None]], axis=1)
-        chosen, costs = oracles.oracle_select(dsrc_cols, cols, bits_cols, lam,
-                                              valid)
+        chosen, costs = oracles.oracle_select(cset.distortion, cols, cset.bits,
+                                              lam, valid)
         assert sel.chosen_col.tolist() == chosen
         assert sel.cost.tolist() == costs
 
@@ -288,7 +292,7 @@ class TestSelectPlane:
         frames = drifting_planes(9, n_frames=3)
         grid = (2, 2)
         tr = ExpectedErrorTracker(grid, planned_receive_prob=1.0, gamma=0.9)
-        enc0, _, _ = code_plane_all_intra(frames[0], 10)
+        enc0 = intra_frame(frames[0], 10).enc
         tr.push_frame(enc0.modes, enc0.ref_dist, enc0.mv,
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=2)
@@ -300,7 +304,8 @@ class TestSelectPlane:
     def test_plane_is_labelled_with_its_build_step(self, step):
         frames = drifting_planes(3)
         tr = ExpectedErrorTracker((2, 2), planned_receive_prob=0.9)
-        enc0, rec0, _ = code_plane_all_intra(frames[0], step)
+        sel0 = intra_frame(frames[0], step)
+        enc0, rec0 = sel0.enc, sel0.recon
         tr.push_frame(enc0.modes, enc0.ref_dist, enc0.mv,
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=step, search_range=4, ref_window=1)
@@ -308,7 +313,7 @@ class TestSelectPlane:
                                     innovation_term(frames[1], rec0))
         sel = select_plane(frames[1], pc,
                            texture_channel_columns(pc, "independent"), 0.01)
-        assert pc.quant_step == step
+        assert pc.cset.quant_step == step
         assert sel.enc.quant_step == step
         # a loss-free decode rebuilds exactly what the encoder reconstructed
         dec, _ = decode_plane(sel.enc, [rec0], rec0,
@@ -361,27 +366,23 @@ class TestReactiveTaint:
     def test_valid_candidates_respect_the_lattice(self):
         rt = self._seed_frames()
         cset = CandidateSet(
-            mode_col=np.array([MODE_SKIP, MODE_INTER, MODE_INTER],
+            mode_col=np.array([MODE_SKIP, MODE_INTER, MODE_INTER, MODE_INTRA],
                               dtype=np.uint8),
-            ref_col=np.array([1, 1, 1], dtype=np.int16),
-            mv=np.array([[[0, 0], [0, 0], [0, 0]],
-                         [[0, 0], [0, 0], [16, 0]]], dtype=np.int16),
-            sad=np.zeros((2, 3)), bits=np.ones((2, 3), dtype=np.int64),
-            distortion=np.zeros((2, 3)),
-            recon=np.zeros((2, 3, 16, 16), dtype=np.uint8),
-            coeffs=np.zeros((2, 3, 16, 16), dtype=np.int32))
+            ref_col=np.array([1, 1, 1, 0], dtype=np.int16),
+            mv=np.array([[[0, 0], [0, 0], [0, 0], [200, 0]],
+                         [[0, 0], [0, 0], [16, 0], [90, 0]]], dtype=np.int16),
+            bits=np.ones((2, 4), dtype=np.int64),
+            distortion=np.zeros((2, 4)),
+            recon=np.zeros((2, 4, 16, 16), dtype=np.uint8),
+            coeffs=np.zeros((2, 4, 16, 16), dtype=np.int32), quant_step=10)
         # what build_plane_candidates charges against the taint at frame 2
         zeros = np.zeros(2)
         chan = candidate_expected_errors(rt.reference_states(2, 1), rt.state(1),
                                          zeros, rt.p_plan, rt.gamma,
                                          cset.mode_col, cset.ref_col, cset.mv,
                                          rt.grid)
-        pc = PlaneCandidates(cset=cset, chan=chan,
-                             chan_intra=intra_expected_error(rt.state(1), zeros,
-                                                             rt.p_plan),
-                             intra=None, quant_step=10)
-        assert pc.chan_intra.tolist() == [0.0, 0.0]
-        valid = rt.valid_candidates(pc)
+        assert chan[:, -1].tolist() == [0.0, 0.0]
+        valid = rt.valid_candidates(PlaneCandidates(cset=cset, chan=chan))
         # block 0 sits on the lost region: no reference escapes it
         assert valid[0].tolist() == [False, False, False, True]
         # block 1 is clean unless the motion vector reaches across
@@ -410,9 +411,9 @@ class TestReactiveTaint:
                         stack, zeros, zeros, 1.0, 1.0, pc.cset.mode_col,
                         pc.cset.ref_col, pc.cset.mv, rt.grid)
                     assert np.array_equal(plan.valid[key][:, :-1],
-                                          overlap == 0.0)
+                                          overlap[:, :-1] == 0.0)
                     assert plan.valid[key][:, -1].all()
-                    assert (pc.chan_intra == 0.0).all()
+                    assert (pc.chan[:, -1] == 0.0).all()
                     assert (plan.cols[key] == 0.0).all()
                     masked += int((overlap > 0.0).sum())
             state.commit(t, stream.frames[t],
@@ -613,8 +614,7 @@ class TestIntraBuildCount:
                    if (name == "fvstream" or name.startswith("fvstream."))
                    and getattr(mod, "build_intra_candidates", None)
                    is build_intra_candidates]
-        assert {"fvstream.codec", "fvstream.optimizer"} <= {
-            mod.__name__ for mod in holders}
+        assert "fvstream.codec" in {mod.__name__ for mod in holders}
         for mod in holders:
             monkeypatch.setattr(mod, "build_intra_candidates",
                                 counted("intra", build_intra_candidates))
@@ -629,4 +629,4 @@ class TestIntraBuildCount:
         planes = sum(len(frame) for frame in stream.frames)
         assert counts["intra"] == planes
         # the lambda loop re-selected planes without rebuilding INTRA
-        assert counts["select"] > planes - len(PLANE_ORDER)
+        assert counts["select"] > planes

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fvstream
@@ -73,3 +74,40 @@ def test_no_unused_imports():
     paths = [p for p in sorted((root / "src" / "fvstream").glob("*.py"))
              if p.name != "__init__.py"] + sorted((root / "tests").glob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _referenced_names(node: ast.AST, strings: bool = False) -> Counter:
+    """Names a syntax tree reads, plus the dotted parts of its string
+    constants when strings is set (the benchmark names its hooks so)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif strings and isinstance(sub, ast.Constant) \
+                and isinstance(sub.value, str):
+            found.update(sub.value.split("."))
+    return found
+
+
+def test_no_uncalled_package_code():
+    # test-only helpers belong in tests/oracles.py, not in the package
+    root = Path(__file__).resolve().parents[1]
+    modules = [p for p in sorted((root / "src" / "fvstream").glob("*.py"))
+               if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules}
+    refs = Counter()
+    for tree in trees.values():
+        refs += _referenced_names(tree)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        refs += _referenced_names(ast.parse(path.read_text(encoding="utf-8")),
+                                  strings=True)
+    uncalled = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                outside = refs[node.name] - _referenced_names(node)[node.name]
+                if outside <= 0 and node.name not in fvstream.__all__:
+                    uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+    assert uncalled == []

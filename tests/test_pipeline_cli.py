@@ -4,14 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import load_report, main
 from fvstream import pipeline
 from fvstream.codec import PLANE_ORDER
-from fvstream.scenegen import SceneSpecError
+from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
 from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                ExperimentReport, HarnessError, compare_setups,
                                config_from_dict, decode_stream, emit_plot_data,
@@ -20,20 +20,43 @@ from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
 
 #: top-level config keys, one unknown, and a JSON value drawn for each
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
-_SCENE_DICTS = st.dictionaries(
-    st.sampled_from(["width", "height", "frame_count", "background", "objects"]),
-    st.one_of(st.integers(-64, 64), st.lists(st.dictionaries(
-        st.sampled_from(["height", "width", "row", "col", "disparity",
-                         "texture", "trajectory"]),
-        st.one_of(st.integers(-64, 64), st.text(max_size=3),
-                  st.dictionaries(st.sampled_from(["kind", "value", "offsets",
-                                                   "velocity"]),
-                                  st.one_of(st.integers(-8, 8),
-                                            st.sampled_from(["flat", "linear",
-                                                             "offsets"])),
-                                  max_size=2)),
-        max_size=4), max_size=2), st.text(max_size=3)),
-    max_size=5)
+_SCALARS = st.one_of(st.integers(-64, 64), st.floats(-300, 300),
+                    st.booleans(), st.text(max_size=3), st.none(),
+                    st.lists(st.integers(), max_size=2))
+
+
+def _mostly(good):
+    """A field value: good three times in four, any JSON scalar otherwise."""
+    return st.sampled_from([good, good, good, _SCALARS]).flatmap(lambda s: s)
+
+
+_PAIR = _mostly(st.lists(_mostly(st.integers(-2, 2)), min_size=2, max_size=2))
+_TEXTURES = _mostly(st.fixed_dictionaries({}, optional={
+    "kind": _mostly(st.sampled_from(["flat", "gradient", "checker", "noise",
+                                     "plaid"])),
+    "value": _mostly(st.integers(0, 300)), "base": _mostly(st.floats(0, 255)),
+    "row_slope": _mostly(st.floats(-4, 4)),
+    "col_slope": _mostly(st.floats(-4, 4)), "cell": _mostly(st.integers(0, 8)),
+    "low": _mostly(st.integers(-5, 255)), "high": _mostly(st.integers(0, 255)),
+    "seed": _mostly(st.integers(0, 99)), "shade": _SCALARS}))
+_TRAJECTORIES = _mostly(st.fixed_dictionaries({}, optional={
+    "kind": _mostly(st.sampled_from(["static", "linear", "offsets", "orbit"])),
+    "velocity": _PAIR, "offsets": _mostly(st.lists(_PAIR, max_size=3))}))
+_OBJECTS = _mostly(st.fixed_dictionaries(
+    {"height": _mostly(st.integers(1, 16)), "width": _mostly(st.integers(1, 16)),
+     "row": _mostly(st.integers(0, 8)), "col": _mostly(st.integers(0, 8)),
+     "disparity": _mostly(st.integers(1, 24))},
+    optional={"texture": _TEXTURES, "trajectory": _TRAJECTORIES,
+              "depth": _SCALARS}))
+#: scene documents, nested down to textures and trajectories
+_SCENE_DICTS = st.fixed_dictionaries(
+    {"width": _mostly(st.sampled_from([16, 32])),
+     "height": _mostly(st.sampled_from([16, 32])),
+     "frame_count": _mostly(st.integers(1, 3))},
+    optional={"background": _mostly(st.fixed_dictionaries({}, optional={
+                  "disparity": _mostly(st.integers(0, 2)),
+                  "texture": _TEXTURES})),
+              "objects": _mostly(st.lists(_OBJECTS, max_size=2))})
 JSON_VALUES = st.one_of(
     st.recursive(st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
                  | st.floats(allow_nan=False) | st.text(max_size=5),
@@ -117,7 +140,9 @@ class TestConfig:
     @pytest.mark.parametrize("doc", [
         {"rtt": "x"}, {"rtt": 2.5}, {"rtt": True}, {"seeds": 3},
         {"seeds": [1.5]}, {"loss_rates": ["a"]}, {"setups": "rfc"},
-        {"protect_first_frame": 1}, {"output_root": 3}])
+        {"protect_first_frame": 1}, {"output_root": 3},
+        {"eta": float("nan")}, {"base_lambda": float("inf")},
+        {"loss_rates": [float("nan")]}])
     def test_from_dict_rejects_wrong_types(self, doc):
         with pytest.raises(HarnessError):
             config_from_dict(doc)
@@ -129,7 +154,12 @@ class TestConfig:
             config_from_dict({"scene": dict(MICRO_SCENE_DICT, objects=5)})
 
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES,
-                           max_size=4))
+                           max_size=4)
+           | st.fixed_dictionaries({"scene": _SCENE_DICTS}))
+    @example({"scene": {"width": 32, "height": 32, "frame_count": True}})
+    @example({"scene": {"width": 32, "height": 32, "frame_count": 1,
+                        "background": {"texture": {"kind": "gradient",
+                                                   "base": "x"}}}})
     @settings(max_examples=200)
     def test_from_dict_loads_or_raises_its_own_error(self, doc):
         try:
@@ -140,6 +170,11 @@ class TestConfig:
             if name != "scene":
                 got = getattr(cfg, name)
                 assert (list(got) if isinstance(got, tuple) else got) == value
+        if "scene" in doc:          # a scene loads uncoerced, and renders
+            scene = doc["scene"]
+            assert all(type(scene[k]) is int
+                       for k in ("width", "height", "frame_count"))
+            generate_synthetic_stereo(cfg.scene)
 
     def test_packet_counts_clamp_to_the_block_count(self):
         cfg = ExperimentConfig()
@@ -374,6 +409,19 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "t.txt").exists()
+
+    def test_mistyped_scene_exits_1_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps({"scene": dict(
+            MICRO_SCENE_DICT,
+            background={"texture": {"kind": "gradient", "base": "x"}})}))
+        rc = main(["generate", "--config", str(bad),
+                   "--out", str(tmp_path / "planes")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "planes").exists()
 
     def test_rejects_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -191,6 +191,39 @@ class TestSceneFromDict:
                                           "col": 0, "disparity": 5,
                                           "trajectory": {"kind": "offsets"}}]})
 
+    @pytest.mark.parametrize("patch", [
+        {"width": 32.5}, {"frame_count": True}, {"height": "32"},
+        {"background": {"disparity": 1.7}},
+        {"background": {"texture": {"kind": "gradient", "base": "x"}}},
+        {"background": {"texture": {"kind": "gradient",
+                                    "base": float("nan")}}},
+        {"background": {"texture": {"kind": "flat", "value": 300}}},
+        {"background": {"texture": {"kind": "checker", "low": -5}}},
+        {"background": {"shade": 1}}, {"background": []},
+        {"objects": {"height": 16}}, {"objects": [5]},
+        {"objects": [{"height": 16.0, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5}]},
+        {"objects": [{"height": 16, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5, "depth": 1}]},
+        {"objects": [{"height": 16, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5, "trajectory": []}]},
+        {"objects": [{"height": 16, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5,
+                      "trajectory": {"kind": "linear", "velocity": [0.5, 0]}}]},
+        {"objects": [{"height": 16, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5,
+                      "trajectory": {"kind": "offsets",
+                                     "offsets": [[0, 0], [0, True]]}}]},
+        {"objects": [{"height": 16, "width": 16, "row": 0, "col": 0,
+                      "disparity": 5,
+                      "trajectory": {"kind": 1}}]},
+    ])
+    def test_mistyped_fields_rejected(self, patch):
+        d = {"width": 32, "height": 32, "frame_count": 2}
+        d.update(patch)
+        with pytest.raises(SceneSpecError):
+            scene_from_dict(d)
+
     def test_bounce_helper_respects_swing(self):
         offs = bounce(12, 2, 5, axis=1)
         cols = [c for _, c in offs]
