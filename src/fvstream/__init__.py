@@ -22,14 +22,13 @@ from .codec import (CodecError, CodecConfig, EncodedPlane,
 from .errortrack import (TrackingError, ExpectedErrorTracker, DecoderTracker,
                          innovation_term)
 from .synthesis import (SynthesisError, SynthesisParams, SynthesisResult,
-                        WarpedView, warp_view, blend_standard, blend_adaptive,
-                        reliability_weights, synthesize_view,
-                        correspondence_sets)
+                        WarpedView, warp_view, blend, reliability_weights,
+                        synthesize_view, correspondence_sets)
 from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
                           g_eval)
-from .optimizer import (OptimizerError, OPTIMIZER_MODES, PlaneCandidates,
-                        PlaneSelection, ReactiveTaint, build_plane_candidates,
-                        select_plane, tune_to_band)
+from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
+                        ReactiveTaint, build_plane_candidates, select_plane,
+                        tune_to_band)
 from .pipeline import (HarnessError, ExperimentConfig, ExperimentReport,
                        CellResult, config_from_dict, run_experiment,
                        compare_setups, emit_plot_data, encode_stream,
@@ -51,10 +50,10 @@ __all__ = [
     "TrackingError", "ExpectedErrorTracker", "DecoderTracker",
     "innovation_term",
     "SynthesisError", "SynthesisParams", "SynthesisResult", "WarpedView",
-    "warp_view", "blend_standard", "blend_adaptive", "reliability_weights",
+    "warp_view", "blend", "reliability_weights",
     "synthesize_view", "correspondence_sets",
     "SensitivityError", "SensitivityParams", "curvature_map", "g_eval",
-    "OptimizerError", "OPTIMIZER_MODES", "PlaneCandidates", "PlaneSelection",
+    "OPTIMIZER_MODES", "PlaneCandidates", "PlaneSelection",
     "ReactiveTaint", "build_plane_candidates", "select_plane", "tune_to_band",
     "HarnessError", "ExperimentConfig", "ExperimentReport", "CellResult",
     "config_from_dict", "run_experiment", "compare_setups", "emit_plot_data",

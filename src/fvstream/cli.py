@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import ChannelError, Component, build_schedule, make_iid_trace, save_trace
+from .channel import ChannelError, save_trace
 from .codec import CodecError
 from .frames import PlaneError, save_pgm
 from .pipeline import (ExperimentConfig, ExperimentReport, CellResult,
@@ -65,12 +65,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = _load_config(args)
-    n_mb = (cfg.scene.height // 16) * (cfg.scene.width // 16)
-    schedule = build_schedule(cfg.scene.frame_count,
-                              cfg.packets_for(Component.TEXTURE, n_mb),
-                              cfg.packets_for(Component.DEPTH, n_mb))
-    protected = frozenset({0}) if cfg.protect_first_frame else frozenset()
-    trace = make_iid_trace(args.seed, args.rate, schedule, protected)
+    trace = cfg.loss_trace(args.seed, args.rate)
     save_trace(args.out, trace)
     lost = sum(1 for _, l in trace.entries if l)
     print(f"wrote {len(trace.entries)} packet outcomes ({lost} lost) to {args.out}")
@@ -120,8 +115,7 @@ def load_report(root) -> ExperimentReport:
         cells.append(CellResult(setup=setup, loss_rate=rate, seed=seed,
                                 frame_psnr=frame_psnr, frame_bits=frame_bits,
                                 frame_lost_packets=frame_lost,
-                                lambdas=[0.0] * n, in_band=[True] * n,
-                                infeasible=[False] * n))
+                                in_band=[True] * n, infeasible=[False] * n))
     return ExperimentReport(setups=tuple(setups), loss_rates=tuple(rates),
                             seeds=tuple(seeds), cells=cells)
 

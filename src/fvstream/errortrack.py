@@ -11,12 +11,15 @@ error plus the frame-to-frame innovation delta:
     e_minus = e[t-1, m] + delta
     e[t, m] = p * e_plus + (1 - p) * e_minus
 
-The sender runs the recursion in expectation with p the per-packet delivery
-probability, overridden by 0/1 once feedback for a frame arrives; the
-receiver runs it with actual outcomes and estimates delta from what it has:
-the previous two decoded frames, spatial neighbors on early frames, or (for
-texture) a warp from the opposing view when that view is strictly more
-reliable.  Disparity planes never use the cross-view estimate.
+One function, expected_errors, takes this step for k decisions per block.
+The sender runs it in expectation with p the per-packet delivery
+probability, overridden by 0/1 once feedback for a frame arrives: with k = 1
+over the decisions it made, and with one column per candidate while it
+selects.  The receiver runs it with k = 1 and the actual outcomes, and
+estimates delta from what it has: the previous two decoded frames, spatial
+neighbors on early frames, or (for texture) a warp from the opposing view
+when that view is strictly more reliable.  Disparity planes never use the
+cross-view estimate.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODE_INTRA, EncodedPlane
+from .codec import MODE_INTRA, CandidateSet, EncodedPlane
 from .frames import MB_SIZE
 from .synthesis import WarpedView, warp_view
 
@@ -84,36 +87,31 @@ def innovation_term(cur_plane: np.ndarray, prev_plane: np.ndarray | None
     return (sums / float(MB_SIZE * MB_SIZE)).reshape(hb * wb)
 
 
-def propagate_received(states_by_dist: np.ndarray, modes: np.ndarray,
-                       ref_dist: np.ndarray, mv: np.ndarray,
-                       gamma: float, grid: tuple[int, int]) -> np.ndarray:
-    """e_plus for every block of a frame given its decisions."""
-    n_mb = modes.shape[0]
-    intra = modes == MODE_INTRA
-    dist = np.where(intra, 1, ref_dist).astype(np.int64)
-    # intra mv slots hold base levels, not displacements
-    dx = np.where(intra, 0, mv[:, 0]).astype(np.int64)
-    dy = np.where(intra, 0, mv[:, 1]).astype(np.int64)
-    s = footprint_state_sum(states_by_dist, dist, dx, dy, np.arange(n_mb), grid)
-    return np.where(intra, 0.0, gamma * s)
+def expected_errors(states: list[np.ndarray], t: int, modes: np.ndarray,
+                    ref_dist: np.ndarray, mv: np.ndarray, delta: np.ndarray,
+                    p, gamma: float, grid: tuple[int, int]) -> np.ndarray:
+    """One step of the recursion: e[t] of every block under k decisions each.
 
-
-def next_state(states: list[np.ndarray], t: int, modes: np.ndarray,
-               ref_dist: np.ndarray, mv: np.ndarray, delta: np.ndarray,
-               p, gamma: float, grid: tuple[int, int]) -> np.ndarray:
-    """One step of the recursion: e[t] from the states of the frames before t.
-
-    p is the per-MB delivery probability, planned or known 0/1; states past
-    the start count as zero.
+    states holds the states of the frames before t (states past the start
+    count as zero); modes and ref_dist are (n_mb, k), mv is (n_mb, k, 2) and
+    delta is (n_mb,).  p is the delivery probability, planned or known 0/1:
+    a scalar, or an (n_mb, 1) column with one per block.  Returns (n_mb, k).
+    Only e_plus depends on the decision, and it is zero for INTRA, whose mv
+    slot holds a base level.
     """
     n_mb = modes.shape[0]
-    depth = max(1, int(ref_dist.max()) if ref_dist.size else 1)
+    rows, cols = np.nonzero(modes != MODE_INTRA)
+    dist = ref_dist[rows, cols].astype(np.int64)
+    depth = int(dist.max()) if dist.size else 0
     refs = np.zeros((depth, n_mb))
     for d in range(1, min(depth, t) + 1):
         refs[d - 1] = states[t - d]
-    e_plus = propagate_received(refs, modes, ref_dist, mv, gamma, grid)
+    e_plus = np.zeros(modes.shape)
+    e_plus[rows, cols] = gamma * footprint_state_sum(
+        refs, dist, mv[rows, cols, 0].astype(np.int64),
+        mv[rows, cols, 1].astype(np.int64), rows, grid)
     prev = states[t - 1] if t >= 1 else np.zeros(n_mb)
-    return p * e_plus + (1.0 - p) * (prev + delta)
+    return p * e_plus + (1.0 - p) * (prev + delta)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +155,22 @@ class ExpectedErrorTracker:
     def state(self, t: int) -> np.ndarray:
         return self._states[t]
 
-    def reference_states(self, t: int, depth: int) -> np.ndarray:
-        """(depth, n_mb) stack of states at t-1 .. t-depth, zeros past the start."""
-        out = np.zeros((depth, self.n_mb))
-        for d in range(1, depth + 1):
-            if t - d >= 0:
-                out[d - 1] = self._states[t - d]
-        return out
+    def candidate_errors(self, t: int, cset: CandidateSet,
+                         delta: np.ndarray) -> np.ndarray:
+        """(n_mb, n_cand) expected error of frame t under every candidate of
+        cset, at the planned delivery probability."""
+        shape = cset.mv.shape[:2]
+        return expected_errors(self._states, t,
+                               np.broadcast_to(cset.mode_col, shape),
+                               np.broadcast_to(cset.ref_col, shape), cset.mv,
+                               delta, self.p_plan, self.gamma, self.grid)
 
     def _compute_state(self, t: int) -> np.ndarray:
         rec = self._frames[t]
-        return next_state(self._states, t, rec.modes, rec.ref_dist, rec.mv,
-                          rec.delta, rec.p, self.gamma, self.grid)
+        return expected_errors(self._states, t, rec.modes[:, None],
+                               rec.ref_dist[:, None], rec.mv[:, None],
+                               rec.delta, rec.p[:, None], self.gamma,
+                               self.grid)[:, 0]
 
     def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
                    mv: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -189,30 +191,6 @@ class ExpectedErrorTracker:
         rec.p = np.asarray(received, dtype=np.float64)
         for f in range(t, len(self._frames)):
             self._states[f] = self._compute_state(f)
-
-
-def candidate_expected_errors(ref_states: np.ndarray, prev_state: np.ndarray,
-                              delta: np.ndarray, p: float, gamma: float,
-                              mode_col: np.ndarray, ref_col: np.ndarray,
-                              mv: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
-    """Expected error of every (block, candidate) pair before transmission.
-
-    ref_states: (D, n_mb) prior states by distance; mv: (n_mb, n_cand, 2).
-    The e_minus branch is candidate-independent; only the inherited e_plus
-    varies with the reference and motion choice, and is zero for INTRA.
-    """
-    n_mb, n_cand = mv.shape[0], mv.shape[1]
-    moved = np.flatnonzero(mode_col != MODE_INTRA)
-    shape = (n_mb, moved.size)
-    s = footprint_state_sum(
-        ref_states,
-        np.broadcast_to(ref_col[moved].astype(np.int64), shape).ravel(),
-        mv[:, moved, 0].astype(np.int64).ravel(),
-        mv[:, moved, 1].astype(np.int64).ravel(),
-        np.repeat(np.arange(n_mb), moved.size), grid)
-    e_plus = np.zeros((n_mb, n_cand))
-    e_plus[:, moved] = gamma * s.reshape(shape)
-    return p * e_plus + (1.0 - p) * (prev_state + delta)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +280,12 @@ class DecoderTracker:
                      received: np.ndarray, delta: np.ndarray) -> np.ndarray:
         # the decoder never reads the record of a lost block, so neither do
         # we: such a row propagates as INTRA and carries no weight below
-        return next_state(self._states[(view, comp)], t,
-                          np.where(received, enc.modes, MODE_INTRA),
-                          np.where(received, enc.ref_dist, 0), enc.mv, delta,
-                          received.astype(np.float64), self.gamma, self.grid)
+        modes = np.where(received, enc.modes, MODE_INTRA)[:, None]
+        ref_dist = np.where(received, enc.ref_dist, 0)[:, None]
+        return expected_errors(self._states[(view, comp)], t, modes, ref_dist,
+                               enc.mv[:, None], delta,
+                               received[:, None].astype(np.float64),
+                               self.gamma, self.grid)[:, 0]
 
     def update_frame(self, t: int,
                      decoded: dict[tuple[int, int], np.ndarray],

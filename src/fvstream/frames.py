@@ -149,16 +149,26 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
+def _header_count(token: bytes, what: str, path) -> int:
+    # ASCII digits only: int() would also take signs and underscores
+    if token[:1] in (b"+", b"-"):
+        raise PlaneError(f"signed PGM {what} {token!r} in {path}")
+    if not token.isdigit():
+        raise PlaneError(f"bad PGM {what} {token!r} in {path}")
+    try:
+        return int(token)
+    except ValueError as exc:       # past int()'s digit limit
+        raise PlaneError(f"PGM {what} too long in {path}") from exc
+
+
 def load_pgm(path) -> FramePlane:
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, pos = _read_pgm_tokens(data, 4)
     if tokens[0] != b"P5":
         raise PlaneError(f"not a binary PGM file: {path}")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise PlaneError(f"bad PGM header in {path}") from exc
+    w, h, maxval = (_header_count(tok, what, path) for tok, what in
+                    zip(tokens[1:], ("width", "height", "maxval")))
     if maxval != 255:
         raise PlaneError(f"unsupported PGM maxval {maxval}, expected 255")
     pos += 1  # single whitespace byte after maxval

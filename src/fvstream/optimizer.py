@@ -12,6 +12,11 @@ Three selection modes share one machinery:
                 two steps (texture against the depth error-minimizer, then
                 depth against the chosen texture).
 
+Nothing here branches on the mode: pipeline.EncoderState.plan is the one
+place that decides it, and builds each plane's channel columns from the
+parts below (the candidates' expected errors, the opposing cap and
+cross_cap, the taint's valid mask).
+
 Candidate costs are assembled as (source distortion + channel term)
 + lambda * bits and minimized per block over all candidates at once; the
 INTRA predictor is context free, so no block depends on another's choice.
@@ -27,16 +32,11 @@ import numpy as np
 
 from .codec import (CandidateSet, CodecConfig, EncodedPlane, assemble_plane,
                     build_inter_candidates)
-from .errortrack import ExpectedErrorTracker, candidate_expected_errors
+from .errortrack import ExpectedErrorTracker
 from .frames import MB_SIZE
-from .sensitivity import g_eval
 from .synthesis import CorrespondenceSets
 
 OPTIMIZER_MODES = ("reactive", "independent", "cross")
-
-
-class OptimizerError(ValueError):
-    """Invalid optimizer usage."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +61,8 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
     """Coding options of one plane with their expected errors under the
     tracker's planned delivery probability."""
     cset = build_inter_candidates(orig, refs, cfg)
-    ref_states = tracker.reference_states(t, len(refs))
-    prev = tracker.state(t - 1) if t >= 1 else np.zeros(tracker.n_mb)
-    chan = candidate_expected_errors(ref_states, prev, delta, tracker.p_plan,
-                                     tracker.gamma, cset.mode_col, cset.ref_col,
-                                     cset.mv, tracker.grid)
-    return PlaneCandidates(cset=cset, chan=chan)
+    return PlaneCandidates(cset=cset,
+                           chan=tracker.candidate_errors(t, cset, delta))
 
 
 def step1_minimum(pc: PlaneCandidates) -> tuple[np.ndarray, np.ndarray]:
@@ -91,32 +87,16 @@ def opposing_cap(corr: CorrespondenceSets, opp_error_prev: np.ndarray,
     return np.where(corr.member, worst + delta_tex, np.inf)
 
 
-def texture_channel_columns(pc: PlaneCandidates, mode: str,
-                            member: np.ndarray | None = None,
-                            penalty_fixed: np.ndarray | None = None,
-                            cap: np.ndarray | None = None) -> np.ndarray:
-    """(n_mb, n_cand) channel distortion per texture candidate."""
-    cols = pc.chan
-    if mode == "independent":
-        return cols
-    if mode != "cross":
-        raise OptimizerError(f"unknown mode {mode}")
-    capped = np.minimum(cols + penalty_fixed[:, None], cap[:, None])
-    return np.where(member[:, None], capped, cols)
+def cross_cap(cols: np.ndarray, fixed: np.ndarray, cap: np.ndarray,
+              member: np.ndarray) -> np.ndarray:
+    """Channel columns of one plane in the cross mode.
 
-
-def depth_channel_columns(pc: PlaneCandidates, mode: str, curvature: np.ndarray,
-                          member: np.ndarray | None = None,
-                          error_fixed: np.ndarray | None = None,
-                          cap: np.ndarray | None = None) -> np.ndarray:
-    """(n_mb, n_cand) channel distortion per depth candidate."""
-    penalty = g_eval(curvature[:, None], pc.chan)
-    if mode == "independent":
-        return penalty
-    if mode != "cross":
-        raise OptimizerError(f"unknown mode {mode}")
-    capped = np.minimum(error_fixed[:, None] + penalty, cap[:, None])
-    return np.where(member[:, None], capped, penalty)
+    A block the opposing view also samples (member) pays its own column
+    plus the fixed term of the other component, capped by what the
+    opposing view guarantees; every other block keeps its column.
+    """
+    return np.where(member[:, None],
+                    np.minimum(cols + fixed[:, None], cap[:, None]), cols)
 
 
 # ---------------------------------------------------------------------------

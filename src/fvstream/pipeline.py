@@ -25,13 +25,12 @@ from .codec import (PLANE_ORDER, CodecConfig, CodecError, EncodedPlane,
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
 from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
-                        ReactiveTaint, build_plane_candidates,
-                        depth_channel_columns, g_eval,
+                        ReactiveTaint, build_plane_candidates, cross_cap,
                         opposing_cap, select_plane, step1_minimum,
-                        texture_channel_columns, tune_to_band)
+                        tune_to_band)
 from .scenegen import (SyntheticSceneSpec, default_scene_spec,
                        generate_synthetic_stereo, json_is, scene_from_dict)
-from .sensitivity import SensitivityParams, curvature_map
+from .sensitivity import SensitivityParams, curvature_map, g_eval
 from .synthesis import SynthesisParams, correspondence_sets, synthesize_view
 
 SETUPS = ("rfc", "rps1", "rps2", "arps")
@@ -123,6 +122,16 @@ class ExperimentConfig:
                 else self.packets_depth)
         return min(want, n_mb)          # tiny frames: fewer packets than MBs
 
+    def loss_trace(self, seed: int, rate: float) -> LossTrace:
+        """The iid loss trace of one (rate, seed) pair over the scene's
+        packet schedule; frame 0 is never lost when protect_first_frame."""
+        n_mb = (self.scene.height // 16) * (self.scene.width // 16)
+        schedule = build_schedule(self.scene.frame_count,
+                                  self.packets_for(Component.TEXTURE, n_mb),
+                                  self.packets_for(Component.DEPTH, n_mb))
+        protected = frozenset({0}) if self.protect_first_frame else frozenset()
+        return make_iid_trace(seed, rate, schedule, protected)
+
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
@@ -172,7 +181,6 @@ class EncodedStream:
     lambdas: list[float]
     in_band: list[bool]
     infeasible: list[bool]
-    targets: list[float]
 
 
 def _plane_lists(left: list[ViewFrame], right: list[ViewFrame]
@@ -289,20 +297,19 @@ class EncoderState:
                 orig[key], refs, cfg.codec_config(key[1]),
                 trackers[key], t, self.innovation(key, t))
         cols, valid, caps, members = {}, {}, {}, {}
-        if self.mode == "reactive":
-            # no channel term, only references free of known taint
-            for key in PLANE_ORDER:
-                cols[key] = np.zeros_like(pcs[key].chan)
-                valid[key] = trackers[key].valid_candidates(pcs[key])
-        elif self.mode == "independent":
-            for key in PLANE_ORDER:
-                cols[key] = (texture_channel_columns(pcs[key], "independent")
-                             if key[1] == Component.TEXTURE else
-                             depth_channel_columns(pcs[key], "independent",
-                                                   self.curvature(key[0], t - 1)))
-        else:
-            for v in (0, 1):
-                o, tex, dep = 1 - v, (v, Component.TEXTURE), (v, Component.DEPTH)
+        for v in (0, 1):
+            tex, dep = (v, Component.TEXTURE), (v, Component.DEPTH)
+            if self.mode == "reactive":
+                # no channel term, only references free of known taint
+                for key in (tex, dep):
+                    cols[key] = np.zeros_like(pcs[key].chan)
+                    valid[key] = trackers[key].valid_candidates(pcs[key])
+                continue
+            curv = self.curvature(v, t - 1)
+            cols[tex] = pcs[tex].chan
+            cols[dep] = g_eval(curv[:, None], pcs[dep].chan)
+            if self.mode == "cross":
+                o = 1 - v
                 corr = correspondence_sets(recon[tex][t - 1], recon[dep][t - 1],
                                            v, cfg.eta)
                 # state t-1 meets the map of reconstruction t-2 (0 at t=1):
@@ -313,15 +320,13 @@ class EncoderState:
                 caps[v] = opposing_cap(corr, opp_err, opp_pen,
                                        self.innovation(tex, t))
                 members[v] = corr.member
+                # two steps: texture against the depth error-minimizer, then
+                # depth against the texture's
                 _, tex_val = step1_minimum(pcs[tex])
                 _, dep_val = step1_minimum(pcs[dep])
-                curv = self.curvature(v, t - 1)
-                cols[tex] = texture_channel_columns(
-                    pcs[tex], "cross", member=corr.member,
-                    penalty_fixed=g_eval(curv, dep_val), cap=caps[v])
-                cols[dep] = depth_channel_columns(
-                    pcs[dep], "cross", curv, member=corr.member,
-                    error_fixed=tex_val, cap=caps[v])
+                cols[tex] = cross_cap(cols[tex], g_eval(curv, dep_val),
+                                      caps[v], corr.member)
+                cols[dep] = cross_cap(cols[dep], tex_val, caps[v], corr.member)
         return FramePlan(orig=orig, pcs=pcs, cols=cols, valid=valid,
                          caps=caps, members=members)
 
@@ -365,7 +370,7 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     state = EncoderState(cfg, orig, mode, trace)
     out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
                         bits_per_frame=[], lambdas=[], in_band=[],
-                        infeasible=[], targets=[])
+                        infeasible=[])
     lam = cfg.base_lambda
     for t in range(len(orig[(0, Component.TEXTURE)])):
         state.learn(t)
@@ -382,8 +387,6 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
         out.lambdas.append(lam)
         out.in_band.append(bool(band_ok))
         out.infeasible.append(bool(infeas))
-        # without a budget the frame's own spend is its target
-        out.targets.append(float(bits_t) if target is None else target)
     return out
 
 
@@ -440,9 +443,12 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
 def synthesize_sequence(cfg: ExperimentConfig, dec: DecodedStream,
                         blend: str, truth: list[FramePlane]
                         ) -> tuple[list[np.ndarray], list[float]]:
-    """Synthesize the middle view per frame and score against ground truth."""
+    """Synthesize the middle view per frame and score against ground truth;
+    an "adaptive" blend weighs the views by their tracked errors."""
+    if blend not in ("standard", "adaptive"):
+        raise HarnessError(f"unknown blend {blend!r}")
     params = SynthesisParams(position=cfg.position, eta=cfg.eta,
-                             reliability_c=cfg.reliability_c, mode=blend)
+                             reliability_c=cfg.reliability_c)
     planes = []
     scores = []
     T = len(dec.planes[(0, Component.TEXTURE)])
@@ -473,7 +479,6 @@ class CellResult:
     frame_psnr: list[float]         # as written to disk (6 decimals)
     frame_bits: list[int]
     frame_lost_packets: list[int]
-    lambdas: list[float]
     in_band: list[bool]
     infeasible: list[bool]
 
@@ -613,12 +618,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     left, right, truth = generate_synthetic_stereo(cfg.scene)
     orig = _plane_lists(left, right)
-    n_mb = (cfg.scene.height // 16) * (cfg.scene.width // 16)
-    schedule = build_schedule(
-        cfg.scene.frame_count,
-        cfg.packets_for(Component.TEXTURE, n_mb),
-        cfg.packets_for(Component.DEPTH, n_mb))
-    protected = frozenset({0}) if cfg.protect_first_frame else frozenset()
 
     # baseline first: its spend is the matched-rate target for the others
     ordered = [s for s in SETUPS if s in cfg.setups]
@@ -627,7 +626,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     for rate in cfg.loss_rates:
         for seed in cfg.seeds:
-            trace = make_iid_trace(seed, rate, schedule, protected)
+            trace = cfg.loss_trace(seed, rate)
             pair_dir = root / f"rate_{_fmt(rate)}" / f"seed_{seed}"
             pair_dir.mkdir(parents=True, exist_ok=True)
             save_trace(pair_dir / "trace.txt", trace)
@@ -644,7 +643,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     frame_psnr=[float(_fmt(s)) for s in scores],
                     frame_bits=list(stream.bits_per_frame),
                     frame_lost_packets=list(dec.lost_packets),
-                    lambdas=list(stream.lambdas),
                     in_band=list(stream.in_band),
                     infeasible=list(stream.infeasible))
                 report.cells.append(cell)

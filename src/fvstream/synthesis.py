@@ -6,10 +6,10 @@ round(Y*(1-v)*eta).  Colliding pixels resolve by larger disparity (nearer
 object), then smaller source column.  Uncovered pixels are holes, filled by
 horizontal propagation from the background side.
 
-Blending is either distance-weighted (1-v, v) or additionally modulated by
-per-pixel reliability derived from worst-case distortion bounds of both
-contributions.  With equal reliabilities the adaptive path reproduces the
-distance-weighted result bit for bit.
+One blend weights the two contributions by distance (1-v, v) modulated by
+per-pixel reliabilities derived from worst-case distortion bounds of both.
+Where the reliabilities are equal, as they are everywhere when no tracked
+errors are given, it is the distance-weighted blend bit for bit.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import MB_SIZE
-
-BLEND_MODES = ("standard", "adaptive")
 
 
 class SynthesisError(ValueError):
@@ -31,7 +29,6 @@ class SynthesisParams:
     position: float = 0.5       # virtual view position v in [0, 1]
     eta: float = 1.0            # pixel shift per disparity level at full baseline
     reliability_c: float = 1.0  # additive constant keeping weights finite
-    mode: str = "standard"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.position <= 1.0:
@@ -40,8 +37,6 @@ class SynthesisParams:
             raise SynthesisError("eta must be positive")
         if self.reliability_c <= 0:
             raise SynthesisError("reliability_c must be positive")
-        if self.mode not in BLEND_MODES:
-            raise SynthesisError(f"mode must be one of {BLEND_MODES}")
 
 
 def shift_factor(source_view: int, position: float, eta: float) -> float:
@@ -126,21 +121,6 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def blend_standard(left: WarpedView, right: WarpedView, position: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Distance-weighted blend; returns (plane, hole mask)."""
-    v = position
-    x0 = left.value.astype(np.float64)
-    x1 = right.value.astype(np.float64)
-    both = left.covered & right.covered
-    mixed = _round_half_up((1.0 - v) * x0 + v * x1)
-    plane = np.where(both, mixed,
-                     np.where(left.covered, x0,
-                              np.where(right.covered, x1, 0.0)))
-    holes = ~(left.covered | right.covered)
-    return plane.astype(np.uint8), holes
-
-
 def reliability_weights(d0, d1, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized per-pixel reliabilities from worst-case distortions."""
     d0 = np.asarray(d0, dtype=np.float64)
@@ -152,17 +132,16 @@ def reliability_weights(d0, d1, c: float) -> tuple[np.ndarray, np.ndarray]:
     return raw0 / s, raw1 / s
 
 
-def blend_adaptive(left: WarpedView, right: WarpedView, position: float,
-                   d0_target: np.ndarray, d1_target: np.ndarray,
-                   reliability_c: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reliability-modulated blend.
+def blend(left: WarpedView, right: WarpedView, position: float,
+          d0_target, d1_target, reliability_c: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reliability-modulated, distance-weighted blend.
 
-    d0_target / d1_target are the per-target-pixel worst-case distortions of
-    the two contributions.  Returns (plane, holes, r0, r1).  Where the two
-    reliabilities are exactly equal the distance-weighted value is used
-    unchanged, which keeps the zero-error case bit-identical to
-    blend_standard.
+    d0_target / d1_target are the per-target-pixel (or scalar) worst-case
+    distortions of the two contributions.  Returns (plane, holes, r0, r1).
+    Where the two reliabilities are exactly equal the distance-weighted
+    value is used unchanged, so equal distortions give the plain
+    distance-weighted blend bit for bit.
     """
     v = position
     x0 = left.value.astype(np.float64)
@@ -243,23 +222,24 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
     """Full synthesis of the virtual view from two decoded views.
 
     left_errors / right_errors are per-MB (texture error, disparity error)
-    pairs from receiver-side tracking, required for adaptive blending.
+    pairs from receiver-side tracking, given for both views or neither.
+    Without them both contributions count as equally reliable.
     """
+    if (left_errors is None) != (right_errors is None):
+        raise SynthesisError("tracked errors must be given for both views "
+                             "or neither")
     wl = warp_view(left_texture, left_disparity, 0, params.position, params.eta)
     wr = warp_view(right_texture, right_disparity, 1, params.position, params.eta)
-    if params.mode == "adaptive":
-        if left_errors is None or right_errors is None:
-            raise SynthesisError("adaptive blending needs tracked errors for both views")
+    d0_t = d1_t = 0.0
+    if left_errors is not None:
         d0_src = worst_case_distortion_map(left_texture, left_errors[0], left_errors[1],
                                            shift_factor(0, params.position, params.eta))
         d1_src = worst_case_distortion_map(right_texture, right_errors[0], right_errors[1],
                                            shift_factor(1, params.position, params.eta))
         d0_t = gather_at_targets(d0_src, wl)
         d1_t = gather_at_targets(d1_src, wr)
-        plane, holes, _, _ = blend_adaptive(wl, wr, params.position, d0_t, d1_t,
-                                            params.reliability_c)
-    else:
-        plane, holes = blend_standard(wl, wr, params.position)
+    plane, holes, _, _ = blend(wl, wr, params.position, d0_t, d1_t,
+                               params.reliability_c)
     disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
                           np.where(wr.covered, wr.disparity, 0))
     filled = fill_holes(plane, holes, disp_ctx)

@@ -430,6 +430,24 @@ def brute_warp(texture, disparity, view: int, position: float, eta: float):
     return covered, value, out_disp, src_col
 
 
+def _round_half_up(x):
+    return np.floor(x + 0.5)
+
+
+def blend_standard(left, right, position: float):
+    """Distance-weighted blend; returns (plane, hole mask)."""
+    v = position
+    x0 = left.value.astype(np.float64)
+    x1 = right.value.astype(np.float64)
+    both = left.covered & right.covered
+    mixed = _round_half_up((1.0 - v) * x0 + v * x1)
+    plane = np.where(both, mixed,
+                     np.where(left.covered, x0,
+                              np.where(right.covered, x1, 0.0)))
+    holes = ~(left.covered | right.covered)
+    return plane.astype(np.uint8), holes
+
+
 def fraction_weights(d0, d1, c):
     """Exact normalized reliability pair."""
     d0, d1, c = Fraction(d0), Fraction(d1), Fraction(c)

@@ -16,13 +16,12 @@ from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.codec import CodecConfig, build_inter_candidates
 from fvstream.errortrack import ExpectedErrorTracker, innovation_term
 from fvstream.frames import MB_SIZE, mse
-from fvstream.optimizer import (PlaneCandidates, depth_channel_columns,
-                                select_plane, texture_channel_columns)
+from fvstream.optimizer import PlaneCandidates, cross_cap, select_plane
 from fvstream.pipeline import (SETUP_MODES, ExperimentConfig, decode_stream,
                                encode_stream, run_experiment,
                                synthesize_sequence)
 from fvstream.scenegen import generate_synthetic_stereo
-from fvstream.sensitivity import SensitivityParams, curvature_map
+from fvstream.sensitivity import SensitivityParams, curvature_map, g_eval
 from fvstream.synthesis import SynthesisParams, synthesize_view
 
 import oracles
@@ -195,12 +194,10 @@ def test_criterion_5_selection_matches_enumeration():
         texture = rng.random() < 0.5
         if mode == "reactive":      # the baseline charges no channel term
             cols = np.zeros((n_mb, n_cand))
-        elif texture:
-            cols = texture_channel_columns(pc, mode, member=member,
-                                           penalty_fixed=pen, cap=cap)
-        else:
-            cols = depth_channel_columns(pc, mode, curv, member=member,
-                                         error_fixed=efix, cap=cap)
+        else:                       # the columns EncoderState.plan builds
+            cols = chan if texture else g_eval(curv[:, None], chan)
+            if mode == "cross":
+                cols = cross_cap(cols, pen if texture else efix, cap, member)
         valid = rng.random((n_mb, n_cand)) < 0.85
         valid[:, -1] = True
         lam = float(10.0 ** rng.uniform(-4, 1))
@@ -225,10 +222,10 @@ def test_criterion_6_blending_invariants(scene64, side_scene):
         lt, rt = scene64.left[t], scene64.right[t]
         std = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               rt.texture.samples, rt.disparity.samples,
-                              SynthesisParams(mode="standard"))
+                              SynthesisParams())
         ada = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               rt.texture.samples, rt.disparity.samples,
-                              SynthesisParams(mode="adaptive"),
+                              SynthesisParams(),
                               left_errors=(zeros, zeros),
                               right_errors=(zeros, zeros))
         if not np.array_equal(std.plane, ada.plane):
@@ -248,10 +245,10 @@ def test_criterion_6_blending_invariants(scene64, side_scene):
         bad = bad.astype(np.uint8)
         std = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               bad, rt.disparity.samples,
-                              SynthesisParams(mode="standard"))
+                              SynthesisParams())
         ada = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               bad, rt.disparity.samples,
-                              SynthesisParams(mode="adaptive"),
+                              SynthesisParams(),
                               left_errors=le_err,
                               right_errors=(tex_err, np.zeros(n_mb)))
         diffs.append(mse(std.plane, truth) - mse(ada.plane, truth))

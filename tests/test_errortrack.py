@@ -3,17 +3,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvstream.channel import Component, lost_mb_mask
-from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CodecError,
-                            EncodedPlane, parse_stream, predictor_blocks)
+from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CandidateSet,
+                            CodecError, EncodedPlane, parse_stream,
+                            predictor_blocks)
 from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
-                                 TrackingError, candidate_expected_errors,
-                                 cross_view_states, estimate_delta_history,
-                                 footprint_state_sum,
-                                 innovation_term, propagate_received)
+                                 TrackingError, cross_view_states,
+                                 estimate_delta_history, expected_errors,
+                                 footprint_state_sum, innovation_term)
 from fvstream.pipeline import decode_stream
 from fvstream.synthesis import warp_view
 
@@ -121,63 +121,104 @@ class TestFootprint:
             assert got[m] == pytest.approx(want, abs=1e-12)
 
 
+def columns(*cols):
+    """(n_mb, k) decisions from k per-block columns."""
+    return np.stack([np.asarray(c) for c in cols], axis=1)
+
+
 class TestPropagation:
     @pytest.mark.example
     def test_weighted_inheritance_with_decay(self):
-        # footprints 0.75/0.25 over errors (8, 0) at gamma 0.9 -> 5.4
-        states = np.array([[8.0, 0.0]])
-        got = propagate_received(states, np.array([MODE_INTER, MODE_SKIP]),
-                                 np.array([1, 1]),
-                                 np.array([[-4, 0], [0, 0]]),
-                                 0.9, (1, 2))
+        # footprints 0.75/0.25 over errors (8, 0) at gamma 0.9 -> 5.4; with
+        # certain delivery the step is e_plus alone
+        modes, ref = columns([MODE_INTER, MODE_SKIP]), columns([1, 1])
+        got = expected_errors([np.array([8.0, 0.0])], 1, modes, ref,
+                              np.array([[[-4, 0]], [[0, 0]]]), np.zeros(2),
+                              1.0, 0.9, (1, 2))[:, 0]
         assert got[0] == pytest.approx(5.4, rel=1e-12)
         assert got[1] == pytest.approx(0.9 * 0.0, abs=1e-15)
 
     def test_intra_resets_and_ignores_its_wire_slot(self):
         # the intra mv slot carries a base level, never a displacement
-        states = np.array([[50.0, 50.0]])
-        got = propagate_received(states, np.array([MODE_INTRA, MODE_SKIP]),
-                                 np.array([0, 1]),
-                                 np.array([[217, 0], [0, 0]]),
-                                 0.9, (1, 2))
+        modes, ref = columns([MODE_INTRA, MODE_SKIP]), columns([0, 1])
+        got = expected_errors([np.array([50.0, 50.0])], 1, modes, ref,
+                              np.array([[[217, 0]], [[0, 0]]]), np.zeros(2),
+                              1.0, 0.9, (1, 2))[:, 0]
         assert got[0] == 0.0
         assert got[1] == pytest.approx(45.0)
 
     @pytest.mark.example
     def test_candidate_blend(self):
-        # e_plus 5.4, e_minus 5.4 + 2 = 7.4, p 0.95 -> 5.5
-        ref_states = np.array([[8.0, 0.0]])
-        prev = np.array([5.4, 0.0])
-        delta = np.array([2.0, 0.0])
+        # e_plus 5.4 from the state two frames back, e_minus 5.4 + 2 = 7.4
+        # from the last one, p 0.95 -> 5.5
+        states = [np.array([8.0, 0.0]), np.array([5.4, 0.0])]
         mv = np.zeros((2, 2, 2), dtype=np.int64)
         mv[0, 0] = (-4, 0)
-        got = candidate_expected_errors(ref_states, prev, delta, 0.95, 0.9,
-                                        np.array([MODE_INTER, MODE_INTER]),
-                                        np.array([1, 1]), mv, (1, 2))
+        modes = np.full((2, 2), MODE_INTER)
+        got = expected_errors(states, 2, modes, np.full((2, 2), 2), mv,
+                              np.array([2.0, 0.0]), 0.95, 0.9, (1, 2))
         assert got[0, 0] == pytest.approx(0.95 * 5.4 + 0.05 * 7.4, rel=1e-12)
         assert got[0, 0] == pytest.approx(5.5, rel=1e-12)
 
     def test_intra_candidate_column(self):
-        ref_states = np.array([[8.0, 0.0]])
         prev = np.array([5.4, 1.0])
         delta = np.array([2.0, 1.0])
         mv = np.zeros((2, 1, 2), dtype=np.int64)
-        got = candidate_expected_errors(ref_states, prev, delta, 0.95, 0.9,
-                                        np.array([MODE_INTRA]), np.array([0]),
-                                        mv, (1, 2))
+        got = expected_errors([prev], 1, columns([MODE_INTRA] * 2),
+                              columns([0, 0]), mv, delta, 0.95, 0.9, (1, 2))
         want = (1.0 - 0.95) * (prev + delta)
         assert np.allclose(got[:, 0], want, atol=1e-15)
         assert got[0, 0] == pytest.approx(0.05 * 7.4, rel=1e-12)
 
     def test_full_delivery_leaves_no_concealment_term(self):
-        prev = np.array([4.0, 9.0])
         mv = np.zeros((2, 1, 2), dtype=np.int64)
         mv[:, 0, 0] = 150                   # a base level, not a displacement
-        got = candidate_expected_errors(np.zeros((1, 2)), prev,
-                                        np.array([1.0, 2.0]), 1.0, 0.9,
-                                        np.array([MODE_INTRA]), np.array([0]),
-                                        mv, (1, 2))
+        got = expected_errors([np.array([4.0, 9.0])], 1,
+                              columns([MODE_INTRA] * 2), columns([0, 0]), mv,
+                              np.array([1.0, 2.0]), 1.0, 0.9, (1, 2))
         assert (got == 0.0).all()
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40)
+    def test_candidate_columns_equal_single_decision_steps(self, seed):
+        # k decisions at once give, column by column, what k single-decision
+        # steps give: the candidates and the tracker share one step
+        rng = np.random.default_rng(seed)
+        grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        n_mb, t = grid[0] * grid[1], int(rng.integers(1, 5))
+        frames = random_decisions(rng, grid, t + 4)
+        states = [rng.uniform(0, 20, n_mb) for _ in range(t)]
+        cols = [frames[int(f)] for f in rng.integers(1, t + 4, 5)]
+        modes = columns(*(c[0] for c in cols))
+        # any reference distance up to 3, frames before 0 included
+        ref = np.where(modes == MODE_INTRA, 0, rng.integers(1, 4, modes.shape))
+        mv = np.stack([c[2] for c in cols], axis=1)
+        delta = rng.uniform(0, 6, n_mb)
+        p = rng.uniform(0, 1, (n_mb, 1)) if rng.random() < 0.5 else 0.9
+        got = expected_errors(states, t, modes, ref, mv, delta, p, 0.9, grid)
+        for k in range(modes.shape[1]):
+            one = expected_errors(states, t, modes[:, k:k + 1],
+                                  ref[:, k:k + 1], mv[:, k:k + 1], delta, p,
+                                  0.9, grid)
+            assert np.array_equal(got[:, k:k + 1], one)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40)
+    def test_single_decision_steps_follow_the_replayed_recursion(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        n_mb = grid[0] * grid[1]
+        frames = random_decisions(rng, grid, int(rng.integers(1, 7)))
+        probs = [np.where(rng.random(n_mb) < 0.5, rng.random(n_mb),
+                          rng.random(n_mb) < 0.8) for _ in frames]
+        states = []
+        for t, (modes, ref_dist, mv, delta) in enumerate(frames):
+            states.append(expected_errors(
+                states, t, modes[:, None], ref_dist[:, None], mv[:, None],
+                delta, probs[t][:, None], 0.8, grid)[:, 0])
+        want = oracles.replay_recursion(frames, probs, 0.8, grid)
+        for t in range(len(frames)):
+            assert np.allclose(states[t], want[t], rtol=1e-12, atol=1e-12)
 
 
 class TestInnovation:
@@ -248,13 +289,25 @@ class TestExpectedErrorTracker:
             assert (tr.state(t) == 0.0).all()
 
     def test_reference_states_pad_with_zeros(self):
+        # at frame 1 a candidate three frames back reads an all-zero state,
+        # one frame back the tracked one
         tr = ExpectedErrorTracker((1, 1), 0.9, gamma=0.9)
         tr.push_frame(np.array([MODE_INTRA]), np.array([0]),
                       np.array([[128, 0]]), np.array([3.0]))
-        refs = tr.reference_states(1, 3)
-        assert refs.shape == (3, 1)
-        assert refs[0, 0] == tr.state(0)[0]
-        assert refs[1, 0] == 0.0 and refs[2, 0] == 0.0
+        cset = CandidateSet(
+            mode_col=np.array([MODE_SKIP, MODE_SKIP, MODE_INTRA],
+                              dtype=np.uint8),
+            ref_col=np.array([1, 3, 0], dtype=np.int16),
+            mv=np.zeros((1, 3, 2), dtype=np.int16),
+            bits=np.ones((1, 3), dtype=np.int64), distortion=np.zeros((1, 3)),
+            recon=np.zeros((1, 3, 16, 16), dtype=np.uint8),
+            coeffs=np.zeros((1, 3, 16, 16), dtype=np.int32), quant_step=10)
+        chan = tr.candidate_errors(1, cset, np.zeros(1))
+        e_minus = (1.0 - 0.9) * tr.state(0)[0]
+        assert tr.state(0)[0] == pytest.approx(0.3)
+        assert chan[0, 0] == 0.9 * (0.9 * tr.state(0)[0]) + e_minus
+        assert chan[0, 1] == 0.9 * 0.0 + e_minus
+        assert chan[0, 2] == e_minus
 
     def test_rejects_bad_parameters_and_unknown_frames(self):
         with pytest.raises(TrackingError):

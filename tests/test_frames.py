@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvstream import (FramePlane, PlaneError, ViewFrame, load_pgm, mse, psnr,
@@ -110,3 +110,30 @@ class TestPlaneIO:
         path.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
         with pytest.raises(PlaneError):
             load_pgm(path)
+
+    @pytest.mark.parametrize("size,message", [
+        (b"-16 -16", "signed PGM width"), (b"-16 16", "signed PGM width"),
+        (b"16 +16", "signed PGM height"), (b"1_6 16", "bad PGM width"),
+        (b"16 \xd9\xa1\xd9\xa6", "bad PGM height")])
+    def test_pgm_sizes_are_unsigned_ascii_digits(self, tmp_path, size,
+                                                 message):
+        # int() would take the sign, the underscore and Arabic-Indic digits
+        path = tmp_path / "s.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(256))
+        with pytest.raises(PlaneError, match=message):
+            load_pgm(path)
+
+    @given(st.sampled_from([b"P5\n", b"P5 ", b""]),
+           st.text("P5 +-_0123456789#\n\tx", max_size=20),
+           st.integers(0, 1100))
+    @example(b"P5\n", "-16 -16\n255\n", 256)
+    def test_any_pgm_file_loads_or_raises_plane_error(self, tmp_path_factory,
+                                                      magic, header, size):
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path.write_bytes(magic + header.encode("ascii") + bytes(size))
+        try:
+            got = load_pgm(path)
+        except PlaneError:
+            return
+        assert got.samples.dtype == np.uint8
+        assert got.height % 16 == 0 and got.width % 16 == 0

@@ -10,15 +10,14 @@ from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, PLANE_ORDER,
                             CandidateSet, CodecConfig, build_inter_candidates,
                             build_intra_candidates, decode_plane)
-from fvstream.errortrack import (ExpectedErrorTracker,
-                                 candidate_expected_errors, innovation_term)
-from fvstream.optimizer import (OptimizerError, PlaneCandidates, ReactiveTaint,
-                                build_plane_candidates, depth_channel_columns,
-                                opposing_cap,
-                                select_plane, step1_minimum,
-                                texture_channel_columns, tune_to_band)
+from fvstream.errortrack import (ExpectedErrorTracker, expected_errors,
+                                 innovation_term)
+from fvstream.optimizer import (PlaneCandidates, ReactiveTaint,
+                                build_plane_candidates, cross_cap,
+                                opposing_cap, select_plane, step1_minimum,
+                                tune_to_band)
 from fvstream import pipeline
-from fvstream.pipeline import ExperimentConfig, encode_stream
+from fvstream.pipeline import ExperimentConfig, HarnessError, encode_stream
 from fvstream.sensitivity import g_eval
 from fvstream.synthesis import CorrespondenceSets
 
@@ -79,61 +78,70 @@ def drifting_planes(seed, n_frames=4, h=32, w=32):
     return frames
 
 
-class TestChannelColumns:
-    def setup_method(self):
-        self.pc = crafted_candidates(chan=[[5.5, 2.0, 0.8], [1.0, 4.0, 0.2]])
+def channel_columns(chan, mode, curvature=None, member=None, fixed=None,
+                    cap=None):
+    """A plane's channel columns as EncoderState.plan builds them: texture
+    when curvature is None, depth otherwise."""
+    cols = (np.asarray(chan) if curvature is None
+            else g_eval(np.asarray(curvature)[:, None], chan))
+    return cols if mode == "independent" else cross_cap(cols, fixed, cap,
+                                                        member)
 
-    def test_independent_texture_is_the_expected_error(self):
-        cols = texture_channel_columns(self.pc, "independent")
-        assert cols.tolist() == [[5.5, 2.0, 0.8], [1.0, 4.0, 0.2]]
+
+class TestChannelColumns:
+    CHAN = [[5.5, 2.0, 0.8], [1.0, 4.0, 0.2]]
+
+    def test_independent_texture_is_the_expected_error(self, replay_setup):
+        # the plan hands the candidates' expected errors on unchanged
+        cfg, orig, trace = replay_setup
+        state = pipeline.EncoderState(cfg, orig, "independent", trace)
+        stream = encode_stream(cfg, orig, "independent", trace)
+        for t in range(3):
+            state.learn(t)
+            if t:
+                plan = state.plan(t)
+                for v in (0, 1):
+                    key = (v, Component.TEXTURE)
+                    assert np.array_equal(plan.cols[key], plan.pcs[key].chan)
+            state.commit(t, stream.frames[t],
+                         {key: stream.recon[key][t] for key in PLANE_ORDER})
 
     @pytest.mark.example
     def test_independent_depth_applies_the_quadratic_penalty(self):
         # curvature 2 and expected disparity error 3 cost 9
-        pc = crafted_candidates(chan=[[3.0, 0.0]])
-        cols = depth_channel_columns(pc, "independent", np.array([2.0]))
+        cols = channel_columns([[3.0, 0.0]], "independent", [2.0])
         assert cols[0].tolist() == [9.0, 0.0]
 
     @pytest.mark.example
     def test_cross_texture_adds_the_fixed_depth_penalty_then_caps(self):
         # 5.5 + g(2, 3) = 14.5, capped at 12 when the opposing view is better
-        pc = crafted_candidates(chan=[[5.5, 20.0]])
+        chan = np.array([[5.5, 20.0]])
         gfix = np.array([g_eval(2.0, 3.0)])
         member = np.array([True])
-        tight = texture_channel_columns(pc, "cross", member=member,
-                                        penalty_fixed=gfix,
-                                        cap=np.array([12.0]))
-        loose = texture_channel_columns(pc, "cross", member=member,
-                                        penalty_fixed=gfix,
-                                        cap=np.array([100.0]))
+        tight = cross_cap(chan, gfix, np.array([12.0]), member)
+        loose = cross_cap(chan, gfix, np.array([100.0]), member)
         assert tight[0].tolist() == [12.0, 12.0]
         assert loose[0].tolist() == [14.5, 29.0]
 
     def test_cross_leaves_nonmembers_untouched(self):
-        member = np.array([False, True])
-        cols = texture_channel_columns(self.pc, "cross", member=member,
-                                       penalty_fixed=np.array([50.0, 0.5]),
-                                       cap=np.array([np.inf, 2.2]))
+        cols = cross_cap(np.array(self.CHAN), np.array([50.0, 0.5]),
+                         np.array([np.inf, 2.2]), np.array([False, True]))
         assert cols[0].tolist() == [5.5, 2.0, 0.8]
         assert cols[1].tolist() == [1.5, 2.2, 0.7]
 
     def test_cross_depth_swaps_in_the_fixed_texture_error(self):
-        pc = crafted_candidates(chan=[[1.0, 2.0, 0.0]])
-        cols = depth_channel_columns(pc, "cross", np.array([2.0]),
-                                     member=np.array([True]),
-                                     error_fixed=np.array([3.0]),
-                                     cap=np.array([6.5]))
+        cols = channel_columns([[1.0, 2.0, 0.0]], "cross", [2.0],
+                               member=np.array([True]),
+                               fixed=np.array([3.0]), cap=np.array([6.5]))
         # 3 + g(2, eps): eps 1 -> 4, eps 2 -> 7 capped, eps 0 -> 3
         assert cols[0].tolist() == [4.0, 6.5, 3.0]
 
-    def test_unknown_mode_is_rejected(self):
-        with pytest.raises(OptimizerError):
-            texture_channel_columns(self.pc, "both")
-        with pytest.raises(OptimizerError):
-            depth_channel_columns(self.pc, "both", np.zeros(2))
-        # the reactive baseline charges no channel term and builds no columns
-        with pytest.raises(OptimizerError):
-            texture_channel_columns(self.pc, "reactive")
+    def test_unknown_mode_is_rejected(self, replay_setup):
+        # the selection mode is decided in one place, the encoder's state
+        cfg, orig, trace = replay_setup
+        for mode in ("both", "standard", "Cross"):
+            with pytest.raises(HarnessError):
+                pipeline.EncoderState(cfg, orig, mode, trace)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(["independent", "cross"]))
     @settings(max_examples=40)
@@ -143,21 +151,18 @@ class TestChannelColumns:
         chan = np.empty((n_mb, n_cand + 1))
         chan[:, :-1] = rng.uniform(0, 30, (n_mb, n_cand))
         chan[:, -1] = rng.uniform(0, 10, n_mb)
-        pc = crafted_candidates(chan=chan)
         member = rng.random(n_mb) < 0.5
         pen = rng.uniform(0, 8, n_mb)
         cap = np.where(member, rng.uniform(0, 40, n_mb), np.inf)
         curv = rng.uniform(0, 5, n_mb)
         efix = rng.uniform(0, 20, n_mb)
-        tex = texture_channel_columns(pc, mode, member=member,
-                                      penalty_fixed=pen, cap=cap)
-        want_t = oracles.oracle_texture_columns(pc.chan, mode, member, pen,
-                                                cap)
+        tex = channel_columns(chan, mode, member=member, fixed=pen, cap=cap)
+        want_t = oracles.oracle_texture_columns(chan, mode, member, pen, cap)
         assert np.array_equal(tex, np.asarray(want_t))
-        dep = depth_channel_columns(pc, mode, curv, member=member,
-                                    error_fixed=efix, cap=cap)
-        want_d = oracles.oracle_depth_columns(pc.chan, mode, curv, member,
-                                              efix, cap)
+        dep = channel_columns(chan, mode, curv, member=member, fixed=efix,
+                              cap=cap)
+        want_d = oracles.oracle_depth_columns(chan, mode, curv, member, efix,
+                                              cap)
         assert np.array_equal(dep, np.asarray(want_d))
 
 
@@ -208,7 +213,7 @@ class TestSelectPlane:
     def _pick(self, lam, chan=(5.0, 3.0), dist=(4.0, 2.0), bits=(10, 20)):
         pc = crafted_candidates(chan=[[*chan, 7.0]], distortion=[list(dist)],
                                 bits=[list(bits)])
-        cols = texture_channel_columns(pc, "independent")
+        cols = pc.chan
         valid = np.array([[True, True, False]])     # keep the arithmetic crafted
         return select_plane(self.ORIG, pc, cols, lam, valid=valid)
 
@@ -234,7 +239,7 @@ class TestSelectPlane:
 
     def test_all_motion_disabled_forces_intra(self):
         pc = crafted_candidates(chan=[[0.0, 0.0, 0.0]])
-        cols = texture_channel_columns(pc, "independent")
+        cols = pc.chan
         valid = np.array([[False, False, True]])
         sel = select_plane(self.ORIG, pc, cols, 0.01, valid=valid)
         assert sel.chosen_col[0] == 2
@@ -248,7 +253,7 @@ class TestSelectPlane:
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((cset.n_mb, cset.n_candidates)))
-        cols = texture_channel_columns(pc, "independent")
+        cols = pc.chan
         heavy = select_plane(frames[3], pc, cols, 1.0e12)
         assert np.array_equal(heavy.bits, cset.bits.min(axis=1))
         light = select_plane(frames[3], pc, cols, 0.0)
@@ -260,7 +265,7 @@ class TestSelectPlane:
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
         pc = PlaneCandidates(cset=cset,
                              chan=np.zeros((cset.n_mb, cset.n_candidates)))
-        cols = texture_channel_columns(pc, "independent")
+        cols = pc.chan
         lams = [0.0, 0.002, 0.01, 0.05, 0.25, 1.0, 10.0, 1.0e6]
         totals = [select_plane(frames[3], pc, cols, lam).total_bits
                   for lam in lams]
@@ -278,7 +283,7 @@ class TestSelectPlane:
         chan[:, :-1] = rng.uniform(0, 20, (n_mb, n_cand - 1))
         chan[:, -1] = rng.uniform(0, 20, n_mb)
         pc = PlaneCandidates(cset=cset, chan=chan)
-        cols = texture_channel_columns(pc, "independent")
+        cols = pc.chan
         valid = rng.random((n_mb, n_cand)) < 0.8
         valid[:, -1] = True                 # INTRA stays available
         lam = float(rng.uniform(0.0, 0.1))
@@ -298,7 +303,7 @@ class TestSelectPlane:
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=2)
         delta = innovation_term(frames[1], frames[0])
         pc = build_plane_candidates(frames[1], [frames[0]], cfg, tr, 1, delta)
-        assert (texture_channel_columns(pc, "independent") == 0.0).all()
+        assert (pc.chan == 0.0).all()
 
     @pytest.mark.parametrize("step", [2, 10])
     def test_plane_is_labelled_with_its_build_step(self, step):
@@ -312,7 +317,7 @@ class TestSelectPlane:
         pc = build_plane_candidates(frames[1], [rec0], cfg, tr, 1,
                                     innovation_term(frames[1], rec0))
         sel = select_plane(frames[1], pc,
-                           texture_channel_columns(pc, "independent"), 0.01)
+                           pc.chan, 0.01)
         assert pc.cset.quant_step == step
         assert sel.enc.quant_step == step
         # a loss-free decode rebuilds exactly what the encoder reconstructed
@@ -376,11 +381,7 @@ class TestReactiveTaint:
             recon=np.zeros((2, 4, 16, 16), dtype=np.uint8),
             coeffs=np.zeros((2, 4, 16, 16), dtype=np.int32), quant_step=10)
         # what build_plane_candidates charges against the taint at frame 2
-        zeros = np.zeros(2)
-        chan = candidate_expected_errors(rt.reference_states(2, 1), rt.state(1),
-                                         zeros, rt.p_plan, rt.gamma,
-                                         cset.mode_col, cset.ref_col, cset.mv,
-                                         rt.grid)
+        chan = rt.candidate_errors(2, cset, np.zeros(2))
         assert chan[:, -1].tolist() == [0.0, 0.0]
         valid = rt.valid_candidates(PlaneCandidates(cset=cset, chan=chan))
         # block 0 sits on the lost region: no reference escapes it
@@ -403,13 +404,12 @@ class TestReactiveTaint:
                 for key in PLANE_ORDER:
                     pc, rt = plan.pcs[key], state.trackers[key]
                     lattice = rt.lattice()
-                    stack = np.array([lattice[t - d] for d in
-                                      range(1, pc.cset.ref_col.max() + 1)],
-                                     dtype=np.float64)
-                    zeros = np.zeros(pc.n_mb)
-                    overlap = candidate_expected_errors(
-                        stack, zeros, zeros, 1.0, 1.0, pc.cset.mode_col,
-                        pc.cset.ref_col, pc.cset.mv, rt.grid)
+                    shape = pc.chan.shape
+                    overlap = expected_errors(
+                        [m.astype(np.float64) for m in lattice], t,
+                        np.broadcast_to(pc.cset.mode_col, shape),
+                        np.broadcast_to(pc.cset.ref_col, shape), pc.cset.mv,
+                        np.zeros(pc.n_mb), 1.0, 1.0, rt.grid)
                     assert np.array_equal(plan.valid[key][:, :-1],
                                           overlap[:, :-1] == 0.0)
                     assert plan.valid[key][:, -1].all()

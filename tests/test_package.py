@@ -111,3 +111,33 @@ def test_no_uncalled_package_code():
                 if outside <= 0 and node.name not in fvstream.__all__:
                     uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+MODE_NAMES = {"reactive", "independent", "cross", "standard", "adaptive"}
+
+
+def _compared_strings(node: ast.Compare) -> set[str]:
+    """String constants a comparison reads, directly or inside a literal
+    tuple, list or set (`mode in ("a", "b")`)."""
+    found = set()
+    for side in [node.left, *node.comparators]:
+        for sub in ast.walk(side):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                found.add(sub.value)
+    return found
+
+
+def test_modes_are_decided_in_the_pipeline_alone():
+    # the selection and blend modes are each decided in one module; the
+    # others take columns, caps or tracked errors, never a mode string
+    root = Path(__file__).resolve().parents[1] / "src" / "fvstream"
+    elsewhere = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                names = _compared_strings(node) & MODE_NAMES
+                if names and path.name != "pipeline.py":
+                    elsewhere.append(f"{path.name}:{node.lineno} "
+                                     f"{sorted(names)}")
+    assert elsewhere == []

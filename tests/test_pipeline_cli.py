@@ -95,7 +95,6 @@ def handmade_report(psnr_by_setup, frame_count=4):
                                 frame_psnr=psnrs,
                                 frame_bits=[1000] * frame_count,
                                 frame_lost_packets=[0] * frame_count,
-                                lambdas=[0.01] * frame_count,
                                 in_band=[True] * frame_count,
                                 infeasible=[False] * frame_count))
     return ExperimentReport(setups=tuple(psnr_by_setup), loss_rates=(0.05,),
@@ -247,6 +246,9 @@ class TestLosslessLoop:
                                              micro_scene.truth)
         assert len(planes) == len(scores) == 8
         assert all(s > 20.0 for s in scores)
+        for blend in ("Adaptive", "both", ""):
+            with pytest.raises(HarnessError):
+                synthesize_sequence(cfg, dec, blend, micro_scene.truth)
 
 
 class TestReports:
@@ -357,14 +359,23 @@ class TestCli:
         assert "40 planes" in capsys.readouterr().out
 
     def test_trace_command_round_trips(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"scene": MICRO_SCENE_DICT}))
-        out = tmp_path / "trace.txt"
-        rc = main(["trace", "--config", str(cfg_path), "--seed", "3",
-                   "--rate", "0.1", "--out", str(out)])
-        assert rc == 0
-        assert out.is_file()
-        assert "packet outcomes" in capsys.readouterr().out
+        # `trace` draws the very trace `run` draws for the same seed and rate
+        for protect in (True, False):
+            tree = tmp_path / f"tree_{protect}"
+            cfg_path = tmp_path / f"cfg_{protect}.json"
+            cfg_path.write_text(json.dumps({
+                "scene": MICRO_SCENE_DICT, "setups": ["rfc"],
+                "protect_first_frame": protect, "output_root": str(tree)}))
+            out = tmp_path / f"trace_{protect}.txt"
+            rc = main(["trace", "--config", str(cfg_path), "--seed", "3",
+                       "--rate", "0.5", "--out", str(out)])
+            assert rc == 0
+            assert "packet outcomes" in capsys.readouterr().out
+            assert main(["run", "--config", str(cfg_path), "--rates", "0.5",
+                         "--seeds", "3"]) == 0
+            ran = tree / "rate_0.500000" / "seed_3" / "trace.txt"
+            assert out.read_bytes() == ran.read_bytes()
+            assert ("protected=0" in out.read_text()) == protect
 
     def test_run_compare_plotdata_chain(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

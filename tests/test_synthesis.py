@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from fvstream.frames import MB_SIZE, mse
 from fvstream.synthesis import (SynthesisError, SynthesisParams, WarpedView,
-                                blend_adaptive, blend_standard,
-                                correspondence_sets, expand_block_values,
+                                blend, correspondence_sets, expand_block_values,
                                 fill_holes, gather_at_targets,
                                 reliability_weights,
                                 synthesize_view, warp_view,
@@ -143,12 +142,18 @@ class TestFillHoles:
         assert (out[0] == plane[0]).all()
 
 
+def distance_blend(left, right, position):
+    """blend with equal reliabilities: (plane, holes)."""
+    plane, holes, _, _ = blend(left, right, position, 0.0, 0.0, 1.0)
+    return plane, holes
+
+
 class TestBlend:
     @pytest.mark.example
     def test_midpoint_average(self):
         left = make_warp(np.full((1, 4), 100))
         right = make_warp(np.full((1, 4), 80))
-        plane, holes = blend_standard(left, right, 0.5)
+        plane, holes = distance_blend(left, right, 0.5)
         assert (plane == 90).all()
         assert not holes.any()
 
@@ -157,13 +162,13 @@ class TestBlend:
         # 0.75 * 68 + 0.25 * 104 = 77
         left = make_warp(np.full((1, 4), 68))
         right = make_warp(np.full((1, 4), 104))
-        plane, _ = blend_standard(left, right, 0.25)
+        plane, _ = distance_blend(left, right, 0.25)
         assert (plane == 77).all()
 
     def test_halves_round_up(self):
         left = make_warp(np.full((1, 4), 101))
         right = make_warp(np.full((1, 4), 80))
-        plane, _ = blend_standard(left, right, 0.5)
+        plane, _ = distance_blend(left, right, 0.5)
         assert (plane == 91).all()
 
     def test_single_coverage_passes_through(self):
@@ -171,7 +176,7 @@ class TestBlend:
         cov_r = np.array([[False, True, False]])
         left = make_warp(np.full((1, 3), 200), covered=cov_l)
         right = make_warp(np.full((1, 3), 40), covered=cov_r)
-        plane, holes = blend_standard(left, right, 0.5)
+        plane, holes = distance_blend(left, right, 0.5)
         assert plane[0].tolist() == [200, 40, 0]
         assert holes[0].tolist() == [False, False, True]
 
@@ -197,7 +202,7 @@ class TestReliability:
         r0, r1 = reliability_weights(d0, d1, c)
         assert r0 + r1 == pytest.approx(1.0, rel=1e-12)
         # The order is weak in general: a gap below the float spacing of
-        # d0 + d1 + c rounds to an exact tie, and blend_adaptive needs that
+        # d0 + d1 + c rounds to an exact tie, and blend needs that
         # tie to stay exact.  It is strict once the gap is resolvable.
         if d0 <= d1:
             assert r0 >= r1
@@ -213,7 +218,7 @@ class TestReliability:
         right = make_warp(np.full((1, 4), 30))
         d0 = np.zeros((1, 4))
         d1 = np.full((1, 4), 1e12)
-        plane, _, r0, r1 = blend_adaptive(left, right, 0.5, d0, d1, 1.0)
+        plane, _, r0, r1 = blend(left, right, 0.5, d0, d1, 1.0)
         assert (plane == 100).all()
         assert (r0 > 0.999999).all()
 
@@ -223,11 +228,29 @@ class TestReliability:
         wl = warp_view(tex0, disp0, 0, 0.5, 1.0)
         wr = warp_view(tex1, disp1, 1, 0.5, 1.0)
         z = np.zeros((32, 48))
-        std, holes_s = blend_standard(wl, wr, 0.5)
-        ada, holes_a, r0, r1 = blend_adaptive(wl, wr, 0.5, z, z, 1.0)
+        std, holes_s = oracles.blend_standard(wl, wr, 0.5)
+        ada, holes_a, r0, r1 = blend(wl, wr, 0.5, z, z, 1.0)
         assert np.array_equal(std, ada)
         assert np.array_equal(holes_s, holes_a)
         assert (r0 == 0.5).all() and (r1 == 0.5).all()
+
+    @given(st.integers(0, 10 ** 6), st.floats(0.0, 1.0),
+           st.sampled_from([0.5, 1.0, 4.0]))
+    @settings(max_examples=40)
+    def test_equal_distortions_give_the_distance_weighted_blend(self, seed,
+                                                               position, c):
+        # any equal pair of distortions, not only zeros, ties the weights
+        tex0, disp0 = random_view(seed, h=16, w=32, max_disp=10)
+        tex1, disp1 = random_view(seed + 1, h=16, w=32, max_disp=10)
+        wl = warp_view(tex0, disp0, 0, position, 1.0)
+        wr = warp_view(tex1, disp1, 1, position, 1.0)
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(0.0, 50.0, (16, 32)) * rng.integers(0, 2)
+        plane, holes, r0, r1 = blend(wl, wr, position, d, d.copy(), c)
+        want, want_holes = oracles.blend_standard(wl, wr, position)
+        assert np.array_equal(plane, want)
+        assert np.array_equal(holes, want_holes)
+        assert np.array_equal(r0, r1)
 
     def test_large_tracked_error_pins_the_output_to_the_clean_view(self):
         # r1 = 1/202 at tracked error 200; 80 * r1 = 0.396 rounds away
@@ -238,7 +261,7 @@ class TestReliability:
         right = make_warp(x1)
         d0 = np.zeros((1, 16))
         d1 = np.full((1, 16), 200.0)
-        plane, _, _, r1 = blend_adaptive(left, right, 0.5, d0, d1, 1.0)
+        plane, _, _, r1 = blend(left, right, 0.5, d0, d1, 1.0)
         assert np.array_equal(plane, x0)
         assert r1[0, 0] == pytest.approx(1.0 / 202.0, rel=1e-12)
 
@@ -292,10 +315,15 @@ class TestWorstCase:
 
 class TestSynthesizeView:
     def test_adaptive_mode_requires_tracked_errors(self):
+        # reliability weights need the tracked errors of both views
         tex, disp = random_view(31)
-        params = SynthesisParams(mode="adaptive")
+        errs = (np.zeros(6), np.zeros(6))
         with pytest.raises(SynthesisError):
-            synthesize_view(tex, disp, tex, disp, params)
+            synthesize_view(tex, disp, tex, disp, SynthesisParams(),
+                            left_errors=errs)
+        with pytest.raises(SynthesisError):
+            synthesize_view(tex, disp, tex, disp, SynthesisParams(),
+                            right_errors=errs)
 
     def test_lossless_synthesis_matches_the_withheld_view(self, scene64):
         params = SynthesisParams(position=0.5, eta=1.0)
@@ -316,10 +344,10 @@ class TestSynthesizeView:
         zeros = np.zeros(grid[0] * grid[1])
         std = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               rt.texture.samples, rt.disparity.samples,
-                              SynthesisParams(mode="standard"))
+                              SynthesisParams())
         ada = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               rt.texture.samples, rt.disparity.samples,
-                              SynthesisParams(mode="adaptive"),
+                              SynthesisParams(),
                               left_errors=(zeros, zeros),
                               right_errors=(zeros, zeros))
         assert np.array_equal(std.plane, ada.plane)
@@ -337,10 +365,10 @@ class TestSynthesizeView:
         zeros = np.zeros(n_mb)
         std = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               bad, rt.disparity.samples,
-                              SynthesisParams(mode="standard"))
+                              SynthesisParams())
         ada = synthesize_view(lt.texture.samples, lt.disparity.samples,
                               bad, rt.disparity.samples,
-                              SynthesisParams(mode="adaptive"),
+                              SynthesisParams(),
                               left_errors=(zeros, zeros),
                               right_errors=(tex_err, zeros))
         assert mse(ada.plane, truth) < mse(std.plane, truth)
