@@ -21,8 +21,8 @@ from .codec import (CodecError, CodecConfig, EncodedPlane,
                     serialize_stream, parse_stream)
 from .errortrack import (TrackingError, ExpectedErrorTracker, DecoderTracker,
                          innovation_term)
-from .synthesis import (SynthesisError, SynthesisParams, SynthesisResult,
-                        WarpedView, warp_view, blend, reliability_weights,
+from .synthesis import (SynthesisError, SynthesisParams, WarpedView,
+                        warp_view, blend, reliability_weights,
                         synthesize_view, correspondence_sets)
 from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
                           g_eval)
@@ -49,7 +49,7 @@ __all__ = [
     "serialize_stream", "parse_stream",
     "TrackingError", "ExpectedErrorTracker", "DecoderTracker",
     "innovation_term",
-    "SynthesisError", "SynthesisParams", "SynthesisResult", "WarpedView",
+    "SynthesisError", "SynthesisParams", "WarpedView",
     "warp_view", "blend", "reliability_weights",
     "synthesize_view", "correspondence_sets",
     "SensitivityError", "SensitivityParams", "curvature_map", "g_eval",

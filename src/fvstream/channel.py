@@ -15,6 +15,7 @@ from enum import IntEnum
 import numpy as np
 
 GENERATOR_NAME = "pcg64-v1"
+VIEWS = 2
 
 
 class ChannelError(ValueError):
@@ -46,14 +47,14 @@ class PacketId:
     packet_index: int
 
 
-def build_schedule(frame_count: int, packets_texture: int, packets_depth: int,
-                   views: int = 2) -> list[PacketId]:
+def build_schedule(frame_count: int, packets_texture: int, packets_depth: int
+                   ) -> list[PacketId]:
     """Canonical transmission order for a whole sequence."""
     if frame_count <= 0 or packets_texture <= 0 or packets_depth <= 0:
         raise ChannelError("frame, texture packet and depth packet counts must be positive")
     schedule: list[PacketId] = []
     for t in range(frame_count):
-        for view in range(views):
+        for view in range(VIEWS):
             for comp, npk in ((Component.TEXTURE, packets_texture),
                               (Component.DEPTH, packets_depth)):
                 for p in range(npk):
@@ -100,9 +101,6 @@ class LossTrace:
             return self._lookup[pid]
         except KeyError:
             raise ChannelError(f"packet {pid} not in trace") from None
-
-    def frame_count(self) -> int:
-        return 1 + max(pid.frame_index for pid, _ in self.entries)
 
 
 def make_iid_trace(seed: int, loss_rate: float, schedule: list[PacketId],

@@ -14,9 +14,9 @@ from pathlib import Path
 from .channel import ChannelError, save_trace
 from .codec import CodecError
 from .frames import PlaneError, save_pgm
-from .pipeline import (ExperimentConfig, ExperimentReport, CellResult,
-                       HarnessError, compare_setups, config_from_dict,
-                       emit_plot_data, resolve_output_root, run_experiment)
+from .pipeline import (ExperimentConfig, HarnessError, compare_setups,
+                       config_from_dict, emit_plot_data, load_report,
+                       resolve_output_root, run_experiment)
 from .scenegen import SceneSpecError, generate_synthetic_stereo
 
 _ERRORS = (HarnessError, SceneSpecError, ChannelError, CodecError, PlaneError,
@@ -81,43 +81,6 @@ def _cmd_run(args) -> int:
         print(f"  {cell.setup} rate={cell.loss_rate:g} seed={cell.seed} "
               f"psnr={cell.mean_psnr:.3f} bits={cell.total_bits}")
     return 0
-
-
-def load_report(root) -> ExperimentReport:
-    """Rebuild a report from an artifact tree (the CSV-resident fields)."""
-    root = Path(root)
-    report_csv = root / "report.csv"
-    if not report_csv.is_file():
-        raise HarnessError(f"no report.csv under {root}")
-    setups: list[str] = []
-    rates: list[float] = []
-    seeds: list[int] = []
-    cells: list[CellResult] = []
-    lines = report_csv.read_text(encoding="ascii").splitlines()
-    for line in lines[1:]:
-        setup, rate_s, seed_s, *_ = line.split(",")
-        rate, seed = float(rate_s), int(seed_s)
-        if setup not in setups:
-            setups.append(setup)
-        if rate not in rates:
-            rates.append(rate)
-        if seed not in seeds:
-            seeds.append(seed)
-        cell_dir = root / f"rate_{rate:.6f}" / f"seed_{seed}" / setup
-        per = (cell_dir / "perframe.csv").read_text(encoding="ascii").splitlines()
-        frame_psnr, frame_bits, frame_lost = [], [], []
-        for row in per[1:]:
-            _, p, b, lost = row.split(",")
-            frame_psnr.append(float(p))
-            frame_bits.append(int(b))
-            frame_lost.append(int(lost))
-        n = len(frame_psnr)
-        cells.append(CellResult(setup=setup, loss_rate=rate, seed=seed,
-                                frame_psnr=frame_psnr, frame_bits=frame_bits,
-                                frame_lost_packets=frame_lost,
-                                in_band=[True] * n, infeasible=[False] * n))
-    return ExperimentReport(setups=tuple(setups), loss_rates=tuple(rates),
-                            seeds=tuple(seeds), cells=cells)
 
 
 def _cmd_compare(args) -> int:

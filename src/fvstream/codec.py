@@ -15,7 +15,8 @@ counts, per macroblock:
                     coefficients, rounded up to whole bits
 
 so SKIP costs exactly 2 bits and an INTER block into t-1 with zero motion and
-zero residual costs 2 + 1 + 2 = 5 bits.  Encoder and decoder share one
+zero residual costs 2 + 1 + 2 = 5 bits.  Every kernel works on (N, 16, 16)
+stacks of blocks, never on a single block.  Encoder and decoder share one
 batched reconstruction path, whole planes at a time: `predictor_blocks`
 gathers the motion-compensated predictors and `apply_residual` adds the
 dequantized residuals, so without losses the two stay bit identical.
@@ -63,9 +64,9 @@ class CodecError(ValueError):
 
 @dataclass(frozen=True)
 class CodecConfig:
-    quant_step: int = 10
-    search_range: int = 16
-    ref_window: int = 8
+    quant_step: int
+    search_range: int
+    ref_window: int
 
     def __post_init__(self) -> None:
         if self.quant_step < 1:
@@ -126,15 +127,9 @@ def dequantize(qcoeffs: np.ndarray, step: int) -> np.ndarray:
 
 
 def apply_residual(pred: np.ndarray, qcoeffs: np.ndarray, step: int) -> np.ndarray:
-    """Reconstruct blocks from predictions and quantized coefficients."""
-    pred = np.asarray(pred, dtype=np.float64)
-    single = pred.ndim == 2
-    if single:
-        pred = pred[None]
-        qcoeffs = np.asarray(qcoeffs)[None]
+    """Reconstruct (N, 16, 16) blocks from predictions and quantized coeffs."""
     res = idct16(dequantize(qcoeffs, step))
-    rec = np.clip(np.rint(pred + res), 0, 255).astype(np.uint8)
-    return rec[0] if single else rec
+    return np.clip(np.rint(pred + res), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +144,12 @@ def exp_golomb_signed_bits(values) -> np.ndarray:
     return (2 * floor_log2 + 1).astype(np.int64)
 
 
-def residual_bits(qcoeffs) -> np.ndarray:
-    """Empirical zero-order entropy of quantized coefficients, in whole bits.
-
-    Accepts (..., 16, 16) or (..., 256); returns an int64 array over the
-    leading axes (a scalar array for a single block).
-    """
-    q = np.asarray(qcoeffs, dtype=np.int64)
-    if q.shape[-2:] == (MB_SIZE, MB_SIZE):
-        q = q.reshape(q.shape[:-2] + (MB_SIZE * MB_SIZE,))
-    lead = q.shape[:-1]
-    m = q.shape[-1]
-    flat = q.reshape(-1, m)
-    n = flat.shape[0]
-    s = np.sort(flat, axis=1)
+def residual_bits(qcoeffs: np.ndarray) -> np.ndarray:
+    """Empirical zero-order entropy of quantized coefficients, in whole bits:
+    (N, 16, 16) blocks in, (N,) int64 out."""
+    n = qcoeffs.shape[0]
+    m = MB_SIZE * MB_SIZE
+    s = np.sort(qcoeffs.reshape(n, m).astype(np.int64), axis=1)
     newrun = np.ones((n, m), dtype=bool)
     newrun[:, 1:] = s[:, 1:] != s[:, :-1]
     starts = np.flatnonzero(newrun.ravel())
@@ -170,8 +157,7 @@ def residual_bits(qcoeffs) -> np.ndarray:
     contrib = lengths * (np.log2(float(m)) - np.log2(lengths))
     rows = starts // m
     sums = np.bincount(rows, weights=contrib, minlength=n)
-    bits = np.ceil(sums).astype(np.int64)
-    return bits.reshape(lead) if lead else bits.reshape(())
+    return np.ceil(sums).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +173,13 @@ def displacement_order(search_range: int) -> list[tuple[int, int]]:
 
 
 def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> np.ndarray:
     """Exhaustive SAD search for every macroblock against every reference.
 
     cur: (H, W) uint8 samples; refs: (R, H, W) stacked uint8 reference planes.
-    Returns (best_mv, best_sad, zero_sad) with best_mv of shape (R, n_mb, 2)
-    as (dx, dy).  Ties resolve to the smallest |dx|+|dy|, then smallest dy,
-    then smallest dx.  Displacements whose predictor leaves the frame are
-    never selected.
+    Returns the best vectors, (R, n_mb, 2) int16 as (dx, dy).  Ties resolve
+    to the smallest |dx|+|dy|, then smallest dy, then smallest dx.
+    Displacements whose predictor leaves the frame are never selected.
     """
     H, W = cur.shape
     R = refs.shape[0]
@@ -219,12 +204,8 @@ def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
         better = sad < best
         np.copyto(best, sad, where=better)
         np.copyto(best_k[:, i0:i1, j0:j1], k, where=better)
-        if k == 0:                      # (0, 0) covers every block
-            zero_sad = sad.reshape(R, -1).astype(np.float64)
 
-    dvec = np.array(disps, dtype=np.int16)
-    return (dvec[best_k.reshape(R, -1)], best_sad.reshape(R, -1).astype(np.float64),
-            zero_sad)
+    return np.array(disps, dtype=np.int16)[best_k.reshape(R, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +278,15 @@ class CandidateSet:
     coeffs: np.ndarray          # (n_mb, n_cand, 16, 16) int32 quantized
     quant_step: int             # step every column was coded at
 
-    @property
-    def n_candidates(self) -> int:
-        return self.mode_col.shape[0]
-
-    @property
-    def n_mb(self) -> int:
-        return self.mv.shape[0]
-
 
 def code_against_prediction(pred: np.ndarray, orig: np.ndarray, step: int
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize the prediction residual; return (q, recon, rbits, distortion)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    orig = np.asarray(orig, dtype=np.float64)
-    single = pred.ndim == 2
-    if single:
-        pred, orig = pred[None], orig[None]
+    """Quantize the residual of float64 (N, 16, 16) blocks `orig` against
+    their predictions; return (q, recon, rbits, distortion)."""
     q = quantize(dct16(orig - pred), step)
     recon = apply_residual(pred, q, step)
-    rbits = residual_bits(q)
     dist = np.abs(recon.astype(np.float64) - orig).mean(axis=(1, 2))
-    if single:
-        return q[0], recon[0], rbits.reshape(()), dist[0]
-    return q, recon, rbits, dist
+    return q, recon, residual_bits(q), dist
 
 
 def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
@@ -352,7 +318,7 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
 
     if refs:
         ref_stack = np.stack(refs)
-        best_mv, _, _ = motion_search(cur, ref_stack, cfg.search_range)
+        best_mv = motion_search(cur, ref_stack, cfg.search_range)
         orig_blocks = plane_blocks(cur).astype(np.float64)
 
         # column 0: SKIP
@@ -494,11 +460,9 @@ PLANE_ORDER = ((0, Component.TEXTURE), (0, Component.DEPTH),
 
 def serialize_stream(width: int, height: int, quant_step: int,
                      frames: list[dict[tuple[int, Component], EncodedPlane]],
-                     depth_quant_step: int | None = None) -> bytes:
+                     depth_quant_step: int) -> bytes:
     buf = bytearray()
     buf += STREAM_MAGIC
-    if depth_quant_step is None:
-        depth_quant_step = quant_step
     buf += struct.pack("<BHHHHH", STREAM_VERSION, width, height, len(frames),
                        quant_step, depth_quant_step)
     for frame in frames:

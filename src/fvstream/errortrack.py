@@ -31,8 +31,6 @@ from .codec import MODE_INTRA, CandidateSet, EncodedPlane
 from .frames import MB_SIZE
 from .synthesis import WarpedView, warp_view
 
-DEFAULT_GAMMA = 0.9
-
 
 class TrackingError(ValueError):
     """Invalid tracker usage."""
@@ -136,7 +134,7 @@ class ExpectedErrorTracker:
     """
 
     def __init__(self, grid: tuple[int, int], planned_receive_prob: float,
-                 gamma: float = DEFAULT_GAMMA):
+                 gamma: float):
         if not 0.0 <= planned_receive_prob <= 1.0:
             raise TrackingError("planned_receive_prob must be in [0, 1]")
         if not 0.0 < gamma <= 1.0:
@@ -173,7 +171,7 @@ class ExpectedErrorTracker:
                                self.grid)[:, 0]
 
     def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
-                   mv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+                   mv: np.ndarray, delta: np.ndarray) -> None:
         t = len(self._frames)
         self._frames.append(_FrameRecord(
             modes=np.asarray(modes), ref_dist=np.asarray(ref_dist),
@@ -181,7 +179,6 @@ class ExpectedErrorTracker:
             p=np.full(self.n_mb, self.p_plan)))
         self._states.append(np.zeros(self.n_mb))
         self._states[t] = self._compute_state(t)
-        return self._states[t]
 
     def set_frame_outcome(self, t: int, received: np.ndarray) -> None:
         """Replace frame t's assumed probabilities with known 0/1 outcomes."""
@@ -254,8 +251,7 @@ class DecoderTracker:
     #: minimum warped pixels inside a block for the cross-view delta estimate
     MIN_COVERAGE = (MB_SIZE * MB_SIZE) // 2
 
-    def __init__(self, grid: tuple[int, int], gamma: float = DEFAULT_GAMMA,
-                 eta: float = 1.0):
+    def __init__(self, grid: tuple[int, int], gamma: float, eta: float):
         self.grid = grid
         self.n_mb = grid[0] * grid[1]
         self.gamma = gamma
@@ -265,9 +261,8 @@ class DecoderTracker:
         self._history: dict[tuple[int, int], list[np.ndarray]] = {
             (v, comp): [] for v in (0, 1) for comp in (0, 1)}
 
-    def state(self, view: int, component: int, t: int | None = None) -> np.ndarray:
-        series = self._states[(view, int(component))]
-        return series[-1 if t is None else t]
+    def state(self, view: int, component: int, t: int) -> np.ndarray:
+        return self._states[(view, int(component))][t]
 
     def frame_count(self) -> int:
         return len(self._states[(0, 0)])

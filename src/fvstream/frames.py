@@ -46,25 +46,6 @@ class FramePlane:
     def __post_init__(self) -> None:
         self.samples = _validated_samples(self.samples)
 
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def mb_grid(self) -> tuple[int, int]:
-        """(rows, cols) of the macroblock grid."""
-        return self.samples.shape[0] // MB_SIZE, self.samples.shape[1] // MB_SIZE
-
-    def copy(self) -> "FramePlane":
-        return FramePlane(self.samples.copy())
-
-    def same_as(self, other: "FramePlane") -> bool:
-        return np.array_equal(self.samples, other.samples)
-
 
 @dataclass(eq=False)
 class ViewFrame:
@@ -101,12 +82,12 @@ def mse(a, b) -> float:
     return float(np.mean((x - y) ** 2))
 
 
-def psnr(a, b, cap_db: float = PSNR_CAP_DB) -> float:
+def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB for 8-bit planes, capped for identical input."""
     err = mse(a, b)
     if err <= 0.0:
-        return cap_db
-    return min(cap_db, 10.0 * np.log10(255.0 * 255.0 / err))
+        return PSNR_CAP_DB
+    return min(PSNR_CAP_DB, 10.0 * np.log10(255.0 * 255.0 / err))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .synthesis import CorrespondenceSets
 
 OPTIMIZER_MODES = ("reactive", "independent", "cross")
 
+#: factor lambda moves by while the band is not yet bracketed
+LAMBDA_STEP = 1.25
+
 
 # ---------------------------------------------------------------------------
 # candidate preparation
@@ -173,9 +176,9 @@ class ReactiveTaint(ExpectedErrorTracker):
         super().__init__(grid, planned_receive_prob=1.0, gamma=1.0)
 
     def push_frame(self, modes: np.ndarray, ref_dist: np.ndarray,
-                   mv: np.ndarray, delta: np.ndarray | None) -> np.ndarray:
+                   mv: np.ndarray, delta: np.ndarray | None) -> None:
         # the support needs only some positive innovation, not delta itself
-        return super().push_frame(modes, ref_dist, mv, np.ones(self.n_mb))
+        super().push_frame(modes, ref_dist, mv, np.ones(self.n_mb))
 
     def _compute_state(self, t: int) -> np.ndarray:
         return (super()._compute_state(t) > 0.0).astype(np.float64)
@@ -209,8 +212,7 @@ class TuneResult:
 
 
 def tune_to_band(run: Callable[[float], tuple[int, object]], lam0: float,
-                 target: float, band: float = 0.05, max_trials: int = 8,
-                 step: float = 1.25) -> TuneResult:
+                 target: float, band: float, max_trials: int) -> TuneResult:
     """Drive the produced bits into target*(1 +/- band) by adjusting lambda.
 
     Bits are nonincreasing in lambda, so one-sided misses scale lambda
@@ -244,9 +246,9 @@ def tune_to_band(run: Callable[[float], tuple[int, object]], lam0: float,
         if lam_low is not None and lam_high is not None:
             lam = float(np.sqrt(lam_low * lam_high))
         elif lam_low is not None:
-            lam = lam * step
+            lam = lam * LAMBDA_STEP
         else:
-            lam = lam / step
+            lam = lam / LAMBDA_STEP
     if not best.in_band and best.bits > hi:
         bits, payload = run(1.0e12)
         trials += 1

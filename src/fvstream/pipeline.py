@@ -30,8 +30,10 @@ from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
                         tune_to_band)
 from .scenegen import (SyntheticSceneSpec, default_scene_spec,
                        generate_synthetic_stereo, json_is, scene_from_dict)
-from .sensitivity import SensitivityParams, curvature_map, g_eval
-from .synthesis import SynthesisParams, correspondence_sets, synthesize_view
+from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
+                          g_eval)
+from .synthesis import (SynthesisError, SynthesisParams, correspondence_sets,
+                        synthesize_view)
 
 SETUPS = ("rfc", "rps1", "rps2", "arps")
 
@@ -99,23 +101,37 @@ class ExperimentConfig:
         for r in self.loss_rates:
             if not 0.0 <= r <= 1.0:
                 raise HarnessError(f"loss rate {r} outside [0, 1]")
+        # each rate and seed names one directory of the artifact tree
+        if len({_fmt(r) for r in self.loss_rates}) != len(self.loss_rates):
+            raise HarnessError("duplicate loss rates (at 6 decimals)")
         if not self.seeds:
             raise HarnessError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise HarnessError("duplicate seeds")
         if self.rtt < 0:
             raise HarnessError("rtt must be nonnegative")
-        if self.ref_window < 1:
-            raise HarnessError("ref_window must be at least 1")
         if self.rate_band <= 0 or self.base_lambda <= 0:
             raise HarnessError("rate_band and base_lambda must be positive")
-
-    def codec_config(self, component: Component) -> CodecConfig:
-        if component == Component.TEXTURE:
-            return CodecConfig(quant_step=self.quant_step,
-                               search_range=self.search_range,
-                               ref_window=self.ref_window)
-        return CodecConfig(quant_step=self.depth_quant_step,
-                           search_range=self.depth_search_range,
-                           ref_window=self.ref_window)
+        if self.max_lambda_trials < 1:
+            raise HarnessError("max_lambda_trials must be at least 1")
+        if not 0.0 < self.gamma <= 1.0:
+            raise HarnessError("gamma must be in (0, 1]")
+        # the parameter objects every run reads; not fields, so the JSON
+        # schema is the fields above
+        try:
+            self.codecs = {
+                Component.TEXTURE: CodecConfig(self.quant_step,
+                                               self.search_range,
+                                               self.ref_window),
+                Component.DEPTH: CodecConfig(self.depth_quant_step,
+                                             self.depth_search_range,
+                                             self.ref_window)}
+            self.sensitivity = SensitivityParams(self.threshold,
+                                                 self.max_deviation)
+            self.synthesis = SynthesisParams(self.position, self.eta,
+                                             self.reliability_c)
+        except (CodecError, SensitivityError, SynthesisError) as exc:
+            raise HarnessError(f"config: {exc}") from None
 
     def packets_for(self, component: Component, n_mb: int) -> int:
         want = (self.packets_texture if component == Component.TEXTURE
@@ -227,8 +243,6 @@ class EncoderState:
         self.cfg, self.orig, self.mode, self.trace = cfg, orig, mode, trace
         self.grid = (h // 16, w // 16)
         self.n_mb = self.grid[0] * self.grid[1]
-        self.sens = SensitivityParams(threshold=cfg.threshold,
-                                      max_deviation=cfg.max_deviation)
         # the reactive baseline tracks the support of the same recursion
         self.trackers = {key: (ReactiveTaint(self.grid) if mode == "reactive"
                                else ExpectedErrorTracker(
@@ -270,7 +284,7 @@ class EncoderState:
                 self.recon[(view, Component.TEXTURE)][k],
                 self.recon[(view, Component.DEPTH)][k],
                 self.recon[(1 - view, Component.TEXTURE)][k], view,
-                self.cfg.eta, self.sens)
+                self.cfg.eta, self.cfg.sensitivity)
         return self.curv[view][k]
 
     def plan(self, t: int) -> FramePlan:
@@ -284,7 +298,7 @@ class EncoderState:
         if t == 0:
             zeros = np.zeros((self.n_mb, 1))
             pcs = {key: PlaneCandidates(cset=build_inter_candidates(
-                       orig[key], [], cfg.codec_config(key[1])), chan=zeros)
+                       orig[key], [], cfg.codecs[key[1]]), chan=zeros)
                    for key in PLANE_ORDER}
             return FramePlan(orig=orig, pcs=pcs,
                              cols=dict.fromkeys(PLANE_ORDER, zeros), valid={},
@@ -294,7 +308,7 @@ class EncoderState:
             refs = [recon[key][t - d]
                     for d in range(1, min(cfg.ref_window, t) + 1)]
             pcs[key] = build_plane_candidates(
-                orig[key], refs, cfg.codec_config(key[1]),
+                orig[key], refs, cfg.codecs[key[1]],
                 trackers[key], t, self.innovation(key, t))
         cols, valid, caps, members = {}, {}, {}, {}
         for v in (0, 1):
@@ -447,8 +461,6 @@ def synthesize_sequence(cfg: ExperimentConfig, dec: DecodedStream,
     an "adaptive" blend weighs the views by their tracked errors."""
     if blend not in ("standard", "adaptive"):
         raise HarnessError(f"unknown blend {blend!r}")
-    params = SynthesisParams(position=cfg.position, eta=cfg.eta,
-                             reliability_c=cfg.reliability_c)
     planes = []
     scores = []
     T = len(dec.planes[(0, Component.TEXTURE)])
@@ -457,13 +469,13 @@ def synthesize_sequence(cfg: ExperimentConfig, dec: DecodedStream,
         if blend == "adaptive":
             le = (dec.tracker.state(0, 0, t), dec.tracker.state(0, 1, t))
             re = (dec.tracker.state(1, 0, t), dec.tracker.state(1, 1, t))
-        res = synthesize_view(dec.planes[(0, Component.TEXTURE)][t],
-                              dec.planes[(0, Component.DEPTH)][t],
-                              dec.planes[(1, Component.TEXTURE)][t],
-                              dec.planes[(1, Component.DEPTH)][t],
-                              params, le, re)
-        planes.append(res.plane)
-        scores.append(psnr(truth[t].samples, res.plane))
+        plane = synthesize_view(dec.planes[(0, Component.TEXTURE)][t],
+                                dec.planes[(0, Component.DEPTH)][t],
+                                dec.planes[(1, Component.TEXTURE)][t],
+                                dec.planes[(1, Component.DEPTH)][t],
+                                cfg.synthesis, le, re)
+        planes.append(plane)
+        scores.append(psnr(truth[t].samples, plane))
     return planes, scores
 
 
@@ -479,8 +491,9 @@ class CellResult:
     frame_psnr: list[float]         # as written to disk (6 decimals)
     frame_bits: list[int]
     frame_lost_packets: list[int]
-    in_band: list[bool]
-    infeasible: list[bool]
+    # per-frame flags of a run; None when loaded, as the tree keeps counts
+    in_band: list[bool] | None
+    infeasible: list[bool] | None
 
     @property
     def total_bits(self) -> int:
@@ -566,6 +579,15 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list[Path]:
 # experiment driver
 # ---------------------------------------------------------------------------
 
+REPORT_FIELDS = ("setup", "loss_rate", "seed", "mean_psnr", "total_bits",
+                 "frame_count", "frames_in_band", "frames_infeasible")
+
+
+def _pair_dir(root: Path, rate: float, seed: int) -> Path:
+    """Directory of one (rate, seed) pair; its setups are subdirectories."""
+    return root / f"rate_{_fmt(rate)}" / f"seed_{seed}"
+
+
 def _write_cell(cell_dir: Path, stream: EncodedStream, cell: CellResult,
                 synth: list[np.ndarray]) -> None:
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -627,9 +649,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for rate in cfg.loss_rates:
         for seed in cfg.seeds:
             trace = cfg.loss_trace(seed, rate)
-            pair_dir = root / f"rate_{_fmt(rate)}" / f"seed_{seed}"
-            pair_dir.mkdir(parents=True, exist_ok=True)
-            save_trace(pair_dir / "trace.txt", trace)
+            pair = _pair_dir(root, rate, seed)
+            pair.mkdir(parents=True, exist_ok=True)
+            save_trace(pair / "trace.txt", trace)
 
             targets: list[float] | None = None
             shared: dict = {}
@@ -646,11 +668,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     in_band=list(stream.in_band),
                     infeasible=list(stream.infeasible))
                 report.cells.append(cell)
-                _write_cell(pair_dir / setup, stream, cell, synth)
+                _write_cell(pair / setup, stream, cell, synth)
 
     with open(root / "report.csv", "w", encoding="ascii") as fh:
-        fh.write("setup,loss_rate,seed,mean_psnr,total_bits,frame_count,"
-                 "frames_in_band,frames_infeasible\n")
+        fh.write(",".join(REPORT_FIELDS) + "\n")
         for cell in report.cells:
             fh.write(f"{cell.setup},{_fmt(cell.loss_rate)},{cell.seed},"
                      f"{_fmt(cell.mean_psnr)},{cell.total_bits},"
@@ -664,3 +685,53 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     emit_plot_data(report, root / "plot")
     return report
+
+
+def load_report(root) -> ExperimentReport:
+    """Rebuild a report from an artifact tree.
+
+    The tree keeps per-cell counts, not per-frame flags, so a loaded cell's
+    in_band and infeasible are None.  A report.csv row that lacks a field,
+    or whose frame_count or total_bits disagree with its perframe.csv,
+    raises HarnessError.
+    """
+    root = Path(root)
+    report_csv = root / "report.csv"
+    if not report_csv.is_file():
+        raise HarnessError(f"no report.csv under {root}")
+    setups: list[str] = []
+    rates: list[float] = []
+    seeds: list[int] = []
+    cells: list[CellResult] = []
+    lines = report_csv.read_text(encoding="ascii").splitlines()
+    for n, line in enumerate(lines[1:], start=2):
+        where = f"report.csv line {n}"
+        row = line.split(",")
+        if len(row) != len(REPORT_FIELDS):
+            raise HarnessError(f"{where}: {len(row)} fields, expected "
+                               f"{len(REPORT_FIELDS)}")
+        setup = row[0]
+        try:
+            rate, seed, total_bits, frame_count = (
+                float(row[1]), int(row[2]), int(row[4]), int(row[5]))
+            per = _pair_dir(root, rate, seed) / setup / "perframe.csv"
+            frames = [r.split(",") for r in
+                      per.read_text(encoding="ascii").splitlines()[1:]]
+            frame_psnr = [float(f[1]) for f in frames]
+            frame_bits = [int(f[2]) for f in frames]
+            frame_lost = [int(f[3]) for f in frames]
+        except (ValueError, IndexError) as exc:
+            raise HarnessError(f"{where}: {exc}") from None
+        cell = CellResult(setup=setup, loss_rate=rate, seed=seed,
+                          frame_psnr=frame_psnr, frame_bits=frame_bits,
+                          frame_lost_packets=frame_lost,
+                          in_band=None, infeasible=None)
+        if (len(frames), cell.total_bits) != (frame_count, total_bits):
+            raise HarnessError(f"{where}: frame_count {frame_count} and "
+                               f"total_bits {total_bits} disagree with {per}")
+        for seen, value in ((setups, setup), (rates, rate), (seeds, seed)):
+            if value not in seen:
+                seen.append(value)
+        cells.append(cell)
+    return ExperimentReport(setups=tuple(setups), loss_rates=tuple(rates),
+                            seeds=tuple(seeds), cells=cells)

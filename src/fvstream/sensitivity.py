@@ -84,9 +84,6 @@ def curvature_map(own_texture: np.ndarray, own_disparity: np.ndarray,
     return (sums / float(MB_SIZE * MB_SIZE)).reshape(hb * wb)
 
 
-def g_eval(a, eps):
-    """Quadratic penalty 0.5 * a * eps^2 (elementwise on arrays)."""
-    a = np.asarray(a, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    out = 0.5 * a * eps * eps
-    return out if out.shape else float(out)
+def g_eval(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Quadratic penalty 0.5 * a * eps^2, elementwise."""
+    return 0.5 * a * eps * eps

@@ -134,11 +134,11 @@ def reliability_weights(d0, d1, c: float) -> tuple[np.ndarray, np.ndarray]:
 
 def blend(left: WarpedView, right: WarpedView, position: float,
           d0_target, d1_target, reliability_c: float
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Reliability-modulated, distance-weighted blend.
 
     d0_target / d1_target are the per-target-pixel (or scalar) worst-case
-    distortions of the two contributions.  Returns (plane, holes, r0, r1).
+    distortions of the two contributions.  Returns (plane, holes).
     Where the two reliabilities are exactly equal the distance-weighted
     value is used unchanged, so equal distortions give the plain
     distance-weighted blend bit for bit.
@@ -158,7 +158,7 @@ def blend(left: WarpedView, right: WarpedView, position: float,
                      np.where(left.covered, x0,
                               np.where(right.covered, x1, 0.0)))
     holes = ~(left.covered | right.covered)
-    return plane.astype(np.uint8), holes, r0, r1
+    return plane.astype(np.uint8), holes
 
 
 def expand_block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
@@ -207,19 +207,14 @@ def gather_at_targets(source_map: np.ndarray, warped: WarpedView) -> np.ndarray:
     return np.where(warped.covered, vals, 0.0)
 
 
-@dataclass
-class SynthesisResult:
-    plane: np.ndarray            # (H, W) uint8, holes filled
-    holes: np.ndarray            # (H, W) bool, pre-fill hole mask
-
-
 def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
                     right_texture: np.ndarray, right_disparity: np.ndarray,
                     params: SynthesisParams,
                     left_errors: tuple[np.ndarray, np.ndarray] | None = None,
                     right_errors: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> SynthesisResult:
-    """Full synthesis of the virtual view from two decoded views.
+                    ) -> np.ndarray:
+    """Full synthesis of the virtual view from two decoded views; returns
+    the (H, W) uint8 plane with its holes filled.
 
     left_errors / right_errors are per-MB (texture error, disparity error)
     pairs from receiver-side tracking, given for both views or neither.
@@ -238,12 +233,11 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
                                            shift_factor(1, params.position, params.eta))
         d0_t = gather_at_targets(d0_src, wl)
         d1_t = gather_at_targets(d1_src, wr)
-    plane, holes, _, _ = blend(wl, wr, params.position, d0_t, d1_t,
-                               params.reliability_c)
+    plane, holes = blend(wl, wr, params.position, d0_t, d1_t,
+                         params.reliability_c)
     disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
                           np.where(wr.covered, wr.disparity, 0))
-    filled = fill_holes(plane, holes, disp_ctx)
-    return SynthesisResult(plane=filled, holes=holes)
+    return fill_holes(plane, holes, disp_ctx)
 
 
 # ---------------------------------------------------------------------------

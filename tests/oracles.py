@@ -84,6 +84,14 @@ def decision_bits(decision: BlockDecision, residual_bit_count: int) -> int:
 
 # --- motion search ----------------------------------------------------------
 
+def block_sad(cur_block, ref_plane, top: int, left: int, mv) -> int:
+    """SAD of one block against its predictor at (top - dy, left - dx)."""
+    dx, dy = (int(v) for v in mv)
+    pred = np.asarray(ref_plane, dtype=np.int64)[top - dy:top - dy + MB,
+                                                 left - dx:left - dx + MB]
+    return int(np.abs(np.asarray(cur_block, dtype=np.int64) - pred).sum())
+
+
 def naive_best_mv(cur_block, ref_plane, top: int, left: int, search_range: int):
     """Exhaustive full-overlap SAD search, ties by (|dx|+|dy|, dy, dx).
 
@@ -117,9 +125,11 @@ def intra_base_level(orig_block) -> int:
 def code_intra_block(orig_block, step: int):
     """Code one block INTRA; returns (q, recon, bits, distortion, base)."""
     base = intra_base_level(orig_block)
-    pred = np.full((MB, MB), float(base))
-    q, rec, rbits, dist = code_against_prediction(pred, orig_block, step)
-    return q, rec, MODE_BITS + INTRA_BASE_BITS + int(rbits), float(dist), base
+    pred = np.full((1, MB, MB), float(base))
+    q, rec, rbits, dist = code_against_prediction(
+        pred, np.asarray(orig_block, dtype=np.float64)[None], step)
+    return (q[0], rec[0], MODE_BITS + INTRA_BASE_BITS + int(rbits[0]),
+            float(dist[0]), base)
 
 
 def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
@@ -131,7 +141,7 @@ def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
     out = []
     if refs:
         cset = build_inter_candidates(plane, refs[:cfg.ref_window], cfg)
-        for c in range(cset.n_candidates - 1):
+        for c in range(cset.mode_col.size - 1):
             out.append({
                 "decision": BlockDecision(int(cset.mode_col[c]),
                                           int(cset.ref_col[c]),
@@ -178,8 +188,8 @@ def reconstruct_block(decision: BlockDecision, qcoeffs, refs, step: int,
     """Rebuild one block from its decision, validating the reference access."""
     r0, c0 = mb_r * MB, mb_c * MB
     if decision.mode == MODE_INTRA:
-        pred = np.full((MB, MB), float(decision.intra_base))
-        return apply_residual(pred, qcoeffs, step)
+        pred = np.full((1, MB, MB), float(decision.intra_base))
+        return apply_residual(pred, np.asarray(qcoeffs)[None], step)[0]
     if decision.ref_distance > len(refs):
         raise CodecError(
             f"reference distance {decision.ref_distance} outside the buffer "
@@ -193,7 +203,7 @@ def reconstruct_block(decision: BlockDecision, qcoeffs, refs, step: int,
     if pr < 0 or pc < 0 or pr + MB > h or pc + MB > w:
         raise CodecError(f"motion vector {decision.mv} leaves the frame")
     pred = ref[pr:pr + MB, pc:pc + MB].astype(np.float64)
-    return apply_residual(pred, qcoeffs, step)
+    return apply_residual(pred[None], np.asarray(qcoeffs)[None], step)[0]
 
 
 def oracle_decode_plane(enc: EncodedPlane, refs, conceal_source, received):

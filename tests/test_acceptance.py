@@ -180,7 +180,7 @@ def test_criterion_5_selection_matches_enumeration():
         cfg = CodecConfig(quant_step=int(rng.choice([6, 10, 14])),
                           search_range=4, ref_window=W)
         cset = build_inter_candidates(planes[-1], planes[:-1][::-1], cfg)
-        n_mb, n_cand = cset.n_mb, cset.n_candidates
+        n_mb, n_cand = cset.mv.shape[:2]
         chan = np.empty((n_mb, n_cand))
         chan[:, :-1] = rng.uniform(0, 25, (n_mb, n_cand - 1))
         chan[:, -1] = rng.uniform(0, 25, n_mb)      # INTRA, drawn last
@@ -228,7 +228,7 @@ def test_criterion_6_blending_invariants(scene64, side_scene):
                               SynthesisParams(),
                               left_errors=(zeros, zeros),
                               right_errors=(zeros, zeros))
-        if not np.array_equal(std.plane, ada.plane):
+        if not np.array_equal(std, ada):
             identical = False
 
     # one corrupted view with honest tracking: adaptive can only help
@@ -251,7 +251,7 @@ def test_criterion_6_blending_invariants(scene64, side_scene):
                               SynthesisParams(),
                               left_errors=le_err,
                               right_errors=(tex_err, np.zeros(n_mb)))
-        diffs.append(mse(std.plane, truth) - mse(ada.plane, truth))
+        diffs.append(mse(std, truth) - mse(ada, truth))
     never_worse = all(d >= 0.0 for d in diffs)
     strict = sum(d > 0.0 for d in diffs)
     passed = identical and never_worse and strict >= 1

@@ -111,10 +111,6 @@ class TestTrace:
         with pytest.raises(ChannelError):
             trace.lost(PacketId(9, 0, Component.TEXTURE, 0))
 
-    def test_frame_count(self):
-        trace = make_iid_trace(1, 0.5, build_schedule(5, 2, 1))
-        assert trace.frame_count() == 5
-
 
 @functools.lru_cache(maxsize=None)
 def feedback_log(rtt: int, frame_count: int = 8):

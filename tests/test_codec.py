@@ -61,12 +61,12 @@ class TestTransform:
         assert np.array_equal(dequantize(q, 10), np.array([[0., 10., 20., -30.]]))
 
     def test_zero_residual_reconstructs_prediction(self):
-        pred = np.full((16, 16), 90.0)
+        pred = np.full((1, 16, 16), 90.0)
         q, rec, rbits, dist = code_against_prediction(pred, pred.copy(), 10)
         assert (q == 0).all()
         assert (rec == 90).all()
-        assert int(rbits) == 0
-        assert dist == 0.0
+        assert rbits.tolist() == [0]
+        assert dist.tolist() == [0.0]
 
 
 class TestRateModel:
@@ -97,17 +97,17 @@ class TestRateModel:
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = rng.integers(-4, 5, (16, 16))
-            lib = int(residual_bits(q))
+            lib = int(residual_bits(q[None])[0])
             ref = oracles.entropy_bits(q.ravel())
             assert abs(lib - ref) <= 1
 
     def test_residual_bits_structured_cases(self):
-        assert int(residual_bits(np.zeros((16, 16), dtype=np.int64))) == 0
+        assert int(residual_bits(np.zeros((1, 16, 16), dtype=np.int64))[0]) == 0
         half = np.zeros(256, dtype=np.int64)
         half[:128] = 1
-        assert int(residual_bits(half.reshape(16, 16))) == 256
-        four = np.repeat(np.arange(4), 64).reshape(16, 16)
-        assert int(residual_bits(four)) == 512
+        assert int(residual_bits(half.reshape(1, 16, 16))[0]) == 256
+        four = np.repeat(np.arange(4), 64).reshape(1, 16, 16)
+        assert int(residual_bits(four)[0]) == 512
 
     def test_residual_bits_within_ten_percent_of_ideal_entropy(self):
         # whole-bit rounding is the only modeling slack
@@ -115,7 +115,7 @@ class TestRateModel:
         for _ in range(10):
             q = rng.integers(-6, 7, (16, 16))
             ideal = oracles.entropy_exact(q.ravel())
-            lib = int(residual_bits(q))
+            lib = int(residual_bits(q[None])[0])
             if ideal >= 10.0:
                 assert abs(lib - ideal) / ideal < 0.10
             else:
@@ -125,14 +125,14 @@ class TestRateModel:
     def test_scaling_symbols_keeps_the_rate(self, factor):
         # relabeling symbols bijectively cannot change a zero-order entropy
         rng = np.random.default_rng(99)
-        q = rng.integers(-3, 4, (16, 16))
-        assert int(residual_bits(q * factor)) == int(residual_bits(q))
+        q = rng.integers(-3, 4, (1, 16, 16))
+        assert residual_bits(q * factor).tolist() == residual_bits(q).tolist()
 
     def test_batched_residual_bits_agree_with_single(self):
         rng = np.random.default_rng(5)
         q = rng.integers(-3, 4, (6, 16, 16))
         batched = residual_bits(q)
-        singles = [int(residual_bits(q[i])) for i in range(6)]
+        singles = [int(residual_bits(q[i:i + 1])[0]) for i in range(6)]
         assert batched.tolist() == singles
 
 
@@ -149,34 +149,37 @@ class TestMotionSearch:
         base = rand_plane((64, 72), seed=11)
         ref = base[:, 4:68]
         cur = base[:, 2:66]  # content moved right by 2 columns
-        mv, sad, zero_sad = motion_search(cur, ref[None], 4)
+        mv = motion_search(cur, ref[None], 4)
         grid_cols = 4
         for m in range(16):
+            top, left = (m // grid_cols) * 16, (m % grid_cols) * 16
+            block = cur[top:top + 16, left:left + 16]
+            sad = oracles.block_sad(block, ref, top, left, mv[0, m])
+            assert oracles.block_sad(block, ref, top, left, (0, 0)) >= sad
             if m % grid_cols == 0:
                 continue  # leftmost blocks would predict outside the frame
             assert tuple(mv[0, m]) == (2, 0)
-            assert sad[0, m] == 0.0
-        assert (zero_sad[0] >= sad[0]).all()
+            assert sad == 0
 
     def test_matches_exhaustive_reference(self):
         cur = rand_plane((32, 32), seed=21)
         ref = rand_plane((32, 32), seed=22)
-        mv, sad, zero_sad = motion_search(cur, ref[None], 3)
+        mv = motion_search(cur, ref[None], 3)
         for m in range(4):
             top, left = (m // 2) * 16, (m % 2) * 16
             block = cur[top:top + 16, left:left + 16]
             (odx, ody), osad = oracles.naive_best_mv(block, ref, top, left, 3)
             assert (int(mv[0, m, 0]), int(mv[0, m, 1])) == (odx, ody)
-            assert int(sad[0, m]) == osad
+            assert oracles.block_sad(block, ref, top, left, mv[0, m]) == osad
             zref = int(np.abs(block.astype(np.int64)
                               - ref[top:top + 16, left:left + 16].astype(np.int64)
                               ).sum())
-            assert int(zero_sad[0, m]) == zref
+            assert oracles.block_sad(block, ref, top, left, (0, 0)) == zref
 
     def test_multiple_references_searched_independently(self):
         cur = rand_plane((32, 32), seed=31)
         refs = np.stack([rand_plane((32, 32), seed=s) for s in (32, 33)])
-        mv, sad, _ = motion_search(cur, refs, 2)
+        mv = motion_search(cur, refs, 2)
         for r in range(2):
             for m in range(4):
                 top, left = (m // 2) * 16, (m % 2) * 16
@@ -184,7 +187,8 @@ class TestMotionSearch:
                 want_mv, want_sad = oracles.naive_best_mv(block, refs[r],
                                                           top, left, 2)
                 assert (int(mv[r, m, 0]), int(mv[r, m, 1])) == want_mv
-                assert int(sad[r, m]) == want_sad
+                assert oracles.block_sad(block, refs[r], top, left,
+                                         mv[r, m]) == want_sad
 
 
     @given(hb=st.integers(1, 3), wb=st.integers(1, 3), n_refs=st.integers(1, 5),
@@ -200,10 +204,8 @@ class TestMotionSearch:
         rng = np.random.default_rng(seed)
         cur = rng.integers(0, levels, (16 * hb, 16 * wb)).astype(np.uint8)
         refs = rng.integers(0, levels, (n_refs, 16 * hb, 16 * wb)).astype(np.uint8)
-        mv, sad, zero_sad = motion_search(cur, refs, search_range)
+        mv = motion_search(cur, refs, search_range)
         assert mv.dtype == np.int16 and mv.shape == (n_refs, hb * wb, 2)
-        assert sad.dtype == zero_sad.dtype == np.float64
-        assert sad.shape == zero_sad.shape == (n_refs, hb * wb)
         for r in range(n_refs):
             for m in range(hb * wb):
                 top, left = (m // wb) * 16, (m % wb) * 16
@@ -211,10 +213,11 @@ class TestMotionSearch:
                 want_mv, want_sad = oracles.naive_best_mv(block, refs[r], top,
                                                           left, search_range)
                 assert (int(mv[r, m, 0]), int(mv[r, m, 1])) == want_mv
-                assert sad[r, m] == want_sad
+                assert oracles.block_sad(block, refs[r], top, left,
+                                         mv[r, m]) == want_sad
                 colocated = refs[r, top:top + 16, left:left + 16]
-                assert zero_sad[r, m] == np.abs(block.astype(np.int64)
-                                                - colocated).sum()
+                assert oracles.block_sad(block, refs[r], top, left, (0, 0)) \
+                    == np.abs(block.astype(np.int64) - colocated).sum()
 
 
 class TestIntra:
@@ -262,8 +265,8 @@ class TestCandidates:
     def test_column_layout(self):
         plane = rand_plane((32, 32), seed=51)
         refs = [rand_plane((32, 32), seed=52), rand_plane((32, 32), seed=53)]
-        cset = build_inter_candidates(plane, refs, CodecConfig(search_range=2))
-        assert cset.n_candidates == 6
+        cset = build_inter_candidates(plane, refs, CodecConfig(10, 2, 8))
+        assert cset.mode_col.size == 6
         assert cset.mode_col.tolist() == [MODE_SKIP, MODE_INTER, MODE_INTER,
                                           MODE_INTER, MODE_INTER, MODE_INTRA]
         assert cset.ref_col.tolist() == [1, 1, 1, 2, 2, 0]
@@ -277,7 +280,7 @@ class TestCandidates:
 
     def test_no_references_leave_the_intra_column_alone(self):
         plane = rand_plane((32, 48), 1)
-        cset = build_inter_candidates(plane, [], CodecConfig(quant_step=6))
+        cset = build_inter_candidates(plane, [], CodecConfig(6, 16, 8))
         q, rec, bits, dist, base = build_intra_candidates(plane, 6)
         assert cset.mode_col.tolist() == [MODE_INTRA]
         assert cset.ref_col.tolist() == [0]
@@ -293,9 +296,11 @@ class TestCandidates:
     def test_static_content_skips_for_free(self):
         plane = rand_plane((32, 32), seed=61)
         cset = build_inter_candidates(plane, [plane.copy()],
-                                      CodecConfig(search_range=2))
-        _, _, zero_sad = motion_search(plane, plane[None], 2)
-        assert (zero_sad[0] == 0).all()
+                                      CodecConfig(10, 2, 8))
+        assert (motion_search(plane, plane[None], 2) == 0).all()
+        assert all(oracles.block_sad(plane[r:r + 16, c:c + 16], plane, r, c,
+                                     (0, 0)) == 0
+                   for r in (0, 16) for c in (0, 16))
         assert (cset.distortion[:, 0] == 0).all()
         assert (cset.bits[:, 0] == SKIP_BITS).all()
         assert np.array_equal(cset.recon[:, 0], plane_blocks(plane))
@@ -307,13 +312,13 @@ class TestCandidates:
         cur[16:32, 2:] = ref[16:32, :-2]
         cur[32:] = ref[30:46]
         refs = [ref, rand_plane((48, 64), seed=76)]
-        cfg = CodecConfig(quant_step=10, search_range=3)
+        cfg = CodecConfig(10, 3, 8)
         cset = build_inter_candidates(cur, refs, cfg)
-        orig = plane_blocks(cur)
+        orig = plane_blocks(cur).astype(np.float64)
         moved_rows = 0
         for d in (1, 2):
             cz, cb = 2 * d - 1, 2 * d
-            for m in range(cset.n_mb):
+            for m in range(cset.mv.shape[0]):
                 dx, dy = (int(v) for v in cset.mv[m, cb])
                 if (dx, dy) == (0, 0):
                     assert np.array_equal(cset.coeffs[m, cb], cset.coeffs[m, cz])
@@ -324,12 +329,14 @@ class TestCandidates:
                 moved_rows += 1
                 top, left = (m // 4) * 16 - dy, (m % 4) * 16 - dx
                 pred = refs[d - 1][top:top + 16, left:left + 16]
-                q, rec, rbits, dist = code_against_prediction(pred, orig[m], 10)
-                assert np.array_equal(cset.coeffs[m, cb], q)
-                assert np.array_equal(cset.recon[m, cb], rec)
-                assert cset.distortion[m, cb] == dist
+                q, rec, rbits, dist = code_against_prediction(
+                    pred[None], orig[m:m + 1], 10)
+                assert np.array_equal(cset.coeffs[m, cb], q[0])
+                assert np.array_equal(cset.recon[m, cb], rec[0])
+                assert cset.distortion[m, cb] == dist[0]
                 assert cset.bits[m, cb] == oracles.decision_bits(
-                    oracles.BlockDecision(MODE_INTER, d, (dx, dy)), int(rbits))
+                    oracles.BlockDecision(MODE_INTER, d, (dx, dy)),
+                    int(rbits[0]))
         assert (cset.mv[:4, 2] == 0).all()
         assert cset.mv[5:8, 2].tolist() == [[2, 0]] * 3
         assert cset.mv[8:, 2].tolist() == [[0, 2]] * 4
@@ -338,7 +345,7 @@ class TestCandidates:
     def test_candidate_search_single_block_view(self):
         plane = rand_plane((32, 32), seed=71)
         refs = [rand_plane((32, 32), seed=72)]
-        cfg = CodecConfig(search_range=2)
+        cfg = CodecConfig(10, 2, 8)
         cands = oracles.candidate_search(plane, 2, refs, cfg)
         assert len(cands) == 4  # skip, two inter, intra
         assert cands[0]["decision"].mode == MODE_SKIP
@@ -388,7 +395,7 @@ class TestDecode:
     def test_decode_reconstructs_received_and_conceals_lost(self):
         plane = rand_plane((32, 32), seed=91)
         ref = rand_plane((32, 32), seed=92)
-        cset = build_inter_candidates(plane, [ref], CodecConfig(search_range=2))
+        cset = build_inter_candidates(plane, [ref], CodecConfig(10, 2, 8))
         # choose the best-motion candidate everywhere
         enc = EncodedPlane(
             modes=np.full(4, MODE_INTER, dtype=np.uint8),
@@ -497,7 +504,7 @@ class TestContainer:
 
     def test_round_trip_bit_exact(self):
         frames = [self._frame(100), self._frame(200)]
-        blob = serialize_stream(32, 32, 10, frames, depth_quant_step=2)
+        blob = serialize_stream(32, 32, 10, frames, 2)
         w, h, step, back = parse_stream(blob)
         assert (w, h, step) == (32, 32, 10)
         assert len(back) == 2
@@ -510,16 +517,16 @@ class TestContainer:
 
     def test_skip_blocks_carry_no_coefficients(self):
         frame = self._frame(300)
-        plain = len(serialize_stream(32, 32, 10, [frame]))
+        plain = len(serialize_stream(32, 32, 10, [frame], 10))
         enc = frame[(0, Component.TEXTURE)]
         enc.modes[:] = MODE_SKIP
         enc.ref_dist[:] = 1
         enc.mv[:] = 0
-        skipped = len(serialize_stream(32, 32, 10, [frame]))
+        skipped = len(serialize_stream(32, 32, 10, [frame], 10))
         assert plain - skipped == 4 * 512
 
     def test_bad_magic_version_and_trailing_bytes(self):
-        blob = serialize_stream(32, 32, 10, [self._frame(400)])
+        blob = serialize_stream(32, 32, 10, [self._frame(400)], 10)
         with pytest.raises(CodecError):
             parse_stream(b"XXXX" + blob[4:])
         bad_version = blob[:4] + bytes([99]) + blob[5:]
@@ -529,7 +536,7 @@ class TestContainer:
             parse_stream(blob + b"\x00")
 
     def test_cut_or_corrupt_streams_raise_codec_error(self):
-        blob = serialize_stream(32, 32, 10, [self._frame(410)])
+        blob = serialize_stream(32, 32, 10, [self._frame(410)], 10)
         header = 4 + 11
         bad_mode = bytearray(blob)
         bad_mode[header] = 7
@@ -547,7 +554,7 @@ class TestContainer:
            edits=st.lists(st.tuples(st.integers(0, 4 + 11 + 16 * 518 - 1),
                                     st.integers(0, 255)), max_size=4))
     def test_any_damaged_stream_parses_or_raises_codec_error(self, cut, edits):
-        data = bytearray(serialize_stream(32, 32, 10, [self._frame(420)]))
+        data = bytearray(serialize_stream(32, 32, 10, [self._frame(420)], 10))
         for pos, value in edits:
             data[pos] = value
         try:
@@ -620,7 +627,7 @@ class TestContainer:
         wide.flat[1] = value
         setattr(enc, field, wide)
         with pytest.raises(CodecError):
-            serialize_stream(32, 32, 10, [frame])
+            serialize_stream(32, 32, 10, [frame], 10)
 
     def test_decoded_stream_matches_encoder_reconstruction(self):
         """Lossless channel: decode of the parsed container equals the
@@ -629,7 +636,7 @@ class TestContainer:
         plane1 = rand_plane((32, 32), seed=501)
         enc0 = self._all_intra(plane0)
         ref0, _ = decode_plane(enc0, [], None, np.ones(4, dtype=bool))
-        cset = build_inter_candidates(plane1, [ref0], CodecConfig(search_range=2))
+        cset = build_inter_candidates(plane1, [ref0], CodecConfig(10, 2, 8))
         enc1 = EncodedPlane(modes=np.full(4, MODE_INTER, dtype=np.uint8),
                             ref_dist=np.ones(4, dtype=np.uint8),
                             mv=cset.mv[:, 2].astype(np.int16),
@@ -637,7 +644,7 @@ class TestContainer:
                             grid=(2, 2))
         keys = list(self._frame(0))
         frames = [{k: enc0 for k in keys}, {k: enc1 for k in keys}]
-        blob = serialize_stream(32, 32, 10, frames)
+        blob = serialize_stream(32, 32, 10, frames, 10)
         _, _, _, back = parse_stream(blob)
         d0, _ = decode_plane(back[0][(0, Component.TEXTURE)], [], None,
                              np.ones(4, dtype=bool))
@@ -649,11 +656,14 @@ class TestContainer:
 
 class TestCodecConfig:
     def test_defaults_and_validation(self):
-        cfg = CodecConfig()
+        # no defaults: every caller states all three, as ExperimentConfig does
+        with pytest.raises(TypeError):
+            CodecConfig()
+        cfg = CodecConfig(10, 16, 8)
         assert cfg.quant_step == 10
         with pytest.raises(CodecError):
-            CodecConfig(quant_step=0)
+            CodecConfig(0, 16, 8)
         with pytest.raises(CodecError):
-            CodecConfig(search_range=0)
+            CodecConfig(10, 0, 8)
         with pytest.raises(CodecError):
-            CodecConfig(ref_window=0)
+            CodecConfig(10, 16, 0)

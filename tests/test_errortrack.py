@@ -311,10 +311,10 @@ class TestExpectedErrorTracker:
 
     def test_rejects_bad_parameters_and_unknown_frames(self):
         with pytest.raises(TrackingError):
-            ExpectedErrorTracker((1, 1), 1.5)
+            ExpectedErrorTracker((1, 1), 1.5, gamma=0.9)
         with pytest.raises(TrackingError):
             ExpectedErrorTracker((1, 1), 0.5, gamma=0.0)
-        tr = ExpectedErrorTracker((1, 1), 0.5)
+        tr = ExpectedErrorTracker((1, 1), 0.5, gamma=0.9)
         with pytest.raises(TrackingError):
             tr.set_frame_outcome(0, np.ones(1, dtype=bool))
 
@@ -364,7 +364,7 @@ class TestDecoderTracker:
     def test_loss_chain_decays_geometrically_then_resets(self):
         """delta 10 at the loss, then gamma 0.9 per received copy: 10, 9, 8.1;
         an intra refresh drops it to exactly zero."""
-        tr = DecoderTracker(self.GRID, gamma=0.9)
+        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
         tr.update_frame(0, self._planes(100), self._encs(MODE_INTRA, 100),
                         self._received())
         tr.update_frame(1, self._planes(110), self._encs(MODE_INTRA, 110),
@@ -388,7 +388,7 @@ class TestDecoderTracker:
 
     @pytest.mark.parametrize("step,want", [(0, 0.0), (5, 5.0)])
     def test_loss_delta_follows_decoded_history(self, step, want):
-        tr = DecoderTracker(self.GRID, gamma=0.9)
+        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
         tr.update_frame(0, self._planes(100), self._encs(MODE_INTRA, 100),
                         self._received())
         tr.update_frame(1, self._planes(100 + step),
@@ -399,7 +399,7 @@ class TestDecoderTracker:
 
     def test_disparity_never_uses_the_cross_view_estimate(self):
         # depth lost while textures are clean: the history delta applies as is
-        tr = DecoderTracker(self.GRID, gamma=0.9)
+        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
         planes0 = self._planes(100, disp_value=8)
         planes1 = self._planes(100, disp_value=12)
         tr.update_frame(0, planes0, self._encs(MODE_INTRA, 100),
@@ -459,7 +459,7 @@ class TestDecoderTracker:
         assert np.array_equal(got, oracles.oracle_cross_view_states(*args))
 
     def test_frame_index_must_advance_in_order(self):
-        tr = DecoderTracker(self.GRID)
+        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
         with pytest.raises(TrackingError):
             tr.update_frame(1, self._planes(0), self._encs(MODE_INTRA, 0),
                             self._received())

@@ -17,8 +17,8 @@ def plane(value, shape=(16, 16)):
 class TestFramePlane:
     def test_accepts_aligned_uint8(self):
         p = FramePlane(plane(7, (32, 48)))
-        assert (p.height, p.width) == (32, 48)
-        assert p.mb_grid == (2, 3)
+        assert p.samples.shape == (32, 48)
+        assert p.samples.dtype == np.uint8
 
     def test_accepts_integer_arrays_in_range(self):
         p = FramePlane(np.full((16, 16), 200, dtype=np.int32))
@@ -34,13 +34,6 @@ class TestFramePlane:
             FramePlane(np.full((16, 16), 256, dtype=np.int32))
         with pytest.raises(PlaneError):
             FramePlane(np.full((16, 16), -1, dtype=np.int32))
-
-    def test_copy_is_independent(self):
-        p = FramePlane(plane(3))
-        q = p.copy()
-        q.samples[0, 0] = 99
-        assert p.samples[0, 0] == 3
-        assert not p.same_as(q)
 
     def test_view_frame_checks_shapes(self):
         t = FramePlane(plane(1))
@@ -136,4 +129,4 @@ class TestPlaneIO:
         except PlaneError:
             return
         assert got.samples.dtype == np.uint8
-        assert got.height % 16 == 0 and got.width % 16 == 0
+        assert got.samples.shape[0] % 16 == 0 and got.samples.shape[1] % 16 == 0

@@ -60,8 +60,8 @@ def crafted_candidates(chan, distortion=None, bits=None):
 def intra_frame(plane, step):
     """Code a plane as the encoder codes frame 0: its INTRA-only candidate
     set, selected with no channel term."""
-    cset = build_inter_candidates(plane, [], CodecConfig(quant_step=step))
-    zeros = np.zeros((cset.n_mb, 1))
+    cset = build_inter_candidates(plane, [], CodecConfig(step, 16, 8))
+    zeros = np.zeros((cset.mv.shape[0], 1))
     return select_plane(plane, PlaneCandidates(cset=cset, chan=zeros), zeros,
                         0.0)
 
@@ -251,8 +251,7 @@ class TestSelectPlane:
         frames = drifting_planes(3)
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=3)
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
-        pc = PlaneCandidates(cset=cset,
-                             chan=np.zeros((cset.n_mb, cset.n_candidates)))
+        pc = PlaneCandidates(cset=cset, chan=np.zeros(cset.mv.shape[:2]))
         cols = pc.chan
         heavy = select_plane(frames[3], pc, cols, 1.0e12)
         assert np.array_equal(heavy.bits, cset.bits.min(axis=1))
@@ -263,8 +262,7 @@ class TestSelectPlane:
         frames = drifting_planes(7)
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=3)
         cset = build_inter_candidates(frames[3], frames[:3][::-1], cfg)
-        pc = PlaneCandidates(cset=cset,
-                             chan=np.zeros((cset.n_mb, cset.n_candidates)))
+        pc = PlaneCandidates(cset=cset, chan=np.zeros(cset.mv.shape[:2]))
         cols = pc.chan
         lams = [0.0, 0.002, 0.01, 0.05, 0.25, 1.0, 10.0, 1.0e6]
         totals = [select_plane(frames[3], pc, cols, lam).total_bits
@@ -278,7 +276,7 @@ class TestSelectPlane:
         frames = drifting_planes(seed % 1000, n_frames=3)
         cfg = CodecConfig(quant_step=10, search_range=3, ref_window=2)
         cset = build_inter_candidates(frames[2], [frames[1], frames[0]], cfg)
-        n_mb, n_cand = cset.n_mb, cset.n_candidates
+        n_mb, n_cand = cset.mv.shape[:2]
         chan = np.empty((n_mb, n_cand))
         chan[:, :-1] = rng.uniform(0, 20, (n_mb, n_cand - 1))
         chan[:, -1] = rng.uniform(0, 20, n_mb)
@@ -308,7 +306,7 @@ class TestSelectPlane:
     @pytest.mark.parametrize("step", [2, 10])
     def test_plane_is_labelled_with_its_build_step(self, step):
         frames = drifting_planes(3)
-        tr = ExpectedErrorTracker((2, 2), planned_receive_prob=0.9)
+        tr = ExpectedErrorTracker((2, 2), planned_receive_prob=0.9, gamma=0.9)
         sel0 = intra_frame(frames[0], step)
         enc0, rec0 = sel0.enc, sel0.recon
         tr.push_frame(enc0.modes, enc0.ref_dist, enc0.mv,
@@ -485,7 +483,7 @@ class TestLambdaControl:
             calls.append(lam)
             return int(round(200.0 / lam)), f"run{len(calls)}"
 
-        res = tune_to_band(run, 1.0, 100.0)
+        res = tune_to_band(run, 1.0, 100.0, 0.05, 8)
         assert res.in_band and not res.infeasible
         assert res.bits == 102
         assert res.trials == 4
@@ -499,7 +497,7 @@ class TestLambdaControl:
             calls.append(lam)
             return (1000 if lam < 2.0 else 50), None
 
-        res = tune_to_band(run, 1.0, 100.0)
+        res = tune_to_band(run, 1.0, 100.0, 0.05, 8)
         assert not res.in_band and not res.infeasible
         assert res.bits == 50
         # once both sides are seen the next lambda is the geometric mean
@@ -509,7 +507,7 @@ class TestLambdaControl:
             float(np.sqrt(calls[i - 1] * calls[i])))
 
     def test_unreachable_budget_is_flagged_infeasible(self):
-        res = tune_to_band(lambda lam: (10 ** 6, None), 1.0, 100.0)
+        res = tune_to_band(lambda lam: (10 ** 6, None), 1.0, 100.0, 0.05, 8)
         assert res.infeasible and not res.in_band
         assert res.lam == 1.0e12
         assert res.bits == 10 ** 6
@@ -522,7 +520,7 @@ class TestLambdaControl:
             count[0] += 1
             return 10 ** 6, None
 
-        tune_to_band(run, 1.0, 100.0, max_trials=5)
+        tune_to_band(run, 1.0, 100.0, 0.05, 5)
         assert count[0] == 6        # five trials plus the feasibility probe
 
 

@@ -1,6 +1,7 @@
 """End-to-end harness behavior: config, artifact tree, reports and the CLI."""
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.channel import Component, build_schedule, make_iid_trace
-from fvstream.cli import load_report, main
+from fvstream.cli import main
 from fvstream import pipeline
-from fvstream.codec import PLANE_ORDER
+from fvstream.codec import PLANE_ORDER, CodecConfig
+from fvstream.sensitivity import SensitivityParams
+from fvstream.synthesis import SynthesisParams
 from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
 from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                ExperimentReport, HarnessError, compare_setups,
                                config_from_dict, decode_stream, emit_plot_data,
-                               encode_stream, resolve_output_root,
+                               encode_stream, load_report, resolve_output_root,
                                run_experiment, synthesize_sequence)
 
 #: top-level config keys, one unknown, and a JSON value drawn for each
@@ -120,6 +123,31 @@ class TestConfig:
             ExperimentConfig(rtt=-1)
         with pytest.raises(HarnessError):
             ExperimentConfig(seeds=())
+
+    def test_rejects_duplicate_seeds(self):
+        with pytest.raises(HarnessError):
+            ExperimentConfig(seeds=(1, 2, 1))
+
+    def test_rejects_rates_that_share_a_directory(self):
+        # each rate names a rate_<6 decimals> directory of the tree
+        with pytest.raises(HarnessError):
+            ExperimentConfig(loss_rates=(0.1, 0.1))
+        with pytest.raises(HarnessError):
+            ExperimentConfig(loss_rates=(0.1, 0.1000000001))
+        assert ExperimentConfig(loss_rates=(0.1, 0.100001)).loss_rates == \
+            (0.1, 0.100001)
+
+    def test_parameter_objects_keep_the_module_defaults(self):
+        # the defaults the parameter classes keep cannot drift from the config
+        cfg = ExperimentConfig()
+        assert cfg.sensitivity == SensitivityParams()
+        assert cfg.synthesis == SynthesisParams()
+        assert cfg.codecs == {
+            Component.TEXTURE: CodecConfig(cfg.quant_step, cfg.search_range,
+                                           cfg.ref_window),
+            Component.DEPTH: CodecConfig(cfg.depth_quant_step,
+                                         cfg.depth_search_range,
+                                         cfg.ref_window)}
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(HarnessError):
@@ -338,6 +366,28 @@ class TestExperimentTree:
         csv_text, _ = compare_setups(rebuilt)
         assert csv_text == (root / "summary.csv").read_text()
 
+    def test_loaded_cells_carry_no_per_frame_flags(self, experiment_tree):
+        # the tree keeps in-band and infeasible counts, not per-frame flags
+        _, report, root = experiment_tree
+        assert all(c.in_band is not None for c in report.cells)
+        for cell in load_report(root).cells:
+            assert cell.in_band is None and cell.infeasible is None
+
+    def test_report_rows_must_agree_with_their_cells(self, experiment_tree,
+                                                     tmp_path):
+        _, _, root = experiment_tree
+        lines = (root / "report.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        for field, value in (("frame_count", "9"), ("total_bits", "1")):
+            bad = list(row)
+            bad[pipeline.REPORT_FIELDS.index(field)] = value
+            copy = tmp_path / field
+            shutil.copytree(root, copy)
+            (copy / "report.csv").write_text(
+                "\n".join([lines[0], ",".join(bad)] + lines[2:]) + "\n")
+            with pytest.raises(HarnessError, match="report.csv line 2"):
+                load_report(copy)
+
     def test_loaded_report_matches_the_live_one(self, experiment_tree):
         _, report, root = experiment_tree
         rebuilt = load_report(root)
@@ -420,6 +470,33 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"max_lambda_trials": 0}, {"gamma": 5.0, "setups": ["rfc"]},
+        {"position": 2.0}, {"eta": 0.0}, {"threshold": 0.0},
+        {"search_range": 100}, {"ref_window": 17}])
+    def test_bad_parameter_exits_1_before_any_work(self, tmp_path, capsys,
+                                                   doc):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "tree"
+        cfg_path.write_text(json.dumps(dict(
+            {"scene": MICRO_SCENE_DICT, "loss_rates": [0.05], "seeds": [7],
+             "output_root": str(out)}, **doc)))
+        rc = main(["run", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_short_report_row_exits_1_naming_the_file(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "report.csv").write_text(
+            ",".join(pipeline.REPORT_FIELDS) + "\nrfc\n")
+        rc = main(["compare", "--root", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "report.csv" in err
 
     def test_mistyped_scene_exits_1_with_one_line(self, tmp_path, capsys):
         bad = tmp_path / "scene.json"

@@ -129,16 +129,18 @@ class TestGeometry:
         a = generate_synthetic_stereo(spec)
         b = generate_synthetic_stereo(spec)
         for t in range(spec.frame_count):
-            assert a[0][t].texture.same_as(b[0][t].texture)
-            assert a[1][t].disparity.same_as(b[1][t].disparity)
-            assert a[2][t].same_as(b[2][t])
+            assert np.array_equal(a[0][t].texture.samples,
+                                  b[0][t].texture.samples)
+            assert np.array_equal(a[1][t].disparity.samples,
+                                  b[1][t].disparity.samples)
+            assert np.array_equal(a[2][t].samples, b[2][t].samples)
 
     def test_default_scene_shape(self):
         spec = default_scene_spec()
         assert (spec.width, spec.height, spec.frame_count) == (128, 128, 60)
         left, right, truth = generate_synthetic_stereo(spec)
         assert len(left) == len(right) == len(truth) == 60
-        assert left[0].texture.mb_grid == (8, 8)
+        assert left[0].texture.samples.shape == (128, 128)
 
 
 class TestSceneFromDict:
