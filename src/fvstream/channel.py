@@ -113,6 +113,8 @@ def make_iid_trace(seed: int, loss_rate: float, schedule: list[PacketId],
     """
     if not 0.0 <= loss_rate <= 1.0:
         raise ChannelError(f"loss rate {loss_rate} outside [0, 1]")
+    if seed < 0:
+        raise ChannelError(f"seed {seed} is negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(len(schedule))
     protected = frozenset(int(f) for f in protected_frames)

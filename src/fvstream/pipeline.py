@@ -4,15 +4,20 @@ One cell = (setup, loss rate, seed): encode both views with the setup's
 selection mode, push the packets through the recorded loss trace, decode with
 concealment, track errors at the receiver, synthesize the middle view, and
 score it against the withheld ground truth.  All setups of a (rate, seed)
-cell share one trace, and the feedback-only baseline runs first so its
-per-frame bits define the matched-rate targets for the others.
+pair share one trace, and the feedback-only baseline's per-frame bits are
+the matched-rate targets of the others.  When a pair holds the baseline and
+a tuned setup, the baseline is coded in a forked worker process that sends
+each frame's bits as it commits them, while this process codes the tuned
+setups against them: frame t only needs the baseline's frame t.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -108,6 +113,8 @@ class ExperimentConfig:
             raise HarnessError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise HarnessError("duplicate seeds")
+        if min(self.seeds) < 0:
+            raise HarnessError("seeds must be nonnegative")
         if self.rtt < 0:
             raise HarnessError("rtt must be nonnegative")
         if self.rate_band <= 0 or self.base_lambda <= 0:
@@ -374,12 +381,15 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
-                  trace: LossTrace,
-                  frame_targets: list[float] | None = None) -> EncodedStream:
+                  trace: LossTrace, frame_targets: Sequence[float] | None = None,
+                  publish: Callable[[int], object] | None = None
+                  ) -> EncodedStream:
     """Encode both views frame by frame under one selection mode.
 
     frame_targets, when given, are per-frame bit budgets (the baseline's
-    spend) driven to within the configured band by lambda adjustment.
+    spend) driven to within the configured band by lambda adjustment; entry
+    t is read only when frame t is coded.  publish, when given, receives
+    each frame's bits as soon as the frame is committed.
     """
     state = EncoderState(cfg, orig, mode, trace)
     out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
@@ -398,6 +408,8 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
         out.frames.append(frame)
         out.records.append(sels)
         out.bits_per_frame.append(int(bits_t))
+        if publish is not None:
+            publish(int(bits_t))
         out.lambdas.append(lam)
         out.in_band.append(bool(band_ok))
         out.infeasible.append(bool(infeas))
@@ -616,32 +628,133 @@ def _write_cell(cell_dir: Path, stream: EncodedStream, cell: CellResult,
         save_pgm(frames_dir / f"synth_{t:04d}.pgm", plane)
 
 
-def _run_setup_cell(cfg: ExperimentConfig, setup: str, orig: dict,
-                    truth: list[FramePlane], trace: LossTrace,
-                    targets: list[float] | None,
-                    shared: dict) -> tuple[EncodedStream, DecodedStream,
-                                           list[np.ndarray], list[float]]:
-    """Encode/decode once per selection mode, synthesize per setup."""
-    sel_mode, blend = SETUP_MODES[setup]
-    if sel_mode not in shared:
-        stream = encode_stream(cfg, orig, sel_mode, trace,
-                               None if setup == "rfc" else targets)
-        dec = decode_stream(cfg, stream, trace)
-        shared[sel_mode] = (stream, dec)
-    stream, dec = shared[sel_mode]
-    synth, scores = synthesize_sequence(cfg, dec, blend, truth)
-    return stream, dec, synth, scores
+def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
+               orig: dict, truth: list[FramePlane], trace: LossTrace,
+               pair: Path, targets: Sequence[float] | None = None,
+               publish: Callable[[int], object] | None = None
+               ) -> list[CellResult]:
+    """Code the cells of one selection mode in a (rate, seed) pair: encode
+    and decode once, then synthesize, score and write each setup's cell."""
+    stream = encode_stream(cfg, orig, mode, trace, targets, publish)
+    dec = decode_stream(cfg, stream, trace)
+    cells = []
+    for setup in setups:
+        synth, scores = synthesize_sequence(cfg, dec, SETUP_MODES[setup][1],
+                                            truth)
+        cell = CellResult(
+            setup=setup, loss_rate=trace.loss_rate, seed=trace.seed,
+            frame_psnr=[float(_fmt(s)) for s in scores],
+            frame_bits=list(stream.bits_per_frame),
+            frame_lost_packets=list(dec.lost_packets),
+            in_band=list(stream.in_band),
+            infeasible=list(stream.infeasible))
+        _write_cell(pair / setup, stream, cell, synth)
+        cells.append(cell)
+    return cells
+
+
+def _reactive_worker(conn, *args) -> None:
+    """Forked worker body: code the reactive cells, sending each frame's bits
+    as it is committed, then the cells, or the exception that stopped it."""
+    try:
+        cells = _code_mode(*args, publish=conn.send)
+    except Exception as exc:     # re-raised by the parent
+        conn.send(exc)
+    else:
+        conn.send(cells)
+    conn.close()
+
+
+class _StreamedTargets:
+    """The reactive cell's per-frame bits as its worker commits them.
+
+    Reading frame t blocks until the worker has sent it.  An exception the
+    worker sent is raised here, in the parent.
+    """
+
+    def __init__(self, conn, worker) -> None:
+        self.conn, self.worker = conn, worker
+        self.bits: list[int] = []
+        self.cells: list[CellResult] | None = None
+
+    def _receive(self) -> None:
+        try:
+            msg = self.conn.recv()
+        except EOFError:
+            self.worker.join()
+            raise HarnessError(f"rfc worker exited with code "
+                               f"{self.worker.exitcode} before its cell was "
+                               f"done") from None
+        if isinstance(msg, BaseException):
+            raise msg
+        if isinstance(msg, int):
+            self.bits.append(msg)
+        else:
+            self.cells = msg
+
+    def __getitem__(self, t: int) -> int:
+        while len(self.bits) <= t:
+            self._receive()
+        return self.bits[t]
+
+    def result(self) -> list[CellResult]:
+        while self.cells is None:
+            self._receive()
+        return self.cells
+
+
+def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
+               truth: list[FramePlane], trace: LossTrace, pair: Path
+               ) -> dict[str, CellResult]:
+    """Code every setup of one (rate, seed) pair; the cells by setup.
+
+    With the reactive baseline and a tuned mode, the baseline runs in a
+    forked worker and the tuned modes code here against its streamed bits.
+    Otherwise no mode has targets, and each runs here in turn.
+    """
+    modes: dict[str, list[str]] = {}
+    for setup in setups:
+        modes.setdefault(SETUP_MODES[setup][0], []).append(setup)
+    tuned = [m for m in modes if m != "reactive"]
+    if "reactive" not in modes or not tuned:
+        return {c.setup: c for m, group in modes.items()
+                for c in _code_mode(cfg, m, group, orig, truth, trace, pair)}
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_reactive_worker, daemon=True, args=(
+        send, cfg, "reactive", modes["reactive"], orig, truth, trace, pair))
+    worker.start()
+    send.close()
+    targets = _StreamedTargets(recv, worker)
+    try:
+        cells = [c for m in tuned for c in _code_mode(
+            cfg, m, modes[m], orig, truth, trace, pair, targets)]
+        cells += targets.result()
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        recv.close()
+    return {c.setup: c for c in cells}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run every (setup, rate, seed) cell and write the artifact tree."""
+    """Run every (setup, rate, seed) cell and write the artifact tree.
+
+    In a pair that holds rfc and a tuned setup, rfc's cell is coded and
+    written by a forked worker process, which streams its per-frame bits to
+    the tuned setups coded here.  If the worker raises, its exception is
+    raised here; if this process raises, the worker is terminated.  Either
+    way no worker is left running when this returns or raises.  report.csv,
+    the summary and the plot series are written here, in setup order.
+    """
     root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)
 
     left, right, truth = generate_synthetic_stereo(cfg.scene)
     orig = _plane_lists(left, right)
 
-    # baseline first: its spend is the matched-rate target for the others
     ordered = [s for s in SETUPS if s in cfg.setups]
     report = ExperimentReport(setups=tuple(ordered),
                               loss_rates=cfg.loss_rates, seeds=cfg.seeds)
@@ -652,23 +765,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             pair = _pair_dir(root, rate, seed)
             pair.mkdir(parents=True, exist_ok=True)
             save_trace(pair / "trace.txt", trace)
-
-            targets: list[float] | None = None
-            shared: dict = {}
-            for setup in ordered:
-                stream, dec, synth, scores = _run_setup_cell(
-                    cfg, setup, orig, truth, trace, targets, shared)
-                if setup == "rfc":
-                    targets = [float(b) for b in stream.bits_per_frame]
-                cell = CellResult(
-                    setup=setup, loss_rate=rate, seed=seed,
-                    frame_psnr=[float(_fmt(s)) for s in scores],
-                    frame_bits=list(stream.bits_per_frame),
-                    frame_lost_packets=list(dec.lost_packets),
-                    in_band=list(stream.in_band),
-                    infeasible=list(stream.infeasible))
-                report.cells.append(cell)
-                _write_cell(pair / setup, stream, cell, synth)
+            cells = _code_pair(cfg, ordered, orig, truth, trace, pair)
+            report.cells.extend(cells[setup] for setup in ordered)
 
     with open(root / "report.csv", "w", encoding="ascii") as fh:
         fh.write(",".join(REPORT_FIELDS) + "\n")

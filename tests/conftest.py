@@ -1,6 +1,7 @@
 """Shared scene fixtures, the hypothesis profile and the acceptance summary."""
 from __future__ import annotations
 
+import multiprocessing
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """No test leaves a child process of the suite running, passed or not."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def bounce(frame_count: int, step: int, swing: int, axis: int):

@@ -106,6 +106,11 @@ class TestTrace:
         with pytest.raises(ChannelError):
             make_iid_trace(1, 1.5, sched)
 
+    def test_rejects_a_negative_seed(self):
+        # numpy's own message for it was the CLI's only diagnosis
+        with pytest.raises(ChannelError, match="seed -1"):
+            make_iid_trace(-1, 0.1, build_schedule(1, 1, 1))
+
     def test_unknown_packet_raises(self):
         trace = make_iid_trace(1, 0.5, build_schedule(2, 2, 1))
         with pytest.raises(ChannelError):

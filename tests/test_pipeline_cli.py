@@ -1,7 +1,10 @@
 """End-to-end harness behavior: config, artifact tree, reports and the CLI."""
 import dataclasses
 import json
+import multiprocessing
+import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import main
 from fvstream import pipeline
-from fvstream.codec import PLANE_ORDER, CodecConfig
+from fvstream.codec import PLANE_ORDER, CodecConfig, CodecError
 from fvstream.sensitivity import SensitivityParams
 from fvstream.synthesis import SynthesisParams
 from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
@@ -123,6 +126,8 @@ class TestConfig:
             ExperimentConfig(rtt=-1)
         with pytest.raises(HarnessError):
             ExperimentConfig(seeds=())
+        with pytest.raises(HarnessError, match="nonnegative"):
+            ExperimentConfig(seeds=(3, -1))
 
     def test_rejects_duplicate_seeds(self):
         with pytest.raises(HarnessError):
@@ -398,6 +403,94 @@ class TestExperimentTree:
             assert twin.frame_lost_packets == cell.frame_lost_packets
 
 
+def _break_plan(monkeypatch, mode, frame, action):
+    """Make EncoderState.plan run action() instead at mode's frame; forked
+    workers inherit the patch."""
+    plan = pipeline.EncoderState.plan
+
+    def broken(self, t):
+        if self.mode == mode and t == frame:
+            action()
+        return plan(self, t)
+    monkeypatch.setattr(pipeline.EncoderState, "plan", broken)
+
+
+def _raise(message):
+    def action():
+        raise CodecError(message)
+    return action
+
+
+class TestPairWorker:
+    """rfc codes in a forked worker when its pair also holds a tuned setup."""
+
+    def test_worker_error_is_raised_here_and_the_worker_reaped(
+            self, tmp_path, monkeypatch, capsys):
+        _break_plan(monkeypatch, "reactive", 3, _raise("rfc broke at 3"))
+        with pytest.raises(CodecError, match="rfc broke at 3"):
+            run_experiment(micro_config(tmp_path))
+        assert multiprocessing.active_children() == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scene": MICRO_SCENE_DICT, "setups": ["rfc", "arps"],
+            "loss_rates": [0.05], "seeds": [7], "rtt": 2,
+            "output_root": str(tmp_path / "cli")}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: rfc broke at 3\n"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_reported_with_its_exit_code(
+            self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os._exit(3)
+        _break_plan(monkeypatch, "reactive", 3, die)
+        with pytest.raises(HarnessError, match="exited with code 3"):
+            run_experiment(micro_config(tmp_path))
+        assert multiprocessing.active_children() == []
+
+    def test_error_here_terminates_the_running_worker(self, tmp_path,
+                                                      monkeypatch):
+        # the worker stalls at frame 5, after it has sent frame 3's target
+        # that the failing cross encode reads first
+        _break_plan(monkeypatch, "reactive", 5, lambda: time.sleep(60))
+        _break_plan(monkeypatch, "cross", 3, _raise("cross broke at 3"))
+        start = time.monotonic()
+        with pytest.raises(CodecError, match="cross broke at 3"):
+            run_experiment(micro_config(tmp_path))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_rfc_cell_is_the_same_from_the_worker_and_in_process(
+            self, tmp_path, monkeypatch):
+        log = tmp_path / "writers.txt"
+        write_cell = pipeline._write_cell
+
+        def logged(cell_dir, *args):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{cell_dir.relative_to(tmp_path)} {os.getpid()}\n")
+            return write_cell(cell_dir, *args)
+        monkeypatch.setattr(pipeline, "_write_cell", logged)
+        run_experiment(micro_config(tmp_path, output_root=str(tmp_path / "pair")))
+        run_experiment(micro_config(tmp_path, setups=("rfc",),
+                                    output_root=str(tmp_path / "solo")))
+        cell = os.path.join("rate_0.050000", "seed_7", "rfc")
+        writers = dict(line.split() for line in log.read_text().splitlines())
+        here = str(os.getpid())
+        assert writers.pop(os.path.join("pair", cell)) != here
+        assert writers == {os.path.join("pair", "rate_0.050000", "seed_7",
+                                        "arps"): here,
+                           os.path.join("solo", cell): here}
+        trees = []
+        for run in ("pair", "solo"):
+            root = tmp_path / run / cell
+            trees.append({p.relative_to(root): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 2 + 8 and trees[0] == trees[1]
+
+
 class TestCli:
     def test_generate_writes_all_planes(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -474,20 +567,26 @@ class TestCli:
     @pytest.mark.parametrize("doc", [
         {"max_lambda_trials": 0}, {"gamma": 5.0, "setups": ["rfc"]},
         {"position": 2.0}, {"eta": 0.0}, {"threshold": 0.0},
-        {"search_range": 100}, {"ref_window": 17}])
+        {"search_range": 100}, {"ref_window": 17}, {"seeds": [-1]},
+        pytest.param(({}, ("run", "--seeds=-1")), id="run-seeds=-1"),
+        pytest.param(({}, ("trace", "--seed", "-1", "--rate", "0.05",
+                           "--out", "trace.txt")), id="trace-seed=-1")])
     def test_bad_parameter_exits_1_before_any_work(self, tmp_path, capsys,
-                                                   doc):
+                                                   monkeypatch, doc):
+        # a case is a config document for `run`, or (document, command line)
+        doc, command = doc if isinstance(doc, tuple) else (doc, ("run",))
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "tree"
         cfg_path.write_text(json.dumps(dict(
             {"scene": MICRO_SCENE_DICT, "loss_rates": [0.05], "seeds": [7],
              "output_root": str(out)}, **doc)))
-        rc = main(["run", "--config", str(cfg_path)])
+        rc = main([command[0], "--config", str(cfg_path), *command[1:]])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "trace.txt").exists()
 
     def test_short_report_row_exits_1_naming_the_file(self, tmp_path,
                                                         capsys):
