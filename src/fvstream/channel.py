@@ -96,6 +96,9 @@ class LossTrace:
         if not self._lookup:
             self._lookup = {pid: lost for pid, lost in self.entries}
 
+    def __contains__(self, pid: PacketId) -> bool:
+        return pid in self._lookup
+
     def lost(self, pid: PacketId) -> bool:
         try:
             return self._lookup[pid]
@@ -134,7 +137,7 @@ def lost_mb_mask(trace: LossTrace, frame_index: int, view_id: int,
     plane, so that the macroblock ranges match the packets that were sent;
     a count that differs raises ChannelError.
     """
-    if PacketId(frame_index, view_id, component, packets) in trace._lookup:
+    if PacketId(frame_index, view_id, component, packets) in trace:
         raise ChannelError(f"trace holds more than {packets} packets for frame "
                            f"{frame_index} view {view_id} {component.label}")
     mask = np.zeros(mb_count, dtype=bool)

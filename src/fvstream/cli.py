@@ -20,22 +20,35 @@ from .pipeline import (ExperimentConfig, HarnessError, compare_setups,
 from .scenegen import SceneSpecError, generate_synthetic_stereo
 
 _ERRORS = (HarnessError, SceneSpecError, ChannelError, CodecError, PlaneError,
-           ValueError, OSError, json.JSONDecodeError)
+           OSError)
+
+
+def _parse_list(flag: str, text: str, kind) -> tuple:
+    out = []
+    for x in text.split(","):
+        try:
+            out.append(kind(x))
+        except ValueError:
+            raise HarnessError(f"{flag}: cannot read {x!r} as {kind.__name__}") from None
+    return tuple(out)
 
 
 def _load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:   # not JSON, not UTF-8, an oversized integer
+            raise HarnessError(f"config {args.config}: {exc}") from None
     cfg = config_from_dict(data)
     updates = {}
     if getattr(args, "setups", None):
         updates["setups"] = tuple(args.setups.split(","))
     if getattr(args, "rates", None):
-        updates["loss_rates"] = tuple(float(x) for x in args.rates.split(","))
+        updates["loss_rates"] = _parse_list("--rates", args.rates, float)
     if getattr(args, "seeds", None):
-        updates["seeds"] = tuple(int(x) for x in args.seeds.split(","))
+        updates["seeds"] = _parse_list("--seeds", args.seeds, int)
     if getattr(args, "output_root", None):
         updates["output_root"] = args.output_root
     if getattr(args, "base_lambda", None) is not None:

@@ -21,11 +21,11 @@ batched reconstruction path, whole planes at a time: `predictor_blocks`
 gathers the motion-compensated predictors and `apply_residual` adds the
 dequantized residuals, so without losses the two stay bit identical.
 
-`build_inter_candidates` trial-codes every option of a plane into one
-CandidateSet, one column per option: SKIP, then per reference distance a
-zero-motion and a searched INTER column, and INTRA last.  A plane without
-references has the INTRA column alone.  Selection ties keep the first
-column, so this order is the tie-break.
+`build_inter_candidates` fills one CandidateSet per plane, one column per
+option: SKIP, per reference distance a zero-motion and a searched INTER
+column, then INTRA (alone without references); ties keep the first column.
+It runs one trial per distinct (block, predictor): an INTER column whose
+predictor repeats an earlier column of its block copies that trial.
 
 A motion vector is the displacement of scene content: mv (dx, dy) predicts
 the block at (row - dy, col - dx) of the reference frame.  The search emits
@@ -320,41 +320,36 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
         ref_stack = np.stack(refs)
         best_mv = motion_search(cur, ref_stack, cfg.search_range)
         orig_blocks = plane_blocks(cur).astype(np.float64)
+        # columns 1..2R: per reference distance a zero-motion, then the
+        # searched INTER column; one (n_mb * 2R, 16, 16) predictor stack
+        inter, n_col = slice(1, -1), 2 * n_refs
+        mode_col[inter] = MODE_INTER
+        ref_col[inter] = np.repeat(np.arange(1, n_refs + 1), 2)
+        mv[:, 2:-1:2] = best_mv.transpose(1, 0, 2)
+        preds = predictor_blocks(ref_stack, np.tile(ref_col[inter], n_mb),
+                                 mv[:, inter].reshape(-1, 2),
+                                 np.repeat(np.arange(n_mb), n_col), grid)
 
-        # column 0: SKIP
-        coloc0 = plane_blocks(refs[0])
-        mode_col[0] = MODE_SKIP
-        ref_col[0] = 1
-        bits[:, 0] = SKIP_BITS
-        recon[:, 0] = coloc0
-        distortion[:, 0] = np.abs(coloc0.astype(np.float64)
-                                  - orig_blocks).mean(axis=(1, 2))
+        # column 0: SKIP, the zero-motion prediction from distance 1 as is
+        mode_col[0], ref_col[0], bits[:, 0] = MODE_SKIP, 1, SKIP_BITS
+        recon[:, 0] = preds[::n_col]
+        distortion[:, 0] = np.abs(recon[:, 0] - orig_blocks).mean(axis=(1, 2))
 
-    for d in range(1, n_refs + 1):
-        cz, cb = 2 * d - 1, 2 * d
-        mode_col[cz] = mode_col[cb] = MODE_INTER
-        ref_col[cz] = ref_col[cb] = d
-        mv[:, cb, :] = best_mv[d - 1]
-
-        coloc = plane_blocks(refs[d - 1]).astype(np.float64)
-        q, rec, rbits, dist = code_against_prediction(coloc, orig_blocks,
-                                                      cfg.quant_step)
-        # a searched (0, 0) vector repeats the zero-motion prediction: code
-        # only the moved blocks and copy the rest
-        moved = np.flatnonzero(best_mv[d - 1].any(axis=1))
-        coeffs[:, cz] = coeffs[:, cb] = q
-        recon[:, cz] = recon[:, cb] = rec
-        distortion[:, cz] = distortion[:, cb] = dist
-        rbits_b = rbits.copy()
-        if moved.size:
-            searched = predictor_blocks(ref_stack, d, best_mv[d - 1, moved],
-                                        moved, grid)
-            (coeffs[moved, cb], recon[moved, cb], rbits_b[moved],
-             distortion[moved, cb]) = code_against_prediction(
-                searched, orig_blocks[moved], cfg.quant_step)
-        for col, rb in ((cz, rbits), (cb, rbits_b)):
-            mv_bits = exp_golomb_signed_bits(mv[:, col, :]).sum(axis=1)
-            bits[:, col] = MODE_BITS + d + mv_bits + rb
+        # one trial per distinct (block, predictor): a column whose predictor
+        # repeats an earlier column of its block (a static block seen in
+        # several references, a searched (0, 0) vector) copies that coding
+        words = preds.reshape(n_mb, n_col, 1, -1).view(np.uint64)
+        first = (words == words.swapaxes(1, 2)).all(axis=3).argmax(axis=2)
+        src = np.arange(n_mb)[:, None] * n_col + first
+        coded = src.ravel() == np.arange(src.size)
+        q, rec, rbits, dist = code_against_prediction(
+            preds[coded], orig_blocks[np.flatnonzero(coded) // n_col],
+            cfg.quant_step)
+        take = (np.cumsum(coded) - 1)[src]
+        coeffs[:, inter], recon[:, inter] = q[take], rec[take]
+        distortion[:, inter] = dist[take]
+        bits[:, inter] = (MODE_BITS + ref_col[inter] + rbits[take]
+                          + exp_golomb_signed_bits(mv[:, inter]).sum(axis=2))
 
     return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, bits=bits,
                         distortion=distortion, recon=recon, coeffs=coeffs,

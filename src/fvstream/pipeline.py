@@ -550,6 +550,10 @@ def compare_setups(report: ExperimentReport) -> tuple[str, str]:
             for seed in report.seeds:
                 cell = report.cell(setup, rate, seed)
                 base = report.cell("rfc", rate, seed)
+                n, n_base = len(cell.frame_psnr), len(base.frame_psnr)
+                if not 0 < n == n_base:
+                    raise HarnessError(f"cell ({setup}, {rate}, {seed}) holds "
+                                       f"{n} frames, rfc {n_base}")
                 means.append(cell.mean_psnr)
                 bits.append(cell.total_bits)
                 gain = np.max(np.asarray(cell.frame_psnr)
@@ -794,14 +798,14 @@ def load_report(root) -> ExperimentReport:
     raises HarnessError.
     """
     root = Path(root)
-    report_csv = root / "report.csv"
-    if not report_csv.is_file():
-        raise HarnessError(f"no report.csv under {root}")
+    try:
+        lines = (root / "report.csv").read_text(encoding="ascii").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HarnessError(f"cannot read report.csv under {root}: {exc}") from None
     setups: list[str] = []
     rates: list[float] = []
     seeds: list[int] = []
     cells: list[CellResult] = []
-    lines = report_csv.read_text(encoding="ascii").splitlines()
     for n, line in enumerate(lines[1:], start=2):
         where = f"report.csv line {n}"
         row = line.split(",")

@@ -14,11 +14,13 @@ from fractions import Fraction
 import numpy as np
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
-                            MODE_SKIP, SKIP_BITS, CodecError, EncodedPlane,
-                            apply_residual, build_inter_candidates,
+                            MODE_SKIP, SKIP_BITS, CandidateSet, CodecConfig,
+                            CodecError, EncodedPlane, apply_residual,
+                            build_inter_candidates, build_intra_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
-                            plane_blocks)
+                            motion_search, plane_blocks, predictor_blocks)
 from fvstream.errortrack import footprint_state_sum
+from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import pixel_profiles
 
 MB = 16
@@ -162,6 +164,79 @@ def candidate_search(plane, mb_index: int, refs, cfg) -> list[dict]:
         "coeffs": q,
     })
     return out
+
+
+def oracle_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
+                            cfg: CodecConfig) -> CandidateSet:
+    """Search and trial-code every candidate of one plane, INTRA last, one
+    column at a time: the batched path's reference.
+
+    refs[d-1] is the reconstructed plane at distance d; the list is already
+    limited to the frames available inside the reference window, and may be
+    empty.
+    """
+    h, w = cur.shape
+    grid = (h // MB_SIZE, w // MB_SIZE)
+    n_mb = grid[0] * grid[1]
+    n_refs = len(refs)
+    n_cand = 2 + 2 * n_refs if refs else 1
+
+    mode_col = np.empty(n_cand, dtype=np.uint8)
+    ref_col = np.empty(n_cand, dtype=np.int16)
+    mv = np.zeros((n_mb, n_cand, 2), dtype=np.int16)
+    bits = np.empty((n_mb, n_cand), dtype=np.int64)
+    distortion = np.empty((n_mb, n_cand))
+    recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
+    coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int32)
+
+    # last column: INTRA, its base level riding the mv slot
+    mode_col[-1], ref_col[-1] = MODE_INTRA, 0
+    (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
+     mv[:, -1, 0]) = build_intra_candidates(cur, cfg.quant_step)
+
+    if refs:
+        ref_stack = np.stack(refs)
+        best_mv = motion_search(cur, ref_stack, cfg.search_range)
+        orig_blocks = plane_blocks(cur).astype(np.float64)
+
+        # column 0: SKIP
+        coloc0 = plane_blocks(refs[0])
+        mode_col[0] = MODE_SKIP
+        ref_col[0] = 1
+        bits[:, 0] = SKIP_BITS
+        recon[:, 0] = coloc0
+        distortion[:, 0] = np.abs(coloc0.astype(np.float64)
+                                  - orig_blocks).mean(axis=(1, 2))
+
+    for d in range(1, n_refs + 1):
+        cz, cb = 2 * d - 1, 2 * d
+        mode_col[cz] = mode_col[cb] = MODE_INTER
+        ref_col[cz] = ref_col[cb] = d
+        mv[:, cb, :] = best_mv[d - 1]
+
+        coloc = plane_blocks(refs[d - 1]).astype(np.float64)
+        q, rec, rbits, dist = code_against_prediction(coloc, orig_blocks,
+                                                      cfg.quant_step)
+        # a searched (0, 0) vector repeats the zero-motion prediction: code
+        # only the moved blocks and copy the rest
+        moved = np.flatnonzero(best_mv[d - 1].any(axis=1))
+        coeffs[:, cz] = coeffs[:, cb] = q
+        recon[:, cz] = recon[:, cb] = rec
+        distortion[:, cz] = distortion[:, cb] = dist
+        rbits_b = rbits.copy()
+        if moved.size:
+            searched = predictor_blocks(ref_stack, d, best_mv[d - 1, moved],
+                                        moved, grid)
+            (coeffs[moved, cb], recon[moved, cb], rbits_b[moved],
+             distortion[moved, cb]) = code_against_prediction(
+                searched, orig_blocks[moved], cfg.quant_step)
+        for col, rb in ((cz, rbits), (cb, rbits_b)):
+            mv_bits = exp_golomb_signed_bits(mv[:, col, :]).sum(axis=1)
+            bits[:, col] = MODE_BITS + d + mv_bits + rb
+
+    return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, bits=bits,
+                        distortion=distortion, recon=recon, coeffs=coeffs,
+                        quant_step=cfg.quant_step)
 
 
 # --- per-block decoding -----------------------------------------------------

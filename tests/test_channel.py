@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvstream import (ChannelError, Component, PacketId, build_schedule,
-                      generate_synthetic_stereo, load_trace, lost_mb_mask,
-                      make_iid_trace, packetize, save_trace)
+from fvstream import (ChannelError, Component, LossTrace, PacketId,
+                      build_schedule, generate_synthetic_stereo, load_trace,
+                      lost_mb_mask, make_iid_trace, packetize, save_trace)
 from fvstream.codec import PLANE_ORDER
 from fvstream.errortrack import ExpectedErrorTracker
 from fvstream.pipeline import ExperimentConfig, HarnessError, encode_stream
@@ -212,6 +212,19 @@ class TestLostBlockMask:
         trace = make_iid_trace(2, 0.0, build_schedule(2, 4, 2))
         with pytest.raises(ChannelError):
             lost_mb_mask(trace, 1, 0, Component.DEPTH, 16, packets)
+
+    def test_one_extra_packet_in_the_trace_raises(self):
+        sched = build_schedule(2, 4, 2)
+        extra = PacketId(1, 0, Component.DEPTH, 2)
+        trace = LossTrace(seed=2, loss_rate=0.0,
+                          entries=[(pid, False) for pid in sched]
+                          + [(extra, False)])
+        assert extra in trace and PacketId(1, 1, Component.DEPTH, 2) not in trace
+        with pytest.raises(ChannelError, match="more than 2 packets"):
+            lost_mb_mask(trace, 1, 0, Component.DEPTH, 16, 2)
+        # the other planes of the frame hold their packets exactly
+        assert not lost_mb_mask(trace, 1, 1, Component.DEPTH, 16, 2).any()
+        assert not lost_mb_mask(trace, 1, 0, Component.TEXTURE, 16, 4).any()
 
 
 class TestTraceFiles:

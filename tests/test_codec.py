@@ -342,6 +342,59 @@ class TestCandidates:
         assert cset.mv[8:, 2].tolist() == [[0, 2]] * 4
         assert moved_rows >= 7
 
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(["repeat", "shift", "static-rows",
+                                           "fresh"]), min_size=1, max_size=5),
+           step=st.integers(1, 11), search_range=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200)
+    def test_matches_the_per_column_oracle_on_repeating_references(
+            self, hb, wb, kinds, step, search_range, seed):
+        # references built to repeat: one plane twice, shifted copies of the
+        # current plane, and block rows left static, so many (block,
+        # predictor) pairs recur across columns
+        rng = np.random.default_rng(seed)
+        shape = (16 * hb, 16 * wb)
+        cur = rng.integers(0, 256, shape).astype(np.uint8)
+        refs = []
+        for kind in kinds:
+            if kind == "repeat":
+                ref = (refs[-1] if refs else cur).copy()
+            elif kind == "shift":
+                dy, dx = (int(v) for v in rng.integers(-3, 4, 2))
+                ref = np.roll(cur, (dy, dx), axis=(0, 1))
+            else:
+                ref = rng.integers(0, 256, shape).astype(np.uint8)
+                if kind == "static-rows":    # even block rows stand still
+                    still = np.arange(shape[0]) // 16 % 2 == 0
+                    ref[still] = cur[still]
+            refs.append(ref)
+        cfg = CodecConfig(step, search_range, 8)
+        got = build_inter_candidates(cur, refs, cfg)
+        want = oracles.oracle_inter_candidates(cur, refs, cfg)
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "quant_step":
+                assert a == b
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+    def test_each_distinct_predictor_is_coded_once(self, monkeypatch):
+        seen = []
+
+        def recording(pred, orig, step):
+            seen.append(np.array(pred))
+            return code_against_prediction(pred, orig, step)
+
+        monkeypatch.setattr("fvstream.codec.code_against_prediction",
+                            recording)
+        p = rand_plane((32, 48), seed=81)
+        cur = rand_plane((32, 48), seed=82)
+        build_inter_candidates(cur, [p, p, p], CodecConfig(10, 2, 8))
+        rows = np.concatenate(seen)
+        for block in plane_blocks(p):
+            assert (rows == block).all(axis=(1, 2)).sum() == 1
+
     def test_candidate_search_single_block_view(self):
         plane = rand_plane((32, 32), seed=71)
         refs = [rand_plane((32, 32), seed=72)]

@@ -570,11 +570,19 @@ class TestCli:
         {"search_range": 100}, {"ref_window": 17}, {"seeds": [-1]},
         pytest.param(({}, ("run", "--seeds=-1")), id="run-seeds=-1"),
         pytest.param(({}, ("trace", "--seed", "-1", "--rate", "0.05",
-                           "--out", "trace.txt")), id="trace-seed=-1")])
+                           "--out", "trace.txt")), id="trace-seed=-1"),
+        pytest.param(({}, ("run", "--rates=abc"),
+                      "error: --rates: cannot read 'abc' as float\n"),
+                     id="run-rates=abc"),
+        pytest.param(({}, ("run", "--seeds=7,1.5"),
+                      "error: --seeds: cannot read '1.5' as int\n"),
+                     id="run-seeds=1.5")])
     def test_bad_parameter_exits_1_before_any_work(self, tmp_path, capsys,
                                                    monkeypatch, doc):
         # a case is a config document for `run`, or (document, command line)
-        doc, command = doc if isinstance(doc, tuple) else (doc, ("run",))
+        # or (document, command line, the exact error output)
+        doc, command, *message = (doc if isinstance(doc, tuple)
+                                  else (doc, ("run",)))
         monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "tree"
@@ -586,6 +594,8 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        if message:
+            assert err == message[0]
         assert not out.exists() and not (tmp_path / "trace.txt").exists()
 
     def test_short_report_row_exits_1_naming_the_file(self, tmp_path,
@@ -617,3 +627,52 @@ class TestCli:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"rtt": ' + b"1" * 5000 + b"}"],
+                             ids=["not-utf8", "oversized-int"])
+    def test_unreadable_config_exits_1_with_one_line(self, tmp_path, capsys,
+                                                     raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        rc = main(["generate", "--config", str(bad),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: config {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def _tree(root, frames):
+        """A report tree of one (rate, seed) pair whose cells hold the given
+        frame counts."""
+        rows = [",".join(pipeline.REPORT_FIELDS)]
+        for setup, n in frames.items():
+            cell = root / "rate_0.050000" / "seed_7" / setup
+            cell.mkdir(parents=True)
+            (cell / "perframe.csv").write_text(
+                "frame,psnr,bits,packets_lost\n"
+                + "".join(f"{t},30.0,100,0\n" for t in range(n)))
+            rows.append(f"{setup},0.050000,7,30.0,{100 * n},{n},{n},0")
+        (root / "report.csv").write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("frames, message", [
+        ({"rfc": 8, "arps": 7}, "error: cell (arps, 0.05, 7) holds 7 frames, "
+                                "rfc 8\n"),
+        ({"rfc": 0, "arps": 0}, "error: cell (rfc, 0.05, 7) holds 0 frames, "
+                                "rfc 0\n")])
+    def test_compare_rejects_cells_of_unequal_length(self, tmp_path, capsys,
+                                                     frames, message):
+        self._tree(tmp_path, frames)
+        assert main(["compare", "--root", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_non_ascii_report_exits_1(self, tmp_path, capsys):
+        self._tree(tmp_path, {"rfc": 2, "arps": 2})
+        with open(tmp_path / "report.csv", "ab") as fh:
+            fh.write(b"\xff\n")
+        for command in ("compare", "plotdata"):
+            assert main([command, "--root", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read report.csv under ")
+            assert err.count("\n") == 1
