@@ -34,7 +34,8 @@ from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
                         opposing_cap, select_plane, step1_minimum,
                         tune_to_band)
 from .scenegen import (SyntheticSceneSpec, default_scene_spec,
-                       generate_synthetic_stereo, json_is, scene_from_dict)
+                       generate_synthetic_stereo, json_field_message,
+                       json_is, scene_from_dict)
 from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
                           g_eval)
 from .synthesis import (SynthesisError, SynthesisParams, correspondence_sets,
@@ -176,8 +177,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                                    f"of {item}")
             kw[name] = tuple(value)
         elif not json_is(value, kind):
-            raise HarnessError(f"config field {name!r} must be {kind}, "
-                               f"got {type(value).__name__}")
+            raise HarnessError(json_field_message("config", name, kind, value))
     return ExperimentConfig(**kw)
 
 

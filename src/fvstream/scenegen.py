@@ -9,6 +9,7 @@ j + d at its column j, a virtual view at position v shifts by rint(d * v).
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -217,6 +218,13 @@ def json_is(value, kind: str) -> bool:
             and not (isinstance(value, float) and not math.isfinite(value)))
 
 
+def json_field_message(what: str, name: str, kind: str, value) -> str:
+    """One wording for a mistyped JSON field; names NaN and Infinity as such."""
+    got = (json.dumps(value) if isinstance(value, float)
+           and not math.isfinite(value) else type(value).__name__)
+    return f"{what} field {name!r} must be {kind}, got {got}"
+
+
 _SCENE_FIELDS = {"width": "int", "height": "int", "frame_count": "int",
                  "background": "object", "objects": "list"}
 _BACKGROUND_FIELDS = {"disparity": "int", "texture": "object"}
@@ -241,8 +249,8 @@ def _checked(d, what: str, schema: dict[str, str],
             raise SceneSpecError(f"missing {what} field {name!r}")
     for name, value in d.items():
         if not json_is(value, schema[name]):
-            raise SceneSpecError(f"{what} field {name!r} must be "
-                                 f"{schema[name]}, got {type(value).__name__}")
+            raise SceneSpecError(json_field_message(what, name, schema[name],
+                                                    value))
     return d
 
 

@@ -8,9 +8,15 @@ zero, the sharper side kept); blocks average their pixels' curvatures.  The
 penalty for an expected disparity error eps is then g = 0.5 * a * eps^2.
 
 Flat content never crosses the threshold and gets a = 0 exactly.
+
+The nearer crossing is found by scanning outward, storing no profile: at
+d = 1, 2, ... the pixels still scanning test eps = +d and -d, and those that
+cross stop with b = d.  The mismatch of uint8 planes is an integer, so it is
+compared with ceil(threshold).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,60 +34,45 @@ class SensitivityParams:
     max_deviation: int = 16     # disparity levels scanned on each side
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise SensitivityError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise SensitivityError("threshold must be positive and finite")
         if self.max_deviation < 1:
             raise SensitivityError("max_deviation must be at least 1")
-
-
-def pixel_profiles(own_texture: np.ndarray, own_disparity: np.ndarray,
-                   opp_texture: np.ndarray, source_view: int, eta: float,
-                   max_deviation: int) -> np.ndarray:
-    """Per-pixel |own - opposing| mismatch for every disparity offset.
-
-    Returns (2*max_deviation + 1, H, W); index k holds the profile at
-    eps = k - max_deviation.  Mapped columns are clamped to the frame.
-    """
-    h, w = own_texture.shape
-    own = own_texture.astype(np.float64)
-    opp = opp_texture.astype(np.float64)
-    disp = own_disparity.astype(np.float64)
-    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
-    sign = -1 if source_view == 0 else 1
-    out = np.empty((2 * max_deviation + 1, h, w))
-    for k, eps in enumerate(range(-max_deviation, max_deviation + 1)):
-        shift = np.rint((disp + eps) * eta).astype(np.int64)
-        mapped = np.clip(cols + sign * shift, 0, w - 1)
-        out[k] = np.abs(own - np.take_along_axis(opp, mapped, axis=1))
-    return out
-
-
-def _first_crossing(crossed: np.ndarray) -> np.ndarray:
-    """Index (1-based) of the first True along axis 0; 0 when none."""
-    any_cross = crossed.any(axis=0)
-    first = crossed.argmax(axis=0) + 1
-    return np.where(any_cross, first, 0)
 
 
 def curvature_map(own_texture: np.ndarray, own_disparity: np.ndarray,
                   opp_texture: np.ndarray, source_view: int, eta: float,
                   params: SensitivityParams) -> np.ndarray:
     """Per-MB curvature a for one view, from its texture and disparity planes."""
+    if any(p.dtype != np.uint8 for p in (own_texture, own_disparity, opp_texture)):
+        raise SensitivityError("curvature_map takes uint8 planes")
     h, w = own_texture.shape
-    hb, wb = h // MB_SIZE, w // MB_SIZE
     n = params.max_deviation
-    prof = pixel_profiles(own_texture, own_disparity, opp_texture, source_view,
-                          eta, n)
-    crossed = prof >= params.threshold
-    b_pos = _first_crossing(crossed[n + 1:])
-    b_neg = _first_crossing(crossed[:n][::-1])
-    any_side = (b_pos > 0) | (b_neg > 0)
-    b = np.minimum(np.where(b_pos > 0, b_pos, n + 1),
-                   np.where(b_neg > 0, b_neg, n + 1))
-    a_pix = np.where(any_side, (2.0 * params.threshold) / (b * b).astype(np.float64),
-                     0.0)
-    sums = a_pix.reshape(hb, MB_SIZE, wb, MB_SIZE).sum(axis=(1, 3))
-    return (sums / float(MB_SIZE * MB_SIZE)).reshape(hb * wb)
+    # an integer mismatch reaches the threshold exactly when it reaches this
+    need = math.ceil(params.threshold)
+    # signed shift at disparity v = level + eps; past +-w all clamp alike
+    sign = -1 if source_view == 0 else 1
+    shift = np.clip(sign * np.rint(np.arange(-n, 256 + n, dtype=np.float64)
+                                   * eta).astype(np.int64), -w, w)
+    pad = int(np.abs(shift).max())
+    # rows padded with their edge values: a padded gather is a clamped one
+    opp = np.pad(opp_texture.astype(np.int16), ((0, 0), (pad, pad)),
+                 mode="edge").ravel()
+    pix = np.arange(h * w, dtype=np.int64)      # the pixels still scanning
+    start = (pix // w) * (w + 2 * pad) + pix % w + pad
+    own = own_texture.astype(np.int16).ravel()
+    level = own_disparity.astype(np.int64).ravel() + n
+    b = np.full(h * w, n + 1, dtype=np.int64)
+    for dist in range(1, n + 1):
+        crossed = np.abs(own - opp[start + shift[level + dist]]) >= need
+        crossed |= np.abs(own - opp[start + shift[level - dist]]) >= need
+        b[pix[crossed]] = dist
+        pix, start, own, level = (x[~crossed] for x in (pix, start, own, level))
+        if pix.size == 0:
+            break
+    a_pix = np.where(b <= n, 2.0 * params.threshold / (b * b), 0.0)
+    sums = a_pix.reshape(h // MB_SIZE, MB_SIZE, -1, MB_SIZE).sum(axis=(1, 3))
+    return (sums / float(MB_SIZE * MB_SIZE)).ravel()
 
 
 def g_eval(a: np.ndarray, eps: np.ndarray) -> np.ndarray:

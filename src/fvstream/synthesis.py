@@ -3,8 +3,8 @@
 Pixels of the left view (view 0) shift left by round(Y*v*eta) columns toward
 a virtual position v in [0, 1]; right-view pixels shift right by
 round(Y*(1-v)*eta).  Colliding pixels resolve by larger disparity (nearer
-object), then smaller source column.  Uncovered pixels are holes, filled by
-horizontal propagation from the background side.
+object), which needs no tie-break: pixels of one row with equal disparity
+shift alike and never collide.  Holes fill along rows from the background.
 
 One blend weights the two contributions by distance (1-v, v) modulated by
 per-pixel reliabilities derived from worst-case distortion bounds of both.
@@ -13,6 +13,7 @@ errors are given, it is the distance-weighted blend bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,10 @@ class SynthesisParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.position <= 1.0:
             raise SynthesisError("position must lie in [0, 1]")
-        if self.eta <= 0:
-            raise SynthesisError("eta must be positive")
-        if self.reliability_c <= 0:
-            raise SynthesisError("reliability_c must be positive")
+        if not 0 < self.eta < math.inf:
+            raise SynthesisError("eta must be positive and finite")
+        if not 0 < self.reliability_c < math.inf:
+            raise SynthesisError("reliability_c must be positive and finite")
 
 
 def shift_factor(source_view: int, position: float, eta: float) -> float:
@@ -59,34 +60,33 @@ def warp_view(texture: np.ndarray, disparity: np.ndarray, source_view: int,
     """Forward-warp one view to the virtual position with z-buffering."""
     if source_view not in (0, 1):
         raise SynthesisError("source_view must be 0 or 1")
+    if texture.dtype != np.uint8 or disparity.dtype != np.uint8:
+        raise SynthesisError("warp_view takes uint8 planes")
     h, w = texture.shape
     factor = shift_factor(source_view, position, eta)
-    shift = np.rint(disparity.astype(np.float64) * factor).astype(np.int64)
-    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
-    tcol = cols - shift if source_view == 0 else cols + shift
-
+    shift = np.rint(np.arange(256, dtype=np.float64) * factor).astype(np.int64)
+    cols = np.arange(w, dtype=np.int64)
+    step = shift[disparity]
+    tcol = cols - step if source_view == 0 else cols + step
     inframe = (tcol >= 0) & (tcol < w)
-    rows = np.broadcast_to(np.arange(h, dtype=np.int64)[:, None], (h, w))
-    src_r = rows[inframe]
-    src_c = cols[inframe]
-    tgt = src_r * w + tcol[inframe]
-    disp = disparity.astype(np.int64)[inframe]
+    # out-of-frame sources all land on one spare slot past the plane
+    tgt = np.where(inframe, np.arange(h, dtype=np.int64)[:, None] * w + tcol,
+                   h * w)
 
-    # per target: larger disparity wins, then smaller source column
-    order = np.lexsort((src_c, -disp, tgt))
-    tgt_sorted = tgt[order]
-    first = np.ones(tgt_sorted.shape[0], dtype=bool)
-    first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-    win = order[first]
+    # the largest disparity landing on a target wins it, and only one has it
+    best = np.zeros(h * w + 1, dtype=np.uint8)
+    np.maximum.at(best, tgt.ravel(), disparity.ravel())
+    win = inframe & (disparity == best[tgt])
+    t = tgt[win]
 
     covered = np.zeros(h * w, dtype=bool)
     value = np.zeros(h * w, dtype=np.uint8)
     out_disp = np.zeros(h * w, dtype=np.int64)
     out_src = np.full(h * w, -1, dtype=np.int64)
-    covered[tgt_sorted[first]] = True
-    value[tgt_sorted[first]] = texture[inframe][win]
-    out_disp[tgt_sorted[first]] = disp[win]
-    out_src[tgt_sorted[first]] = src_c[win]
+    covered[t] = True
+    value[t] = texture[win]
+    out_disp[t] = disparity[win]
+    out_src[t] = np.broadcast_to(cols, (h, w))[win]
     return WarpedView(covered=covered.reshape(h, w),
                       value=value.reshape(h, w),
                       disparity=out_disp.reshape(h, w),
@@ -179,6 +179,8 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
     disparity level.  Each scanned column contributes its block's texture
     error plus the intensity difference against the pixel itself.
     """
+    if texture.dtype != np.uint8:
+        raise SynthesisError("worst_case_distortion_map takes a uint8 texture")
     h, w = texture.shape
     grid = (h // MB_SIZE, w // MB_SIZE)
     e_pix = expand_block_values(block_texture_error, grid)
@@ -187,16 +189,15 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
     x = texture.astype(np.float64)
     d = e_pix.copy()
     max_r = int(radius.max()) if radius.size else 0
-    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
-    for off in range(1, max_r + 1):
-        for sgn in (-1, 1):
-            l = cols + sgn * off
-            ok = (l >= 0) & (l < w) & (off <= radius)
-            lc = np.clip(l, 0, w - 1)
-            xg = np.take_along_axis(x, lc, axis=1)
-            eg = np.take_along_axis(e_pix, lc, axis=1)
-            cand = eg + np.abs(xg - x)
-            d = np.where(ok, np.maximum(d, cand), d)
+    # column c looks at c + off (the left part of the frame) and at c - off
+    # (the right part); the max is exact in any order
+    for off in range(1, min(max_r, w - 1) + 1):
+        reach = off <= radius
+        lo, hi = slice(0, w - off), slice(off, w)
+        np.maximum(d[:, lo], e_pix[:, hi] + np.abs(x[:, hi] - x[:, lo]),
+                   out=d[:, lo], where=reach[:, lo])
+        np.maximum(d[:, hi], e_pix[:, lo] + np.abs(x[:, lo] - x[:, hi]),
+                   out=d[:, hi], where=reach[:, hi])
     return d
 
 

@@ -2,7 +2,9 @@
 
 Everything here sticks to the plainest formulation available (explicit
 loops, Counter-based entropy, Fraction arithmetic) so a disagreement with
-the vectorized implementations actually means something.
+the vectorized implementations actually means something.  The oracle
+warp, worst-case and curvature kernels are the package's earlier,
+sort- and gather-based versions, kept as bit-exact references.
 """
 from __future__ import annotations
 
@@ -21,7 +23,9 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             motion_search, plane_blocks, predictor_blocks)
 from fvstream.errortrack import footprint_state_sum
 from fvstream.frames import MB_SIZE
-from fvstream.sensitivity import pixel_profiles
+from fvstream.sensitivity import SensitivityParams
+from fvstream.synthesis import (SynthesisError, WarpedView, expand_block_values,
+                                shift_factor)
 
 MB = 16
 
@@ -438,6 +442,56 @@ def oracle_cross_view_states(state, opp_state, warped, prev_tex, prev_state,
 
 # --- disparity sensitivity --------------------------------------------------
 
+def pixel_profiles(own_texture: np.ndarray, own_disparity: np.ndarray,
+                   opp_texture: np.ndarray, source_view: int, eta: float,
+                   max_deviation: int) -> np.ndarray:
+    """Per-pixel |own - opposing| mismatch for every disparity offset.
+
+    Returns (2*max_deviation + 1, H, W); index k holds the profile at
+    eps = k - max_deviation.  Mapped columns are clamped to the frame.
+    """
+    h, w = own_texture.shape
+    own = own_texture.astype(np.float64)
+    opp = opp_texture.astype(np.float64)
+    disp = own_disparity.astype(np.float64)
+    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
+    sign = -1 if source_view == 0 else 1
+    out = np.empty((2 * max_deviation + 1, h, w))
+    for k, eps in enumerate(range(-max_deviation, max_deviation + 1)):
+        shift = np.rint((disp + eps) * eta).astype(np.int64)
+        mapped = np.clip(cols + sign * shift, 0, w - 1)
+        out[k] = np.abs(own - np.take_along_axis(opp, mapped, axis=1))
+    return out
+
+
+def first_crossing(crossed: np.ndarray) -> np.ndarray:
+    """Index (1-based) of the first True along axis 0; 0 when none."""
+    any_cross = crossed.any(axis=0)
+    first = crossed.argmax(axis=0) + 1
+    return np.where(any_cross, first, 0)
+
+
+def oracle_curvature_map(own_texture: np.ndarray, own_disparity: np.ndarray,
+                         opp_texture: np.ndarray, source_view: int, eta: float,
+                         params: SensitivityParams) -> np.ndarray:
+    """curvature_map from the full (2n+1, H, W) profile stack."""
+    h, w = own_texture.shape
+    hb, wb = h // MB_SIZE, w // MB_SIZE
+    n = params.max_deviation
+    prof = pixel_profiles(own_texture, own_disparity, opp_texture, source_view,
+                          eta, n)
+    crossed = prof >= params.threshold
+    b_pos = first_crossing(crossed[n + 1:])
+    b_neg = first_crossing(crossed[:n][::-1])
+    any_side = (b_pos > 0) | (b_neg > 0)
+    b = np.minimum(np.where(b_pos > 0, b_pos, n + 1),
+                   np.where(b_neg > 0, b_neg, n + 1))
+    a_pix = np.where(any_side, (2.0 * params.threshold) / (b * b).astype(np.float64),
+                     0.0)
+    sums = a_pix.reshape(hb, MB_SIZE, wb, MB_SIZE).sum(axis=(1, 3))
+    return (sums / float(MB_SIZE * MB_SIZE)).reshape(hb * wb)
+
+
 def block_profile(own_texture, own_disparity, opp_texture, source_view: int,
                   eta: float, mb_index: int, max_deviation: int) -> np.ndarray:
     """Mean mismatch profile of one macroblock over eps in [-max, max]."""
@@ -483,6 +537,74 @@ def brute_pixel_curvature(profile, threshold: float, max_dev: int) -> float:
 
 
 # --- warping and blending ---------------------------------------------------
+
+def oracle_warp_view(texture: np.ndarray, disparity: np.ndarray,
+                     source_view: int, position: float,
+                     eta: float = 1.0) -> WarpedView:
+    """warp_view as a lexsort z-buffer: larger disparity wins a target,
+    then smaller source column."""
+    if source_view not in (0, 1):
+        raise SynthesisError("source_view must be 0 or 1")
+    h, w = texture.shape
+    factor = shift_factor(source_view, position, eta)
+    shift = np.rint(disparity.astype(np.float64) * factor).astype(np.int64)
+    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
+    tcol = cols - shift if source_view == 0 else cols + shift
+
+    inframe = (tcol >= 0) & (tcol < w)
+    rows = np.broadcast_to(np.arange(h, dtype=np.int64)[:, None], (h, w))
+    src_r = rows[inframe]
+    src_c = cols[inframe]
+    tgt = src_r * w + tcol[inframe]
+    disp = disparity.astype(np.int64)[inframe]
+
+    # per target: larger disparity wins, then smaller source column
+    order = np.lexsort((src_c, -disp, tgt))
+    tgt_sorted = tgt[order]
+    first = np.ones(tgt_sorted.shape[0], dtype=bool)
+    first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
+    win = order[first]
+
+    covered = np.zeros(h * w, dtype=bool)
+    value = np.zeros(h * w, dtype=np.uint8)
+    out_disp = np.zeros(h * w, dtype=np.int64)
+    out_src = np.full(h * w, -1, dtype=np.int64)
+    covered[tgt_sorted[first]] = True
+    value[tgt_sorted[first]] = texture[inframe][win]
+    out_disp[tgt_sorted[first]] = disp[win]
+    out_src[tgt_sorted[first]] = src_c[win]
+    return WarpedView(covered=covered.reshape(h, w),
+                      value=value.reshape(h, w),
+                      disparity=out_disp.reshape(h, w),
+                      src_col=out_src.reshape(h, w))
+
+
+def oracle_worst_case_distortion_map(texture: np.ndarray,
+                                     block_texture_error: np.ndarray,
+                                     block_disparity_error: np.ndarray,
+                                     factor: float) -> np.ndarray:
+    """worst_case_distortion_map by clamped gathers at every offset, both
+    signs, up to the largest radius."""
+    h, w = texture.shape
+    grid = (h // MB_SIZE, w // MB_SIZE)
+    e_pix = expand_block_values(block_texture_error, grid)
+    eps_pix = expand_block_values(block_disparity_error, grid)
+    radius = np.ceil(eps_pix * factor).astype(np.int64)
+    x = texture.astype(np.float64)
+    d = e_pix.copy()
+    max_r = int(radius.max()) if radius.size else 0
+    cols = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w))
+    for off in range(1, max_r + 1):
+        for sgn in (-1, 1):
+            l = cols + sgn * off
+            ok = (l >= 0) & (l < w) & (off <= radius)
+            lc = np.clip(l, 0, w - 1)
+            xg = np.take_along_axis(x, lc, axis=1)
+            eg = np.take_along_axis(e_pix, lc, axis=1)
+            cand = eg + np.abs(xg - x)
+            d = np.where(ok, np.maximum(d, cand), d)
+    return d
+
 
 def brute_warp(texture, disparity, view: int, position: float, eta: float):
     """Forward warp with explicit z-buffering.

@@ -142,6 +142,14 @@ class TestConfig:
         assert ExperimentConfig(loss_rates=(0.1, 0.100001)).loss_rates == \
             (0.1, 0.100001)
 
+    @pytest.mark.parametrize("field", ["eta", "reliability_c", "threshold",
+                                       "position"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_model_parameters(self, field, value):
+        with pytest.raises(HarnessError,
+                           match=f"^config: {field} must"):
+            ExperimentConfig(**{field: value})
+
     def test_parameter_objects_keep_the_module_defaults(self):
         # the defaults the parameter classes keep cannot drift from the config
         cfg = ExperimentConfig()
@@ -576,7 +584,15 @@ class TestCli:
                      id="run-rates=abc"),
         pytest.param(({}, ("run", "--seeds=7,1.5"),
                       "error: --seeds: cannot read '1.5' as int\n"),
-                     id="run-seeds=1.5")])
+                     id="run-seeds=1.5"),
+        pytest.param(({"base_lambda": float("nan")}, ("run",),
+                      "error: config field 'base_lambda' must be float, "
+                      "got NaN\n"), id="base_lambda=NaN"),
+        pytest.param(({"scene": dict(MICRO_SCENE_DICT, background={
+                          "texture": {"kind": "gradient",
+                                      "base": float("-inf")}})}, ("run",),
+                      "error: texture field 'base' must be float, "
+                      "got -Infinity\n"), id="texture-base=-Infinity")])
     def test_bad_parameter_exits_1_before_any_work(self, tmp_path, capsys,
                                                    monkeypatch, doc):
         # a case is a config document for `run`, or (document, command line)

@@ -1,14 +1,15 @@
 """Disparity-error sensitivity profiles and the quadratic penalty built on them."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import (SensitivityError, SensitivityParams,
-                                  curvature_map, g_eval, pixel_profiles)
+                                  curvature_map, g_eval)
 
 import oracles
+from oracles import pixel_profiles
 
 
 def step_plane(width=32, height=16, edge=8, low=100, high=200):
@@ -28,6 +29,12 @@ class TestParams:
             SensitivityParams(threshold=0.0)
         with pytest.raises(SensitivityError):
             SensitivityParams(max_deviation=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_a_non_finite_threshold(self, value):
+        with pytest.raises(SensitivityError, match="finite"):
+            SensitivityParams(threshold=value)
 
 
 class TestProfiles:
@@ -164,6 +171,62 @@ class TestCurvature:
         want = np.array([a_pix[:, :16].mean(), a_pix[:, 16:].mean()])
         got = curvature_map(tex, disp, opp, 0, 1.0, params)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def scan_planes(seed, kind, h=16, w=48):
+    """(own texture, own disparity, opposing texture) of one kind: "flat"
+    planes never cross, "edges" are blocky, "random" are noise."""
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        tex = np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+        return tex, rng.integers(0, 256, (h, w)).astype(np.uint8), tex.copy()
+    if kind == "edges":
+        tex = np.kron(rng.integers(0, 256, (h // 8, w // 8)),
+                      np.ones((8, 8))).astype(np.uint8)
+        disp = np.kron(rng.integers(0, 16, (h // 16, w // 16)),
+                       np.ones((16, 16))).astype(np.uint8)
+        return tex, disp, np.roll(tex, int(rng.integers(-4, 5)), axis=1)
+    return tuple(rng.integers(0, 256, (h, w)).astype(np.uint8)
+                 for _ in range(3))
+
+
+class TestScanMatchesProfileOracle:
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["flat", "edges", "random"]),
+           st.sampled_from([0, 1]), st.sampled_from([0.5, 0.7, 1.0, 2.5]),
+           st.sampled_from([1.0, 4.5, 5.0, 40.0, 300.0]),
+           st.sampled_from([1, 3, 16, 60]))
+    @example(0, "flat", 0, 1.0, 5.0, 16)          # never crosses: all zero
+    @example(1, "edges", 1, 0.7, 4.5, 60)         # ceil(4.5); n above width
+    @settings(max_examples=60)
+    def test_bit_for_bit(self, seed, kind, view, eta, threshold, max_dev):
+        own, disp, opp = scan_planes(seed, kind)
+        params = SensitivityParams(threshold=threshold, max_deviation=max_dev)
+        got = curvature_map(own, disp, opp, view, eta, params)
+        want = oracles.oracle_curvature_map(own, disp, opp, view, eta, params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_flat_example_never_crosses(self):
+        own, disp, opp = scan_planes(0, "flat")
+        prof = pixel_profiles(own, disp, opp, 0, 1.0, 16)
+        assert (prof == 0.0).all()
+
+    def test_threshold_compares_as_its_ceiling(self):
+        # a mismatch of 5 reaches 4.5 and 5.0, but not 5.5
+        tex = step_plane(low=100, high=105)
+        disp = np.zeros_like(tex)
+        p = {t: curvature_map(tex, disp, tex, 0, 1.0,
+                              SensitivityParams(threshold=t, max_deviation=2))
+             for t in (4.5, 5.0, 5.5)}
+        assert (p[4.5] > 0).any() and (p[5.0] > 0).any()
+        assert (p[5.5] == 0.0).all()
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_rejects_planes_that_are_not_uint8(self, bad):
+        planes = [step_plane(), np.zeros((16, 32), dtype=np.uint8), step_plane()]
+        planes[bad] = planes[bad].astype(np.float64)
+        with pytest.raises(SensitivityError, match="uint8"):
+            curvature_map(*planes, 0, 1.0, SensitivityParams())
 
 
 class TestPenalty:

@@ -36,6 +36,45 @@ def random_view(seed, h=32, w=48, max_disp=8):
     return tex, disp
 
 
+DISPARITY_KINDS = ("flat", "binary", "collide", "random")
+
+
+def disparity_plane(rng, kind, h=16, w=48):
+    """A uint8 disparity plane of one kind; "collide" alternates far and
+    near runs of 4 columns, so near runs land on far ones."""
+    if kind == "flat":
+        return np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+    if kind == "binary":
+        return rng.integers(0, 2, (h, w)).astype(np.uint8)
+    if kind == "collide":
+        far = rng.integers(0, 4, (h, 1))
+        near = rng.integers(4, 13, (h, 1))
+        runs = (np.arange(w) // 4) % 2 == 1
+        return np.where(runs, near, far).astype(np.uint8)
+    return rng.integers(0, 256, (h, w)).astype(np.uint8)
+
+
+def warp_inputs(seed, kind):
+    rng = np.random.default_rng(seed)
+    tex = rng.integers(0, 256, (16, 48)).astype(np.uint8)
+    return tex, disparity_plane(rng, kind)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestParams:
+    @pytest.mark.parametrize("field", ["position", "eta", "reliability_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(SynthesisError, match=field):
+            SynthesisParams(**{field: value})
+
+
 class TestWarp:
     def test_zero_position_is_identity_for_the_left_view(self):
         tex, disp = random_view(1)
@@ -102,6 +141,37 @@ class TestWarp:
         assert np.array_equal(got.value, val)
         assert np.array_equal(got.disparity[cov], odisp[cov])
         assert np.array_equal(got.src_col[cov], src[cov])
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+           st.sampled_from([0.5, 0.7, 1.0, 2.5]),
+           st.sampled_from(DISPARITY_KINDS))
+    @example(3, 0, 1.0, 2.5, "collide")
+    @settings(max_examples=60)
+    def test_matches_the_lexsort_oracle_bit_for_bit(self, seed, view, pos,
+                                                    eta, kind):
+        # every field and dtype, uncovered pixels included
+        tex, disp = warp_inputs(seed, kind)
+        got = warp_view(tex, disp, view, pos, eta)
+        want = oracles.oracle_warp_view(tex, disp, view, pos, eta)
+        for field in ("covered", "value", "disparity", "src_col"):
+            assert_same_array(getattr(got, field), getattr(want, field))
+
+    def test_pinned_collision_case_collides(self):
+        # the example pinned above: more sources land in frame than there
+        # are covered targets, so near runs overwrite far ones
+        tex, disp = warp_inputs(3, "collide")
+        w = warp_view(tex, disp, 0, 1.0, 2.5)
+        inframe = np.arange(48) - np.rint(disp * 2.5) >= 0
+        assert inframe.sum() > w.covered.sum()
+
+    @pytest.mark.parametrize("bad", ["texture", "disparity"])
+    def test_rejects_planes_that_are_not_uint8(self, bad):
+        tex, disp = random_view(4)
+        planes = {"texture": tex, "disparity": disp}
+        planes[bad] = planes[bad].astype(np.int64)
+        with pytest.raises(SynthesisError, match="uint8"):
+            warp_view(planes["texture"], planes["disparity"], 0, 0.5)
 
 
 class TestFillHoles:
@@ -306,6 +376,25 @@ class TestWorstCase:
         assert (half[:, 13] == 0.0).all()
         assert (full[:, 13] == 80.0).all()
         assert (half[:, 14] == 80.0).all()
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+           st.sampled_from([0.0, 1.0, 4.0, 1000.0]))
+    @example(0, 2.5, 1000.0)
+    @settings(max_examples=40)
+    def test_matches_the_gather_oracle_bit_for_bit(self, seed, factor, scale):
+        # scale 1000 makes the radius far wider than the 48-column frame
+        rng = np.random.default_rng(seed)
+        tex = rng.integers(0, 256, (32, 48)).astype(np.uint8)
+        e = rng.uniform(0.0, 40.0, 6) * rng.integers(0, 2, 6)
+        eps = rng.uniform(0.0, 1.0, 6) * scale
+        got = worst_case_distortion_map(tex, e, eps, factor)
+        want = oracles.oracle_worst_case_distortion_map(tex, e, eps, factor)
+        assert_same_array(got, want)
+
+    def test_rejects_a_texture_that_is_not_uint8(self):
+        tex = np.full((16, 16), 100.0)
+        with pytest.raises(SynthesisError, match="uint8"):
+            worst_case_distortion_map(tex, np.zeros(1), np.ones(1), 1.0)
 
     def test_gather_pulls_source_values_to_targets(self):
         src_map = np.arange(8, dtype=np.float64).reshape(1, 8)
