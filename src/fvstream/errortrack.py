@@ -16,10 +16,10 @@ The sender runs it in expectation with p the per-packet delivery
 probability, overridden by 0/1 once feedback for a frame arrives: with k = 1
 over the decisions it made, and with one column per candidate while it
 selects.  The receiver runs it with k = 1 and the actual outcomes, and
-estimates delta from what it has: the previous two decoded frames, spatial
-neighbors on early frames, or (for texture) a warp from the opposing view
-when that view is strictly more reliable.  Disparity planes never use the
-cross-view estimate.
+estimates delta from what it has decoded: the co-located innovation between
+the previous two decoded frames (zero before two frames are decoded), or for
+the lost texture blocks a warp from the opposing view when that view is
+strictly more reliable.  Disparity planes never use the cross-view estimate.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODE_INTRA, CandidateSet, EncodedPlane
+from .codec import MODE_INTRA, PLANE_ORDER, CandidateSet, EncodedPlane
 from .frames import MB_SIZE
 from .synthesis import WarpedView, warp_view
 
@@ -194,20 +194,6 @@ class ExpectedErrorTracker:
 # receiver-side tracking
 # ---------------------------------------------------------------------------
 
-def estimate_delta_history(dec_prev: np.ndarray | None,
-                           dec_prevprev: np.ndarray | None,
-                           grid: tuple[int, int]) -> np.ndarray:
-    """Per-MB receiver delta from decoded history (no cross-view term).
-
-    Co-located mean absolute difference of the two previous decoded frames.
-    With fewer than two frames of history no co-located pair exists anywhere,
-    so the spatial-neighbor fallback averages an empty set: zero everywhere.
-    """
-    if dec_prev is None or dec_prevprev is None:
-        return np.zeros(grid[0] * grid[1])
-    return innovation_term(dec_prev, dec_prevprev)
-
-
 def cross_view_states(state: np.ndarray, opp_state: np.ndarray,
                       warped: WarpedView, prev_tex: np.ndarray,
                       prev_state: np.ndarray, lost: np.ndarray,
@@ -257,87 +243,55 @@ class DecoderTracker:
         self.gamma = gamma
         self.eta = eta
         self._states: dict[tuple[int, int], list[np.ndarray]] = {
-            (v, comp): [] for v in (0, 1) for comp in (0, 1)}
-        self._history: dict[tuple[int, int], list[np.ndarray]] = {
-            (v, comp): [] for v in (0, 1) for comp in (0, 1)}
+            key: [] for key in PLANE_ORDER}
 
     def state(self, view: int, component: int, t: int) -> np.ndarray:
-        return self._states[(view, int(component))][t]
-
-    def frame_count(self) -> int:
-        return len(self._states[(0, 0)])
-
-    def _prev_decoded(self, view: int, comp: int, back: int) -> np.ndarray | None:
-        series = self._history[(view, comp)]
-        return series[-back] if len(series) >= back else None
-
-    def _track_plane(self, view: int, comp: int, t: int, enc: EncodedPlane,
-                     received: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        # the decoder never reads the record of a lost block, so neither do
-        # we: such a row propagates as INTRA and carries no weight below
-        modes = np.where(received, enc.modes, MODE_INTRA)[:, None]
-        ref_dist = np.where(received, enc.ref_dist, 0)[:, None]
-        return expected_errors(self._states[(view, comp)], t, modes, ref_dist,
-                               enc.mv[:, None], delta,
-                               received[:, None].astype(np.float64),
-                               self.gamma, self.grid)[:, 0]
+        return self._states[(view, component)][t]
 
     def update_frame(self, t: int,
-                     decoded: dict[tuple[int, int], np.ndarray],
+                     decoded: dict[tuple[int, int], list[np.ndarray]],
                      encoded: dict[tuple[int, int], EncodedPlane],
                      received: dict[tuple[int, int], np.ndarray]) -> None:
         """Advance all four planes to frame t.
 
-        decoded holds the frame-t decoder reconstructions keyed by
-        (view, component); component 0 is texture, 1 is disparity.
-        Disparity planes are tracked first (history rules only); texture
-        then gets a second pass that upgrades delta estimates of lost blocks
-        from the opposing view's warped texture when that view is strictly
-        more reliable and covers at least half the block.
+        decoded holds each plane's decoder reconstructions of frames 0..t,
+        keyed by (view, component); component 0 is texture, 1 is disparity.
+        Every plane is tracked with the co-located innovation between its
+        two previous decoded frames as delta.  Texture then gets a second
+        pass that upgrades the delta of lost blocks from the opposing view's
+        warped texture when that view, as tracked before this pass, is
+        strictly more reliable and covers at least half the block.
         """
-        if t != self.frame_count():
-            raise TrackingError(f"expected frame {self.frame_count()}, got {t}")
+        done = len(self._states[(0, 0)])
+        if t != done:
+            raise TrackingError(f"expected frame {done}, got {t}")
+        for key in PLANE_ORDER:
+            dec, rcv, enc = decoded[key], received[key], encoded[key]
+            delta = (innovation_term(dec[t - 1], dec[t - 2]) if t >= 2
+                     else np.zeros(self.n_mb))
+            # the decoder never reads the record of a lost block, so neither
+            # do we: such a row propagates as INTRA and carries no weight
+            self._states[key].append(expected_errors(
+                self._states[key], t,
+                np.where(rcv, enc.modes, MODE_INTRA)[:, None],
+                np.where(rcv, enc.ref_dist, 0)[:, None], enc.mv[:, None],
+                delta, rcv[:, None].astype(np.float64), self.gamma,
+                self.grid)[:, 0])
 
+        tracked = [self._states[(view, 0)][t] for view in (0, 1)]
         for view in (0, 1):
-            key = (view, 1)
-            delta = estimate_delta_history(self._prev_decoded(view, 1, 1),
-                                           self._prev_decoded(view, 1, 2),
-                                           self.grid)
-            self._states[key].append(self._track_plane(view, 1, t, encoded[key],
-                                                       received[key], delta))
-
-        # texture pass A: history-based deltas for both views
-        pass_a: dict[int, np.ndarray] = {}
-        for view in (0, 1):
-            delta = estimate_delta_history(self._prev_decoded(view, 0, 1),
-                                           self._prev_decoded(view, 0, 2),
-                                           self.grid)
-            pass_a[view] = self._track_plane(view, 0, t, encoded[(view, 0)],
-                                             received[(view, 0)], delta)
-
-        # texture pass B: cross-view delta for lost blocks where the
-        # opposing view is strictly more reliable
-        for view in (0, 1):
-            final = pass_a[view]
             lost = ~received[(view, 0)]
-            if lost.any():
-                opp = 1 - view
-                warped = warp_view(decoded[(opp, 0)], decoded[(opp, 1)], opp,
-                                   float(view), self.eta)
-                prev_tex = self._prev_decoded(view, 0, 1)
-                if prev_tex is None:
-                    prev_tex = np.full(decoded[(view, 0)].shape, 128,
-                                       dtype=np.uint8)
-                prev_state = (self._states[(view, 0)][t - 1] if t >= 1
-                              else np.zeros(self.n_mb))
-                final = cross_view_states(pass_a[view], pass_a[opp], warped,
+            if not lost.any():
+                continue
+            opp = 1 - view
+            warped = warp_view(decoded[(opp, 0)][t], decoded[(opp, 1)][t], opp,
+                               float(view), self.eta)
+            series = self._states[(view, 0)]
+            if t >= 1:
+                prev_tex, prev_state = decoded[(view, 0)][t - 1], series[t - 1]
+            else:
+                prev_tex = np.full_like(decoded[(view, 0)][0], 128)
+                prev_state = np.zeros(self.n_mb)
+            series[t] = cross_view_states(tracked[view], tracked[opp], warped,
                                           prev_tex, prev_state, lost,
                                           self.grid, self.MIN_COVERAGE)
-            self._states[(view, 0)].append(final)
-
-        for view in (0, 1):
-            for comp in (0, 1):
-                hist = self._history[(view, comp)]
-                hist.append(decoded[(view, comp)].copy())
-                if len(hist) > 2:
-                    del hist[0]

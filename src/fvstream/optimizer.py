@@ -68,12 +68,10 @@ def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
                            chan=tracker.candidate_errors(t, cset, delta))
 
 
-def step1_minimum(pc: PlaneCandidates) -> tuple[np.ndarray, np.ndarray]:
-    """Per-MB first index and value of the smallest expected error over the
-    motion candidates (INTRA excluded: the step picks a reference)."""
-    motion = pc.chan[:, :-1]
-    idx = np.argmin(motion, axis=1)
-    return idx, motion[np.arange(pc.n_mb), idx]
+def step1_minimum(pc: PlaneCandidates) -> np.ndarray:
+    """Per-MB smallest expected error over the motion candidates (INTRA
+    excluded: the step picks a reference)."""
+    return pc.chan[:, :-1].min(axis=1)
 
 
 def opposing_cap(corr: CorrespondenceSets, opp_error_prev: np.ndarray,

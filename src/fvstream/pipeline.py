@@ -122,6 +122,9 @@ class ExperimentConfig:
             raise HarnessError("rate_band and base_lambda must be positive")
         if self.max_lambda_trials < 1:
             raise HarnessError("max_lambda_trials must be at least 1")
+        if min(self.packets_texture, self.packets_depth) < 1:
+            raise HarnessError("packets_texture and packets_depth must be "
+                               "at least 1")
         if not 0.0 < self.gamma <= 1.0:
             raise HarnessError("gamma must be in (0, 1]")
         # the parameter objects every run reads; not fields, so the JSON
@@ -343,8 +346,8 @@ class EncoderState:
                 members[v] = corr.member
                 # two steps: texture against the depth error-minimizer, then
                 # depth against the texture's
-                _, tex_val = step1_minimum(pcs[tex])
-                _, dep_val = step1_minimum(pcs[dep])
+                tex_val = step1_minimum(pcs[tex])
+                dep_val = step1_minimum(pcs[dep])
                 cols[tex] = cross_cap(cols[tex], g_eval(curv, dep_val),
                                       caps[v], corr.member)
                 cols[dep] = cross_cap(cols[dep], tex_val, caps[v], corr.member)
@@ -430,8 +433,7 @@ class DecodedStream:
 def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
                   trace: LossTrace) -> DecodedStream:
     """Receiver side: decode with concealment and track per-MB errors."""
-    first = stream.recon[(0, Component.TEXTURE)][0]
-    grid = (first.shape[0] // 16, first.shape[1] // 16)
+    grid = (cfg.scene.height // 16, cfg.scene.width // 16)
     n_mb = grid[0] * grid[1]
     T = len(stream.frames)
     packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
@@ -445,7 +447,6 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
 
     for t in range(T):
         rcv_t = {}
-        dec_t = {}
         for key in PLANE_ORDER:
             view, comp = key
             rcv = ~lost_mb_mask(trace, t, view, comp, n_mb, packets[key])
@@ -459,8 +460,7 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
             plane, _ = decode_plane(enc, refs, conceal, rcv)
             decoded[key].append(plane)
             rcv_t[key] = rcv
-            dec_t[key] = plane
-        tracker.update_frame(t, dec_t, stream.frames[t], rcv_t)
+        tracker.update_frame(t, decoded, stream.frames[t], rcv_t)
 
     return DecodedStream(planes=decoded, tracker=tracker,
                          lost_packets=lost_counts)

@@ -46,14 +46,17 @@ def curvature_map(own_texture: np.ndarray, own_disparity: np.ndarray,
     """Per-MB curvature a for one view, from its texture and disparity planes."""
     if any(p.dtype != np.uint8 for p in (own_texture, own_disparity, opp_texture)):
         raise SensitivityError("curvature_map takes uint8 planes")
+    if not own_texture.shape == own_disparity.shape == opp_texture.shape:
+        raise SensitivityError("curvature_map takes planes of one shape")
     h, w = own_texture.shape
     n = params.max_deviation
     # an integer mismatch reaches the threshold exactly when it reaches this
     need = math.ceil(params.threshold)
-    # signed shift at disparity v = level + eps; past +-w all clamp alike
+    # signed shift at disparity v = level + eps; past +-w all clamp alike,
+    # clamped before the cast so that no eta wraps it
     sign = -1 if source_view == 0 else 1
     shift = np.clip(sign * np.rint(np.arange(-n, 256 + n, dtype=np.float64)
-                                   * eta).astype(np.int64), -w, w)
+                                   * eta), -w, w).astype(np.int64)
     pad = int(np.abs(shift).max())
     # rows padded with their edge values: a padded gather is a clamped one
     opp = np.pad(opp_texture.astype(np.int16), ((0, 0), (pad, pad)),

@@ -62,9 +62,13 @@ def warp_view(texture: np.ndarray, disparity: np.ndarray, source_view: int,
         raise SynthesisError("source_view must be 0 or 1")
     if texture.dtype != np.uint8 or disparity.dtype != np.uint8:
         raise SynthesisError("warp_view takes uint8 planes")
+    if texture.shape != disparity.shape:
+        raise SynthesisError("warp_view takes planes of one shape")
     h, w = texture.shape
     factor = shift_factor(source_view, position, eta)
-    shift = np.rint(np.arange(256, dtype=np.float64) * factor).astype(np.int64)
+    # a shift past the width lands out of frame like one of the width itself
+    shift = np.clip(np.rint(np.arange(256, dtype=np.float64) * factor),
+                    -w, w).astype(np.int64)
     cols = np.arange(w, dtype=np.int64)
     step = shift[disparity]
     tcol = cols - step if source_view == 0 else cols + step
@@ -164,7 +168,10 @@ def blend(left: WarpedView, right: WarpedView, position: float,
 def expand_block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     """Per-MB values broadcast to per-pixel resolution."""
     hb, wb = grid
-    m = np.asarray(values, dtype=np.float64).reshape(hb, wb)
+    m = np.asarray(values, dtype=np.float64)
+    if m.size != hb * wb:
+        raise SynthesisError(f"{m.size} block values for a {hb}x{wb} grid")
+    m = m.reshape(hb, wb)
     return np.repeat(np.repeat(m, MB_SIZE, axis=0), MB_SIZE, axis=1)
 
 
@@ -185,7 +192,8 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
     grid = (h // MB_SIZE, w // MB_SIZE)
     e_pix = expand_block_values(block_texture_error, grid)
     eps_pix = expand_block_values(block_disparity_error, grid)
-    radius = np.ceil(eps_pix * factor).astype(np.int64)
+    # a radius past the width reaches every column, as one of the width does
+    radius = np.ceil(np.minimum(eps_pix * factor, w)).astype(np.int64)
     x = texture.astype(np.float64)
     d = e_pix.copy()
     max_r = int(radius.max()) if radius.size else 0
@@ -224,6 +232,8 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
     if (left_errors is None) != (right_errors is None):
         raise SynthesisError("tracked errors must be given for both views "
                              "or neither")
+    if left_texture.shape != right_texture.shape:
+        raise SynthesisError("the two views must have one shape")
     wl = warp_view(left_texture, left_disparity, 0, params.position, params.eta)
     wr = warp_view(right_texture, right_disparity, 1, params.position, params.eta)
     d0_t = d1_t = 0.0

@@ -4,7 +4,8 @@ Everything here sticks to the plainest formulation available (explicit
 loops, Counter-based entropy, Fraction arithmetic) so a disagreement with
 the vectorized implementations actually means something.  The oracle
 warp, worst-case and curvature kernels are the package's earlier,
-sort- and gather-based versions, kept as bit-exact references.
+sort- and gather-based versions, and the oracle receiver tracker its earlier
+history-copying one, kept as bit-exact references.
 """
 from __future__ import annotations
 
@@ -21,11 +22,13 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             build_inter_candidates, build_intra_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
                             motion_search, plane_blocks, predictor_blocks)
-from fvstream.errortrack import footprint_state_sum
+from fvstream.errortrack import (TrackingError, cross_view_states,
+                                 expected_errors, footprint_state_sum,
+                                 innovation_term)
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import SensitivityParams
 from fvstream.synthesis import (SynthesisError, WarpedView, expand_block_values,
-                                shift_factor)
+                                shift_factor, warp_view)
 
 MB = 16
 
@@ -439,6 +442,121 @@ def oracle_cross_view_states(state, opp_state, warped, prev_tex, prev_state,
         final[m] = prev_state[m] + delta1
     return final
 
+
+
+# --- receiver tracking ------------------------------------------------------
+
+def estimate_delta_history(dec_prev: np.ndarray | None,
+                           dec_prevprev: np.ndarray | None,
+                           grid: tuple[int, int]) -> np.ndarray:
+    """Per-MB receiver delta from decoded history (no cross-view term).
+
+    Co-located mean absolute difference of the two previous decoded frames.
+    With fewer than two frames of history no co-located pair exists anywhere,
+    so the spatial-neighbor fallback averages an empty set: zero everywhere.
+    """
+    if dec_prev is None or dec_prevprev is None:
+        return np.zeros(grid[0] * grid[1])
+    return innovation_term(dec_prev, dec_prevprev)
+
+
+class OracleDecoderTracker:
+    """The package's earlier receiver tracker, which keeps its own copy of
+    the last two decoded frames and takes frame t's planes alone."""
+
+    #: minimum warped pixels inside a block for the cross-view delta estimate
+    MIN_COVERAGE = (MB_SIZE * MB_SIZE) // 2
+
+    def __init__(self, grid: tuple[int, int], gamma: float, eta: float):
+        self.grid = grid
+        self.n_mb = grid[0] * grid[1]
+        self.gamma = gamma
+        self.eta = eta
+        self._states: dict[tuple[int, int], list[np.ndarray]] = {
+            (v, comp): [] for v in (0, 1) for comp in (0, 1)}
+        self._history: dict[tuple[int, int], list[np.ndarray]] = {
+            (v, comp): [] for v in (0, 1) for comp in (0, 1)}
+
+    def state(self, view: int, component: int, t: int) -> np.ndarray:
+        return self._states[(view, int(component))][t]
+
+    def frame_count(self) -> int:
+        return len(self._states[(0, 0)])
+
+    def _prev_decoded(self, view: int, comp: int, back: int) -> np.ndarray | None:
+        series = self._history[(view, comp)]
+        return series[-back] if len(series) >= back else None
+
+    def _track_plane(self, view: int, comp: int, t: int, enc: EncodedPlane,
+                     received: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        # the decoder never reads the record of a lost block, so neither do
+        # we: such a row propagates as INTRA and carries no weight below
+        modes = np.where(received, enc.modes, MODE_INTRA)[:, None]
+        ref_dist = np.where(received, enc.ref_dist, 0)[:, None]
+        return expected_errors(self._states[(view, comp)], t, modes, ref_dist,
+                               enc.mv[:, None], delta,
+                               received[:, None].astype(np.float64),
+                               self.gamma, self.grid)[:, 0]
+
+    def update_frame(self, t: int,
+                     decoded: dict[tuple[int, int], np.ndarray],
+                     encoded: dict[tuple[int, int], EncodedPlane],
+                     received: dict[tuple[int, int], np.ndarray]) -> None:
+        """Advance all four planes to frame t.
+
+        decoded holds the frame-t decoder reconstructions keyed by
+        (view, component); component 0 is texture, 1 is disparity.
+        Disparity planes are tracked first (history rules only); texture
+        then gets a second pass that upgrades delta estimates of lost blocks
+        from the opposing view's warped texture when that view is strictly
+        more reliable and covers at least half the block.
+        """
+        if t != self.frame_count():
+            raise TrackingError(f"expected frame {self.frame_count()}, got {t}")
+
+        for view in (0, 1):
+            key = (view, 1)
+            delta = estimate_delta_history(self._prev_decoded(view, 1, 1),
+                                           self._prev_decoded(view, 1, 2),
+                                           self.grid)
+            self._states[key].append(self._track_plane(view, 1, t, encoded[key],
+                                                       received[key], delta))
+
+        # texture pass A: history-based deltas for both views
+        pass_a: dict[int, np.ndarray] = {}
+        for view in (0, 1):
+            delta = estimate_delta_history(self._prev_decoded(view, 0, 1),
+                                           self._prev_decoded(view, 0, 2),
+                                           self.grid)
+            pass_a[view] = self._track_plane(view, 0, t, encoded[(view, 0)],
+                                             received[(view, 0)], delta)
+
+        # texture pass B: cross-view delta for lost blocks where the
+        # opposing view is strictly more reliable
+        for view in (0, 1):
+            final = pass_a[view]
+            lost = ~received[(view, 0)]
+            if lost.any():
+                opp = 1 - view
+                warped = warp_view(decoded[(opp, 0)], decoded[(opp, 1)], opp,
+                                   float(view), self.eta)
+                prev_tex = self._prev_decoded(view, 0, 1)
+                if prev_tex is None:
+                    prev_tex = np.full(decoded[(view, 0)].shape, 128,
+                                       dtype=np.uint8)
+                prev_state = (self._states[(view, 0)][t - 1] if t >= 1
+                              else np.zeros(self.n_mb))
+                final = cross_view_states(pass_a[view], pass_a[opp], warped,
+                                          prev_tex, prev_state, lost,
+                                          self.grid, self.MIN_COVERAGE)
+            self._states[(view, 0)].append(final)
+
+        for view in (0, 1):
+            for comp in (0, 1):
+                hist = self._history[(view, comp)]
+                hist.append(decoded[(view, comp)].copy())
+                if len(hist) > 2:
+                    del hist[0]
 
 # --- disparity sensitivity --------------------------------------------------
 

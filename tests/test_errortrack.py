@@ -3,17 +3,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvstream.channel import Component, lost_mb_mask
-from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, CandidateSet,
-                            CodecError, EncodedPlane, parse_stream,
-                            predictor_blocks)
+from fvstream.codec import (MODE_INTER, MODE_INTRA, MODE_SKIP, PLANE_ORDER,
+                            CandidateSet, CodecError, EncodedPlane,
+                            parse_stream, predictor_blocks)
 from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
                                  TrackingError, cross_view_states,
-                                 estimate_delta_history, expected_errors,
-                                 footprint_state_sum, innovation_term)
+                                 expected_errors, footprint_state_sum,
+                                 innovation_term)
 from fvstream.pipeline import decode_stream
 from fvstream.synthesis import warp_view
 
@@ -332,52 +332,80 @@ class TestExpectedErrorTracker:
             assert (np.abs(tr.state(t) - mc[t]) <= tol).all()
 
 
-class TestDeltaEstimate:
-    def test_no_history_means_zero(self):
-        assert (estimate_delta_history(None, None, (1, 1)) == 0.0).all()
-        assert (estimate_delta_history(flat(100), None, (1, 1)) == 0.0).all()
+def track(tracker, frames):
+    """Feed frames of (planes, records, received), each keyed by plane, to a
+    DecoderTracker with every plane's decoded frames 0..t, as decode_stream
+    holds them."""
+    decoded = {key: [] for key in PLANE_ORDER}
+    for t, (planes, encoded, received) in enumerate(frames):
+        for key in PLANE_ORDER:
+            decoded[key].append(planes[key])
+        tracker.update_frame(t, decoded, encoded, received)
+    return tracker
 
-    def test_two_frames_give_their_innovation(self):
-        got = estimate_delta_history(flat(110), flat(100), (1, 1))
-        assert got.tolist() == [10.0]
+
+def random_receiver_frames(rng, grid, frame_count):
+    """Decoded planes, valid records and loss masks of all four planes.
+    Textures are flat per block, one base level plus an offset that drifts
+    from frame to frame, so a warp from the opposing view can rescue a lost
+    block; one frame loses texture blocks in both views."""
+    hb, wb = grid
+    n_mb = hb * wb
+    shape = (hb * 16, wb * 16)
+    base = rng.integers(0, 200, grid)
+    records = {key: random_decisions(rng, grid, frame_count)
+               for key in PLANE_ORDER}
+    both = int(rng.integers(0, frame_count))
+    frames = []
+    for t in range(frame_count):
+        planes, encoded, received = {}, {}, {}
+        common = rng.random(n_mb) < 0.7
+        for key in PLANE_ORDER:
+            if key[1] == Component.TEXTURE:
+                level = base + rng.integers(0, 40, grid)
+                planes[key] = level.repeat(16, 0).repeat(16, 1).astype(np.uint8)
+            else:
+                planes[key] = rng.integers(0, 6, shape).astype(np.uint8)
+            modes, ref_dist, mv, _ = records[key][t]
+            encoded[key] = make_enc(modes, ref_dist, mv, grid)
+            lost = rng.random(n_mb) < 0.4
+            if t == both and key[1] == Component.TEXTURE:
+                lost |= common
+            received[key] = ~lost
+        frames.append((planes, encoded, received))
+    return frames
 
 
 class TestDecoderTracker:
     GRID = (1, 1)
 
-    def _planes(self, tex_value, disp_value=8):
-        return {(0, 0): flat(tex_value), (0, 1): flat(disp_value),
-                (1, 0): flat(tex_value), (1, 1): flat(disp_value)}
-
-    def _encs(self, mode, base=0):
+    def _frame(self, tex_value, mode, base=0, tex_ok=True, dep_ok=True,
+               disp_value=8):
+        """All four planes flat, coded alike, with texture and depth
+        received or lost in both views."""
         if mode == MODE_INTRA:
             enc = make_enc([MODE_INTRA], [0], [[base, 0]], self.GRID)
         else:
             enc = make_enc([MODE_SKIP], [1], [[0, 0]], self.GRID)
-        return {(0, 0): enc, (0, 1): enc, (1, 0): enc, (1, 1): enc}
-
-    def _received(self, tex_ok=True, dep_ok=True):
-        return {(0, 0): np.array([tex_ok]), (1, 0): np.array([tex_ok]),
-                (0, 1): np.array([dep_ok]), (1, 1): np.array([dep_ok])}
+        planes = {key: flat(disp_value if key[1] else tex_value)
+                  for key in PLANE_ORDER}
+        received = {key: np.array([dep_ok if key[1] else tex_ok])
+                    for key in PLANE_ORDER}
+        return planes, dict.fromkeys(PLANE_ORDER, enc), received
 
     @pytest.mark.example
     def test_loss_chain_decays_geometrically_then_resets(self):
         """delta 10 at the loss, then gamma 0.9 per received copy: 10, 9, 8.1;
         an intra refresh drops it to exactly zero."""
-        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
-        tr.update_frame(0, self._planes(100), self._encs(MODE_INTRA, 100),
-                        self._received())
-        tr.update_frame(1, self._planes(110), self._encs(MODE_INTRA, 110),
-                        self._received())
-        # both texture planes lost: no cross-view rescue is available
-        tr.update_frame(2, self._planes(110), self._encs(MODE_SKIP),
-                        self._received(tex_ok=False))
-        tr.update_frame(3, self._planes(110), self._encs(MODE_SKIP),
-                        self._received())
-        tr.update_frame(4, self._planes(110), self._encs(MODE_SKIP),
-                        self._received())
-        tr.update_frame(5, self._planes(110), self._encs(MODE_INTRA, 110),
-                        self._received())
+        # both texture planes lost at frame 2: no cross-view rescue is
+        # available
+        tr = track(DecoderTracker(self.GRID, gamma=0.9, eta=1.0), [
+            self._frame(100, MODE_INTRA, 100),
+            self._frame(110, MODE_INTRA, 110),
+            self._frame(110, MODE_SKIP, tex_ok=False),
+            self._frame(110, MODE_SKIP),
+            self._frame(110, MODE_SKIP),
+            self._frame(110, MODE_INTRA, 110)])
         for view in (0, 1):
             assert tr.state(view, 0, 0).tolist() == [0.0]
             assert tr.state(view, 0, 1).tolist() == [0.0]
@@ -388,26 +416,52 @@ class TestDecoderTracker:
 
     @pytest.mark.parametrize("step,want", [(0, 0.0), (5, 5.0)])
     def test_loss_delta_follows_decoded_history(self, step, want):
-        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
-        tr.update_frame(0, self._planes(100), self._encs(MODE_INTRA, 100),
-                        self._received())
-        tr.update_frame(1, self._planes(100 + step),
-                        self._encs(MODE_INTRA, 100 + step), self._received())
-        tr.update_frame(2, self._planes(100 + step), self._encs(MODE_SKIP),
-                        self._received(tex_ok=False))
+        tr = track(DecoderTracker(self.GRID, gamma=0.9, eta=1.0), [
+            self._frame(100, MODE_INTRA, 100),
+            self._frame(100 + step, MODE_INTRA, 100 + step),
+            self._frame(100 + step, MODE_SKIP, tex_ok=False)])
         assert tr.state(0, 0, 2)[0] == pytest.approx(want, abs=1e-12)
+
+    def test_delta_is_zero_before_two_decoded_frames(self):
+        # every plane lost at frames 0 and 1: however much the content
+        # changes, no two earlier decoded frames exist to measure it
+        tr = track(DecoderTracker(self.GRID, gamma=0.9, eta=1.0), [
+            self._frame(100, MODE_INTRA, 100, tex_ok=False, dep_ok=False,
+                        disp_value=3),
+            self._frame(180, MODE_SKIP, tex_ok=False, dep_ok=False,
+                        disp_value=20)])
+        for t in (0, 1):
+            for key in PLANE_ORDER:
+                assert tr.state(*key, t).tolist() == [0.0]
+
+    def test_delta_is_the_innovation_between_two_decoded_frames(self):
+        # depth is lost everywhere at frame 2: each block's state is the
+        # co-located innovation from decoded frame 0 to 1, whatever frame 2
+        # decodes to
+        grid = (1, 2)
+        rng = np.random.default_rng(43)
+        disp = [rng.integers(0, 40, (16, 32)).astype(np.uint8)
+                for _ in range(3)]
+        intra = make_enc([MODE_INTRA] * 2, [0] * 2, [[0, 0]] * 2, grid)
+        ok = {key: np.ones(2, dtype=bool) for key in PLANE_ORDER}
+        lost = {key: ok[key] & (key[1] == Component.TEXTURE)
+                for key in PLANE_ORDER}
+        frames = [({key: disp[t] if key[1] else flat(100, (16, 32))
+                    for key in PLANE_ORDER},
+                   dict.fromkeys(PLANE_ORDER, intra), ok if t < 2 else lost)
+                  for t in range(3)]
+        tr = track(DecoderTracker(grid, gamma=0.9, eta=1.0), frames)
+        want = innovation_term(disp[1], disp[0])
+        assert want.min() > 0.0
+        for view in (0, 1):
+            assert np.array_equal(tr.state(view, 1, 2), want)
 
     def test_disparity_never_uses_the_cross_view_estimate(self):
         # depth lost while textures are clean: the history delta applies as is
-        tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
-        planes0 = self._planes(100, disp_value=8)
-        planes1 = self._planes(100, disp_value=12)
-        tr.update_frame(0, planes0, self._encs(MODE_INTRA, 100),
-                        self._received())
-        tr.update_frame(1, planes1, self._encs(MODE_INTRA, 100),
-                        self._received())
-        tr.update_frame(2, planes1, self._encs(MODE_SKIP),
-                        self._received(dep_ok=False))
+        tr = track(DecoderTracker(self.GRID, gamma=0.9, eta=1.0), [
+            self._frame(100, MODE_INTRA, 100, disp_value=8),
+            self._frame(100, MODE_INTRA, 100, disp_value=12),
+            self._frame(100, MODE_SKIP, dep_ok=False, disp_value=12)])
         assert tr.state(0, 1, 2)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_cross_view_rescue_when_opposing_view_is_clean(self):
@@ -425,17 +479,16 @@ class TestDecoderTracker:
             r_tex = np.roll(l_tex, -4, axis=1)
             return {(0, 0): l_tex, (0, 1): disp, (1, 0): r_tex, (1, 1): disp}
 
-        tr = DecoderTracker(grid, gamma=0.9, eta=1.0)
-        encs = {(0, 0): enc, (0, 1): enc, (1, 0): enc, (1, 1): enc}
-        skips = {(0, 0): skip, (0, 1): skip, (1, 0): skip, (1, 1): skip}
+        encs = dict.fromkeys(PLANE_ORDER, enc)
+        skips = dict.fromkeys(PLANE_ORDER, skip)
         ok = {k: np.ones(4, dtype=bool) for k in encs}
-        tr.update_frame(0, planes(bg), encs, ok)
         shifted = (bg.astype(np.int64) + 9).astype(np.uint8)
-        tr.update_frame(1, planes(shifted), encs, ok)
         lost_left = dict(ok)
         lost_left[(0, 0)] = np.zeros(4, dtype=bool)
         # decoded left texture under concealment repeats frame 1
-        tr.update_frame(2, planes(shifted), skips, lost_left)
+        tr = track(DecoderTracker(grid, gamma=0.9, eta=1.0), [
+            (planes(bg), encs, ok), (planes(shifted), encs, ok),
+            (planes(shifted), skips, lost_left)])
         # history alone would say delta = 9; the clean warp shows the content
         # did not change, so every covered block drops back to zero
         assert tr.state(1, 0, 2).tolist() == [0.0] * 4
@@ -458,11 +511,33 @@ class TestDecoderTracker:
         got = cross_view_states(*args)
         assert np.array_equal(got, oracles.oracle_cross_view_states(*args))
 
+    @given(st.integers(0, 10 ** 6))
+    @example(0)     # view 0's rescue drops it below view 1 once
+    @settings(max_examples=60)
+    def test_matches_the_history_copying_oracle(self, seed):
+        """Bit-identical states, frame by frame, to the earlier tracker; view
+        1's rescue reads view 0's state from before view 0's own rescue."""
+        rng = np.random.default_rng(seed)
+        grid = (int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+        frames = random_receiver_frames(rng, grid, int(rng.integers(1, 7)))
+        gamma, eta = float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 2.0))
+        got = DecoderTracker(grid, gamma, eta)
+        want = oracles.OracleDecoderTracker(grid, gamma, eta)
+        decoded = {key: [] for key in PLANE_ORDER}
+        for t, (planes, encoded, received) in enumerate(frames):
+            for key in PLANE_ORDER:
+                decoded[key].append(planes[key])
+            got.update_frame(t, decoded, encoded, received)
+            want.update_frame(t, planes, encoded, received)
+            for key in PLANE_ORDER:
+                assert np.array_equal(got.state(*key, t), want.state(*key, t))
+
     def test_frame_index_must_advance_in_order(self):
+        planes, encoded, received = self._frame(0, MODE_INTRA)
         tr = DecoderTracker(self.GRID, gamma=0.9, eta=1.0)
         with pytest.raises(TrackingError):
-            tr.update_frame(1, self._planes(0), self._encs(MODE_INTRA, 0),
-                            self._received())
+            tr.update_frame(1, {key: [planes[key]] * 2 for key in PLANE_ORDER},
+                            encoded, received)
 
     def test_lost_records_are_never_read(self, lossy_micro_stream):
         # a lost frame-3 texture record whose vector points 30000 columns

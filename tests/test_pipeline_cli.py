@@ -576,6 +576,7 @@ class TestCli:
         {"max_lambda_trials": 0}, {"gamma": 5.0, "setups": ["rfc"]},
         {"position": 2.0}, {"eta": 0.0}, {"threshold": 0.0},
         {"search_range": 100}, {"ref_window": 17}, {"seeds": [-1]},
+        {"packets_texture": 0}, {"packets_depth": 0},
         pytest.param(({}, ("run", "--seeds=-1")), id="run-seeds=-1"),
         pytest.param(({}, ("trace", "--seed", "-1", "--rate", "0.05",
                            "--out", "trace.txt")), id="trace-seed=-1"),

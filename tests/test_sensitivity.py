@@ -228,6 +228,27 @@ class TestScanMatchesProfileOracle:
         with pytest.raises(SensitivityError, match="uint8"):
             curvature_map(*planes, 0, 1.0, SensitivityParams())
 
+    @pytest.mark.parametrize("bad", range(1, 3))
+    def test_rejects_planes_of_another_shape(self, bad):
+        planes = [step_plane(), np.zeros((16, 32), dtype=np.uint8), step_plane()]
+        planes[bad] = step_plane(width=48, height=32)
+        with pytest.raises(SensitivityError, match="one shape"):
+            curvature_map(*planes, 0, 1.0, SensitivityParams())
+
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_a_huge_eta_clamps_like_a_large_one(self, view):
+        # every nonzero level shifts past the frame at eta 1e6 already; at
+        # 1e20 an unclamped cast to int64 would wrap
+        tex = step_plane(width=32, height=32, edge=16)
+        disp = np.full((32, 32), 4, dtype=np.uint8)
+        disp[:, :8] = 0
+        params = SensitivityParams()
+        large = curvature_map(tex, disp, tex, view, 1e6, params)
+        assert np.array_equal(curvature_map(tex, disp, tex, view, 1e20, params),
+                              large)
+        if view == 0:
+            assert large.tolist() == pytest.approx([5.2, 10.0, 5.2, 10.0])
+
 
 class TestPenalty:
     @pytest.mark.example

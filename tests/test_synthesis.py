@@ -130,6 +130,11 @@ class TestWarp:
         with pytest.raises(SynthesisError):
             warp_view(tex, disp, 2, 0.5)
 
+    def test_rejects_planes_of_another_shape(self):
+        tex, disp = random_view(2)
+        with pytest.raises(SynthesisError, match="one shape"):
+            warp_view(tex, disp[:16], 0, 0.5)
+
     @given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]),
            st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.5, 1.0]))
     @settings(max_examples=30)
@@ -172,6 +177,20 @@ class TestWarp:
         planes[bad] = planes[bad].astype(np.int64)
         with pytest.raises(SynthesisError, match="uint8"):
             warp_view(planes["texture"], planes["disparity"], 0, 0.5)
+
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_a_huge_eta_shifts_like_a_large_one(self, view):
+        # every nonzero disparity leaves the frame at eta 1e6 already; at
+        # 1e20 an unclamped cast to int64 would wrap
+        tex = np.full((32, 32), 100, dtype=np.uint8)
+        tex[:, 16:] = 200
+        disp = np.full((32, 32), 4, dtype=np.uint8)
+        disp[:, :8] = 0
+        large = warp_view(tex, disp, view, 0.5, 1e6)
+        huge = warp_view(tex, disp, view, 0.5, 1e20)
+        for name in ("covered", "value", "disparity", "src_col"):
+            assert_same_array(getattr(huge, name), getattr(large, name))
+        assert large.covered.sum() == (disp == 0).sum()
 
 
 class TestFillHoles:
@@ -396,6 +415,24 @@ class TestWorstCase:
         with pytest.raises(SynthesisError, match="uint8"):
             worst_case_distortion_map(tex, np.zeros(1), np.ones(1), 1.0)
 
+    def test_a_huge_factor_reaches_like_a_large_one(self):
+        # a radius of 1e6 already spans the row; 1e20 would wrap in int64
+        tex = np.full((16, 32), 100, dtype=np.uint8)
+        tex[:, 16:] = 200
+        e, eps = np.array([1.0, 2.0]), np.ones(2)
+        large = worst_case_distortion_map(tex, e, eps, 1e6)
+        assert_same_array(worst_case_distortion_map(tex, e, eps, 1e20), large)
+        assert large[0, [0, 15, 16, 31]].tolist() == [102.0, 102.0, 101.0,
+                                                       101.0]
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_rejects_block_errors_of_another_count(self, bad):
+        tex = np.full((16, 32), 100, dtype=np.uint8)
+        errors = [np.zeros(2), np.ones(2)]
+        errors[bad] = np.ones(5)
+        with pytest.raises(SynthesisError, match="5 block values"):
+            worst_case_distortion_map(tex, *errors, 1.0)
+
     def test_gather_pulls_source_values_to_targets(self):
         src_map = np.arange(8, dtype=np.float64).reshape(1, 8)
         covered = np.array([[True, False, True, True, False, False, True, True]])
@@ -416,6 +453,11 @@ class TestSynthesizeView:
         with pytest.raises(SynthesisError):
             synthesize_view(tex, disp, tex, disp, SynthesisParams(),
                             right_errors=errs)
+
+    def test_rejects_views_of_another_shape(self):
+        tex, disp = random_view(31)
+        with pytest.raises(SynthesisError, match="one shape"):
+            synthesize_view(tex, disp, tex[:16], disp[:16], SynthesisParams())
 
     def test_lossless_synthesis_matches_the_withheld_view(self, scene64):
         params = SynthesisParams(position=0.5, eta=1.0)
