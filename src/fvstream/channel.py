@@ -2,20 +2,23 @@
 
 Each frame of each view splits into a fixed number of texture packets and
 depth packets; a packet carries a contiguous run of macroblocks in raster
-order.  Losses are i.i.d. per packet from a seeded generator, and the exact
-outcome of every packet sent at frame s becomes known to the sender once the
-current frame index reaches s + max(rtt, 1): at rtt 0 the outcome of frame
-t - 1 is known when frame t is coded, never that of frame t itself.
+order.  A loss trace holds, for each (frame, view, component) plane it
+covers, packets 0..n-1 once each, and it is the only holder of that layout:
+a plane's lost-block mask splits its macroblocks into the n packets the
+trace holds for it.  Losses are i.i.d. per packet from a seeded generator,
+and the exact outcome of every packet sent at frame s becomes known to the
+sender once the current frame index reaches s + max(rtt, 1): at rtt 0 the
+outcome of frame t - 1 is known when frame t is coded, never that of frame
+t itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 GENERATOR_NAME = "pcg64-v1"
-VIEWS = 2
 
 
 class ChannelError(ValueError):
@@ -39,6 +42,11 @@ class Component(IntEnum):
         raise ChannelError(f"unknown component label {label!r}")
 
 
+#: the planes of one frame in transmission and bitstream order
+PLANE_ORDER = ((0, Component.TEXTURE), (0, Component.DEPTH),
+               (1, Component.TEXTURE), (1, Component.DEPTH))
+
+
 @dataclass(frozen=True, order=True)
 class PacketId:
     frame_index: int
@@ -54,11 +62,9 @@ def build_schedule(frame_count: int, packets_texture: int, packets_depth: int
         raise ChannelError("frame, texture packet and depth packet counts must be positive")
     schedule: list[PacketId] = []
     for t in range(frame_count):
-        for view in range(VIEWS):
-            for comp, npk in ((Component.TEXTURE, packets_texture),
-                              (Component.DEPTH, packets_depth)):
-                for p in range(npk):
-                    schedule.append(PacketId(t, view, comp, p))
+        for view, comp in PLANE_ORDER:
+            npk = packets_texture if comp == Component.TEXTURE else packets_depth
+            schedule.extend(PacketId(t, view, comp, p) for p in range(npk))
     return schedule
 
 
@@ -83,27 +89,43 @@ def packetize(mb_count: int, packets: int) -> list[range]:
 
 @dataclass
 class LossTrace:
-    """Realized per-packet loss outcomes for one channel condition."""
+    """Realized per-packet loss outcomes for one channel condition.
+
+    Each (frame, view, component) plane the entries cover holds packets
+    0..n-1, each once; a trace that breaks this raises ChannelError when it
+    is built.  The n is the plane's packet layout: lost_mb_mask splits the
+    plane's macroblocks into that many packets.
+    """
 
     seed: int
     loss_rate: float
     entries: list[tuple[PacketId, bool]]            # (packet, lost)
     generator: str = GENERATOR_NAME
     protected_frames: frozenset[int] = frozenset()
-    _lookup: dict[PacketId, bool] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._lookup:
-            self._lookup = {pid: lost for pid, lost in self.entries}
+        planes: dict[tuple[int, int, Component], list[tuple[int, bool]]] = {}
+        for pid, lost in self.entries:
+            planes.setdefault((pid.frame_index, pid.view_id, pid.component),
+                              []).append((pid.packet_index, lost))
+        # not a field: each plane's lost flags in packet order
+        self._planes: dict[tuple[int, int, Component], tuple[bool, ...]] = {}
+        for (f, v, comp), packets in planes.items():
+            packets.sort()
+            if [p for p, _ in packets] != list(range(len(packets))):
+                raise ChannelError(f"frame {f} view {v} {comp.label} does not "
+                                   f"hold packets 0..{len(packets) - 1} once "
+                                   f"each")
+            self._planes[(f, v, comp)] = tuple(lost for _, lost in packets)
 
-    def __contains__(self, pid: PacketId) -> bool:
-        return pid in self._lookup
-
-    def lost(self, pid: PacketId) -> bool:
+    def lost_flags(self, frame_index: int, view_id: int,
+                   component: Component) -> tuple[bool, ...]:
+        """Lost flag of each packet of one plane, in packet order."""
         try:
-            return self._lookup[pid]
+            return self._planes[(frame_index, view_id, component)]
         except KeyError:
-            raise ChannelError(f"packet {pid} not in trace") from None
+            raise ChannelError(f"frame {frame_index} view {view_id} "
+                               f"{component.label} not in trace") from None
 
 
 def make_iid_trace(seed: int, loss_rate: float, schedule: list[PacketId],
@@ -130,19 +152,13 @@ def make_iid_trace(seed: int, loss_rate: float, schedule: list[PacketId],
 
 
 def lost_mb_mask(trace: LossTrace, frame_index: int, view_id: int,
-                 component: Component, mb_count: int, packets: int) -> np.ndarray:
-    """Boolean mask over raster macroblocks hit by packet losses of one plane.
-
-    ``packets`` must equal the number of packets the trace holds for the
-    plane, so that the macroblock ranges match the packets that were sent;
-    a count that differs raises ChannelError.
-    """
-    if PacketId(frame_index, view_id, component, packets) in trace:
-        raise ChannelError(f"trace holds more than {packets} packets for frame "
-                           f"{frame_index} view {view_id} {component.label}")
+                 component: Component, mb_count: int) -> np.ndarray:
+    """Boolean mask over raster macroblocks hit by packet losses of one plane,
+    split into the packets the trace holds for the plane."""
+    flags = trace.lost_flags(frame_index, view_id, component)
     mask = np.zeros(mb_count, dtype=bool)
-    for p, rng in enumerate(packetize(mb_count, packets)):
-        if trace.lost(PacketId(frame_index, view_id, component, p)):
+    for lost, rng in zip(flags, packetize(mb_count, len(flags))):
+        if lost:
             mask[rng.start:rng.stop] = True
     return mask
 
@@ -173,10 +189,7 @@ def _count(text: str, what: str) -> int:
 
 
 def load_trace(path) -> LossTrace:
-    """Read a trace written by save_trace; malformed input raises ChannelError.
-
-    Each (frame, view, component) must hold packets 0..n-1, each once.
-    """
+    """Read a trace written by save_trace; malformed input raises ChannelError."""
     seed, rate, generator = 0, 0.0, GENERATOR_NAME
     protected: frozenset[int] = frozenset()
     entries: list[tuple[PacketId, bool]] = []
@@ -218,13 +231,5 @@ def load_trace(path) -> LossTrace:
                             lost == "1"))
     if not entries:
         raise ChannelError("trace holds no packets")
-    packets: dict[tuple, list[int]] = {}
-    for pid, _ in entries:
-        packets.setdefault((pid.frame_index, pid.view_id, pid.component),
-                           []).append(pid.packet_index)
-    for (f, v, comp), idx in packets.items():
-        if sorted(idx) != list(range(len(idx))):
-            raise ChannelError(f"frame {f} view {v} {comp.label} does not "
-                               f"hold packets 0..{len(idx) - 1} once each")
     return LossTrace(seed=seed, loss_rate=rate, entries=entries,
                      generator=generator, protected_frames=protected)

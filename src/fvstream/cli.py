@@ -24,6 +24,8 @@ _ERRORS = (HarnessError, SceneSpecError, ChannelError, CodecError, PlaneError,
 
 
 def _parse_list(flag: str, text: str, kind) -> tuple:
+    if not text:
+        raise HarnessError(f"{flag}: empty list")
     out = []
     for x in text.split(","):
         try:
@@ -43,11 +45,11 @@ def _load_config(args) -> ExperimentConfig:
             raise HarnessError(f"config {args.config}: {exc}") from None
     cfg = config_from_dict(data)
     updates = {}
-    if getattr(args, "setups", None):
-        updates["setups"] = tuple(args.setups.split(","))
-    if getattr(args, "rates", None):
+    if getattr(args, "setups", None) is not None:
+        updates["setups"] = _parse_list("--setups", args.setups, str)
+    if getattr(args, "rates", None) is not None:
         updates["loss_rates"] = _parse_list("--rates", args.rates, float)
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         updates["seeds"] = _parse_list("--seeds", args.seeds, int)
     if getattr(args, "output_root", None):
         updates["output_root"] = args.output_root

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Component
+from .channel import PLANE_ORDER, Component
 from .frames import MB_SIZE
 
 MODE_INTRA = 0
@@ -448,10 +448,6 @@ def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
 #     ref_dist      u8
 #     mvx, mvy      i16, i16  (for INTRA the mvx slot carries the base level)
 #     coefficients  256 x i16 (omitted for SKIP)
-
-PLANE_ORDER = ((0, Component.TEXTURE), (0, Component.DEPTH),
-               (1, Component.TEXTURE), (1, Component.DEPTH))
-
 
 def serialize_stream(width: int, height: int, quant_step: int,
                      frames: list[dict[tuple[int, Component], EncodedPlane]],

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODE_INTRA, PLANE_ORDER, CandidateSet, EncodedPlane
+from .channel import PLANE_ORDER
+from .codec import MODE_INTRA, CandidateSet, EncodedPlane
 from .frames import MB_SIZE
 from .synthesis import WarpedView, warp_view
 

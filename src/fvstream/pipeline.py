@@ -15,6 +15,7 @@ text formatting of every artifact.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from collections.abc import Callable, Sequence
@@ -23,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (Component, LossTrace, build_schedule, lost_mb_mask,
-                      make_iid_trace, save_trace)
-from .codec import (PLANE_ORDER, CodecConfig, CodecError, EncodedPlane,
+from .channel import (PLANE_ORDER, Component, LossTrace, build_schedule,
+                      lost_mb_mask, make_iid_trace, save_trace)
+from .codec import (CodecConfig, CodecError, EncodedPlane,
                     build_inter_candidates, decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
@@ -118,8 +119,10 @@ class ExperimentConfig:
             raise HarnessError("seeds must be nonnegative")
         if self.rtt < 0:
             raise HarnessError("rtt must be nonnegative")
-        if self.rate_band <= 0 or self.base_lambda <= 0:
-            raise HarnessError("rate_band and base_lambda must be positive")
+        if not (0 < self.rate_band < math.inf
+                and 0 < self.base_lambda < math.inf):
+            raise HarnessError("rate_band and base_lambda must be positive "
+                               "and finite")
         if self.max_lambda_trials < 1:
             raise HarnessError("max_lambda_trials must be at least 1")
         if min(self.packets_texture, self.packets_depth) < 1:
@@ -258,8 +261,6 @@ class EncoderState:
                                else ExpectedErrorTracker(
                                    self.grid, 1.0 - trace.loss_rate, cfg.gamma))
                          for key in PLANE_ORDER}
-        self.packets = {key: cfg.packets_for(key[1], self.n_mb)
-                        for key in PLANE_ORDER}
         self.recon: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
@@ -272,8 +273,7 @@ class EncoderState:
         if f >= 0:
             for key in PLANE_ORDER:
                 self.trackers[key].set_frame_outcome(
-                    f, ~lost_mb_mask(self.trace, f, *key, self.n_mb,
-                                     self.packets[key]))
+                    f, ~lost_mb_mask(self.trace, f, *key, self.n_mb))
 
     def innovation(self, key: tuple[int, Component], t: int) -> np.ndarray:
         """Frame t's innovation against the previous reconstruction; zero for
@@ -435,21 +435,15 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
     """Receiver side: decode with concealment and track per-MB errors."""
     grid = (cfg.scene.height // 16, cfg.scene.width // 16)
     n_mb = grid[0] * grid[1]
-    T = len(stream.frames)
-    packets = {key: cfg.packets_for(key[1], n_mb) for key in PLANE_ORDER}
-
     decoded: dict[tuple[int, Component], list[np.ndarray]] = {key: [] for key in PLANE_ORDER}
     tracker = DecoderTracker(grid, cfg.gamma, cfg.eta)
-    lost_counts = [0] * T
-    for pid, lost in trace.entries:
-        if lost and pid.frame_index < T:
-            lost_counts[pid.frame_index] += 1
-
-    for t in range(T):
+    lost_counts = []
+    for t in range(len(stream.frames)):
+        lost_counts.append(sum(sum(trace.lost_flags(t, *key))
+                               for key in PLANE_ORDER))
         rcv_t = {}
         for key in PLANE_ORDER:
-            view, comp = key
-            rcv = ~lost_mb_mask(trace, t, view, comp, n_mb, packets[key])
+            rcv = ~lost_mb_mask(trace, t, *key, n_mb)
             enc = stream.frames[t][key]
             if tuple(enc.grid) != grid:
                 raise CodecError(f"frame {t}: block grid {tuple(enc.grid)} "

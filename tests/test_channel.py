@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from fvstream import (ChannelError, Component, LossTrace, PacketId,
                       build_schedule, generate_synthetic_stereo, load_trace,
                       lost_mb_mask, make_iid_trace, packetize, save_trace)
-from fvstream.codec import PLANE_ORDER
+from fvstream import codec
+from fvstream.channel import PLANE_ORDER
 from fvstream.errortrack import ExpectedErrorTracker
 from fvstream.pipeline import ExperimentConfig, HarnessError, encode_stream
 
@@ -59,6 +60,12 @@ class TestSchedule:
         assert sched[3] == PacketId(0, 0, Component.DEPTH, 0)
         assert sched[4] == PacketId(0, 1, Component.TEXTURE, 0)
         assert sched[8] == PacketId(1, 0, Component.TEXTURE, 0)
+
+    def test_plane_order_is_the_schedules_and_the_bitstreams(self):
+        sched = build_schedule(1, 1, 1)
+        assert [(pid.view_id, pid.component) for pid in sched] == \
+            list(PLANE_ORDER)
+        assert codec.PLANE_ORDER is PLANE_ORDER
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ChannelError):
@@ -113,8 +120,10 @@ class TestTrace:
 
     def test_unknown_packet_raises(self):
         trace = make_iid_trace(1, 0.5, build_schedule(2, 2, 1))
+        with pytest.raises(ChannelError, match="frame 9 view 0 texture"):
+            trace.lost_flags(9, 0, Component.TEXTURE)
         with pytest.raises(ChannelError):
-            trace.lost(PacketId(9, 0, Component.TEXTURE, 0))
+            lost_mb_mask(trace, 9, 0, Component.TEXTURE, 16)
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,7 +194,7 @@ class TestFeedback:
         for i, (_, f, received) in enumerate(log):
             view, comp = PLANE_ORDER[i % 4]
             assert np.array_equal(
-                received, ~lost_mb_mask(trace, f, view, comp, 4, 4))
+                received, ~lost_mb_mask(trace, f, view, comp, 4))
 
 
 class TestLostBlockMask:
@@ -196,35 +205,69 @@ class TestLostBlockMask:
         for t in range(3):
             for view in (0, 1):
                 mask = lost_mb_mask(trace, t, view, Component.TEXTURE,
-                                    mb_count, 4)
+                                    mb_count)
+                lost = {pid.packet_index for pid, l in trace.entries
+                        if l and (pid.frame_index, pid.view_id,
+                                  pid.component) == (t, view,
+                                                     Component.TEXTURE)}
                 want = np.zeros(mb_count, dtype=bool)
                 for p, rng in enumerate(packetize(mb_count, 4)):
-                    if trace.lost(PacketId(t, view, Component.TEXTURE, p)):
+                    if p in lost:
                         want[list(rng)] = True
                 assert np.array_equal(mask, want)
 
     def test_clean_frame_has_empty_mask(self):
         trace = make_iid_trace(2, 0.0, build_schedule(2, 4, 2))
-        assert not lost_mb_mask(trace, 1, 0, Component.DEPTH, 16, 2).any()
+        assert not lost_mb_mask(trace, 1, 0, Component.DEPTH, 16).any()
 
-    @pytest.mark.parametrize("packets", [1, 3])
-    def test_packet_count_must_match_trace(self, packets):
-        trace = make_iid_trace(2, 0.0, build_schedule(2, 4, 2))
+    def test_the_trace_sets_the_packet_layout(self):
+        # 3 packets held for the plane split 10 blocks into runs of 4, 3, 3
+        trace = LossTrace(seed=0, loss_rate=0.5, entries=[
+            (PacketId(0, 0, Component.DEPTH, p), lost)
+            for p, lost in enumerate((True, False, True))])
+        mask = lost_mb_mask(trace, 0, 0, Component.DEPTH, 10)
+        assert mask.tolist() == [True] * 4 + [False] * 3 + [True] * 3
+        assert trace.lost_flags(0, 0, Component.DEPTH) == (True, False, True)
+
+    def test_more_packets_than_blocks_raises(self):
+        trace = make_iid_trace(2, 0.0, build_schedule(1, 4, 2))
         with pytest.raises(ChannelError):
-            lost_mb_mask(trace, 1, 0, Component.DEPTH, 16, packets)
+            lost_mb_mask(trace, 0, 0, Component.TEXTURE, 3)
 
-    def test_one_extra_packet_in_the_trace_raises(self):
+
+class TestTraceInvariant:
+    """Each plane a trace covers holds packets 0..n-1 once each, however the
+    trace is built."""
+
+    @pytest.mark.parametrize("build", ["make_iid_trace", "LossTrace",
+                                       "load_trace"])
+    @pytest.mark.parametrize("kind", ["gap", "repeat", "missing first"])
+    def test_a_broken_plane_raises_when_the_trace_is_built(self, tmp_path,
+                                                           build, kind):
         sched = build_schedule(2, 4, 2)
-        extra = PacketId(1, 0, Component.DEPTH, 2)
-        trace = LossTrace(seed=2, loss_rate=0.0,
-                          entries=[(pid, False) for pid in sched]
-                          + [(extra, False)])
-        assert extra in trace and PacketId(1, 1, Component.DEPTH, 2) not in trace
-        with pytest.raises(ChannelError, match="more than 2 packets"):
-            lost_mb_mask(trace, 1, 0, Component.DEPTH, 16, 2)
-        # the other planes of the frame hold their packets exactly
-        assert not lost_mb_mask(trace, 1, 1, Component.DEPTH, 16, 2).any()
-        assert not lost_mb_mask(trace, 1, 0, Component.TEXTURE, 16, 4).any()
+        sched = {"gap": sched + [PacketId(1, 0, Component.DEPTH, 3)],
+                 "repeat": sched + [sched[5]],
+                 "missing first": sched[1:]}[kind]
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(
+            f"{pid.frame_index} {pid.view_id} {pid.component.label} "
+            f"{pid.packet_index} 0\n" for pid in sched), encoding="ascii")
+        builders = {
+            "make_iid_trace": lambda: make_iid_trace(2, 0.3, sched),
+            "LossTrace": lambda: LossTrace(
+                seed=2, loss_rate=0.0, entries=[(pid, False) for pid in sched]),
+            "load_trace": lambda: load_trace(path)}
+        with pytest.raises(ChannelError, match="once each"):
+            builders[build]()
+
+    def test_planes_may_hold_different_counts(self):
+        # the layout is per plane: nothing ties one plane's count to another's
+        entries = [(PacketId(0, 0, Component.TEXTURE, p), False)
+                   for p in range(3)] + [
+                  (PacketId(0, 1, Component.TEXTURE, 0), True)]
+        trace = LossTrace(seed=0, loss_rate=0.0, entries=entries)
+        assert not lost_mb_mask(trace, 0, 0, Component.TEXTURE, 8).any()
+        assert lost_mb_mask(trace, 0, 1, Component.TEXTURE, 8).all()
 
 
 class TestTraceFiles:
@@ -298,7 +341,8 @@ class TestTraceFiles:
         for pid, _ in trace.entries:
             key = (pid.frame_index, pid.view_id, pid.component)
             planes[key] = planes.get(key, 0) + 1
+        flags = {pid: lost for pid, lost in trace.entries}
         for (frame, view, comp), n in planes.items():
-            lost = lost_mb_mask(trace, frame, view, comp, n, n)
-            assert lost.tolist() == [trace.lost(PacketId(frame, view, comp, p))
+            lost = lost_mb_mask(trace, frame, view, comp, n)
+            assert lost.tolist() == [flags[PacketId(frame, view, comp, p)]
                                      for p in range(n)]

@@ -637,8 +637,8 @@ class TestContainer:
             _, _, _, frames = parse_stream(bytes(data))
             for t, plane, m, name, value in lost_edits:
                 key = PLANE_ORDER[plane]
-                if t >= len(frames) or not lost_mb_mask(
-                        trace, t, *key, 4, cfg.packets_for(key[1], 4))[m]:
+                if t >= len(frames) or not lost_mb_mask(trace, t, *key,
+                                                         4)[m]:
                     continue
                 enc = frames[t][key]
                 if name == "mvx":

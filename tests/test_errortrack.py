@@ -544,7 +544,7 @@ class TestDecoderTracker:
         # away must leave the receiver exactly as a valid record does
         cfg, stream, blob, trace = lossy_micro_stream
         key = (0, Component.TEXTURE)
-        assert lost_mb_mask(trace, 3, *key, 4, cfg.packets_for(key[1], 4))[0]
+        assert lost_mb_mask(trace, 3, *key, 4)[0]
         _, _, _, valid = parse_stream(blob)
         _, _, _, bad = parse_stream(blob)
         bad[3][key].mv[0] = (30000, 0)

@@ -142,6 +142,14 @@ class TestConfig:
         assert ExperimentConfig(loss_rates=(0.1, 0.100001)).loss_rates == \
             (0.1, 0.100001)
 
+    @pytest.mark.parametrize("field", ["base_lambda", "rate_band"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_lambda_or_band_not_finite_and_positive(self, field,
+                                                              value):
+        # NaN passed the old `<= 0` check and coded with NaN costs
+        with pytest.raises(HarnessError, match="positive and finite"):
+            ExperimentConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["eta", "reliability_c", "threshold",
                                        "position"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -586,6 +594,17 @@ class TestCli:
         pytest.param(({}, ("run", "--seeds=7,1.5"),
                       "error: --seeds: cannot read '1.5' as int\n"),
                      id="run-seeds=1.5"),
+        pytest.param(({}, ("run", "--base-lambda", "nan"),
+                      "error: rate_band and base_lambda must be positive "
+                      "and finite\n"), id="run-base-lambda=nan"),
+        pytest.param(({}, ("run", "--base-lambda=inf")),
+                     id="run-base-lambda=inf"),
+        pytest.param(({}, ("run", "--rates="), "error: --rates: empty list\n"),
+                     id="run-rates=empty"),
+        pytest.param(({}, ("run", "--seeds="), "error: --seeds: empty list\n"),
+                     id="run-seeds=empty"),
+        pytest.param(({}, ("run", "--setups="),
+                      "error: --setups: empty list\n"), id="run-setups=empty"),
         pytest.param(({"base_lambda": float("nan")}, ("run",),
                       "error: config field 'base_lambda' must be float, "
                       "got NaN\n"), id="base_lambda=NaN"),

@@ -125,16 +125,14 @@ class TestCurvature:
         assert (got == 0.0).all()
 
     def test_step_edge_block_values(self):
-        # identical views, zero disparity: the profile scans the row itself
+        # identical views, zero disparity: the profile scans the row itself.
+        # The columns at distance 1..4 from the edge, on either side, curve
+        # at 10, 2.5, 10/9 and 0.625; the block past column 16 is flat.
         tex = step_plane(width=32, height=16, edge=8)
-        disp = np.zeros_like(tex)
-        prof = pixel_profiles(tex, disp, tex, 0, 1.0, 4)
-        # one column right of the edge: crossing at eps +1
-        assert oracles.brute_pixel_curvature(prof[:, 0, 8], 5.0, 4) == 10.0
-        # two columns right: crossing at eps +2
-        assert oracles.brute_pixel_curvature(prof[:, 0, 9], 5.0, 4) == 2.5
-        # deep in the flat region
-        assert oracles.brute_pixel_curvature(prof[:, 0, 20], 5.0, 4) == 0.0
+        got = curvature_map(tex, np.zeros_like(tex), tex, 0, 1.0,
+                            SensitivityParams(threshold=5.0, max_deviation=4))
+        assert got.tolist() == pytest.approx(
+            [(10 + 2.5 + 10 / 9 + 0.625) / 8, 0.0], rel=1e-12, abs=0.0)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25)
