@@ -252,10 +252,10 @@ def predictor_blocks(ref_stack: np.ndarray, dist, mv: np.ndarray,
         k = int(np.flatnonzero(outside)[0])
         raise CodecError(f"block {int(mbs[k])}: motion vector {mv[k].tolist()} "
                          f"leaves the frame")
-    span = np.arange(MB_SIZE)
-    layer = np.reshape(np.asarray(dist) - 1, (-1, 1, 1))
-    return ref_stack[layer, (top[:, None] + span)[:, :, None],
-                     (left[:, None] + span)[:, None, :]]
+    # checked above: a negative window index would wrap, not raise
+    windows = np.lib.stride_tricks.sliding_window_view(
+        ref_stack, (MB_SIZE, MB_SIZE), axis=(1, 2))
+    return windows[np.asarray(dist) - 1, top, left]
 
 
 @dataclass

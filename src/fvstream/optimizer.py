@@ -30,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import (CandidateSet, CodecConfig, EncodedPlane, assemble_plane,
-                    build_inter_candidates)
+from .codec import CandidateSet, EncodedPlane, assemble_plane
 from .errortrack import ExpectedErrorTracker
 from .frames import MB_SIZE
 from .synthesis import CorrespondenceSets
@@ -58,12 +57,10 @@ class PlaneCandidates:
         return self.chan.shape[0]
 
 
-def build_plane_candidates(orig: np.ndarray, refs: list[np.ndarray],
-                           cfg: CodecConfig, tracker: ExpectedErrorTracker,
+def build_plane_candidates(cset: CandidateSet, tracker: ExpectedErrorTracker,
                            t: int, delta: np.ndarray) -> PlaneCandidates:
-    """Coding options of one plane with their expected errors under the
-    tracker's planned delivery probability."""
-    cset = build_inter_candidates(orig, refs, cfg)
+    """Coding options of one plane (from codec.build_inter_candidates) with
+    their expected errors under the tracker's planned delivery probability."""
     return PlaneCandidates(cset=cset,
                            chan=tracker.candidate_errors(t, cset, delta))
 

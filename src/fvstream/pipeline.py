@@ -10,6 +10,14 @@ a tuned setup, the baseline is coded in a forked worker process that sends
 each frame's bits as it commits them, while this process codes the tuned
 setups against them: frame t only needs the baseline's frame t.
 
+Within a frame, the four planes' candidate searches read only the source and
+the reconstructions up to t - 1, so they are independent of each other.
+When the CPUs this process may use outnumber the encodes it runs at once (1,
+or 2 beside the baseline's worker), each encode forks a stateless helper
+that builds view 1's candidate sets while the encode builds view 0's.
+Selection, lambda tuning and commit stay in the encode, so the helper
+changes no byte of any artifact.
+
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
 """
@@ -18,7 +26,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -26,7 +35,7 @@ import numpy as np
 
 from .channel import (PLANE_ORDER, Component, LossTrace, build_schedule,
                       lost_mb_mask, make_iid_trace, save_trace)
-from .codec import (CodecConfig, CodecError, EncodedPlane,
+from .codec import (CandidateSet, CodecConfig, CodecError, EncodedPlane,
                     build_inter_candidates, decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
@@ -240,16 +249,31 @@ class FramePlan:
                 for key in PLANE_ORDER}
 
 
+#: one frame's candidate builds: (t, plane, references), and their results
+BuildRequests = list[tuple[int, tuple[int, Component], list[np.ndarray]]]
+Builder = Callable[[BuildRequests], dict[tuple[int, Component], CandidateSet]]
+
+
+def _build_candidates(cfg: ExperimentConfig, orig: dict,
+                      requests: BuildRequests
+                      ) -> dict[tuple[int, Component], CandidateSet]:
+    """Each requested plane's candidate set, built in this process."""
+    return {key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]])
+            for t, key, refs in requests}
+
+
 class EncoderState:
     """The sender's state under one selection mode, advanced frame by frame.
 
     Holds the reconstructions, one tracker per plane, the innovation per
     plane and frame, and one curvature map per reconstructed view.  Frame t
     runs learn(t), then plan(t) and a selection, then commit(t, ...).
+    build, when given, builds plan's candidate sets in place of this
+    process (encode_stream passes its helper's).
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
-                 trace: LossTrace):
+                 trace: LossTrace, build: Builder | None = None):
         if mode not in OPTIMIZER_MODES:
             raise HarnessError(f"unknown selection mode {mode!r}")
         h, w = orig[(0, Component.TEXTURE)][0].shape
@@ -266,6 +290,8 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
+        self.build = build or (lambda requests: _build_candidates(
+            cfg, orig, requests))
 
     def learn(self, t: int) -> None:
         """The outcome of frame t - max(rtt, 1) arrives as frame t is coded."""
@@ -305,21 +331,18 @@ class EncoderState:
         """
         cfg, recon, trackers = self.cfg, self.recon, self.trackers
         orig = {key: self.orig[key][t] for key in PLANE_ORDER}
+        csets = self.build([(t, key, [recon[key][t - d] for d in range(
+            1, min(cfg.ref_window, t) + 1)]) for key in PLANE_ORDER])
         if t == 0:
             zeros = np.zeros((self.n_mb, 1))
-            pcs = {key: PlaneCandidates(cset=build_inter_candidates(
-                       orig[key], [], cfg.codecs[key[1]]), chan=zeros)
+            pcs = {key: PlaneCandidates(cset=csets[key], chan=zeros)
                    for key in PLANE_ORDER}
             return FramePlan(orig=orig, pcs=pcs,
                              cols=dict.fromkeys(PLANE_ORDER, zeros), valid={},
                              caps={}, members={})
-        pcs = {}
-        for key in PLANE_ORDER:
-            refs = [recon[key][t - d]
-                    for d in range(1, min(cfg.ref_window, t) + 1)]
-            pcs[key] = build_plane_candidates(
-                orig[key], refs, cfg.codecs[key[1]],
-                trackers[key], t, self.innovation(key, t))
+        pcs = {key: build_plane_candidates(csets[key], trackers[key], t,
+                                           self.innovation(key, t))
+               for key in PLANE_ORDER}
         cols, valid, caps, members = {}, {}, {}, {}
         for v in (0, 1):
             tex, dep = (v, Component.TEXTURE), (v, Component.DEPTH)
@@ -383,39 +406,122 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
     return tuned.payload, tuned.lam, tuned.bits, tuned.in_band, tuned.infeasible
 
 
+def _receive(conn, proc, what: str):
+    """The next message from a forked process; an exception it sent is
+    raised here, and its death raises HarnessError with its exit code."""
+    try:
+        msg = conn.recv()
+    except EOFError:
+        proc.join()
+        raise HarnessError(f"{what} exited with code {proc.exitcode} "
+                           f"before its work was done") from None
+    if isinstance(msg, BaseException):
+        raise msg
+    return msg
+
+
+def _candidate_helper(conn, encoder_end, cfg: ExperimentConfig,
+                      orig: dict) -> None:
+    """Forked helper body: answer each frame's build requests with their
+    candidate sets, or with the exception that stopped it.  It ends when the
+    encoder closes its end of the pipe."""
+    encoder_end.close()    # this copy would hide the encoder's close
+    try:
+        while True:
+            try:
+                requests = conn.recv()
+            except EOFError:
+                break
+            conn.send(_build_candidates(cfg, orig, requests))
+    except Exception as exc:     # re-raised by the encoder
+        conn.send(exc)
+    conn.close()
+
+
+@contextmanager
+def _candidate_builder(cfg: ExperimentConfig, orig: dict,
+                       encodes: int) -> Iterator[Builder | None]:
+    """The builder of an encode's candidate sets, or None to build here.
+
+    When the CPUs this process may use outnumber the encodes running at
+    once, a forked helper builds view 1's planes while the builder builds
+    view 0's.  The helper is terminated if the encode raises, and joined
+    either way.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus <= encodes:
+        yield None
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, helper_end = ctx.Pipe()
+    helper = ctx.Process(target=_candidate_helper, daemon=True,
+                         args=(helper_end, conn, cfg, orig))
+    helper.start()
+    helper_end.close()
+
+    def build(requests: BuildRequests):
+        # one message per frame: two sends in a row could each fill the
+        # pipe while the helper blocks sending its first answer
+        conn.send([r for r in requests if r[1][0] == 1])
+        csets = _build_candidates(cfg, orig,
+                                  [r for r in requests if r[1][0] != 1])
+        csets.update(_receive(conn, helper, "candidate helper"))
+        return csets
+
+    try:
+        yield build
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        conn.close()
+        helper.join()
+
+
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                   trace: LossTrace, frame_targets: Sequence[float] | None = None,
-                  publish: Callable[[int], object] | None = None
-                  ) -> EncodedStream:
+                  publish: Callable[[int], object] | None = None,
+                  encodes: int = 1) -> EncodedStream:
     """Encode both views frame by frame under one selection mode.
 
     frame_targets, when given, are per-frame bit budgets (the baseline's
     spend) driven to within the configured band by lambda adjustment; entry
     t is read only when frame t is coded.  publish, when given, receives
     each frame's bits as soon as the frame is committed.
+
+    encodes is how many encodes the caller runs at once, this one included.
+    When os.sched_getaffinity(0) holds more CPUs than that, a forked helper
+    builds view 1's candidate sets (codec.build_inter_candidates) while this
+    process builds view 0's; everything else runs here, so the stream is
+    the same either way.  An exception the helper raises is raised here, a
+    helper that dies raises HarnessError with its exit code, and the helper
+    is terminated if this process raises and joined before this returns.
     """
-    state = EncoderState(cfg, orig, mode, trace)
-    out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
-                        bits_per_frame=[], lambdas=[], in_band=[],
-                        infeasible=[])
-    lam = cfg.base_lambda
-    for t in range(len(orig[(0, Component.TEXTURE)])):
-        state.learn(t)
-        # frame 0 is all INTRA: no budget can move it
-        target = (None if frame_targets is None or t == 0
-                  else float(frame_targets[t]))
-        sels, lam, bits_t, band_ok, infeas = _select_frame(
-            state.plan(t), lam, target, cfg)
-        frame = {key: sel.enc for key, sel in sels.items()}
-        state.commit(t, frame, {key: sel.recon for key, sel in sels.items()})
-        out.frames.append(frame)
-        out.records.append(sels)
-        out.bits_per_frame.append(int(bits_t))
-        if publish is not None:
-            publish(int(bits_t))
-        out.lambdas.append(lam)
-        out.in_band.append(bool(band_ok))
-        out.infeasible.append(bool(infeas))
+    with _candidate_builder(cfg, orig, encodes) as build:
+        state = EncoderState(cfg, orig, mode, trace, build)
+        out = EncodedStream(mode=mode, frames=[], records=[],
+                            recon=state.recon, bits_per_frame=[], lambdas=[],
+                            in_band=[], infeasible=[])
+        lam = cfg.base_lambda
+        for t in range(len(orig[(0, Component.TEXTURE)])):
+            state.learn(t)
+            # frame 0 is all INTRA: no budget can move it
+            target = (None if frame_targets is None or t == 0
+                      else float(frame_targets[t]))
+            sels, lam, bits_t, band_ok, infeas = _select_frame(
+                state.plan(t), lam, target, cfg)
+            frame = {key: sel.enc for key, sel in sels.items()}
+            state.commit(t, frame,
+                         {key: sel.recon for key, sel in sels.items()})
+            out.frames.append(frame)
+            out.records.append(sels)
+            out.bits_per_frame.append(int(bits_t))
+            if publish is not None:
+                publish(int(bits_t))
+            out.lambdas.append(lam)
+            out.in_band.append(bool(band_ok))
+            out.infeasible.append(bool(infeas))
     return out
 
 
@@ -629,11 +735,11 @@ def _write_cell(cell_dir: Path, stream: EncodedStream, cell: CellResult,
 def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
                orig: dict, truth: list[FramePlane], trace: LossTrace,
                pair: Path, targets: Sequence[float] | None = None,
-               publish: Callable[[int], object] | None = None
-               ) -> list[CellResult]:
+               publish: Callable[[int], object] | None = None,
+               encodes: int = 1) -> list[CellResult]:
     """Code the cells of one selection mode in a (rate, seed) pair: encode
     and decode once, then synthesize, score and write each setup's cell."""
-    stream = encode_stream(cfg, orig, mode, trace, targets, publish)
+    stream = encode_stream(cfg, orig, mode, trace, targets, publish, encodes)
     dec = decode_stream(cfg, stream, trace)
     cells = []
     for setup in setups:
@@ -655,7 +761,7 @@ def _reactive_worker(conn, *args) -> None:
     """Forked worker body: code the reactive cells, sending each frame's bits
     as it is committed, then the cells, or the exception that stopped it."""
     try:
-        cells = _code_mode(*args, publish=conn.send)
+        cells = _code_mode(*args, publish=conn.send, encodes=2)
     except Exception as exc:     # re-raised by the parent
         conn.send(exc)
     else:
@@ -676,15 +782,7 @@ class _StreamedTargets:
         self.cells: list[CellResult] | None = None
 
     def _receive(self) -> None:
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            self.worker.join()
-            raise HarnessError(f"rfc worker exited with code "
-                               f"{self.worker.exitcode} before its cell was "
-                               f"done") from None
-        if isinstance(msg, BaseException):
-            raise msg
+        msg = _receive(self.conn, self.worker, "rfc worker")
         if isinstance(msg, int):
             self.bits.append(msg)
         else:
@@ -708,7 +806,8 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
 
     With the reactive baseline and a tuned mode, the baseline runs in a
     forked worker and the tuned modes code here against its streamed bits.
-    Otherwise no mode has targets, and each runs here in turn.
+    Otherwise no mode has targets, and each runs here in turn.  The worker
+    is not daemonic, so that its encode may fork a candidate helper.
     """
     modes: dict[str, list[str]] = {}
     for setup in setups:
@@ -719,14 +818,14 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
                 for c in _code_mode(cfg, m, group, orig, truth, trace, pair)}
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_reactive_worker, daemon=True, args=(
+    worker = ctx.Process(target=_reactive_worker, args=(
         send, cfg, "reactive", modes["reactive"], orig, truth, trace, pair))
     worker.start()
     send.close()
     targets = _StreamedTargets(recv, worker)
     try:
         cells = [c for m in tuned for c in _code_mode(
-            cfg, m, modes[m], orig, truth, trace, pair, targets)]
+            cfg, m, modes[m], orig, truth, trace, pair, targets, encodes=2)]
         cells += targets.result()
     except BaseException:
         worker.terminate()
@@ -746,6 +845,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     raised here; if this process raises, the worker is terminated.  Either
     way no worker is left running when this returns or raises.  report.csv,
     the summary and the plot series are written here, in setup order.
+
+    Every encode also forks a candidate helper for view 1's planes when the
+    CPUs this process may use (os.sched_getaffinity) outnumber the encodes
+    its pair runs at once: 1, or 2 beside the rfc worker.  On 2 CPUs that
+    is every pair without a forked rfc worker.  The helper's errors come
+    back as the worker's do (encode_stream), and it changes no artifact
+    byte.
     """
     root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
 """Candidate costing, per-block selection, taint bookkeeping and rate control."""
+import multiprocessing
 import sys
 
 import numpy as np
@@ -299,7 +300,8 @@ class TestSelectPlane:
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=10, search_range=4, ref_window=2)
         delta = innovation_term(frames[1], frames[0])
-        pc = build_plane_candidates(frames[1], [frames[0]], cfg, tr, 1, delta)
+        pc = build_plane_candidates(
+            build_inter_candidates(frames[1], [frames[0]], cfg), tr, 1, delta)
         assert (pc.chan == 0.0).all()
 
     @pytest.mark.parametrize("step", [2, 10])
@@ -311,8 +313,9 @@ class TestSelectPlane:
         tr.push_frame(enc0.modes, enc0.ref_dist, enc0.mv,
                       innovation_term(frames[0], None))
         cfg = CodecConfig(quant_step=step, search_range=4, ref_window=1)
-        pc = build_plane_candidates(frames[1], [rec0], cfg, tr, 1,
-                                    innovation_term(frames[1], rec0))
+        pc = build_plane_candidates(build_inter_candidates(frames[1], [rec0],
+                                                           cfg),
+                                    tr, 1, innovation_term(frames[1], rec0))
         sel = select_plane(frames[1], pc,
                            pc.chan, 0.01)
         assert pc.cset.quant_step == step
@@ -598,13 +601,20 @@ class TestIntraBuildCount:
     def test_intra_candidates_built_once_per_coded_plane(self, replay_setup,
                                                          monkeypatch):
         cfg, orig, trace = replay_setup
-        counts = {"intra": 0, "select": 0}
+        counts = {"select": 0}
+        # shared memory, so builds in a forked candidate helper count too
+        intra = multiprocessing.get_context("fork").Value("i", 0)
 
         def counted(key, func):
             def wrapper(*args, **kwargs):
                 counts[key] += 1
                 return func(*args, **kwargs)
             return wrapper
+
+        def counted_intra(*args, **kwargs):
+            with intra.get_lock():
+                intra.value += 1
+            return build_intra_candidates(*args, **kwargs)
 
         # `from .codec import f` binds f separately in every importing module
         holders = [mod for name, mod in sorted(sys.modules.items())
@@ -613,17 +623,16 @@ class TestIntraBuildCount:
                    is build_intra_candidates]
         assert "fvstream.codec" in {mod.__name__ for mod in holders}
         for mod in holders:
-            monkeypatch.setattr(mod, "build_intra_candidates",
-                                counted("intra", build_intra_candidates))
+            monkeypatch.setattr(mod, "build_intra_candidates", counted_intra)
         monkeypatch.setattr(pipeline, "select_plane",
                             counted("select", pipeline.select_plane))
 
         baseline = encode_stream(cfg, orig, "reactive", trace)
-        assert counts["intra"] == sum(len(frame) for frame in baseline.frames)
-        counts.update(intra=0, select=0)
+        assert intra.value == sum(len(frame) for frame in baseline.frames)
+        intra.value, counts["select"] = 0, 0
         targets = [float(b) for b in baseline.bits_per_frame]
         stream = encode_stream(cfg, orig, "cross", trace, frame_targets=targets)
         planes = sum(len(frame) for frame in stream.frames)
-        assert counts["intra"] == planes
+        assert intra.value == planes
         # the lambda loop re-selected planes without rebuilding INTRA
         assert counts["select"] > planes

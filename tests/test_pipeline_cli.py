@@ -507,6 +507,149 @@ class TestPairWorker:
         assert len(trees[0]) == 2 + 8 and trees[0] == trees[1]
 
 
+def _cpus(monkeypatch, n):
+    """Make this process see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    """A list that grows by one for every fork made in this process."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _same(a, b) -> bool:
+    """Deep equality of streams: arrays by dtype and value."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(_same(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPlaneHelper:
+    """An encode forks a helper for view 1's candidate sets when more CPUs
+    are usable than encodes run at once."""
+
+    @staticmethod
+    def _inputs(scene):
+        cfg = ExperimentConfig(scene=scene.spec, setups=("arps",),
+                               loss_rates=(0.2,), seeds=(5,), rtt=2)
+        orig = pipeline._plane_lists(scene.left, scene.right)
+        return cfg, orig, cfg.loss_trace(5, 0.2)
+
+    @pytest.mark.parametrize("scene", ["micro_scene", "scene64"])
+    @pytest.mark.parametrize("mode", ["reactive", "independent", "cross"])
+    def test_stream_is_the_same_with_and_without_the_helper(
+            self, request, monkeypatch, scene, mode):
+        cfg, orig, trace = self._inputs(request.getfixturevalue(scene))
+        forks = _count_forks(monkeypatch)
+        streams = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            streams.append(encode_stream(cfg, orig, mode, trace))
+            assert len(forks) == cpus - 1
+        assert all(_same(getattr(streams[0], f.name), getattr(streams[1], f.name))
+                   for f in dataclasses.fields(pipeline.EncodedStream))
+
+    @pytest.mark.parametrize("setups, forks_by_cpus", [
+        (("rfc",), {1: 0, 2: 1, 4: 1}),
+        # the rfc worker, then a helper per tuned mode beside it from 4 CPUs
+        (("rfc", "rps1", "arps"), {1: 1, 2: 1, 4: 3})])
+    def test_tree_is_the_same_at_any_cpu_count(self, tmp_path, monkeypatch,
+                                               setups, forks_by_cpus):
+        forks = _count_forks(monkeypatch)
+        trees = []
+        for cpus, want in forks_by_cpus.items():
+            _cpus(monkeypatch, cpus)
+            root = tmp_path / f"cpus{cpus}"
+            run_experiment(micro_config(tmp_path, setups=setups,
+                                        output_root=str(root)))
+            assert len(forks) == want
+            forks.clear()
+            trees.append(_tree(root))
+        assert trees[0] and all(tree == trees[0] for tree in trees)
+
+    def test_one_cpu_forks_nothing(self, micro_scene, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("forked at 1 CPU")
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg, orig, trace = self._inputs(micro_scene)
+        encode_stream(cfg, orig, "cross", trace)
+        run_experiment(micro_config(tmp_path, setups=("rfc",)))
+
+    def _break_build(self, monkeypatch, in_helper, in_encoder=None):
+        """Run in_helper() (in_encoder()) before building a frame-2 candidate
+        set in the helper (in this process)."""
+        parent, build = os.getpid(), pipeline.build_inter_candidates
+
+        def broken(cur, refs, codec):
+            action = in_encoder if os.getpid() == parent else in_helper
+            if len(refs) == 2 and action is not None:
+                action()
+            return build(cur, refs, codec)
+        monkeypatch.setattr(pipeline, "build_inter_candidates", broken)
+        _cpus(monkeypatch, 2)
+
+    def test_helper_error_is_raised_here_with_its_type_and_message(
+            self, micro_scene, tmp_path, monkeypatch, capsys):
+        self._break_build(monkeypatch, _raise("helper broke at 2"))
+        cfg, orig, trace = self._inputs(micro_scene)
+        with pytest.raises(CodecError) as caught:
+            encode_stream(cfg, orig, "cross", trace)
+        assert type(caught.value) is CodecError
+        assert str(caught.value) == "helper broke at 2"
+        assert multiprocessing.active_children() == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scene": MICRO_SCENE_DICT, "setups": ["rfc"], "loss_rates": [0.05],
+            "seeds": [7], "rtt": 2, "output_root": str(tmp_path / "cli")}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: helper broke at 2\n"
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_dies_is_reported_with_its_exit_code(
+            self, micro_scene, monkeypatch):
+        self._break_build(monkeypatch, lambda: os._exit(3))
+        cfg, orig, trace = self._inputs(micro_scene)
+        with pytest.raises(HarnessError,
+                           match="candidate helper exited with code 3"):
+            encode_stream(cfg, orig, "reactive", trace)
+        assert multiprocessing.active_children() == []
+
+    def test_error_here_terminates_the_running_helper(self, micro_scene,
+                                                      monkeypatch):
+        self._break_build(monkeypatch, lambda: time.sleep(60),
+                          _raise("encoder broke at 2"))
+        cfg, orig, trace = self._inputs(micro_scene)
+        start = time.monotonic()
+        with pytest.raises(CodecError, match="encoder broke at 2"):
+            encode_stream(cfg, orig, "independent", trace)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+
 class TestCli:
     def test_generate_writes_all_planes(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -605,6 +748,9 @@ class TestCli:
                      id="run-seeds=empty"),
         pytest.param(({}, ("run", "--setups="),
                       "error: --setups: empty list\n"), id="run-setups=empty"),
+        pytest.param(({}, ("run", "--output-root="),
+                      "error: --output-root: empty path\n"),
+                     id="run-output-root=empty"),
         pytest.param(({"base_lambda": float("nan")}, ("run",),
                       "error: config field 'base_lambda' must be float, "
                       "got NaN\n"), id="base_lambda=NaN"),
