@@ -52,8 +52,6 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "seeds", None) is not None:
         updates["seeds"] = _parse_list("--seeds", args.seeds, int)
     if getattr(args, "output_root", None) is not None:
-        if not args.output_root:
-            raise HarnessError("--output-root: empty path")
         updates["output_root"] = args.output_root
     if getattr(args, "base_lambda", None) is not None:
         updates["base_lambda"] = args.base_lambda

@@ -16,7 +16,7 @@ PSNR_CAP_DB = 99.0
 
 
 class PlaneError(ValueError):
-    """Malformed plane data or plane file."""
+    """Malformed plane data, view frame or plane file."""
 
 
 def _validated_samples(samples) -> np.ndarray:
@@ -58,11 +58,11 @@ class ViewFrame:
 
     def __post_init__(self) -> None:
         if self.view_id not in (0, 1):
-            raise ValueError(f"view_id must be 0 or 1, got {self.view_id}")
+            raise PlaneError(f"view_id must be 0 or 1, got {self.view_id}")
         if self.frame_index < 0:
-            raise ValueError("frame_index must be nonnegative")
+            raise PlaneError("frame_index must be nonnegative")
         if self.texture.samples.shape != self.disparity.samples.shape:
-            raise ValueError(
+            raise PlaneError(
                 "texture and disparity dimensions differ: "
                 f"{self.texture.samples.shape} vs {self.disparity.samples.shape}"
             )
@@ -78,7 +78,7 @@ def mse(a, b) -> float:
     x = _as_samples(a).astype(np.float64)
     y = _as_samples(b).astype(np.float64)
     if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+        raise PlaneError(f"shape mismatch {x.shape} vs {y.shape}")
     return float(np.mean((x - y) ** 2))
 
 

@@ -16,7 +16,7 @@ When the CPUs this process may use outnumber the encodes it runs at once (1,
 or 2 beside the baseline's worker), each encode forks a stateless helper
 that builds view 1's candidate sets while the encode builds view 0's.
 Selection, lambda tuning and commit stay in the encode, so the helper
-changes no byte of any artifact.
+changes no byte of any artifact.  _forked starts both processes.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
@@ -24,7 +24,6 @@ text formatting of every artifact.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
@@ -139,6 +138,8 @@ class ExperimentConfig:
                                "at least 1")
         if not 0.0 < self.gamma <= 1.0:
             raise HarnessError("gamma must be in (0, 1]")
+        if self.output_root == "":
+            raise HarnessError("output_root must not be empty")
         # the parameter objects every run reads; not fields, so the JSON
         # schema is the fields above
         try:
@@ -406,77 +407,88 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
     return tuned.payload, tuned.lam, tuned.bits, tuned.in_band, tuned.infeasible
 
 
-def _receive(conn, proc, what: str):
-    """The next message from a forked process; an exception it sent is
-    raised here, and its death raises HarnessError with its exit code."""
+@contextmanager
+def _forked(what: str, body: Callable[..., None], *args
+            ) -> Iterator[tuple[object, Callable[[], object]]]:
+    """Run body(conn, *args) in a forked process; yield (conn, receive).
+
+    The one contract of every process this module starts.  The fork context
+    shares the parent's arrays copy-on-write, and one duplex pipe joins the
+    two ends.  The process is not daemonic, so body may fork in turn.
+    receive() returns the next message; it raises an Exception that body
+    raised, or HarnessError with the exit code if the pipe ends first.  If
+    the with-block raises, the process is terminated; either way it is
+    joined before the block is left.
+    """
+    import multiprocessing      # used nowhere else in the package
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+
+    def run() -> None:
+        conn.close()    # this copy would hide the parent's close
+        try:
+            body(child_end, *args)
+        except Exception as exc:     # raised again by receive()
+            child_end.send(exc)
+
+    proc = ctx.Process(target=run)
+    proc.start()
+    child_end.close()
+
+    def receive():
+        try:
+            msg = conn.recv()
+        except EOFError:
+            proc.join()
+            raise HarnessError(f"{what} exited with code {proc.exitcode} "
+                               f"before its work was done") from None
+        if isinstance(msg, BaseException):
+            raise msg
+        return msg
+
     try:
-        msg = conn.recv()
-    except EOFError:
+        yield conn, receive
+    except BaseException:
+        proc.terminate()
+        raise
+    finally:
+        conn.close()
         proc.join()
-        raise HarnessError(f"{what} exited with code {proc.exitcode} "
-                           f"before its work was done") from None
-    if isinstance(msg, BaseException):
-        raise msg
-    return msg
 
 
-def _candidate_helper(conn, encoder_end, cfg: ExperimentConfig,
-                      orig: dict) -> None:
-    """Forked helper body: answer each frame's build requests with their
-    candidate sets, or with the exception that stopped it.  It ends when the
-    encoder closes its end of the pipe."""
-    encoder_end.close()    # this copy would hide the encoder's close
-    try:
-        while True:
-            try:
-                requests = conn.recv()
-            except EOFError:
-                break
-            conn.send(_build_candidates(cfg, orig, requests))
-    except Exception as exc:     # re-raised by the encoder
-        conn.send(exc)
-    conn.close()
+def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict) -> None:
+    """Helper body: answer each frame's build requests with their candidate
+    sets, until the encoder closes its end of the pipe."""
+    while True:
+        try:
+            requests = conn.recv()
+        except EOFError:
+            return
+        conn.send(_build_candidates(cfg, orig, requests))
 
 
 @contextmanager
 def _candidate_builder(cfg: ExperimentConfig, orig: dict,
                        encodes: int) -> Iterator[Builder | None]:
-    """The builder of an encode's candidate sets, or None to build here.
-
-    When the CPUs this process may use outnumber the encodes running at
-    once, a forked helper builds view 1's planes while the builder builds
-    view 0's.  The helper is terminated if the encode raises, and joined
-    either way.
-    """
+    """The builder of an encode's candidate sets, or None to build here
+    (see encode_stream)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if cpus <= encodes:
         yield None
         return
-    ctx = multiprocessing.get_context("fork")
-    conn, helper_end = ctx.Pipe()
-    helper = ctx.Process(target=_candidate_helper, daemon=True,
-                         args=(helper_end, conn, cfg, orig))
-    helper.start()
-    helper_end.close()
+    with _forked("candidate helper", _candidate_helper,
+                 cfg, orig) as (conn, receive):
+        def build(requests: BuildRequests):
+            # one message per frame: two sends in a row could each fill the
+            # pipe while the helper blocks sending its first answer
+            conn.send([r for r in requests if r[1][0] == 1])
+            csets = _build_candidates(cfg, orig,
+                                      [r for r in requests if r[1][0] != 1])
+            csets.update(receive())
+            return csets
 
-    def build(requests: BuildRequests):
-        # one message per frame: two sends in a row could each fill the
-        # pipe while the helper blocks sending its first answer
-        conn.send([r for r in requests if r[1][0] == 1])
-        csets = _build_candidates(cfg, orig,
-                                  [r for r in requests if r[1][0] != 1])
-        csets.update(_receive(conn, helper, "candidate helper"))
-        return csets
-
-    try:
         yield build
-    except BaseException:
-        helper.terminate()
-        raise
-    finally:
-        conn.close()
-        helper.join()
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
@@ -491,12 +503,9 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     each frame's bits as soon as the frame is committed.
 
     encodes is how many encodes the caller runs at once, this one included.
-    When os.sched_getaffinity(0) holds more CPUs than that, a forked helper
-    builds view 1's candidate sets (codec.build_inter_candidates) while this
-    process builds view 0's; everything else runs here, so the stream is
-    the same either way.  An exception the helper raises is raised here, a
-    helper that dies raises HarnessError with its exit code, and the helper
-    is terminated if this process raises and joined before this returns.
+    When os.sched_getaffinity(0) holds more CPUs than that, a helper
+    (_forked) builds view 1's candidate sets while this process builds view
+    0's and does everything else, so the stream is the same either way.
     """
     with _candidate_builder(cfg, orig, encodes) as build:
         state = EncoderState(cfg, orig, mode, trace, build)
@@ -757,46 +766,24 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
     return cells
 
 
-def _reactive_worker(conn, *args) -> None:
-    """Forked worker body: code the reactive cells, sending each frame's bits
-    as it is committed, then the cells, or the exception that stopped it."""
-    try:
-        cells = _code_mode(*args, publish=conn.send, encodes=2)
-    except Exception as exc:     # re-raised by the parent
-        conn.send(exc)
-    else:
-        conn.send(cells)
-    conn.close()
-
-
 class _StreamedTargets:
-    """The reactive cell's per-frame bits as its worker commits them.
+    """The reactive cell's per-frame bits as its worker (_forked) commits
+    them, then its cells.  Reading frame t blocks until the worker has sent
+    it."""
 
-    Reading frame t blocks until the worker has sent it.  An exception the
-    worker sent is raised here, in the parent.
-    """
-
-    def __init__(self, conn, worker) -> None:
-        self.conn, self.worker = conn, worker
-        self.bits: list[int] = []
-        self.cells: list[CellResult] | None = None
-
-    def _receive(self) -> None:
-        msg = _receive(self.conn, self.worker, "rfc worker")
-        if isinstance(msg, int):
-            self.bits.append(msg)
-        else:
-            self.cells = msg
+    def __init__(self, receive: Callable[[], object]) -> None:
+        self.receive, self.bits = receive, []
 
     def __getitem__(self, t: int) -> int:
         while len(self.bits) <= t:
-            self._receive()
+            self.bits.append(self.receive())
         return self.bits[t]
 
     def result(self) -> list[CellResult]:
-        while self.cells is None:
-            self._receive()
-        return self.cells
+        msg = self.receive()
+        while isinstance(msg, int):     # bits that no tuned encode read
+            msg = self.receive()
+        return msg
 
 
 def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
@@ -805,9 +792,9 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
     """Code every setup of one (rate, seed) pair; the cells by setup.
 
     With the reactive baseline and a tuned mode, the baseline runs in a
-    forked worker and the tuned modes code here against its streamed bits.
-    Otherwise no mode has targets, and each runs here in turn.  The worker
-    is not daemonic, so that its encode may fork a candidate helper.
+    forked worker (_forked) and the tuned modes code here against its
+    streamed bits.  Otherwise no mode has targets, and each runs here in
+    turn.
     """
     modes: dict[str, list[str]] = {}
     for setup in setups:
@@ -816,42 +803,24 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
     if "reactive" not in modes or not tuned:
         return {c.setup: c for m, group in modes.items()
                 for c in _code_mode(cfg, m, group, orig, truth, trace, pair)}
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_reactive_worker, args=(
-        send, cfg, "reactive", modes["reactive"], orig, truth, trace, pair))
-    worker.start()
-    send.close()
-    targets = _StreamedTargets(recv, worker)
-    try:
+    with _forked("rfc worker", lambda conn: conn.send(_code_mode(
+            cfg, "reactive", modes["reactive"], orig, truth, trace, pair,
+            publish=conn.send, encodes=2))) as (_, receive):
+        targets = _StreamedTargets(receive)
         cells = [c for m in tuned for c in _code_mode(
             cfg, m, modes[m], orig, truth, trace, pair, targets, encodes=2)]
         cells += targets.result()
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        recv.close()
     return {c.setup: c for c in cells}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (setup, rate, seed) cell and write the artifact tree.
 
-    In a pair that holds rfc and a tuned setup, rfc's cell is coded and
-    written by a forked worker process, which streams its per-frame bits to
-    the tuned setups coded here.  If the worker raises, its exception is
-    raised here; if this process raises, the worker is terminated.  Either
-    way no worker is left running when this returns or raises.  report.csv,
-    the summary and the plot series are written here, in setup order.
-
-    Every encode also forks a candidate helper for view 1's planes when the
-    CPUs this process may use (os.sched_getaffinity) outnumber the encodes
-    its pair runs at once: 1, or 2 beside the rfc worker.  On 2 CPUs that
-    is every pair without a forked rfc worker.  The helper's errors come
-    back as the worker's do (encode_stream), and it changes no artifact
-    byte.
+    A pair that holds rfc and a tuned setup codes rfc in a forked worker
+    (_code_pair), and each encode may fork a candidate helper
+    (encode_stream).  Both follow _forked, so no process outlives this call,
+    and neither changes an artifact byte.  report.csv, the summary and the
+    plot series are written here, in setup order.
     """
     root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)

@@ -38,9 +38,9 @@ class TestFramePlane:
     def test_view_frame_checks_shapes(self):
         t = FramePlane(plane(1))
         d = FramePlane(plane(1, (16, 32)))
-        with pytest.raises(ValueError):
+        with pytest.raises(PlaneError):
             ViewFrame(0, 0, t, d)
-        with pytest.raises(ValueError):
+        with pytest.raises(PlaneError):
             ViewFrame(2, 0, t, t)
 
 
@@ -64,7 +64,7 @@ class TestMetrics:
         assert psnr(plane(0), plane(255)) == pytest.approx(0.0, abs=1e-12)
 
     def test_metrics_reject_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PlaneError):
             mse(plane(0), plane(0, (16, 32)))
 
     @given(st.integers(0, 255), st.integers(0, 255))

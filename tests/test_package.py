@@ -141,6 +141,35 @@ def _compared_strings(node: ast.Compare) -> set[str]:
     return found
 
 
+def _names_multiprocessing(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "multiprocessing"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "multiprocessing"
+                   for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "multiprocessing"
+    return False
+
+
+def test_processes_are_forked_in_one_place():
+    # pipeline._forked starts, pipes and reaps every child process, so the
+    # contract for their errors and lifetime is written once
+    root = Path(__file__).resolve().parents[1] / "src" / "fvstream"
+    inside, outside = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        forked = {id(sub) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and (path.name, node.name) == ("pipeline.py", "_forked")
+                  for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if _names_multiprocessing(node):
+                (inside if id(node) in forked else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert inside and outside == []
+
+
 def test_modes_are_decided_in_the_pipeline_alone():
     # the selection and blend modes are each decided in one module; the
     # others take columns, caps or tracked errors, never a mode string

@@ -650,6 +650,30 @@ class TestPlaneHelper:
         assert multiprocessing.active_children() == []
 
 
+def test_one_frame_pair_is_the_same_at_any_cpu_count(tmp_path, monkeypatch):
+    # no tuned encode reads frame 0's target, so rfc's frame-0 bits are still
+    # in the pipe, ahead of its cells, when the pair asks the worker for them
+    doc = dict(MICRO_SCENE_DICT, frame_count=1, objects=[dict(
+        MICRO_SCENE_DICT["objects"][0],
+        trajectory={"kind": "offsets", "offsets": [[0, 0]]})])
+    scene = config_from_dict({"scene": doc}).scene
+    forks = _count_forks(monkeypatch)
+    trees = []
+    # the rfc worker, then the arps encode's helper beside it from 4 CPUs
+    for cpus, want in {1: 1, 2: 1, 4: 2}.items():
+        _cpus(monkeypatch, cpus)
+        root = tmp_path / f"cpus{cpus}"
+        report = run_experiment(micro_config(tmp_path, scene=scene,
+                                             output_root=str(root)))
+        assert len(forks) == want
+        assert multiprocessing.active_children() == []
+        forks.clear()
+        assert [(c.setup, len(c.frame_bits)) for c in report.cells] == [
+            ("rfc", 1), ("arps", 1)]
+        trees.append(_tree(root))
+    assert trees[0] and all(tree == trees[0] for tree in trees)
+
+
 class TestCli:
     def test_generate_writes_all_planes(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -727,7 +751,7 @@ class TestCli:
         {"max_lambda_trials": 0}, {"gamma": 5.0, "setups": ["rfc"]},
         {"position": 2.0}, {"eta": 0.0}, {"threshold": 0.0},
         {"search_range": 100}, {"ref_window": 17}, {"seeds": [-1]},
-        {"packets_texture": 0}, {"packets_depth": 0},
+        {"packets_texture": 0}, {"packets_depth": 0}, {"output_root": ""},
         pytest.param(({}, ("run", "--seeds=-1")), id="run-seeds=-1"),
         pytest.param(({}, ("trace", "--seed", "-1", "--rate", "0.05",
                            "--out", "trace.txt")), id="trace-seed=-1"),
@@ -749,7 +773,7 @@ class TestCli:
         pytest.param(({}, ("run", "--setups="),
                       "error: --setups: empty list\n"), id="run-setups=empty"),
         pytest.param(({}, ("run", "--output-root="),
-                      "error: --output-root: empty path\n"),
+                      "error: output_root must not be empty\n"),
                      id="run-output-root=empty"),
         pytest.param(({"base_lambda": float("nan")}, ("run",),
                       "error: config field 'base_lambda' must be float, "
