@@ -119,7 +119,13 @@ def idct16(coeffs: np.ndarray) -> np.ndarray:
 
 
 def quantize(coeffs: np.ndarray, step: int) -> np.ndarray:
-    return np.rint(np.asarray(coeffs, dtype=np.float64) / step).astype(np.int32)
+    """Uniform scalar quantization to int16, the bitstream's coefficient
+    type.  A residual within [-255, 255] gives |q| <= 1020 at step 1; a value
+    outside int16 raises CodecError instead of wrapping."""
+    q = np.rint(np.asarray(coeffs, dtype=np.float64) / step)
+    if q.size and not (-32768 <= q.min() and q.max() <= 32767):
+        raise CodecError("quantized coefficient outside int16")
+    return q.astype(np.int16)
 
 
 def dequantize(qcoeffs: np.ndarray, step: int) -> np.ndarray:
@@ -149,7 +155,7 @@ def residual_bits(qcoeffs: np.ndarray) -> np.ndarray:
     (N, 16, 16) blocks in, (N,) int64 out."""
     n = qcoeffs.shape[0]
     m = MB_SIZE * MB_SIZE
-    s = np.sort(qcoeffs.reshape(n, m).astype(np.int64), axis=1)
+    s = np.sort(qcoeffs.reshape(n, m), axis=1)     # int16 sorts fastest
     newrun = np.ones((n, m), dtype=bool)
     newrun[:, 1:] = s[:, 1:] != s[:, :-1]
     starts = np.flatnonzero(newrun.ravel())
@@ -275,7 +281,7 @@ class CandidateSet:
     bits: np.ndarray            # (n_mb, n_cand) int64
     distortion: np.ndarray      # (n_mb, n_cand) mean-abs reconstruction error
     recon: np.ndarray           # (n_mb, n_cand, 16, 16) uint8
-    coeffs: np.ndarray          # (n_mb, n_cand, 16, 16) int32 quantized
+    coeffs: np.ndarray          # (n_mb, n_cand, 16, 16) int16 quantized
     quant_step: int             # step every column was coded at
 
 
@@ -309,7 +315,7 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     bits = np.empty((n_mb, n_cand), dtype=np.int64)
     distortion = np.empty((n_mb, n_cand))
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
-    coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int32)
+    coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int16)
 
     # last column: INTRA, its base level riding the mv slot
     mode_col[-1], ref_col[-1] = MODE_INTRA, 0
@@ -379,7 +385,7 @@ class EncodedPlane:
     modes: np.ndarray       # (n_mb,) uint8
     ref_dist: np.ndarray    # (n_mb,) uint8, 0 for intra
     mv: np.ndarray          # (n_mb, 2) int16 (dx, dy); (base, 0) for intra
-    coeffs: np.ndarray      # (n_mb, 16, 16) int32, tiled quantized coefficients
+    coeffs: np.ndarray      # (n_mb, 16, 16) int16, tiled quantized coefficients
     quant_step: int
     grid: tuple[int, int]
 
@@ -499,7 +505,7 @@ def parse_stream(data: bytes
                 modes = np.empty(n_mb, dtype=np.uint8)
                 ref_dist = np.empty(n_mb, dtype=np.uint8)
                 mv = np.empty((n_mb, 2), dtype=np.int16)
-                coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int32)
+                coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int16)
                 for m in range(n_mb):
                     mode, rd, mvx, mvy = struct.unpack_from("<BBhh", data, pos)
                     pos += struct.calcsize("<BBhh")
@@ -508,7 +514,7 @@ def parse_stream(data: bytes
                     if mode != MODE_SKIP:
                         tile = np.frombuffer(data, dtype="<i2", count=256,
                                              offset=pos)
-                        coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE).astype(np.int32)
+                        coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE)
                         pos += 512
                 step = depth_quant_step if key[1] == Component.DEPTH else quant_step
                 frame[key] = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv,

@@ -182,11 +182,19 @@ class ExpectedErrorTracker:
         self._states[t] = self._compute_state(t)
 
     def set_frame_outcome(self, t: int, received: np.ndarray) -> None:
-        """Replace frame t's assumed probabilities with known 0/1 outcomes."""
+        """Replace frame t's assumed probabilities with known 0/1 outcomes.
+
+        An outcome equal to the probabilities already assumed (a fully
+        received frame planned with p = 1) would recompute every state as it
+        is, so nothing is re-propagated.
+        """
         if not 0 <= t < len(self._frames):
             raise TrackingError(f"no frame {t} pushed yet")
         rec = self._frames[t]
-        rec.p = np.asarray(received, dtype=np.float64)
+        p = np.asarray(received, dtype=np.float64)
+        if np.array_equal(p, rec.p):
+            return
+        rec.p = p
         for f in range(t, len(self._frames)):
             self._states[f] = self._compute_state(f)
 

@@ -14,9 +14,12 @@ Within a frame, the four planes' candidate searches read only the source and
 the reconstructions up to t - 1, so they are independent of each other.
 When the CPUs this process may use outnumber the encodes it runs at once (1,
 or 2 beside the baseline's worker), each encode forks a stateless helper
-that builds view 1's candidate sets while the encode builds view 0's.
-Selection, lambda tuning and commit stay in the encode, so the helper
-changes no byte of any artifact.  _forked starts both processes.
+for view 1's candidate sets.  Frame t + 1's requests go out as soon as
+frame t's reconstructions are committed, so the helper builds while the
+encode pushes its trackers, learns the delayed outcomes, computes the terms
+that need no candidate set and builds view 0's sets.  Selection, lambda
+tuning and commit stay in the encode, so the helper changes no byte of any
+artifact.  _forked starts both processes.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
@@ -28,6 +31,7 @@ import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,12 +256,13 @@ class FramePlan:
 
 #: one frame's candidate builds: (t, plane, references), and their results
 BuildRequests = list[tuple[int, tuple[int, Component], list[np.ndarray]]]
-Builder = Callable[[BuildRequests], dict[tuple[int, Component], CandidateSet]]
+CandidateSets = dict[tuple[int, Component], CandidateSet]
+#: takes one frame's requests and returns a handle that yields their sets
+Builder = Callable[[BuildRequests], Callable[[], CandidateSets]]
 
 
 def _build_candidates(cfg: ExperimentConfig, orig: dict,
-                      requests: BuildRequests
-                      ) -> dict[tuple[int, Component], CandidateSet]:
+                      requests: BuildRequests) -> CandidateSets:
     """Each requested plane's candidate set, built in this process."""
     return {key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]])
             for t, key, refs in requests}
@@ -270,7 +275,10 @@ class EncoderState:
     plane and frame, and one curvature map per reconstructed view.  Frame t
     runs learn(t), then plan(t) and a selection, then commit(t, ...).
     build, when given, builds plan's candidate sets in place of this
-    process (encode_stream passes its helper's).
+    process (encode_stream passes its helper's).  commit(t) hands frame
+    t + 1's requests to the builder before it pushes the trackers, so a
+    helper builds them during the pushes, learn(t + 1) and the part of
+    plan(t + 1) that needs no candidate set.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
@@ -291,8 +299,11 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
-        self.build = build or (lambda requests: _build_candidates(
-            cfg, orig, requests))
+        # the in-process builder builds when its handle is read
+        self.build = build or (lambda requests: partial(
+            _build_candidates, cfg, orig, requests))
+        # (t + 1, its handle) once commit(t) has sent frame t + 1's requests
+        self.pending: tuple[int, Callable[[], CandidateSets]] | None = None
 
     def learn(self, t: int) -> None:
         """The outcome of frame t - max(rtt, 1) arrives as frame t is coded."""
@@ -324,27 +335,54 @@ class EncoderState:
                 self.cfg.eta, self.cfg.sensitivity)
         return self.curv[view][k]
 
+    def request(self, t: int) -> Callable[[], CandidateSets]:
+        """Hand frame t's candidate builds to the builder; their handle."""
+        depth = min(self.cfg.ref_window, t)
+        return self.build([(t, key, [self.recon[key][t - d]
+                                     for d in range(1, depth + 1)])
+                           for key in PLANE_ORDER])
+
     def plan(self, t: int) -> FramePlan:
         """Candidates and channel terms of frame t under the mode.
 
         Frame 0 has no references: its candidates are INTRA alone, planned
-        with zero expected error and no channel term.
+        with zero expected error and no channel term.  The terms that need
+        no candidate set are computed before the sets are read.  plan sends
+        its own requests unless commit(t - 1) sent them.
         """
         cfg, recon, trackers = self.cfg, self.recon, self.trackers
         orig = {key: self.orig[key][t] for key in PLANE_ORDER}
-        csets = self.build([(t, key, [recon[key][t - d] for d in range(
-            1, min(cfg.ref_window, t) + 1)]) for key in PLANE_ORDER])
+        pending, self.pending = self.pending, None
+        sets = (pending[1] if pending is not None and pending[0] == t
+                else self.request(t))
         if t == 0:
+            csets = sets()
             zeros = np.zeros((self.n_mb, 1))
             pcs = {key: PlaneCandidates(cset=csets[key], chan=zeros)
                    for key in PLANE_ORDER}
             return FramePlan(orig=orig, pcs=pcs,
                              cols=dict.fromkeys(PLANE_ORDER, zeros), valid={},
                              caps={}, members={})
+        delta = {key: self.innovation(key, t) for key in PLANE_ORDER}
+        curv, caps, members = {}, {}, {}
+        for v in (0, 1) if self.mode != "reactive" else ():
+            curv[v] = self.curvature(v, t - 1)
+            if self.mode == "cross":
+                o, tex, dep = 1 - v, (v, Component.TEXTURE), (v, Component.DEPTH)
+                corr = correspondence_sets(recon[tex][t - 1], recon[dep][t - 1],
+                                           v, cfg.eta)
+                # state t-1 meets the map of reconstruction t-2 (0 at t=1):
+                # the golden digests pin this pairing
+                opp_pen = g_eval(self.curvature(o, max(t - 2, 0)),
+                                 trackers[(o, Component.DEPTH)].state(t - 1))
+                opp_err = trackers[(o, Component.TEXTURE)].state(t - 1)
+                caps[v] = opposing_cap(corr, opp_err, opp_pen, delta[tex])
+                members[v] = corr.member
+        csets = sets()
         pcs = {key: build_plane_candidates(csets[key], trackers[key], t,
-                                           self.innovation(key, t))
+                                           delta[key])
                for key in PLANE_ORDER}
-        cols, valid, caps, members = {}, {}, {}, {}
+        cols, valid = {}, {}
         for v in (0, 1):
             tex, dep = (v, Component.TEXTURE), (v, Component.DEPTH)
             if self.mode == "reactive":
@@ -353,39 +391,31 @@ class EncoderState:
                     cols[key] = np.zeros_like(pcs[key].chan)
                     valid[key] = trackers[key].valid_candidates(pcs[key])
                 continue
-            curv = self.curvature(v, t - 1)
             cols[tex] = pcs[tex].chan
-            cols[dep] = g_eval(curv[:, None], pcs[dep].chan)
+            cols[dep] = g_eval(curv[v][:, None], pcs[dep].chan)
             if self.mode == "cross":
-                o = 1 - v
-                corr = correspondence_sets(recon[tex][t - 1], recon[dep][t - 1],
-                                           v, cfg.eta)
-                # state t-1 meets the map of reconstruction t-2 (0 at t=1):
-                # the golden digests pin this pairing
-                opp_pen = g_eval(self.curvature(o, max(t - 2, 0)),
-                                 trackers[(o, Component.DEPTH)].state(t - 1))
-                opp_err = trackers[(o, Component.TEXTURE)].state(t - 1)
-                caps[v] = opposing_cap(corr, opp_err, opp_pen,
-                                       self.innovation(tex, t))
-                members[v] = corr.member
                 # two steps: texture against the depth error-minimizer, then
                 # depth against the texture's
                 tex_val = step1_minimum(pcs[tex])
                 dep_val = step1_minimum(pcs[dep])
-                cols[tex] = cross_cap(cols[tex], g_eval(curv, dep_val),
-                                      caps[v], corr.member)
-                cols[dep] = cross_cap(cols[dep], tex_val, caps[v], corr.member)
+                cols[tex] = cross_cap(cols[tex], g_eval(curv[v], dep_val),
+                                      caps[v], members[v])
+                cols[dep] = cross_cap(cols[dep], tex_val, caps[v], members[v])
         return FramePlan(orig=orig, pcs=pcs, cols=cols, valid=valid,
                          caps=caps, members=members)
 
     def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane],
                recon: dict[tuple[int, Component], np.ndarray]) -> None:
-        """Push frame t's final decisions and reconstructions."""
+        """Push frame t's final decisions and reconstructions, after handing
+        frame t + 1's candidate builds to the builder."""
+        for key in PLANE_ORDER:
+            self.recon[key].append(recon[key])
+        if t + 1 < len(self.orig[(0, Component.TEXTURE)]):
+            self.pending = (t + 1, self.request(t + 1))
         for key in PLANE_ORDER:
             enc = frame[key]
-            delta = self.innovation(key, t)
-            self.recon[key].append(recon[key])
-            self.trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv, delta)
+            self.trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv,
+                                          self.innovation(key, t))
             if t == 0 and self.cfg.protect_first_frame:
                 self.trackers[key].set_frame_outcome(
                     0, np.ones(self.n_mb, dtype=bool))
@@ -479,14 +509,18 @@ def _candidate_builder(cfg: ExperimentConfig, orig: dict,
         return
     with _forked("candidate helper", _candidate_helper,
                  cfg, orig) as (conn, receive):
-        def build(requests: BuildRequests):
-            # one message per frame: two sends in a row could each fill the
-            # pipe while the helper blocks sending its first answer
+        def build(requests: BuildRequests) -> Callable[[], CandidateSets]:
+            # one message per frame, sent only once the previous answer is
+            # read: two sends in a row could each fill the pipe while the
+            # helper blocks sending its first answer
             conn.send([r for r in requests if r[1][0] == 1])
-            csets = _build_candidates(cfg, orig,
-                                      [r for r in requests if r[1][0] != 1])
-            csets.update(receive())
-            return csets
+
+            def sets() -> CandidateSets:
+                csets = _build_candidates(
+                    cfg, orig, [r for r in requests if r[1][0] != 1])
+                csets.update(receive())
+                return csets
+            return sets
 
         yield build
 
@@ -504,8 +538,11 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
 
     encodes is how many encodes the caller runs at once, this one included.
     When os.sched_getaffinity(0) holds more CPUs than that, a helper
-    (_forked) builds view 1's candidate sets while this process builds view
-    0's and does everything else, so the stream is the same either way.
+    (_forked) builds view 1's candidate sets and this process does
+    everything else, so the stream is the same either way.  The helper
+    builds frame t + 1's sets during frame t's tracker pushes (commit),
+    frame t + 1's delayed outcomes (learn), its terms that need no candidate
+    set and view 0's builds (plan).
     """
     with _candidate_builder(cfg, orig, encodes) as build:
         state = EncoderState(cfg, orig, mode, trace, build)

@@ -194,7 +194,7 @@ def oracle_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     bits = np.empty((n_mb, n_cand), dtype=np.int64)
     distortion = np.empty((n_mb, n_cand))
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
-    coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int32)
+    coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int16)
 
     # last column: INTRA, its base level riding the mv slot
     mode_col[-1], ref_col[-1] = MODE_INTRA, 0

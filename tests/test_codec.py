@@ -16,7 +16,8 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             parse_stream, plane_blocks, quantize,
                             residual_bits, serialize_stream)
 from fvstream.channel import Component, lost_mb_mask
-from fvstream.pipeline import decode_stream
+from fvstream import pipeline
+from fvstream.pipeline import ExperimentConfig, decode_stream
 
 import oracles
 
@@ -59,6 +60,27 @@ class TestTransform:
         q = quantize(np.array([[0.0, 14.0, 16.0, -26.0]]), 10)
         assert q.tolist() == [[0, 1, 2, -3]]
         assert np.array_equal(dequantize(q, 10), np.array([[0., 10., 20., -30.]]))
+
+    @pytest.mark.parametrize("level", [255, 0])
+    def test_extreme_residual_quantizes_to_1020_in_int16(self, level):
+        # flat 255 against a flat 0 predictor, or the reverse, at step 1: the
+        # largest coefficient an 8-bit residual can give, as int32 held it
+        orig = np.full((1, 16, 16), float(level))
+        pred = np.full((1, 16, 16), 255.0 - level)
+        coeffs = dct16(orig - pred)
+        q = quantize(coeffs, 1)
+        assert q.dtype == np.int16
+        assert np.array_equal(q, np.rint(coeffs).astype(np.int32))
+        dc = 1020 if level else -1020
+        assert q[0, ::4, ::4].tolist() == [[dc] * 4] * 4
+        assert np.count_nonzero(q) == 16
+
+    @pytest.mark.parametrize("value", [32767.6, -32768.6, 1e9, np.inf, np.nan])
+    def test_quantize_refuses_what_int16_cannot_hold(self, value):
+        assert quantize(np.array([32767.4, -32768.4]), 1).tolist() == [
+            32767, -32768]
+        with pytest.raises(CodecError, match="outside int16"):
+            quantize(np.array([[0.0, value]]), 1)
 
     def test_zero_residual_reconstructs_prediction(self):
         pred = np.full((1, 16, 16), 90.0)
@@ -705,6 +727,31 @@ class TestContainer:
                              np.ones(4, dtype=bool))
         assert np.array_equal(d0, ref0)
         assert np.array_equal(plane_blocks(d1), cset.recon[:, 2])
+
+    def test_coefficients_are_int16_from_candidates_to_container(
+            self, micro_scene):
+        # the candidates of frame 3, the encoded stream and the parsed
+        # container hold one coefficient type with equal values
+        cfg = ExperimentConfig(scene=micro_scene.spec, setups=("arps",),
+                               loss_rates=(0.2,), seeds=(5,), rtt=2)
+        orig = pipeline._plane_lists(micro_scene.left, micro_scene.right)
+        stream = pipeline.encode_stream(cfg, orig, "cross",
+                                        cfg.loss_trace(5, 0.2))
+        blob = serialize_stream(32, 32, cfg.quant_step, stream.frames,
+                                cfg.depth_quant_step)
+        _, _, _, back = parse_stream(blob)
+        for key in PLANE_ORDER:
+            recon = stream.recon[key]
+            cset = build_inter_candidates(orig[key][3], recon[2::-1],
+                                          cfg.codecs[key[1]])
+            chosen = stream.records[3][key].chosen_col
+            assert cset.coeffs.dtype == np.int16
+            assert np.array_equal(cset.coeffs[np.arange(4), chosen],
+                                  stream.frames[3][key].coeffs)
+            for t, frame in enumerate(stream.frames):
+                enc, got = frame[key], back[t][key]
+                assert enc.coeffs.dtype == got.coeffs.dtype == np.int16
+                assert np.array_equal(enc.coeffs, got.coeffs)
 
 
 class TestCodecConfig:

@@ -14,6 +14,7 @@ from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
                                  TrackingError, cross_view_states,
                                  expected_errors, footprint_state_sum,
                                  innovation_term)
+from fvstream.optimizer import ReactiveTaint
 from fvstream.pipeline import decode_stream
 from fvstream.synthesis import warp_view
 
@@ -330,6 +331,71 @@ class TestExpectedErrorTracker:
         for t in range(5):
             tol = np.maximum(0.05 * np.abs(tr.state(t)), 0.12)
             assert (np.abs(tr.state(t) - mc[t]) <= tol).all()
+
+
+class TestOutcomeSkip:
+    """An outcome equal to the delivery probabilities a frame already
+    assumes re-propagates nothing; any other recomputes frames t..end."""
+
+    GRID = (2, 2)
+    TRACKERS = [("taint", 1.0), ("tracker", 1.0), ("tracker", 0.92)]
+
+    def _tracker(self, kind, p):
+        if kind == "taint":
+            return ReactiveTaint(self.GRID)
+        return ExpectedErrorTracker(self.GRID, p, gamma=0.9)
+
+    def _pushed(self, kind, p):
+        tr = self._tracker(kind, p)
+        for frame in random_decisions(np.random.default_rng(43), self.GRID, 6):
+            tr.push_frame(*frame)
+        # a known loss gives the later states something to carry
+        tr.set_frame_outcome(1, np.array([True, False, True, True]))
+        return tr
+
+    @staticmethod
+    def _spy(tracker):
+        """The frames tracker recomputes from now on."""
+        calls, compute = [], tracker._compute_state
+
+        def spy(t):
+            calls.append(t)
+            return compute(t)
+        tracker._compute_state = spy
+        return calls
+
+    @pytest.mark.parametrize("kind, p", TRACKERS)
+    def test_the_assumed_outcome_recomputes_nothing(self, kind, p):
+        tr = self._pushed(kind, p)
+        before = [tr.state(t).tobytes() for t in range(6)]
+        calls = self._spy(tr)
+        # frame 3 as planned, and frame 1's loss learned a second time
+        planned = np.ones(4, dtype=bool) if p == 1.0 else np.full(4, p)
+        tr.set_frame_outcome(3, planned)
+        tr.set_frame_outcome(1, np.array([True, False, True, True]))
+        assert calls == []
+        assert [tr.state(t).tobytes() for t in range(6)] == before
+
+    @pytest.mark.parametrize("kind, p, received", [
+        *[(kind, p, [True, True, False, True]) for kind, p in TRACKERS],
+        # planned at 0.92, even a fully received frame is news
+        ("tracker", 0.92, [True] * 4)])
+    def test_a_new_outcome_recomputes_from_its_frame(self, kind, p, received):
+        tr = self._pushed(kind, p)
+        calls = self._spy(tr)
+        outcome = np.array(received)
+        tr.set_frame_outcome(3, outcome)
+        assert calls == [3, 4, 5]
+        # the same states as a tracker that knew both outcomes all along
+        twin = self._tracker(kind, p)
+        for t, frame in enumerate(
+                random_decisions(np.random.default_rng(43), self.GRID, 6)):
+            twin.push_frame(*frame)
+            if t == 3:
+                twin.set_frame_outcome(1, np.array([True, False, True, True]))
+                twin.set_frame_outcome(3, outcome)
+        for t in range(6):
+            assert tr.state(t).tobytes() == twin.state(t).tobytes()
 
 
 def track(tracker, frames):

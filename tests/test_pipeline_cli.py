@@ -15,6 +15,7 @@ from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import main
 from fvstream import pipeline
 from fvstream.codec import PLANE_ORDER, CodecConfig, CodecError
+from fvstream.errortrack import ExpectedErrorTracker, TrackingError
 from fvstream.sensitivity import SensitivityParams
 from fvstream.synthesis import SynthesisParams
 from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
@@ -551,17 +552,20 @@ class TestPlaneHelper:
     are usable than encodes run at once."""
 
     @staticmethod
-    def _inputs(scene):
+    def _inputs(scene, rtt=2):
         cfg = ExperimentConfig(scene=scene.spec, setups=("arps",),
-                               loss_rates=(0.2,), seeds=(5,), rtt=2)
+                               loss_rates=(0.2,), seeds=(5,), rtt=rtt)
         orig = pipeline._plane_lists(scene.left, scene.right)
         return cfg, orig, cfg.loss_trace(5, 0.2)
 
+    # at rtt 0 and 1, learn applies an outcome on every frame while the
+    # next frame's request is out
+    @pytest.mark.parametrize("rtt", [0, 1, 2])
     @pytest.mark.parametrize("scene", ["micro_scene", "scene64"])
     @pytest.mark.parametrize("mode", ["reactive", "independent", "cross"])
     def test_stream_is_the_same_with_and_without_the_helper(
-            self, request, monkeypatch, scene, mode):
-        cfg, orig, trace = self._inputs(request.getfixturevalue(scene))
+            self, request, monkeypatch, scene, mode, rtt):
+        cfg, orig, trace = self._inputs(request.getfixturevalue(scene), rtt)
         forks = _count_forks(monkeypatch)
         streams = []
         for cpus in (1, 2):
@@ -646,6 +650,32 @@ class TestPlaneHelper:
         start = time.monotonic()
         with pytest.raises(CodecError, match="encoder broke at 2"):
             encode_stream(cfg, orig, "independent", trace)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["push_frame", "set_frame_outcome"])
+    def test_error_with_a_request_out_terminates_the_helper(
+            self, scene64, monkeypatch, method):
+        # commit(2) sends frame 3's requests before it pushes frame 2, and
+        # learn(4) applies frame 2's outcome after commit(3) sent frame 4's
+        original = getattr(ExpectedErrorTracker, method)
+
+        def broken(self, *args):
+            frame = self.frame_count if method == "push_frame" else args[0]
+            if frame == 2:
+                # time for the helper to build: a 64x64 answer outgrows the
+                # pipe, so the helper blocks in send
+                time.sleep(0.5)
+                raise TrackingError(f"{method} broke at 2")
+            return original(self, *args)
+        monkeypatch.setattr(ExpectedErrorTracker, method, broken)
+        _cpus(monkeypatch, 2)
+        cfg, orig, trace = self._inputs(scene64)
+        start = time.monotonic()
+        with pytest.raises(TrackingError) as caught:
+            encode_stream(cfg, orig, "cross", trace)
+        assert type(caught.value) is TrackingError
+        assert str(caught.value) == f"{method} broke at 2"
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
 
