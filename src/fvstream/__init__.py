@@ -17,8 +17,8 @@ from .channel import (ChannelError, Component, PacketId, LossTrace,
                       build_schedule, packetize, make_iid_trace, lost_mb_mask,
                       save_trace, load_trace)
 from .codec import (CodecError, CodecConfig, EncodedPlane,
-                    CandidateSet, build_inter_candidates, decode_plane,
-                    serialize_stream, parse_stream)
+                    CandidateSet, TrialRecord, build_inter_candidates,
+                    decode_plane, serialize_stream, parse_stream)
 from .errortrack import (TrackingError, ExpectedErrorTracker, DecoderTracker,
                          innovation_term)
 from .synthesis import (SynthesisError, SynthesisParams, WarpedView,
@@ -45,7 +45,7 @@ __all__ = [
     "build_schedule", "packetize", "make_iid_trace",
     "lost_mb_mask", "save_trace", "load_trace",
     "CodecError", "CodecConfig", "EncodedPlane",
-    "CandidateSet", "build_inter_candidates", "decode_plane",
+    "CandidateSet", "TrialRecord", "build_inter_candidates", "decode_plane",
     "serialize_stream", "parse_stream",
     "TrackingError", "ExpectedErrorTracker", "DecoderTracker",
     "innovation_term",

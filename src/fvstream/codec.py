@@ -24,8 +24,13 @@ dequantized residuals, so without losses the two stay bit identical.
 `build_inter_candidates` fills one CandidateSet per plane, one column per
 option: SKIP, per reference distance a zero-motion and a searched INTER
 column, then INTRA (alone without references); ties keep the first column.
-It runs one trial per distinct (block, predictor): an INTER column whose
-predictor repeats an earlier column of its block copies that trial.
+It runs one trial per distinct (block, predictor) per plane across frames,
+not per frame.  A trial coding is a pure function of (source block,
+predictor, step).  So an INTER column copies the trial of an earlier column
+of its block with the same predictor, or the trial that the plane's
+TrialRecord holds from the previous build for the same source block and
+predictor.  A block whose source is unchanged copies its INTRA trial too.
+This is conditional replenishment, applied to the encoder's own trials.
 
 A motion vector is the displacement of scene content: mv (dx, dy) predicts
 the block at (row - dy, col - dx) of the reference frame.  The search emits
@@ -56,6 +61,11 @@ INTRA_BASE_BITS = 8
 
 STREAM_MAGIC = b"FVBS"
 STREAM_VERSION = 1
+
+# Odd per-word weights of a predictor's fingerprint: equal predictors always
+# share one, and a fingerprint match is compared word for word before use.
+_FINGERPRINT = np.random.default_rng(1).integers(
+    0, 2 ** 62, MB_SIZE * MB_SIZE // 8, dtype=np.uint64) * 2 + 1
 
 
 class CodecError(ValueError):
@@ -295,19 +305,81 @@ def code_against_prediction(pred: np.ndarray, orig: np.ndarray, step: int
     return q, recon, residual_bits(q), dist
 
 
+def _check_planes(shape: tuple[int, ...], refs: list[np.ndarray],
+                  **others: np.ndarray | None) -> None:
+    """Raise CodecError naming the first plane that is not uint8 of `shape`:
+    one of `others` (by keyword, None skipped), or refs[d-1], the reference
+    at distance d."""
+    named = [(key.replace("_", " "), plane) for key, plane in others.items()
+             if plane is not None]
+    named += [(f"reference at distance {d}", ref)
+              for d, ref in enumerate(refs, 1)]
+    for name, plane in named:
+        if plane.dtype != np.uint8 or plane.shape != shape:
+            raise CodecError(f"{name} is {plane.dtype} of shape {plane.shape}, "
+                             f"expected uint8 of shape {shape}")
+
+
+def _stow(buf: np.ndarray | None, new: np.ndarray, rows: int) -> np.ndarray:
+    """Copy new to the front of buf, an array of `rows` rows shaped like
+    new's, and return buf; a fresh one if buf has another shape.  A
+    TrialRecord keeps its arrays in place so: a fresh set every build
+    fragmented the heap and raised an encode's peak RSS."""
+    shape = (rows,) + new.shape[1:]
+    if buf is None or buf.shape != shape:
+        buf = np.empty(shape, new.dtype)
+    buf[:len(new)] = new
+    return buf
+
+
+@dataclass
+class TrialRecord:
+    """One plane's trial codings from its previous build_inter_candidates
+    call, which refreshes it in place; empty until the first build.
+
+    It keeps only that build's distinct rows: the INTRA column, and per
+    block the first INTER column of each predictor.  slot[b, j] is the row
+    of block b's column j, or -1 where that column repeats an earlier one;
+    the first n_rows rows of preds and rows hold them.
+    """
+
+    step: int = 0
+    blocks: np.ndarray | None = None    # (n_mb, 16, 16) uint8 source blocks
+    intra: tuple = ()                   # (coeffs, recon, bits, distortion, base)
+    slot: np.ndarray | None = None      # (n_mb, 2R) int64; None without refs
+    n_rows: int = 0
+    preds: np.ndarray | None = None     # (n_mb * 2R, 16, 16) uint8 predictors
+    rows: tuple = ()                    # their (q, recon, rbits, distortion)
+
+
 def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
-                           cfg: CodecConfig) -> CandidateSet:
+                           cfg: CodecConfig, record: TrialRecord | None = None
+                           ) -> CandidateSet:
     """Search and trial-code every candidate of one plane, INTRA last.
 
     refs[d-1] is the reconstructed plane at distance d; the list is already
     limited to the frames available inside the reference window, and may be
-    empty.
+    empty.  record, when given, is the plane's TrialRecord: a block whose
+    source equals the record's copies the trials the record holds for it,
+    and the record is refreshed with this build's trials.  A record of
+    another shape or step is not read.
     """
-    h, w = cur.shape
-    grid = (h // MB_SIZE, w // MB_SIZE)
+    shape = np.shape(cur)
+    if len(shape) != 2 or not all(shape) or shape[0] % MB_SIZE or shape[1] % MB_SIZE:
+        raise CodecError(f"source plane of shape {shape} is not a positive "
+                         f"multiple of {MB_SIZE}")
+    _check_planes(shape, refs, source_plane=cur)
+    grid = (shape[0] // MB_SIZE, shape[1] // MB_SIZE)
     n_mb = grid[0] * grid[1]
     n_refs = len(refs)
     n_cand = 2 + 2 * n_refs if refs else 1
+    step = cfg.quant_step
+    record = TrialRecord() if record is None else record
+    blocks = plane_blocks(cur)
+    same = (np.zeros(n_mb, dtype=bool)
+            if record.blocks is None or record.step != step
+            or record.blocks.shape != blocks.shape
+            else (record.blocks == blocks).all(axis=(1, 2)))
 
     mode_col = np.empty(n_cand, dtype=np.uint8)
     ref_col = np.empty(n_cand, dtype=np.int16)
@@ -317,15 +389,21 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
     coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int16)
 
-    # last column: INTRA, its base level riding the mv slot
+    # last column: INTRA, its base level riding the mv slot; an unchanged
+    # block copies the record's
     mode_col[-1], ref_col[-1] = MODE_INTRA, 0
-    (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
-     mv[:, -1, 0]) = build_intra_candidates(cur, cfg.quant_step)
+    intra = (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
+             mv[:, -1, 0])
+    changed = np.flatnonzero(~same)
+    for col, new in zip(intra, build_intra_candidates(cur, step, changed)):
+        col[changed] = new
+    for col, old in zip(intra, record.intra if same.any() else ()):
+        col[same] = old[same]
 
     if refs:
         ref_stack = np.stack(refs)
         best_mv = motion_search(cur, ref_stack, cfg.search_range)
-        orig_blocks = plane_blocks(cur).astype(np.float64)
+        orig_blocks = blocks.astype(np.float64)
         # columns 1..2R: per reference distance a zero-motion, then the
         # searched INTER column; one (n_mb * 2R, 16, 16) predictor stack
         inter, n_col = slice(1, -1), 2 * n_refs
@@ -341,32 +419,70 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
         recon[:, 0] = preds[::n_col]
         distortion[:, 0] = np.abs(recon[:, 0] - orig_blocks).mean(axis=(1, 2))
 
-        # one trial per distinct (block, predictor): a column whose predictor
-        # repeats an earlier column of its block (a static block seen in
-        # several references, a searched (0, 0) vector) copies that coding
-        words = preds.reshape(n_mb, n_col, 1, -1).view(np.uint64)
-        first = (words == words.swapaxes(1, 2)).all(axis=3).argmax(axis=2)
-        src = np.arange(n_mb)[:, None] * n_col + first
-        coded = src.ravel() == np.arange(src.size)
-        q, rec, rbits, dist = code_against_prediction(
-            preds[coded], orig_blocks[np.flatnonzero(coded) // n_col],
-            cfg.quant_step)
-        take = (np.cumsum(coded) - 1)[src]
-        coeffs[:, inter], recon[:, inter] = q[take], rec[take]
-        distortion[:, inter] = dist[take]
-        bits[:, inter] = (MODE_BITS + ref_col[inter] + rbits[take]
+        # one trial per distinct (block, predictor).  Column j of block b
+        # copies the coding of the first equal entry in its pool: the
+        # record's rows of b if b is unchanged, then b's columns; it is
+        # coded if that entry is itself.  An entry indexes `table` (the
+        # record's predictors, then this build's) and the coding rows alike.
+        reuse = same.any() and record.slot is not None
+        n_old = record.n_rows if reuse else 0
+        table = np.concatenate([record.preds[:n_old], preds]) if reuse else preds
+        cols = n_old + np.arange(n_mb * n_col).reshape(n_mb, n_col)
+        pool = np.concatenate(
+            [np.where(same[:, None], record.slot, -1) if reuse
+             else cols[:, :0], cols], axis=1)
+        # fingerprints narrow each pool to candidates; a column's first
+        # candidate is compared word for word, and dropped if it differs
+        words = table.reshape(len(table), -1).view(np.uint64)
+        fp = (words * _FINGERPRINT).sum(axis=1)
+        match = (fp[cols][:, :, None] == fp[pool][:, None]) & (pool >= 0)[:, None]
+        while True:
+            first = match.argmax(axis=2)
+            src = np.take_along_axis(pool, first, axis=1)
+            wrong = (words[src] != words[cols]).any(axis=2)
+            if not wrong.any():
+                break
+            match[wrong, first[wrong]] = False
+        coded = src == cols
+        new = code_against_prediction(
+            preds[coded.ravel()], orig_blocks[np.flatnonzero(coded) // n_col],
+            step)
+        rows = ([np.concatenate([old[:n_old], a])
+                 for old, a in zip(record.rows, new)] if reuse else new)
+        row_of = np.arange(len(table))
+        row_of[n_old:] = n_old + np.cumsum(coded) - 1
+        take = row_of[src]
+        q, rec, rbits, dist = (a[take] for a in rows)
+        coeffs[:, inter], recon[:, inter], distortion[:, inter] = q, rec, dist
+        bits[:, inter] = (MODE_BITS + ref_col[inter] + rbits
                           + exp_golomb_signed_bits(mv[:, inter]).sum(axis=2))
-
+        # the record keeps each block's first column of every predictor
+        keep = ((take[:, :, None] == take[:, None]).argmax(axis=2)
+                == np.arange(n_col))
+        record.slot = np.where(keep, np.cumsum(keep).reshape(n_mb, n_col) - 1, -1)
+        record.n_rows = int(keep.sum())
+        record.preds = _stow(record.preds, preds[keep.ravel()], n_mb * n_col)
+        record.rows = tuple(_stow(old, a[take[keep]], n_mb * n_col)
+                            for old, a in zip(record.rows or [None] * 4, rows))
+    else:
+        record.slot = None
+    record.step = step
+    record.blocks = _stow(record.blocks, blocks, n_mb)
+    record.intra = tuple(_stow(old, col, n_mb)
+                         for old, col in zip(record.intra or [None] * 5, intra))
     return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, bits=bits,
                         distortion=distortion, recon=recon, coeffs=coeffs,
-                        quant_step=cfg.quant_step)
+                        quant_step=step)
 
 
-def build_intra_candidates(plane: np.ndarray, step: int
+def build_intra_candidates(plane: np.ndarray, step: int,
+                           mbs: np.ndarray | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray, np.ndarray]:
-    """Trial-code every block INTRA; returns (coeffs, recon, bits, distortion, base)."""
-    orig_blocks = plane_blocks(plane).astype(np.float64)
+    """Trial-code the blocks mbs (every block by default) INTRA; returns
+    (coeffs, recon, bits, distortion, base)."""
+    blocks = plane_blocks(plane)
+    orig_blocks = (blocks if mbs is None else blocks[mbs]).astype(np.float64)
     base = np.clip(np.rint(orig_blocks.mean(axis=(1, 2))), 0, 255).astype(np.int16)
     pred = np.broadcast_to(base.astype(np.float64)[:, None, None],
                            orig_blocks.shape)
@@ -398,14 +514,18 @@ def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
     refs[d-1] is the decoder's own reconstruction at distance d; lost blocks
     copy from `conceal_source` (the previous decoded frame) or fill with 128
     when there is none.  Only the records of received blocks are read, and
-    a malformed one raises CodecError.  Returns (plane, concealed_mask).
+    a malformed one raises CodecError, as does a reference or concealment
+    plane that is not uint8 of the grid's size.  Returns (plane,
+    concealed_mask).
     """
     n_mb = enc.grid[0] * enc.grid[1]
+    _check_planes((enc.grid[0] * MB_SIZE, enc.grid[1] * MB_SIZE), refs,
+                  concealment_source=conceal_source)
     received = np.asarray(received, dtype=bool)
     if conceal_source is None:
         blocks = np.full((n_mb, MB_SIZE, MB_SIZE), 128, dtype=np.uint8)
     else:
-        blocks = plane_blocks(conceal_source).astype(np.uint8)
+        blocks = plane_blocks(conceal_source).copy()
 
     rcv = np.flatnonzero(received)
     modes = enc.modes[rcv]

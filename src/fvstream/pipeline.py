@@ -13,11 +13,12 @@ setups against them: frame t only needs the baseline's frame t.
 Within a frame, the four planes' candidate searches read only the source and
 the reconstructions up to t - 1, so they are independent of each other.
 When the CPUs this process may use outnumber the encodes it runs at once (1,
-or 2 beside the baseline's worker), each encode forks a stateless helper
-for view 1's candidate sets.  Frame t + 1's requests go out as soon as
-frame t's reconstructions are committed, so the helper builds while the
-encode pushes its trackers, learns the delayed outcomes, computes the terms
-that need no candidate set and builds view 0's sets.  Selection, lambda
+or 2 beside the baseline's worker), each encode forks a helper for view 1's
+candidate sets, which keeps view 1's trial records (codec.TrialRecord).
+Frame t + 1's requests go out as soon as frame t's reconstructions are
+committed, so the helper builds while the encode pushes its trackers, learns
+the delayed outcomes, computes the terms that need no candidate set and
+builds view 0's sets.  Selection, lambda
 tuning and commit stay in the encode, so the helper changes no byte of any
 artifact.  _forked starts both processes.
 
@@ -39,7 +40,7 @@ import numpy as np
 from .channel import (PLANE_ORDER, Component, LossTrace, build_schedule,
                       lost_mb_mask, make_iid_trace, save_trace)
 from .codec import (CandidateSet, CodecConfig, CodecError, EncodedPlane,
-                    build_inter_candidates, decode_plane)
+                    TrialRecord, build_inter_candidates, decode_plane)
 from .errortrack import (DecoderTracker, ExpectedErrorTracker, innovation_term)
 from .frames import FramePlane, ViewFrame, psnr, save_pgm
 from .optimizer import (OPTIMIZER_MODES, PlaneCandidates, PlaneSelection,
@@ -257,14 +258,20 @@ class FramePlan:
 #: one frame's candidate builds: (t, plane, references), and their results
 BuildRequests = list[tuple[int, tuple[int, Component], list[np.ndarray]]]
 CandidateSets = dict[tuple[int, Component], CandidateSet]
-#: takes one frame's requests and returns a handle that yields their sets
-Builder = Callable[[BuildRequests], Callable[[], CandidateSets]]
+#: per plane, the trial record of its builds in one process
+TrialRecords = dict[tuple[int, Component], TrialRecord]
+#: takes one frame's requests and the records of the planes it builds in
+#: this process, and returns a handle that yields their sets
+Builder = Callable[[BuildRequests, TrialRecords], Callable[[], CandidateSets]]
 
 
 def _build_candidates(cfg: ExperimentConfig, orig: dict,
-                      requests: BuildRequests) -> CandidateSets:
-    """Each requested plane's candidate set, built in this process."""
-    return {key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]])
+                      requests: BuildRequests,
+                      records: TrialRecords) -> CandidateSets:
+    """Each requested plane's candidate set, built in this process against
+    (and refreshing) the plane's record in records."""
+    return {key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]],
+                                        records.setdefault(key, TrialRecord()))
             for t, key, refs in requests}
 
 
@@ -272,8 +279,9 @@ class EncoderState:
     """The sender's state under one selection mode, advanced frame by frame.
 
     Holds the reconstructions, one tracker per plane, the innovation per
-    plane and frame, and one curvature map per reconstructed view.  Frame t
-    runs learn(t), then plan(t) and a selection, then commit(t, ...).
+    plane and frame, one curvature map per reconstructed view, and the trial
+    record of each plane this process builds (records).  Frame t runs
+    learn(t), then plan(t) and a selection, then commit(t, ...).
     build, when given, builds plan's candidate sets in place of this
     process (encode_stream passes its helper's).  commit(t) hands frame
     t + 1's requests to the builder before it pushes the trackers, so a
@@ -299,9 +307,10 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
+        self.records: TrialRecords = {}
         # the in-process builder builds when its handle is read
-        self.build = build or (lambda requests: partial(
-            _build_candidates, cfg, orig, requests))
+        self.build = build or (lambda requests, records: partial(
+            _build_candidates, cfg, orig, requests, records))
         # (t + 1, its handle) once commit(t) has sent frame t + 1's requests
         self.pending: tuple[int, Callable[[], CandidateSets]] | None = None
 
@@ -340,7 +349,7 @@ class EncoderState:
         depth = min(self.cfg.ref_window, t)
         return self.build([(t, key, [self.recon[key][t - d]
                                      for d in range(1, depth + 1)])
-                           for key in PLANE_ORDER])
+                           for key in PLANE_ORDER], self.records)
 
     def plan(self, t: int) -> FramePlan:
         """Candidates and channel terms of frame t under the mode.
@@ -488,13 +497,15 @@ def _forked(what: str, body: Callable[..., None], *args
 
 def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict) -> None:
     """Helper body: answer each frame's build requests with their candidate
-    sets, until the encoder closes its end of the pipe."""
+    sets, until the encoder closes its end of the pipe.  The trial records
+    of the planes it builds stay here; only requests and sets cross."""
+    records: TrialRecords = {}
     while True:
         try:
             requests = conn.recv()
         except EOFError:
             return
-        conn.send(_build_candidates(cfg, orig, requests))
+        conn.send(_build_candidates(cfg, orig, requests, records))
 
 
 @contextmanager
@@ -509,7 +520,8 @@ def _candidate_builder(cfg: ExperimentConfig, orig: dict,
         return
     with _forked("candidate helper", _candidate_helper,
                  cfg, orig) as (conn, receive):
-        def build(requests: BuildRequests) -> Callable[[], CandidateSets]:
+        def build(requests: BuildRequests,
+                  records: TrialRecords) -> Callable[[], CandidateSets]:
             # one message per frame, sent only once the previous answer is
             # read: two sends in a row could each fill the pipe while the
             # helper blocks sending its first answer
@@ -517,7 +529,7 @@ def _candidate_builder(cfg: ExperimentConfig, orig: dict,
 
             def sets() -> CandidateSets:
                 csets = _build_candidates(
-                    cfg, orig, [r for r in requests if r[1][0] != 1])
+                    cfg, orig, [r for r in requests if r[1][0] != 1], records)
                 csets.update(receive())
                 return csets
             return sets
@@ -538,11 +550,11 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
 
     encodes is how many encodes the caller runs at once, this one included.
     When os.sched_getaffinity(0) holds more CPUs than that, a helper
-    (_forked) builds view 1's candidate sets and this process does
-    everything else, so the stream is the same either way.  The helper
-    builds frame t + 1's sets during frame t's tracker pushes (commit),
-    frame t + 1's delayed outcomes (learn), its terms that need no candidate
-    set and view 0's builds (plan).
+    (_forked) builds view 1's candidate sets and holds their trial records,
+    and this process does everything else, so the stream is the same either
+    way.  The helper builds frame t + 1's sets during frame t's tracker
+    pushes (commit), frame t + 1's delayed outcomes (learn), its terms that
+    need no candidate set and view 0's builds (plan).
     """
     with _candidate_builder(cfg, orig, encodes) as build:
         state = EncoderState(cfg, orig, mode, trace, build)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             MODE_SKIP, PLANE_ORDER, SKIP_BITS, CodecConfig,
-                            CodecError, EncodedPlane, build_inter_candidates,
+                            CodecError, EncodedPlane, TrialRecord,
+                            build_inter_candidates,
                             build_intra_candidates, code_against_prediction,
                             decode_plane, dct16,
                             dequantize, displacement_order,
@@ -402,6 +403,9 @@ class TestCandidates:
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
     def test_each_distinct_predictor_is_coded_once(self, monkeypatch):
+        # within one build, and across two builds of one plane whose source
+        # stands still: the second codes only the new reference's
+        # predictors, and no INTRA block
         seen = []
 
         def recording(pred, orig, step):
@@ -411,11 +415,108 @@ class TestCandidates:
         monkeypatch.setattr("fvstream.codec.code_against_prediction",
                             recording)
         p = rand_plane((32, 48), seed=81)
+        q = rand_plane((32, 48), seed=83)
         cur = rand_plane((32, 48), seed=82)
-        build_inter_candidates(cur, [p, p, p], CodecConfig(10, 2, 8))
+        cfg, record = CodecConfig(10, 2, 8), TrialRecord()
+        first = build_inter_candidates(cur, [p, p, p], cfg, record)
+        second = build_inter_candidates(cur, [q, p, p], cfg, record)
         rows = np.concatenate(seen)
-        for block in plane_blocks(p):
+        for block in np.concatenate([plane_blocks(p), plane_blocks(q)]):
             assert (rows == block).all(axis=(1, 2)).sum() == 1
+        # the INTRA call still runs, on no block
+        assert len(seen[-2]) == 0
+        assert np.array_equal(second.recon[:, -1], first.recon[:, -1])
+
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(["static", "moving", "partly",
+                                           "fresh"]), min_size=2, max_size=6),
+           noisy_refs=st.booleans(), window=st.integers(1, 4),
+           step=st.integers(1, 11), search_range=st.integers(1, 3),
+           leftover=st.sampled_from([None, "shape", "step"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150)
+    def test_a_record_builds_what_fresh_builds_do(
+            self, hb, wb, kinds, noisy_refs, window, step, search_range,
+            leftover, seed):
+        # a sequence of one plane, built frame by frame against one record
+        # and fresh: every block either stands still, moves, changes in
+        # part or is new; the references are the earlier sources (slightly
+        # damaged, like reconstructions) in a window that grows from 0, or
+        # from 1 after a record left by a build of another shape or step
+        rng = np.random.default_rng(seed)
+        shape = (16 * hb, 16 * wb)
+        frames = [rng.integers(0, 256, shape).astype(np.uint8)]
+        for kind in kinds[1:]:
+            cur = frames[-1].copy()
+            for m, block_kind in enumerate(rng.choice(
+                    ["static", kind], hb * wb)):
+                rows = slice((m // wb) * 16, (m // wb) * 16 + 16)
+                cols = slice((m % wb) * 16, (m % wb) * 16 + 16)
+                if block_kind == "moving":
+                    cur[rows, cols] = np.roll(frames[-1], rng.integers(
+                        -2, 3, 2), axis=(0, 1))[rows, cols]
+                elif block_kind == "partly":
+                    cur[rows, cols][rng.random((16, 16)) < 0.1] = 0
+                elif block_kind == "fresh":
+                    cur[rows, cols] = rng.integers(0, 256, (16, 16))
+            frames.append(cur)
+        recon = [np.where(rng.random(shape) < 0.02, 255, f).astype(np.uint8)
+                 if noisy_refs else f for f in frames]
+        cfg = CodecConfig(step, search_range, window)
+        record = TrialRecord()
+        if leftover == "shape":
+            taller = np.concatenate([frames[0], frames[0][:16]])
+            build_inter_candidates(taller, [taller], cfg, record)
+        elif leftover == "step":
+            build_inter_candidates(frames[1], recon[:1],
+                                   CodecConfig(step + 1, search_range, window),
+                                   record)
+        for t, cur in enumerate(frames):
+            if leftover and t == 0:
+                continue
+            refs = recon[max(t - window, 0):t][::-1]
+            got = build_inter_candidates(cur, refs, cfg, record)
+            want = build_inter_candidates(cur, refs, cfg)
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "quant_step":
+                    assert a == b
+                else:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+    def test_fingerprint_collisions_are_caught_by_the_word_compare(
+            self, monkeypatch):
+        # with every fingerprint equal, each match is a word compare alone
+        monkeypatch.setattr("fvstream.codec._FINGERPRINT",
+                            np.zeros(32, dtype=np.uint64))
+        p = rand_plane((32, 48), seed=84)
+        cur = p.copy()
+        cur[:16] = rand_plane((16, 48), seed=85)
+        refs = [p, np.roll(p, 2, axis=1), p]
+        cfg, record = CodecConfig(7, 3, 8), TrialRecord()
+        for cur_t in (p, cur, cur):
+            got = build_inter_candidates(cur_t, refs, cfg, record)
+            want = oracles.oracle_inter_candidates(cur_t, refs, cfg)
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b), f.name
+
+    @pytest.mark.parametrize("cur_shape, cur_dtype, ref_shapes, ref_dtype, "
+                             "named", [
+        ((32, 32), np.uint8, [(32, 48)], np.uint8, "reference at distance 1"),
+        ((32, 32), np.uint8, [(32, 32)], np.float64, "reference at distance 1"),
+        ((32, 32), np.float64, [(32, 32)], np.uint8, "source plane"),
+        ((32, 32), np.uint8, [(32, 32), (48, 32)], np.uint8, "reference at distance 2"),
+        ((30, 32), np.uint8, [], np.uint8, "multiple of 16"),
+        ((0, 32), np.uint8, [], np.uint8, "multiple of 16"),
+        ((32, 32, 1), np.uint8, [], np.uint8, "multiple of 16")])
+    def test_builds_reject_malformed_planes(self, cur_shape, cur_dtype,
+                                            ref_shapes, ref_dtype, named):
+        cur = np.full(cur_shape, 100).astype(cur_dtype)
+        refs = [np.full(s, 90).astype(ref_dtype) for s in ref_shapes]
+        with pytest.raises(CodecError, match=named):
+            build_inter_candidates(cur, refs, CodecConfig(10, 2, 8),
+                                   TrialRecord())
 
     def test_candidate_search_single_block_view(self):
         plane = rand_plane((32, 32), seed=71)
@@ -457,6 +558,17 @@ class TestDecode:
         assert np.array_equal(got, prev)
         got, _ = decode_plane(enc, [], None, lost)
         assert (got == 128).all()
+
+    @pytest.mark.parametrize("refs, conceal, named", [
+        ([np.zeros((32, 32), np.uint8)], None, "reference at distance 1"),
+        ([np.zeros((16, 16))], None, "reference at distance 1"),
+        ([], np.zeros((32, 32), np.uint8), "concealment source"),
+        ([], np.zeros((16, 16), np.int16), "concealment source")])
+    def test_decode_rejects_planes_of_another_size_or_type(self, refs, conceal,
+                                                           named):
+        enc = one_block_plane(MODE_SKIP, 1, (0, 0))
+        with pytest.raises(CodecError, match=named):
+            decode_plane(enc, refs, conceal, np.zeros(1, dtype=bool))
 
     def test_reconstruct_validates_reference_depth_and_mv(self):
         refs = [np.zeros((16, 16), dtype=np.uint8)]

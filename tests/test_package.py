@@ -76,6 +76,71 @@ def test_no_unused_imports():
     assert [u for p in paths for u in _unused_imports(p)] == []
 
 
+#: methods that change a list, dict or set in place
+MUTATORS = {"append", "update", "setdefault", "clear", "pop", "add"}
+
+
+def _bound_names(func: ast.AST) -> set[str]:
+    """Names a function (or lambda) binds: its parameters and every name
+    stored inside it."""
+    a = func.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+    return ({p.arg for p in params if p is not None}
+            | {n.id for n in ast.walk(func)
+               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)})
+
+
+def _module_state_mutations(path: Path) -> list[str]:
+    """Where a function declares global/nonlocal, or changes a name bound
+    at module level (and not shadowed by its own or an enclosing scope).
+    Imported modules are not state: np.append builds a new array."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            module.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            module.update(a.asname or a.name for a in node.names)
+        elif not isinstance(node, ast.Import):
+            module.update(n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name)
+                          and isinstance(n.ctx, ast.Store))
+    found = []
+
+    def shared(node: ast.AST, local: set[str]) -> bool:
+        return (isinstance(node, ast.Name) and node.id in module
+                and node.id not in local)
+
+    def scan(node: ast.AST, local: set[str] | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                scan(child, (local or set()) | _bound_names(child))
+                continue
+            if local is not None and (
+                    isinstance(child, (ast.Global, ast.Nonlocal))
+                    or (isinstance(child, ast.Subscript)
+                        and isinstance(child.ctx, (ast.Store, ast.Del))
+                        and shared(child.value, local))
+                    or (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in MUTATORS
+                        and shared(child.func.value, local))):
+                found.append(f"{path.name}:{child.lineno}")
+            scan(child, local)
+
+    scan(tree, None)
+    return found
+
+
+def test_no_module_level_state_is_mutated():
+    # state lives with whoever owns it (an encoder's trial records, a
+    # tracker's lattice), so nothing leaks between runs in one process
+    root = Path(__file__).resolve().parents[1] / "src" / "fvstream"
+    assert [m for p in sorted(root.glob("*.py"))
+            for m in _module_state_mutations(p)] == []
+
+
 def _referenced_names(node: ast.AST, strings: bool = False) -> Counter:
     """Names a syntax tree reads, plus the dotted parts of its string
     constants when strings is set (the benchmark names its hooks so)."""

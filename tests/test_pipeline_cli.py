@@ -568,12 +568,35 @@ class TestPlaneHelper:
         cfg, orig, trace = self._inputs(request.getfixturevalue(scene), rtt)
         forks = _count_forks(monkeypatch)
         streams = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 4):
             _cpus(monkeypatch, cpus)
             streams.append(encode_stream(cfg, orig, mode, trace))
-            assert len(forks) == cpus - 1
-        assert all(_same(getattr(streams[0], f.name), getattr(streams[1], f.name))
+            assert len(forks) == min(cpus, 2) - 1
+            forks.clear()
+        assert all(_same(getattr(streams[0], f.name), getattr(stream, f.name))
+                   for stream in streams[1:]
                    for f in dataclasses.fields(pipeline.EncodedStream))
+
+    def test_encoders_stepped_alternately_keep_their_own_records(
+            self, scene64, monkeypatch):
+        # each EncoderState holds the trial records of its own planes, so
+        # two encodes interleaved frame by frame in one process code what
+        # each codes alone
+        _cpus(monkeypatch, 1)
+        cfg, orig, trace = self._inputs(scene64)
+        modes = ("cross", "independent")
+        alone = [encode_stream(cfg, orig, mode, trace).frames for mode in modes]
+        states = [pipeline.EncoderState(cfg, orig, mode, trace) for mode in modes]
+        together = [[], []]
+        for t in range(len(orig[(0, Component.TEXTURE)])):
+            for state, frames in zip(states, together):
+                state.learn(t)
+                sels = pipeline._select_frame(state.plan(t), cfg.base_lambda,
+                                              None, cfg)[0]
+                frames.append({key: sel.enc for key, sel in sels.items()})
+                state.commit(t, frames[-1],
+                             {key: sel.recon for key, sel in sels.items()})
+        assert _same(together, alone)
 
     @pytest.mark.parametrize("setups, forks_by_cpus", [
         (("rfc",), {1: 0, 2: 1, 4: 1}),
@@ -608,11 +631,11 @@ class TestPlaneHelper:
         set in the helper (in this process)."""
         parent, build = os.getpid(), pipeline.build_inter_candidates
 
-        def broken(cur, refs, codec):
+        def broken(cur, refs, codec, record):
             action = in_encoder if os.getpid() == parent else in_helper
             if len(refs) == 2 and action is not None:
                 action()
-            return build(cur, refs, codec)
+            return build(cur, refs, codec, record)
         monkeypatch.setattr(pipeline, "build_inter_candidates", broken)
         _cpus(monkeypatch, 2)
 
