@@ -24,13 +24,15 @@ dequantized residuals, so without losses the two stay bit identical.
 `build_inter_candidates` fills one CandidateSet per plane, one column per
 option: SKIP, per reference distance a zero-motion and a searched INTER
 column, then INTRA (alone without references); ties keep the first column.
-It runs one trial per distinct (block, predictor) per plane across frames,
-not per frame.  A trial coding is a pure function of (source block,
-predictor, step).  So an INTER column copies the trial of an earlier column
-of its block with the same predictor, or the trial that the plane's
+Every column but SKIP is coded through one path: INTRA's flat predictor
+(`build_intra_candidates`) is one more predictor beside the INTER ones.  A
+trial coding is a pure function of (source block, predictor, step), so the
+path runs one trial per distinct (block, predictor) per plane across
+frames, not per frame.  A column copies the trial of an earlier column of
+its block with the same predictor, or the trial that the plane's
 TrialRecord holds from the previous build for the same source block and
-predictor.  A block whose source is unchanged copies its INTRA trial too.
-This is conditional replenishment, applied to the encoder's own trials.
+predictor; only its header bits are its own.  This is conditional
+replenishment, applied to the encoder's own trials.
 
 A motion vector is the displacement of scene content: mv (dx, dy) predicts
 the block at (row - dy, col - dx) of the reference frame.  The search emits
@@ -337,18 +339,17 @@ class TrialRecord:
     """One plane's trial codings from its previous build_inter_candidates
     call, which refreshes it in place; empty until the first build.
 
-    It keeps only that build's distinct rows: the INTRA column, and per
-    block the first INTER column of each predictor.  slot[b, j] is the row
-    of block b's column j, or -1 where that column repeats an earlier one;
-    the first n_rows rows of preds and rows hold them.
+    It keeps only that build's distinct rows: per block the first coded
+    column of each predictor, INTRA's flat one included.  slot[b, j] is the
+    row of block b's coded column j, or -1 where that column repeats an
+    earlier one; the first n_rows rows of preds and rows hold them.
     """
 
     step: int = 0
     blocks: np.ndarray | None = None    # (n_mb, 16, 16) uint8 source blocks
-    intra: tuple = ()                   # (coeffs, recon, bits, distortion, base)
-    slot: np.ndarray | None = None      # (n_mb, 2R) int64; None without refs
+    slot: np.ndarray | None = None      # (n_mb, 2R + 1) int64
     n_rows: int = 0
-    preds: np.ndarray | None = None     # (n_mb * 2R, 16, 16) uint8 predictors
+    preds: np.ndarray | None = None     # (n_mb * (2R + 1), 16, 16) uint8
     rows: tuple = ()                    # their (q, recon, rbits, distortion)
 
 
@@ -372,10 +373,12 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     grid = (shape[0] // MB_SIZE, shape[1] // MB_SIZE)
     n_mb = grid[0] * grid[1]
     n_refs = len(refs)
-    n_cand = 2 + 2 * n_refs if refs else 1
+    n_col = 2 * n_refs + 1              # the coded columns: all but SKIP
+    n_cand = n_col + 1 if refs else 1
     step = cfg.quant_step
     record = TrialRecord() if record is None else record
     blocks = plane_blocks(cur)
+    orig_blocks = blocks.astype(np.float64)
     same = (np.zeros(n_mb, dtype=bool)
             if record.blocks is None or record.step != step
             or record.blocks.shape != blocks.shape
@@ -389,105 +392,89 @@ def build_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
     coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int16)
 
-    # last column: INTRA, its base level riding the mv slot; an unchanged
-    # block copies the record's
-    mode_col[-1], ref_col[-1] = MODE_INTRA, 0
-    intra = (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
-             mv[:, -1, 0])
-    changed = np.flatnonzero(~same)
-    for col, new in zip(intra, build_intra_candidates(cur, step, changed)):
-        col[changed] = new
-    for col, old in zip(intra, record.intra if same.any() else ()):
-        col[same] = old[same]
-
+    # the coded columns, one (n_mb * n_col, 16, 16) predictor stack: per
+    # reference distance a zero-motion, then the searched INTER column, and
+    # INTRA last, its base level riding the mv slot
+    coded, inter = slice(n_cand - n_col, None), slice(1, -1)
+    mode_col[inter], mode_col[-1] = MODE_INTER, MODE_INTRA
+    ref_col[inter], ref_col[-1] = np.repeat(np.arange(1, n_refs + 1), 2), 0
+    preds = np.empty((n_mb, n_col, MB_SIZE, MB_SIZE), dtype=np.uint8)
+    mv[:, -1, 0], preds[:, -1] = build_intra_candidates(cur)
     if refs:
         ref_stack = np.stack(refs)
-        best_mv = motion_search(cur, ref_stack, cfg.search_range)
-        orig_blocks = blocks.astype(np.float64)
-        # columns 1..2R: per reference distance a zero-motion, then the
-        # searched INTER column; one (n_mb * 2R, 16, 16) predictor stack
-        inter, n_col = slice(1, -1), 2 * n_refs
-        mode_col[inter] = MODE_INTER
-        ref_col[inter] = np.repeat(np.arange(1, n_refs + 1), 2)
-        mv[:, 2:-1:2] = best_mv.transpose(1, 0, 2)
-        preds = predictor_blocks(ref_stack, np.tile(ref_col[inter], n_mb),
-                                 mv[:, inter].reshape(-1, 2),
-                                 np.repeat(np.arange(n_mb), n_col), grid)
-
+        mv[:, 2:-1:2] = motion_search(cur, ref_stack,
+                                      cfg.search_range).transpose(1, 0, 2)
+        preds[:, :-1] = predictor_blocks(
+            ref_stack, np.tile(ref_col[inter], n_mb), mv[:, inter].reshape(-1, 2),
+            np.repeat(np.arange(n_mb), n_col - 1), grid).reshape(
+                n_mb, n_col - 1, MB_SIZE, MB_SIZE)
         # column 0: SKIP, the zero-motion prediction from distance 1 as is
         mode_col[0], ref_col[0], bits[:, 0] = MODE_SKIP, 1, SKIP_BITS
-        recon[:, 0] = preds[::n_col]
+        recon[:, 0] = preds[:, 0]
         distortion[:, 0] = np.abs(recon[:, 0] - orig_blocks).mean(axis=(1, 2))
+    preds = preds.reshape(-1, MB_SIZE, MB_SIZE)
 
-        # one trial per distinct (block, predictor).  Column j of block b
-        # copies the coding of the first equal entry in its pool: the
-        # record's rows of b if b is unchanged, then b's columns; it is
-        # coded if that entry is itself.  An entry indexes `table` (the
-        # record's predictors, then this build's) and the coding rows alike.
-        reuse = same.any() and record.slot is not None
-        n_old = record.n_rows if reuse else 0
-        table = np.concatenate([record.preds[:n_old], preds]) if reuse else preds
-        cols = n_old + np.arange(n_mb * n_col).reshape(n_mb, n_col)
-        pool = np.concatenate(
-            [np.where(same[:, None], record.slot, -1) if reuse
-             else cols[:, :0], cols], axis=1)
-        # fingerprints narrow each pool to candidates; a column's first
-        # candidate is compared word for word, and dropped if it differs
-        words = table.reshape(len(table), -1).view(np.uint64)
-        fp = (words * _FINGERPRINT).sum(axis=1)
-        match = (fp[cols][:, :, None] == fp[pool][:, None]) & (pool >= 0)[:, None]
-        while True:
-            first = match.argmax(axis=2)
-            src = np.take_along_axis(pool, first, axis=1)
-            wrong = (words[src] != words[cols]).any(axis=2)
-            if not wrong.any():
-                break
-            match[wrong, first[wrong]] = False
-        coded = src == cols
-        new = code_against_prediction(
-            preds[coded.ravel()], orig_blocks[np.flatnonzero(coded) // n_col],
-            step)
-        rows = ([np.concatenate([old[:n_old], a])
-                 for old, a in zip(record.rows, new)] if reuse else new)
-        row_of = np.arange(len(table))
-        row_of[n_old:] = n_old + np.cumsum(coded) - 1
-        take = row_of[src]
-        q, rec, rbits, dist = (a[take] for a in rows)
-        coeffs[:, inter], recon[:, inter], distortion[:, inter] = q, rec, dist
-        bits[:, inter] = (MODE_BITS + ref_col[inter] + rbits
-                          + exp_golomb_signed_bits(mv[:, inter]).sum(axis=2))
-        # the record keeps each block's first column of every predictor
-        keep = ((take[:, :, None] == take[:, None]).argmax(axis=2)
-                == np.arange(n_col))
-        record.slot = np.where(keep, np.cumsum(keep).reshape(n_mb, n_col) - 1, -1)
-        record.n_rows = int(keep.sum())
-        record.preds = _stow(record.preds, preds[keep.ravel()], n_mb * n_col)
-        record.rows = tuple(_stow(old, a[take[keep]], n_mb * n_col)
-                            for old, a in zip(record.rows or [None] * 4, rows))
-    else:
-        record.slot = None
+    # one trial per distinct (block, predictor).  Column j of block b
+    # copies the coding of the first equal entry in its pool: the record's
+    # rows of b if b is unchanged, then b's columns; it is coded if that
+    # entry is itself.  An entry indexes `table` (the record's predictors,
+    # then this build's) and the coding rows alike.
+    reuse = same.any()
+    n_old = record.n_rows if reuse else 0
+    table = np.concatenate([record.preds[:n_old], preds]) if reuse else preds
+    cols = n_old + np.arange(n_mb * n_col).reshape(n_mb, n_col)
+    pool = np.concatenate(
+        [np.where(same[:, None], record.slot, -1) if reuse else cols[:, :0],
+         cols], axis=1)
+    # fingerprints narrow each pool to candidates; a column's first
+    # candidate is compared word for word, and dropped if it differs
+    words = table.reshape(len(table), -1).view(np.uint64)
+    fp = (words * _FINGERPRINT).sum(axis=1)
+    match = (fp[cols][:, :, None] == fp[pool][:, None]) & (pool >= 0)[:, None]
+    while True:
+        first = match.argmax(axis=2)
+        src = np.take_along_axis(pool, first, axis=1)
+        wrong = (words[src] != words[cols]).any(axis=2)
+        if not wrong.any():
+            break
+        match[wrong, first[wrong]] = False
+    new = src == cols
+    trials = code_against_prediction(
+        preds[new.ravel()], orig_blocks[np.flatnonzero(new) // n_col], step)
+    rows = ([np.concatenate([old[:n_old], a])
+             for old, a in zip(record.rows, trials)] if reuse else trials)
+    row_of = np.arange(len(table))
+    row_of[n_old:] = n_old + np.cumsum(new) - 1
+    take = row_of[src]
+    q, rec, rbits, dist = (a[take] for a in rows)
+    coeffs[:, coded], recon[:, coded], distortion[:, coded] = q, rec, dist
+    # columns that share a trial keep their own header bits
+    bits[:, coded] = MODE_BITS + rbits
+    bits[:, inter] += (ref_col[inter]
+                       + exp_golomb_signed_bits(mv[:, inter]).sum(axis=2))
+    bits[:, -1] += INTRA_BASE_BITS
+
+    # the record keeps each block's first column of every predictor
+    keep = (take[:, :, None] == take[:, None]).argmax(axis=2) == np.arange(n_col)
     record.step = step
     record.blocks = _stow(record.blocks, blocks, n_mb)
-    record.intra = tuple(_stow(old, col, n_mb)
-                         for old, col in zip(record.intra or [None] * 5, intra))
+    record.slot = np.where(keep, np.cumsum(keep).reshape(n_mb, n_col) - 1, -1)
+    record.n_rows = int(keep.sum())
+    record.preds = _stow(record.preds, preds[keep.ravel()], n_mb * n_col)
+    record.rows = tuple(_stow(old, a[take[keep]], n_mb * n_col)
+                        for old, a in zip(record.rows or [None] * 4, rows))
     return CandidateSet(mode_col=mode_col, ref_col=ref_col, mv=mv, bits=bits,
                         distortion=distortion, recon=recon, coeffs=coeffs,
                         quant_step=step)
 
 
-def build_intra_candidates(plane: np.ndarray, step: int,
-                           mbs: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray]:
-    """Trial-code the blocks mbs (every block by default) INTRA; returns
-    (coeffs, recon, bits, distortion, base)."""
+def build_intra_candidates(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The INTRA candidate of every block: (base, predictor), the (n_mb,)
+    int16 base levels and their flat (n_mb, 16, 16) uint8 predictors."""
     blocks = plane_blocks(plane)
-    orig_blocks = (blocks if mbs is None else blocks[mbs]).astype(np.float64)
-    base = np.clip(np.rint(orig_blocks.mean(axis=(1, 2))), 0, 255).astype(np.int16)
-    pred = np.broadcast_to(base.astype(np.float64)[:, None, None],
-                           orig_blocks.shape)
-    q, rec, rbits, dist = code_against_prediction(pred, orig_blocks, step)
-    return q, rec, MODE_BITS + INTRA_BASE_BITS + rbits, dist, base
+    base = np.clip(np.rint(blocks.mean(axis=(1, 2))), 0, 255).astype(np.int16)
+    return base, np.repeat(base.astype(np.uint8), MB_SIZE * MB_SIZE).reshape(
+        blocks.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +565,22 @@ def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
 def serialize_stream(width: int, height: int, quant_step: int,
                      frames: list[dict[tuple[int, Component], EncodedPlane]],
                      depth_quant_step: int) -> bytes:
+    header = {"width": width, "height": height, "frame_count": len(frames),
+              "quant_step": quant_step, "depth_step": depth_quant_step}
+    for name, value in header.items():
+        if not 0 <= value <= 0xFFFF:
+            raise CodecError(f"{name} {value} does not fit the u16 header field")
     buf = bytearray()
     buf += STREAM_MAGIC
-    buf += struct.pack("<BHHHHH", STREAM_VERSION, width, height, len(frames),
-                       quant_step, depth_quant_step)
-    for frame in frames:
+    buf += struct.pack("<BHHHHH", STREAM_VERSION, *header.values())
+    for t, frame in enumerate(frames):
         for key in PLANE_ORDER:
             enc = frame[key]
+            step = depth_quant_step if key[1] == Component.DEPTH else quant_step
+            if enc.quant_step != step:
+                raise CodecError(f"frame {t} view {key[0]} {key[1].label}: "
+                                 f"quant_step {enc.quant_step} is not the "
+                                 f"header's {step}")
             for name, lo, hi in (("modes", 0, 255), ("ref_dist", 0, 255),
                                  ("mv", -32768, 32767), ("coeffs", -32768, 32767)):
                 vals = getattr(enc, name)
@@ -610,6 +606,9 @@ def parse_stream(data: bytes
         struct.unpack_from("<BHHHHH", data, 4)
     if version != STREAM_VERSION:
         raise CodecError(f"unsupported stream version {version}")
+    if not (quant_step and depth_quant_step):
+        raise CodecError(f"quantizer steps {quant_step}/{depth_quant_step} "
+                         f"must be at least 1")
     if not (width and height) or width % MB_SIZE or height % MB_SIZE:
         raise CodecError(f"frame size {width}x{height} is not a positive "
                          f"multiple of {MB_SIZE}")

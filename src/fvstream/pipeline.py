@@ -258,35 +258,35 @@ class FramePlan:
 #: one frame's candidate builds: (t, plane, references), and their results
 BuildRequests = list[tuple[int, tuple[int, Component], list[np.ndarray]]]
 CandidateSets = dict[tuple[int, Component], CandidateSet]
-#: per plane, the trial record of its builds in one process
-TrialRecords = dict[tuple[int, Component], TrialRecord]
-#: takes one frame's requests and the records of the planes it builds in
-#: this process, and returns a handle that yields their sets
-Builder = Callable[[BuildRequests, TrialRecords], Callable[[], CandidateSets]]
+#: takes one frame's requests and returns a handle that yields their sets;
+#: a builder holds the trial records of the planes it builds
+Builder = Callable[[BuildRequests], Callable[[], CandidateSets]]
 
 
-def _build_candidates(cfg: ExperimentConfig, orig: dict,
-                      requests: BuildRequests,
-                      records: TrialRecords) -> CandidateSets:
-    """Each requested plane's candidate set, built in this process against
-    (and refreshing) the plane's record in records."""
-    return {key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]],
-                                        records.setdefault(key, TrialRecord()))
-            for t, key, refs in requests}
+def _builds_here(cfg: ExperimentConfig, orig: dict
+                 ) -> Callable[[BuildRequests], CandidateSets]:
+    """A function that builds each requested plane's candidate set in this
+    process, against (and refreshing) the plane's trial record, which it
+    holds."""
+    records: dict[tuple[int, Component], TrialRecord] = {}
+    return lambda requests: {
+        key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]],
+                                    records.setdefault(key, TrialRecord()))
+        for t, key, refs in requests}
 
 
 class EncoderState:
     """The sender's state under one selection mode, advanced frame by frame.
 
     Holds the reconstructions, one tracker per plane, the innovation per
-    plane and frame, one curvature map per reconstructed view, and the trial
-    record of each plane this process builds (records).  Frame t runs
-    learn(t), then plan(t) and a selection, then commit(t, ...).
+    plane and frame, and one curvature map per reconstructed view.  Frame t
+    runs learn(t), then plan(t) and a selection, then commit(t, ...).
     build, when given, builds plan's candidate sets in place of this
-    process (encode_stream passes its helper's).  commit(t) hands frame
-    t + 1's requests to the builder before it pushes the trackers, so a
-    helper builds them during the pushes, learn(t + 1) and the part of
-    plan(t + 1) that needs no candidate set.
+    process (encode_stream passes its helper's).  A builder holds the trial
+    records of the planes it builds, so the state holds none.  commit(t)
+    hands frame t + 1's requests to the builder before it pushes the
+    trackers, so a helper builds them during the pushes, learn(t + 1) and
+    the part of plan(t + 1) that needs no candidate set.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
@@ -307,10 +307,9 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
-        self.records: TrialRecords = {}
         # the in-process builder builds when its handle is read
-        self.build = build or (lambda requests, records: partial(
-            _build_candidates, cfg, orig, requests, records))
+        here = _builds_here(cfg, orig)
+        self.build = build or (lambda requests: partial(here, requests))
         # (t + 1, its handle) once commit(t) has sent frame t + 1's requests
         self.pending: tuple[int, Callable[[], CandidateSets]] | None = None
 
@@ -349,7 +348,7 @@ class EncoderState:
         depth = min(self.cfg.ref_window, t)
         return self.build([(t, key, [self.recon[key][t - d]
                                      for d in range(1, depth + 1)])
-                           for key in PLANE_ORDER], self.records)
+                           for key in PLANE_ORDER])
 
     def plan(self, t: int) -> FramePlan:
         """Candidates and channel terms of frame t under the mode.
@@ -499,13 +498,13 @@ def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict) -> None:
     """Helper body: answer each frame's build requests with their candidate
     sets, until the encoder closes its end of the pipe.  The trial records
     of the planes it builds stay here; only requests and sets cross."""
-    records: TrialRecords = {}
+    build = _builds_here(cfg, orig)
     while True:
         try:
             requests = conn.recv()
         except EOFError:
             return
-        conn.send(_build_candidates(cfg, orig, requests, records))
+        conn.send(build(requests))
 
 
 @contextmanager
@@ -520,16 +519,16 @@ def _candidate_builder(cfg: ExperimentConfig, orig: dict,
         return
     with _forked("candidate helper", _candidate_helper,
                  cfg, orig) as (conn, receive):
-        def build(requests: BuildRequests,
-                  records: TrialRecords) -> Callable[[], CandidateSets]:
+        build_view0 = _builds_here(cfg, orig)
+
+        def build(requests: BuildRequests) -> Callable[[], CandidateSets]:
             # one message per frame, sent only once the previous answer is
             # read: two sends in a row could each fill the pipe while the
             # helper blocks sending its first answer
             conn.send([r for r in requests if r[1][0] == 1])
 
             def sets() -> CandidateSets:
-                csets = _build_candidates(
-                    cfg, orig, [r for r in requests if r[1][0] != 1], records)
+                csets = build_view0([r for r in requests if r[1][0] != 1])
                 csets.update(receive())
                 return csets
             return sets

@@ -19,7 +19,7 @@ import numpy as np
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             MODE_SKIP, SKIP_BITS, CandidateSet, CodecConfig,
                             CodecError, EncodedPlane, apply_residual,
-                            build_inter_candidates, build_intra_candidates,
+                            build_inter_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
                             motion_search, plane_blocks, predictor_blocks)
 from fvstream.errortrack import (TrackingError, cross_view_states,
@@ -196,10 +196,12 @@ def oracle_inter_candidates(cur: np.ndarray, refs: list[np.ndarray],
     recon = np.empty((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.uint8)
     coeffs = np.zeros((n_mb, n_cand, MB_SIZE, MB_SIZE), dtype=np.int16)
 
-    # last column: INTRA, its base level riding the mv slot
+    # last column: INTRA, coded block by block, its base level riding the
+    # mv slot
     mode_col[-1], ref_col[-1] = MODE_INTRA, 0
-    (coeffs[:, -1], recon[:, -1], bits[:, -1], distortion[:, -1],
-     mv[:, -1, 0]) = build_intra_candidates(cur, cfg.quant_step)
+    for m, block in enumerate(plane_blocks(cur)):
+        (coeffs[m, -1], recon[m, -1], bits[m, -1], distortion[m, -1],
+         mv[m, -1, 0]) = code_intra_block(block, cfg.quant_step)
 
     if refs:
         ref_stack = np.stack(refs)

@@ -270,18 +270,15 @@ class TestIntra:
         assert dist == 0.0
         assert bits == MODE_BITS + INTRA_BASE_BITS
 
-    def test_batched_intra_matches_single(self):
-        plane = rand_plane((32, 32), seed=41)
-        q, rec, bits, dist, base = build_intra_candidates(plane, 10)
-        for m in range(4):
-            block = plane_blocks(plane)[m]
-            q1, rec1, bits1, dist1, base1 = oracles.code_intra_block(
-                block.astype(np.float64), 10)
-            assert int(base[m]) == base1
-            assert np.array_equal(q[m], q1)
-            assert np.array_equal(rec[m], rec1)
-            assert int(bits[m]) == bits1
-            assert dist[m] == pytest.approx(dist1)
+    def test_intra_candidates_are_flat_predictors_at_the_base_level(self):
+        plane = rand_plane((32, 48), seed=41)
+        base, pred = build_intra_candidates(plane)
+        assert base.dtype == np.int16 and pred.dtype == np.uint8
+        # the build's fingerprints view the predictor as uint64 words
+        assert pred.shape == (6, 16, 16) and pred.flags.c_contiguous
+        for m, block in enumerate(plane_blocks(plane)):
+            assert int(base[m]) == oracles.intra_base_level(block)
+            assert (pred[m] == base[m]).all()
 
 
 class TestCandidates:
@@ -297,23 +294,24 @@ class TestCandidates:
         assert (cset.mv[:, 1] == 0).all()   # zero-mv inter, d=1
         assert (cset.mv[:, 3] == 0).all()   # zero-mv inter, d=2
         # intra: the base level rides the mv slot
-        base = build_intra_candidates(plane, 10)[4]
+        base = build_inter_candidates(plane, [], CodecConfig(10, 2, 8)).mv[:, 0, 0]
         assert cset.mv[:, 5].tolist() == [[int(b), 0] for b in base]
         assert cset.quant_step == 10
 
     def test_no_references_leave_the_intra_column_alone(self):
         plane = rand_plane((32, 48), 1)
         cset = build_inter_candidates(plane, [], CodecConfig(6, 16, 8))
-        q, rec, bits, dist, base = build_intra_candidates(plane, 6)
         assert cset.mode_col.tolist() == [MODE_INTRA]
         assert cset.ref_col.tolist() == [0]
         assert cset.quant_step == 6
-        assert np.array_equal(cset.coeffs[:, 0], q)
-        assert np.array_equal(cset.recon[:, 0], rec)
-        assert np.array_equal(cset.bits[:, 0], bits)
-        assert np.array_equal(cset.distortion[:, 0], dist)
-        assert np.array_equal(cset.mv[:, 0, 0], base)
         assert (cset.mv[:, 0, 1] == 0).all()
+        for m, block in enumerate(plane_blocks(plane)):
+            q, rec, bits, dist, base = oracles.code_intra_block(block, 6)
+            assert np.array_equal(cset.coeffs[m, 0], q)
+            assert np.array_equal(cset.recon[m, 0], rec)
+            assert cset.bits[m, 0] == bits
+            assert cset.distortion[m, 0] == dist
+            assert cset.mv[m, 0, 0] == base
 
     @pytest.mark.example
     def test_static_content_skips_for_free(self):
@@ -405,7 +403,7 @@ class TestCandidates:
     def test_each_distinct_predictor_is_coded_once(self, monkeypatch):
         # within one build, and across two builds of one plane whose source
         # stands still: the second codes only the new reference's
-        # predictors, and no INTRA block
+        # predictors, and no INTRA row
         seen = []
 
         def recording(pred, orig, step):
@@ -423,9 +421,61 @@ class TestCandidates:
         rows = np.concatenate(seen)
         for block in np.concatenate([plane_blocks(p), plane_blocks(q)]):
             assert (rows == block).all(axis=(1, 2)).sum() == 1
-        # the INTRA call still runs, on no block
-        assert len(seen[-2]) == 0
+        # one call per build; only INTRA's predictors are flat
+        assert len(seen) == 2
+        flat = [(batch == batch[:, :1, :1]).all(axis=(1, 2)).sum()
+                for batch in seen]
+        assert flat == [6, 0]
         assert np.array_equal(second.recon[:, -1], first.recon[:, -1])
+
+    def test_every_build_codes_in_one_call(self, monkeypatch):
+        # INTRA and INTER columns share one trial path: without references,
+        # with them, and with every trial copied from the record
+        calls = []
+
+        def recording(pred, orig, step):
+            calls.append(len(pred))
+            return code_against_prediction(pred, orig, step)
+
+        monkeypatch.setattr("fvstream.codec.code_against_prediction",
+                            recording)
+        p = rand_plane((32, 32), seed=86)
+        cfg, record = CodecConfig(10, 2, 8), TrialRecord()
+        for refs in ([], [p], [p, p], [p, p]):
+            before = len(calls)
+            build_inter_candidates(p, refs, cfg, record)
+            assert len(calls) == before + 1
+        assert calls[0] == 4 and calls[-1] == 0
+
+    def test_an_intra_predictor_equal_to_an_inter_one_shares_its_trial(
+            self, monkeypatch):
+        # a flat reference at the block's base level predicts what INTRA
+        # does: one trial serves the INTER and the INTRA column, and each
+        # keeps its own header bits
+        calls = []
+
+        def recording(pred, orig, step):
+            calls.append(len(pred))
+            return code_against_prediction(pred, orig, step)
+
+        monkeypatch.setattr("fvstream.codec.code_against_prediction",
+                            recording)
+        noise = np.random.default_rng(87).integers(-9, 10, (16, 16))
+        cur = (100 + np.concatenate([noise, -noise], axis=1)).astype(np.uint8)
+        ref = np.full((16, 32), 100, dtype=np.uint8)
+        cfg = CodecConfig(7, 2, 8)
+        cset = build_inter_candidates(cur, [ref], cfg)
+        assert (cset.mv[:, 1:3] == 0).all() and (cset.mv[:, 3, 0] == 100).all()
+        assert calls == [2]
+        for name in ("coeffs", "recon", "distortion"):
+            col = getattr(cset, name)
+            assert np.array_equal(col[:, 1], col[:, 3]), name
+        rbits = cset.bits[:, 3] - MODE_BITS - INTRA_BASE_BITS
+        assert (cset.bits[:, 1] == MODE_BITS + 1 + 2 + rbits).all()
+        assert (rbits > 0).all()
+        want = oracles.oracle_inter_candidates(cur, [ref], cfg)
+        for f in dataclasses.fields(cset):
+            assert np.array_equal(getattr(cset, f.name), getattr(want, f.name))
 
     @given(hb=st.integers(1, 3), wb=st.integers(1, 3),
            kinds=st.lists(st.sampled_from(["static", "moving", "partly",
@@ -600,12 +650,11 @@ class TestDecode:
 
     def test_decode_without_history_fills_gray(self):
         plane = rand_plane((32, 32), seed=94)
-        q, rec, bits, dist, base = build_intra_candidates(plane, 10)
-        mv = np.zeros((4, 2), dtype=np.int16)
-        mv[:, 0] = base
+        intra = build_inter_candidates(plane, [], CodecConfig(10, 2, 8))
+        rec = intra.recon[:, 0]
         enc = EncodedPlane(modes=np.full(4, MODE_INTRA, dtype=np.uint8),
                            ref_dist=np.zeros(4, dtype=np.uint8),
-                           mv=mv, coeffs=q.astype(np.int32),
+                           mv=intra.mv[:, 0], coeffs=intra.coeffs[:, 0],
                            quant_step=10, grid=(2, 2))
         out, concealed = decode_plane(enc, [], None,
                                       np.array([True, True, False, True]))
@@ -673,12 +722,11 @@ class TestDecode:
 
 class TestContainer:
     def _all_intra(self, plane, step=10):
-        q, rec, bits, dist, base = build_intra_candidates(plane, step)
-        mv = np.zeros((plane.size // 256, 2), dtype=np.int16)
-        mv[:, 0] = base
-        return EncodedPlane(modes=np.full(mv.shape[0], MODE_INTRA, dtype=np.uint8),
-                            ref_dist=np.zeros(mv.shape[0], dtype=np.uint8),
-                            mv=mv, coeffs=q.astype(np.int32),
+        intra = build_inter_candidates(plane, [], CodecConfig(step, 2, 8))
+        n_mb = plane.size // 256
+        return EncodedPlane(modes=np.full(n_mb, MODE_INTRA, dtype=np.uint8),
+                            ref_dist=np.zeros(n_mb, dtype=np.uint8),
+                            mv=intra.mv[:, 0], coeffs=intra.coeffs[:, 0],
                             quant_step=step, grid=(plane.shape[0] // 16,
                                                    plane.shape[1] // 16))
 
@@ -704,16 +752,16 @@ class TestContainer:
 
     def test_skip_blocks_carry_no_coefficients(self):
         frame = self._frame(300)
-        plain = len(serialize_stream(32, 32, 10, [frame], 10))
+        plain = len(serialize_stream(32, 32, 10, [frame], 2))
         enc = frame[(0, Component.TEXTURE)]
         enc.modes[:] = MODE_SKIP
         enc.ref_dist[:] = 1
         enc.mv[:] = 0
-        skipped = len(serialize_stream(32, 32, 10, [frame], 10))
+        skipped = len(serialize_stream(32, 32, 10, [frame], 2))
         assert plain - skipped == 4 * 512
 
     def test_bad_magic_version_and_trailing_bytes(self):
-        blob = serialize_stream(32, 32, 10, [self._frame(400)], 10)
+        blob = serialize_stream(32, 32, 10, [self._frame(400)], 2)
         with pytest.raises(CodecError):
             parse_stream(b"XXXX" + blob[4:])
         bad_version = blob[:4] + bytes([99]) + blob[5:]
@@ -723,7 +771,7 @@ class TestContainer:
             parse_stream(blob + b"\x00")
 
     def test_cut_or_corrupt_streams_raise_codec_error(self):
-        blob = serialize_stream(32, 32, 10, [self._frame(410)], 10)
+        blob = serialize_stream(32, 32, 10, [self._frame(410)], 2)
         header = 4 + 11
         bad_mode = bytearray(blob)
         bad_mode[header] = 7
@@ -732,6 +780,8 @@ class TestContainer:
         for width, height in ((0, 32), (40, 32), (32, 0), (32, 8)):
             cases.append(blob[:5] + width.to_bytes(2, "little")
                          + height.to_bytes(2, "little") + blob[9:])
+        # a quantizer step of 0 in the header would zero every residual
+        cases += [blob[:11] + bytes(2) + blob[13:], blob[:13] + bytes(2) + blob[15:]]
         for data in cases:
             with pytest.raises(CodecError) as info:
                 parse_stream(data)
@@ -741,7 +791,7 @@ class TestContainer:
            edits=st.lists(st.tuples(st.integers(0, 4 + 11 + 16 * 518 - 1),
                                     st.integers(0, 255)), max_size=4))
     def test_any_damaged_stream_parses_or_raises_codec_error(self, cut, edits):
-        data = bytearray(serialize_stream(32, 32, 10, [self._frame(420)], 10))
+        data = bytearray(serialize_stream(32, 32, 10, [self._frame(420)], 2))
         for pos, value in edits:
             data[pos] = value
         try:
@@ -813,8 +863,29 @@ class TestContainer:
         wide = getattr(enc, field).astype(np.int64)
         wide.flat[1] = value
         setattr(enc, field, wide)
-        with pytest.raises(CodecError):
-            serialize_stream(32, 32, 10, [frame], 10)
+        with pytest.raises(CodecError, match="outside"):
+            serialize_stream(32, 32, 10, [frame], 2)
+
+    @pytest.mark.parametrize("field, args", [
+        ("width", dict(width=65536)), ("height", dict(height=-16)),
+        ("frame_count", dict(frames=65536)), ("quant_step", dict(step=70000)),
+        ("depth_step", dict(depth_step=65536))])
+    def test_serialize_refuses_header_fields_past_u16(self, field, args):
+        frame = self._frame(440)
+        kw = dict(width=32, height=32, step=10, frames=1, depth_step=2) | args
+        with pytest.raises(CodecError, match=f"^{field} "):
+            serialize_stream(kw["width"], kw["height"], kw["step"],
+                             [frame] * kw["frames"], kw["depth_step"])
+
+    def test_serialize_refuses_planes_coded_at_another_step(self):
+        # the header carries one step per component, and the parser gives
+        # it to every plane of that component
+        frames = [self._frame(450), self._frame(460)]
+        frames[1][(1, Component.DEPTH)].quant_step = 7
+        with pytest.raises(CodecError, match="frame 1 view 1 depth"):
+            serialize_stream(32, 32, 10, frames, 2)
+        with pytest.raises(CodecError, match="frame 0 view 0 texture"):
+            serialize_stream(32, 32, 7, frames[:1], 2)
 
     def test_decoded_stream_matches_encoder_reconstruction(self):
         """Lossless channel: decode of the parsed container equals the

@@ -35,20 +35,20 @@ def crafted_candidates(chan, distortion=None, bits=None):
     chan = np.asarray(chan, dtype=np.float64)
     n_mb, n_cand = chan.shape
     flat = np.full((16, 16 * n_mb), 100, dtype=np.uint8)
-    q, rec, ibits, idist, base = build_intra_candidates(flat, 10)
+    intra = build_inter_candidates(flat, [], CodecConfig(10, 2, 8))
     all_dist = np.zeros((n_mb, n_cand))
     all_bits = np.ones((n_mb, n_cand), dtype=np.int64)
     if distortion is not None:
         all_dist[:, :-1] = distortion
     if bits is not None:
         all_bits[:, :-1] = bits
-    all_dist[:, -1], all_bits[:, -1] = idist, ibits
+    all_dist[:, -1], all_bits[:, -1] = intra.distortion[:, 0], intra.bits[:, 0]
     mv = np.zeros((n_mb, n_cand, 2), dtype=np.int16)
-    mv[:, -1, 0] = base
+    mv[:, -1] = intra.mv[:, 0]
     recon = np.zeros((n_mb, n_cand, 16, 16), dtype=np.uint8)
-    recon[:, -1] = rec
+    recon[:, -1] = intra.recon[:, 0]
     coeffs = np.zeros((n_mb, n_cand, 16, 16), dtype=np.int32)
-    coeffs[:, -1] = q
+    coeffs[:, -1] = intra.coeffs[:, 0]
     cset = CandidateSet(
         mode_col=np.array([MODE_INTER] * (n_cand - 1) + [MODE_INTRA],
                           dtype=np.uint8),
