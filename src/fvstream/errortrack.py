@@ -30,7 +30,7 @@ import numpy as np
 from .channel import PLANE_ORDER
 from .codec import MODE_INTRA, CandidateSet, EncodedPlane
 from .frames import MB_SIZE
-from .synthesis import WarpedView, warp_view
+from .synthesis import warp_view
 
 
 class TrackingError(ValueError):
@@ -203,36 +203,43 @@ class ExpectedErrorTracker:
 # receiver-side tracking
 # ---------------------------------------------------------------------------
 
-def cross_view_states(state: np.ndarray, opp_state: np.ndarray,
-                      warped: WarpedView, prev_tex: np.ndarray,
-                      prev_state: np.ndarray, lost: np.ndarray,
-                      grid: tuple[int, int], min_coverage: int) -> np.ndarray:
+def cross_view_states(view: int, state: np.ndarray, opp_state: np.ndarray,
+                      opp_planes: tuple[np.ndarray, np.ndarray], eta: float,
+                      prev_tex: np.ndarray, prev_state: np.ndarray,
+                      lost: np.ndarray, grid: tuple[int, int],
+                      min_coverage: int) -> np.ndarray:
     """Texture states of one view after the cross-view delta estimate.
 
-    warped is the opposing view's decoded texture warped onto this view.  A
-    lost block with at least min_coverage covered pixels, whose covered
-    pixels all map to opposing blocks of error below the block's own state,
-    is re-tracked as prev_state + the mean |warped - prev_tex| over its
-    covered pixels; every other block keeps its state.
+    opp_planes are the opposing view's decoded (texture, disparity), warped
+    onto this view.  A lost block with at least min_coverage covered pixels,
+    whose covered pixels all map to opposing blocks of error below the
+    block's own state, is re-tracked as prev_state + the mean |warped -
+    prev_tex| over its covered pixels; every other block keeps its state.
+    Only the block rows that hold a lost block are warped: warp_view treats
+    each row on its own, and no other row is read.
     """
-    hb, wb = grid
+    wb = grid[1]
     lost_mb = np.flatnonzero(lost)
     br, bc = np.divmod(lost_mb, wb)
+    rows, row_of = np.unique(br, return_inverse=True)
+    pix = (rows[:, None] * MB_SIZE + np.arange(MB_SIZE)).ravel()
+    warped = warp_view(opp_planes[0][pix], opp_planes[1][pix], 1 - view,
+                       float(view), eta)
 
-    def per_block(plane: np.ndarray) -> np.ndarray:
-        # (lost blocks, 256) gathered from the (hb, 16, wb, 16) view
-        return (plane.reshape(hb, MB_SIZE, wb, MB_SIZE)[br, :, bc, :]
+    def per_block(plane: np.ndarray, at: np.ndarray) -> np.ndarray:
+        # (lost blocks, 256) gathered at block rows `at` of (-1, 16, wb, 16)
+        return (plane.reshape(-1, MB_SIZE, wb, MB_SIZE)[at, :, bc, :]
                 .reshape(lost_mb.size, MB_SIZE * MB_SIZE))
 
-    covered = per_block(warped.covered)
+    covered = per_block(warped.covered, row_of)
     n_cov = covered.sum(axis=1)
     # the warp is horizontal: a pixel's source block shares its block row
     src_mb = ((br * wb)[:, None]
-              + np.maximum(per_block(warped.src_col), 0) // MB_SIZE)
+              + np.maximum(per_block(warped.src_col, row_of), 0) // MB_SIZE)
     worst = np.where(covered, opp_state[src_mb], -np.inf).max(axis=1)
     # integer differences: the sums are exact in any order
-    diff = np.abs(per_block(warped.value).astype(np.int64)
-                  - per_block(prev_tex).astype(np.int64))
+    diff = np.abs(per_block(warped.value, row_of).astype(np.int64)
+                  - per_block(prev_tex, br).astype(np.int64))
     delta = np.where(covered, diff, 0).sum(axis=1) / np.maximum(n_cov, 1)
     rescue = (n_cov >= min_coverage) & (worst < state[lost_mb])
     out = state.copy()
@@ -293,14 +300,13 @@ class DecoderTracker:
             if not lost.any():
                 continue
             opp = 1 - view
-            warped = warp_view(decoded[(opp, 0)][t], decoded[(opp, 1)][t], opp,
-                               float(view), self.eta)
             series = self._states[(view, 0)]
             if t >= 1:
                 prev_tex, prev_state = decoded[(view, 0)][t - 1], series[t - 1]
             else:
                 prev_tex = np.full_like(decoded[(view, 0)][0], 128)
                 prev_state = np.zeros(self.n_mb)
-            series[t] = cross_view_states(tracked[view], tracked[opp], warped,
-                                          prev_tex, prev_state, lost,
-                                          self.grid, self.MIN_COVERAGE)
+            series[t] = cross_view_states(
+                view, tracked[view], tracked[opp],
+                (decoded[(opp, 0)][t], decoded[(opp, 1)][t]), self.eta,
+                prev_tex, prev_state, lost, self.grid, self.MIN_COVERAGE)

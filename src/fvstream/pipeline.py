@@ -22,6 +22,17 @@ builds view 0's sets.  Selection, lambda
 tuning and commit stay in the encode, so the helper changes no byte of any
 artifact.  _forked starts both processes.
 
+The receiver is one step per committed frame (Receiver): decode the four
+planes with concealment, track their per-MB errors if the adaptive blend
+reads them, then warp the decoded views once and blend them for every blend
+the mode's setups need.  When an
+encode has a helper, the receiver runs there, one frame behind the encode:
+frame t rides on the message that asks for frame t + 1's sets, and the
+helper answers the builds before it receives the frame, because the encode
+waits on the sets.  Otherwise it runs after the encode, once the encoder's
+state is freed.  decode_stream runs the same step with no blend, and
+synthesize_sequence runs its synthesis for one blend.
+
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
 """
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -52,8 +63,8 @@ from .scenegen import (SyntheticSceneSpec, default_scene_spec,
                        json_is, scene_from_dict)
 from .sensitivity import (SensitivityError, SensitivityParams, curvature_map,
                           g_eval)
-from .synthesis import (SynthesisError, SynthesisParams, correspondence_sets,
-                        synthesize_view)
+from .synthesis import (SynthesisError, SynthesisParams, blend_pair,
+                        correspondence_sets, warp_pair)
 
 SETUPS = ("rfc", "rps1", "rps2", "arps")
 
@@ -225,6 +236,8 @@ class EncodedStream:
     lambdas: list[float]
     in_band: list[bool]
     infeasible: list[bool]
+    #: the receiver's result, when encode_stream was given one
+    reception: Reception | None = None
 
 
 def _plane_lists(left: list[ViewFrame], right: list[ViewFrame]
@@ -447,16 +460,17 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
 
 @contextmanager
 def _forked(what: str, body: Callable[..., None], *args
-            ) -> Iterator[tuple[object, Callable[[], object]]]:
-    """Run body(conn, *args) in a forked process; yield (conn, receive).
+            ) -> Iterator[tuple[Callable[[object], None], Callable[[], object]]]:
+    """Run body(conn, *args) in a forked process; yield (send, receive).
 
     The one contract of every process this module starts.  The fork context
     shares the parent's arrays copy-on-write, and one duplex pipe joins the
     two ends.  The process is not daemonic, so body may fork in turn.
     receive() returns the next message; it raises an Exception that body
-    raised, or HarnessError with the exit code if the pipe ends first.  If
-    the with-block raises, the process is terminated; either way it is
-    joined before the block is left.
+    raised, or HarnessError with the exit code if the pipe ends first.
+    send(msg) raises the same if the process has ended.  If the with-block
+    raises, the process is terminated; either way it is joined before the
+    block is left.
     """
     import multiprocessing      # used nowhere else in the package
     ctx = multiprocessing.get_context("fork")
@@ -484,8 +498,16 @@ def _forked(what: str, body: Callable[..., None], *args
             raise msg
         return msg
 
+    def send(msg) -> None:
+        try:
+            conn.send(msg)
+        except OSError:     # the process has ended: what it sent says why
+            receive()
+            raise HarnessError(f"{what} stopped reading before its work "
+                               f"was done") from None
+
     try:
-        yield conn, receive
+        yield send, receive
     except BaseException:
         proc.terminate()
         raise
@@ -494,52 +516,86 @@ def _forked(what: str, body: Callable[..., None], *args
         proc.join()
 
 
-def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict) -> None:
-    """Helper body: answer each frame's build requests with their candidate
-    sets, until the encoder closes its end of the pipe.  The trial records
-    of the planes it builds stay here; only requests and sets cross."""
+def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict,
+                      receiver: Callable[[], Receiver] | None) -> None:
+    """Helper body.  Each message holds one frame's build requests and the
+    frame the encoder committed since its last message, if any.  The helper
+    answers the requests with their candidate sets first, because the
+    encoder waits for them, and then runs its receiver's step on the frame.
+    A message without requests is the last, and is answered with the
+    receiver's result.  The trial records of the planes it builds stay
+    here; only requests, frames and results cross."""
     build = _builds_here(cfg, orig)
+    rx = receiver() if receiver is not None else None
     while True:
         try:
-            requests = conn.recv()
+            requests, committed = conn.recv()
         except EOFError:
             return
-        conn.send(build(requests))
+        if requests is not None:
+            conn.send(build(requests))
+        if committed is not None:
+            rx.step(*committed)
+        if requests is None:
+            conn.send(rx.result())
+
+
+class _HelperEnd:
+    """The encoder's end of its candidate helper.  One message per frame,
+    sent only once the previous answer is read: two sends in a row could
+    each fill the pipe while the helper blocks sending its first answer."""
+
+    def __init__(self, cfg: ExperimentConfig, orig: dict,
+                 send: Callable[[object], None],
+                 receive: Callable[[], object]) -> None:
+        self.send, self.receive = send, receive
+        self.build_view0 = _builds_here(cfg, orig)
+        self.committed: tuple[int, dict] | None = None
+
+    def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
+               ) -> None:
+        """Frame t goes out with the next message, for the helper's
+        receiver."""
+        self.committed = (t, frame)
+
+    def build(self, requests: BuildRequests) -> Callable[[], CandidateSets]:
+        self.send(([r for r in requests if r[1][0] == 1], self.committed))
+        self.committed = None
+
+        def sets() -> CandidateSets:
+            csets = self.build_view0([r for r in requests if r[1][0] != 1])
+            csets.update(self.receive())
+            return csets
+        return sets
+
+    def finish(self) -> Reception:
+        """Send the last committed frame; the helper's receiver's result."""
+        self.send((None, self.committed))
+        return self.receive()
 
 
 @contextmanager
-def _candidate_builder(cfg: ExperimentConfig, orig: dict,
-                       encodes: int) -> Iterator[Builder | None]:
-    """The builder of an encode's candidate sets, or None to build here
-    (see encode_stream)."""
+def _candidate_builder(cfg: ExperimentConfig, orig: dict, encodes: int,
+                       receiver: Callable[[], Receiver] | None = None
+                       ) -> Iterator[_HelperEnd | None]:
+    """The encoder's end of a candidate helper that runs receiver, or None
+    to build here (see encode_stream)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if cpus <= encodes:
         yield None
         return
     with _forked("candidate helper", _candidate_helper,
-                 cfg, orig) as (conn, receive):
-        build_view0 = _builds_here(cfg, orig)
-
-        def build(requests: BuildRequests) -> Callable[[], CandidateSets]:
-            # one message per frame, sent only once the previous answer is
-            # read: two sends in a row could each fill the pipe while the
-            # helper blocks sending its first answer
-            conn.send([r for r in requests if r[1][0] == 1])
-
-            def sets() -> CandidateSets:
-                csets = build_view0([r for r in requests if r[1][0] != 1])
-                csets.update(receive())
-                return csets
-            return sets
-
-        yield build
+                 cfg, orig, receiver) as (send, receive):
+        yield _HelperEnd(cfg, orig, send, receive)
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                   trace: LossTrace, frame_targets: Sequence[float] | None = None,
                   publish: Callable[[int], object] | None = None,
-                  encodes: int = 1) -> EncodedStream:
+                  encodes: int = 1,
+                  receiver: Callable[[], Receiver] | None = None
+                  ) -> EncodedStream:
     """Encode both views frame by frame under one selection mode.
 
     frame_targets, when given, are per-frame bit budgets (the baseline's
@@ -554,9 +610,19 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     way.  The helper builds frame t + 1's sets during frame t's tracker
     pushes (commit), frame t + 1's delayed outcomes (learn), its terms that
     need no candidate set and view 0's builds (plan).
+
+    receiver, when given, makes the Receiver that runs on every committed
+    frame, and the stream's reception is its result.  With a helper, the
+    receiver runs there: the message that asks for frame t + 1's sets also
+    carries frame t.  The helper answers the builds before it receives the
+    frame, because this process already waits 0.1-0.25 s per 240-frame
+    encode for the sets; the receiver's step then overlaps this process's
+    selection of frame t + 1.  Without a helper, the receiver runs here
+    after the encode, once the encoder's state is freed.
     """
-    with _candidate_builder(cfg, orig, encodes) as build:
-        state = EncoderState(cfg, orig, mode, trace, build)
+    with _candidate_builder(cfg, orig, encodes, receiver) as helper:
+        remote = helper is not None and receiver is not None
+        state = EncoderState(cfg, orig, mode, trace, helper and helper.build)
         out = EncodedStream(mode=mode, frames=[], records=[],
                             recon=state.recon, bits_per_frame=[], lambdas=[],
                             in_band=[], infeasible=[])
@@ -569,6 +635,8 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             sels, lam, bits_t, band_ok, infeas = _select_frame(
                 state.plan(t), lam, target, cfg)
             frame = {key: sel.enc for key, sel in sels.items()}
+            if remote:
+                helper.commit(t, frame)
             state.commit(t, frame,
                          {key: sel.recon for key, sel in sels.items()})
             out.frames.append(frame)
@@ -579,11 +647,19 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             out.lambdas.append(lam)
             out.in_band.append(bool(band_ok))
             out.infeasible.append(bool(infeas))
+        del state       # its trackers and trial records
+        if remote:
+            out.reception = helper.finish()
+    if receiver is not None and not remote:
+        rx = receiver()
+        for t, frame in enumerate(out.frames):
+            rx.step(t, frame)
+        out.reception = rx.result()
     return out
 
 
 # ---------------------------------------------------------------------------
-# decoding and synthesis
+# the receiver
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -593,21 +669,61 @@ class DecodedStream:
     lost_packets: list[int]
 
 
-def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
-                  trace: LossTrace) -> DecodedStream:
-    """Receiver side: decode with concealment and track per-MB errors."""
-    grid = (cfg.scene.height // 16, cfg.scene.width // 16)
-    n_mb = grid[0] * grid[1]
-    decoded: dict[tuple[int, Component], list[np.ndarray]] = {key: [] for key in PLANE_ORDER}
-    tracker = DecoderTracker(grid, cfg.gamma, cfg.eta)
-    lost_counts = []
-    for t in range(len(stream.frames)):
-        lost_counts.append(sum(sum(trace.lost_flags(t, *key))
-                               for key in PLANE_ORDER))
+def _synthesize_frame(cfg: ExperimentConfig, dec: DecodedStream, t: int,
+                      blends: Iterable[str]) -> dict[str, np.ndarray]:
+    """Frame t's middle view under each blend: the decoded views are warped
+    once, and an "adaptive" blend weighs them by their tracked errors."""
+    pair = warp_pair(*(dec.planes[key][t] for key in PLANE_ORDER),
+                     cfg.synthesis)
+    out = {}
+    for blend in blends:
+        errors = ([(dec.tracker.state(view, 0, t), dec.tracker.state(view, 1, t))
+                   for view in (0, 1)] if blend == "adaptive" else [None, None])
+        out[blend] = blend_pair(pair, cfg.synthesis, *errors)
+    return out
+
+
+@dataclass
+class Reception:
+    """What a receiver made of a stream: the packets lost per frame, and
+    per blend the synthesized planes and their PSNRs."""
+
+    lost_packets: list[int]
+    synth: dict[str, tuple[list[np.ndarray], list[float]]]
+
+
+class Receiver:
+    """The receiver, one committed frame per step: decode frame t's four
+    planes with concealment, track their per-MB errors when a blend reads
+    them, then synthesize the middle view under every blend and score it
+    against the truth."""
+
+    def __init__(self, cfg: ExperimentConfig, trace: LossTrace,
+                 blends: Sequence[str] = (),
+                 truth: Sequence[FramePlane] = ()) -> None:
+        grid = (cfg.scene.height // 16, cfg.scene.width // 16)
+        self.cfg, self.trace, self.truth = cfg, trace, truth
+        self.dec = DecodedStream(planes={key: [] for key in PLANE_ORDER},
+                                 tracker=DecoderTracker(grid, cfg.gamma,
+                                                        cfg.eta),
+                                 lost_packets=[])
+        self.synth: dict[str, tuple[list[np.ndarray], list[float]]] = {
+            blend: ([], []) for blend in blends}
+        # only the adaptive blend reads the tracked errors, and
+        # decode_stream's receiver, which blends nothing, returns them
+        self.tracks = not blends or "adaptive" in blends
+
+    def step(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
+             ) -> None:
+        cfg, dec, decoded = self.cfg, self.dec, self.dec.planes
+        grid = dec.tracker.grid
+        n_mb = grid[0] * grid[1]
+        dec.lost_packets.append(sum(sum(self.trace.lost_flags(t, *key))
+                                    for key in PLANE_ORDER))
         rcv_t = {}
         for key in PLANE_ORDER:
-            rcv = ~lost_mb_mask(trace, t, *key, n_mb)
-            enc = stream.frames[t][key]
+            rcv = ~lost_mb_mask(self.trace, t, *key, n_mb)
+            enc = frame[key]
             if tuple(enc.grid) != grid:
                 raise CodecError(f"frame {t}: block grid {tuple(enc.grid)} "
                                  f"differs from the scene's {grid}")
@@ -617,35 +733,40 @@ def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
             plane, _ = decode_plane(enc, refs, conceal, rcv)
             decoded[key].append(plane)
             rcv_t[key] = rcv
-        tracker.update_frame(t, decoded, stream.frames[t], rcv_t)
+        if self.tracks:
+            dec.tracker.update_frame(t, decoded, frame, rcv_t)
+        if not self.synth:      # decode_stream's receiver warps nothing
+            return
+        for blend, plane in _synthesize_frame(cfg, dec, t, self.synth).items():
+            planes, scores = self.synth[blend]
+            planes.append(plane)
+            scores.append(psnr(self.truth[t].samples, plane))
 
-    return DecodedStream(planes=decoded, tracker=tracker,
-                         lost_packets=lost_counts)
+    def result(self) -> Reception:
+        return Reception(lost_packets=self.dec.lost_packets, synth=self.synth)
+
+
+def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
+                  trace: LossTrace) -> DecodedStream:
+    """Receiver side: decode with concealment and track per-MB errors (the
+    receiver's step with no blend)."""
+    rx = Receiver(cfg, trace)
+    for t, frame in enumerate(stream.frames):
+        rx.step(t, frame)
+    return rx.dec
 
 
 def synthesize_sequence(cfg: ExperimentConfig, dec: DecodedStream,
                         blend: str, truth: list[FramePlane]
                         ) -> tuple[list[np.ndarray], list[float]]:
     """Synthesize the middle view per frame and score against ground truth;
-    an "adaptive" blend weighs the views by their tracked errors."""
+    an "adaptive" blend weighs the views by their tracked errors (the
+    receiver's synthesis, one blend at a time)."""
     if blend not in ("standard", "adaptive"):
         raise HarnessError(f"unknown blend {blend!r}")
-    planes = []
-    scores = []
-    T = len(dec.planes[(0, Component.TEXTURE)])
-    for t in range(T):
-        le = re = None
-        if blend == "adaptive":
-            le = (dec.tracker.state(0, 0, t), dec.tracker.state(0, 1, t))
-            re = (dec.tracker.state(1, 0, t), dec.tracker.state(1, 1, t))
-        plane = synthesize_view(dec.planes[(0, Component.TEXTURE)][t],
-                                dec.planes[(0, Component.DEPTH)][t],
-                                dec.planes[(1, Component.TEXTURE)][t],
-                                dec.planes[(1, Component.DEPTH)][t],
-                                cfg.synthesis, le, re)
-        planes.append(plane)
-        scores.append(psnr(truth[t].samples, plane))
-    return planes, scores
+    planes = [_synthesize_frame(cfg, dec, t, [blend])[blend]
+              for t in range(len(dec.planes[(0, Component.TEXTURE)]))]
+    return planes, [psnr(truth[t].samples, p) for t, p in enumerate(planes)]
 
 
 # ---------------------------------------------------------------------------
@@ -795,18 +916,20 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
                publish: Callable[[int], object] | None = None,
                encodes: int = 1) -> list[CellResult]:
     """Code the cells of one selection mode in a (rate, seed) pair: encode
-    and decode once, then synthesize, score and write each setup's cell."""
-    stream = encode_stream(cfg, orig, mode, trace, targets, publish, encodes)
-    dec = decode_stream(cfg, stream, trace)
+    once and receive once, synthesizing every blend the setups need, then
+    write each setup's cell."""
+    blends = list(dict.fromkeys(SETUP_MODES[setup][1] for setup in setups))
+    stream = encode_stream(cfg, orig, mode, trace, targets, publish, encodes,
+                           partial(Receiver, cfg, trace, blends, truth))
+    rx = stream.reception
     cells = []
     for setup in setups:
-        synth, scores = synthesize_sequence(cfg, dec, SETUP_MODES[setup][1],
-                                            truth)
+        synth, scores = rx.synth[SETUP_MODES[setup][1]]
         cell = CellResult(
             setup=setup, loss_rate=trace.loss_rate, seed=trace.seed,
             frame_psnr=[float(_fmt(s)) for s in scores],
             frame_bits=list(stream.bits_per_frame),
-            frame_lost_packets=list(dec.lost_packets),
+            frame_lost_packets=list(rx.lost_packets),
             in_band=list(stream.in_band),
             infeasible=list(stream.infeasible))
         _write_cell(pair / setup, stream, cell, synth)

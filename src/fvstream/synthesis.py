@@ -216,6 +216,52 @@ def gather_at_targets(source_map: np.ndarray, warped: WarpedView) -> np.ndarray:
     return np.where(warped.covered, vals, 0.0)
 
 
+@dataclass
+class WarpedPair:
+    """Both views warped to the virtual position once, for any number of
+    blends, with the source textures the reliability maps scan."""
+
+    textures: tuple[np.ndarray, np.ndarray]
+    warped: tuple[WarpedView, WarpedView]
+
+
+def warp_pair(left_texture: np.ndarray, left_disparity: np.ndarray,
+              right_texture: np.ndarray, right_disparity: np.ndarray,
+              params: SynthesisParams) -> WarpedPair:
+    """The warp half of synthesize_view."""
+    if left_texture.shape != right_texture.shape:
+        raise SynthesisError("the two views must have one shape")
+    return WarpedPair(
+        textures=(left_texture, right_texture),
+        warped=(warp_view(left_texture, left_disparity, 0, params.position,
+                          params.eta),
+                warp_view(right_texture, right_disparity, 1, params.position,
+                          params.eta)))
+
+
+def blend_pair(pair: WarpedPair, params: SynthesisParams,
+               left_errors: tuple[np.ndarray, np.ndarray] | None = None,
+               right_errors: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> np.ndarray:
+    """The blend half of synthesize_view."""
+    if (left_errors is None) != (right_errors is None):
+        raise SynthesisError("tracked errors must be given for both views "
+                             "or neither")
+    wl, wr = pair.warped
+    d0_t = d1_t = 0.0
+    if left_errors is not None:
+        (tl, tr), v, eta = pair.textures, params.position, params.eta
+        d0_t = gather_at_targets(worst_case_distortion_map(
+            tl, *left_errors, shift_factor(0, v, eta)), wl)
+        d1_t = gather_at_targets(worst_case_distortion_map(
+            tr, *right_errors, shift_factor(1, v, eta)), wr)
+    plane, holes = blend(wl, wr, params.position, d0_t, d1_t,
+                         params.reliability_c)
+    disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
+                          np.where(wr.covered, wr.disparity, 0))
+    return fill_holes(plane, holes, disp_ctx)
+
+
 def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
                     right_texture: np.ndarray, right_disparity: np.ndarray,
                     params: SynthesisParams,
@@ -227,28 +273,13 @@ def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,
 
     left_errors / right_errors are per-MB (texture error, disparity error)
     pairs from receiver-side tracking, given for both views or neither.
-    Without them both contributions count as equally reliable.
+    Without them both contributions count as equally reliable.  To blend
+    one pair of views several ways, warp it once (warp_pair) and blend it
+    each way (blend_pair).
     """
-    if (left_errors is None) != (right_errors is None):
-        raise SynthesisError("tracked errors must be given for both views "
-                             "or neither")
-    if left_texture.shape != right_texture.shape:
-        raise SynthesisError("the two views must have one shape")
-    wl = warp_view(left_texture, left_disparity, 0, params.position, params.eta)
-    wr = warp_view(right_texture, right_disparity, 1, params.position, params.eta)
-    d0_t = d1_t = 0.0
-    if left_errors is not None:
-        d0_src = worst_case_distortion_map(left_texture, left_errors[0], left_errors[1],
-                                           shift_factor(0, params.position, params.eta))
-        d1_src = worst_case_distortion_map(right_texture, right_errors[0], right_errors[1],
-                                           shift_factor(1, params.position, params.eta))
-        d0_t = gather_at_targets(d0_src, wl)
-        d1_t = gather_at_targets(d1_src, wr)
-    plane, holes = blend(wl, wr, params.position, d0_t, d1_t,
-                         params.reliability_c)
-    disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
-                          np.where(wr.covered, wr.disparity, 0))
-    return fill_holes(plane, holes, disp_ctx)
+    return blend_pair(warp_pair(left_texture, left_disparity, right_texture,
+                                right_disparity, params),
+                      params, left_errors, right_errors)
 
 
 # ---------------------------------------------------------------------------

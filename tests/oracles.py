@@ -22,9 +22,8 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             build_inter_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
                             motion_search, plane_blocks, predictor_blocks)
-from fvstream.errortrack import (TrackingError, cross_view_states,
-                                 expected_errors, footprint_state_sum,
-                                 innovation_term)
+from fvstream.errortrack import (TrackingError, expected_errors,
+                                 footprint_state_sum, innovation_term)
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import SensitivityParams
 from fvstream.synthesis import (SynthesisError, WarpedView, expand_block_values,
@@ -418,7 +417,8 @@ def oracle_taint_lattice(decisions, lost, grid) -> list[np.ndarray]:
 
 def oracle_cross_view_states(state, opp_state, warped, prev_tex, prev_state,
                              lost, grid, min_coverage: int) -> np.ndarray:
-    """The receiver's cross-view pass, one lost block at a time."""
+    """The receiver's cross-view pass, one lost block at a time, over the
+    opposing view warped as a whole plane."""
     hb, wb = grid
     src_mb_err = np.repeat(np.repeat(np.asarray(opp_state, dtype=np.float64)
                                      .reshape(hb, wb), MB, axis=0), MB, axis=1)
@@ -548,9 +548,9 @@ class OracleDecoderTracker:
                                        dtype=np.uint8)
                 prev_state = (self._states[(view, 0)][t - 1] if t >= 1
                               else np.zeros(self.n_mb))
-                final = cross_view_states(pass_a[view], pass_a[opp], warped,
-                                          prev_tex, prev_state, lost,
-                                          self.grid, self.MIN_COVERAGE)
+                final = oracle_cross_view_states(
+                    pass_a[view], pass_a[opp], warped, prev_tex, prev_state,
+                    lost, self.grid, self.MIN_COVERAGE)
             self._states[(view, 0)].append(final)
 
         for view in (0, 1):

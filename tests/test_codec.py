@@ -15,7 +15,7 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             dequantize, displacement_order,
                             exp_golomb_signed_bits, idct16, motion_search,
                             parse_stream, plane_blocks, quantize,
-                            residual_bits, serialize_stream)
+                            _displacements, residual_bits, serialize_stream)
 from fvstream.channel import Component, lost_mb_mask
 from fvstream import pipeline
 from fvstream.pipeline import ExperimentConfig, decode_stream
@@ -166,6 +166,13 @@ class TestMotionSearch:
         keys = [(abs(dx) + abs(dy), dy, dx) for dx, dy in order]
         assert keys == sorted(keys)
         assert len(order) == 25
+
+    def test_displacement_table_is_built_once_per_range(self):
+        order, table = _displacements(3)
+        assert _displacements(3)[1] is table and not table.flags.writeable
+        assert list(order) == displacement_order(3)
+        assert table.dtype == np.int16
+        assert table.tolist() == [list(d) for d in displacement_order(3)]
 
     @pytest.mark.example
     def test_pure_horizontal_shift_is_found_exactly(self):

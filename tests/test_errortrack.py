@@ -561,21 +561,28 @@ class TestDecoderTracker:
         assert tr.state(0, 0, 2).tolist() == [0.0] * 4
 
     @given(st.integers(0, 10 ** 6))
-    def test_cross_view_pass_matches_the_block_loop(self, seed):
+    @example(22)    # lost blocks in block rows 0 and 2 of 4, none in row 1
+    def test_cross_view_pass_matches_the_full_plane_block_loop(self, seed):
+        # the pass warps only the block rows that hold a lost block; the
+        # oracle warps the whole plane and walks the lost blocks one by one
         rng = np.random.default_rng(seed)
-        grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        grid = (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
         n_mb, shape = grid[0] * grid[1], (grid[0] * 16, grid[1] * 16)
-        view = int(rng.integers(0, 2))
-        # the opposing view's decoded planes, warped onto this view
-        warped = warp_view(rng.integers(0, 256, shape).astype(np.uint8),
-                           rng.integers(0, 24, shape).astype(np.uint8),
-                           1 - view, float(view))
-        args = (rng.uniform(0, 20, n_mb), rng.uniform(0, 20, n_mb), warped,
-                rng.integers(0, 256, shape).astype(np.uint8),
-                rng.uniform(0, 20, n_mb), rng.random(n_mb) < 0.6, grid,
-                DecoderTracker.MIN_COVERAGE)
-        got = cross_view_states(*args)
-        assert np.array_equal(got, oracles.oracle_cross_view_states(*args))
+        view, eta = int(rng.integers(0, 2)), float(rng.uniform(0.5, 2.0))
+        # the opposing view's decoded planes
+        opp = (rng.integers(0, 256, shape).astype(np.uint8),
+               rng.integers(0, 24, shape).astype(np.uint8))
+        state, opp_state = rng.uniform(0, 20, n_mb), rng.uniform(0, 20, n_mb)
+        prev_tex = rng.integers(0, 256, shape).astype(np.uint8)
+        prev_state = rng.uniform(0, 20, n_mb)
+        lost = rng.random(n_mb) < rng.uniform(0.1, 0.9)
+        got = cross_view_states(view, state, opp_state, opp, eta, prev_tex,
+                                prev_state, lost, grid,
+                                DecoderTracker.MIN_COVERAGE)
+        want = oracles.oracle_cross_view_states(
+            state, opp_state, warp_view(*opp, 1 - view, float(view), eta),
+            prev_tex, prev_state, lost, grid, DecoderTracker.MIN_COVERAGE)
+        assert np.array_equal(got, want)
 
     @given(st.integers(0, 10 ** 6))
     @example(0)     # view 0's rescue drops it below view 1 once

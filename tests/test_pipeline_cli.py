@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import shutil
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from fvstream.channel import Component, build_schedule, make_iid_trace
 from fvstream.cli import main
 from fvstream import pipeline
 from fvstream.codec import PLANE_ORDER, CodecConfig, CodecError
-from fvstream.errortrack import ExpectedErrorTracker, TrackingError
+from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
+                                 TrackingError)
 from fvstream.sensitivity import SensitivityParams
 from fvstream.synthesis import SynthesisParams
 from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
@@ -282,6 +284,28 @@ class TestLosslessLoop:
             encode_stream(cfg, orig, mode, trace)
             counts[mode] = len(calls)
         assert counts == {"reactive": 0, "independent": 4 * 8}
+
+    def test_only_the_adaptive_blend_pays_for_receiver_tracking(
+            self, micro_scene, tmp_path, monkeypatch):
+        # the standard blend reads no tracked error; decode_stream hands
+        # its tracker to the caller
+        _cpus(monkeypatch, 1)
+        cfg = micro_config(tmp_path)
+        orig = pipeline._plane_lists(micro_scene.left, micro_scene.right)
+        trace = cfg.loss_trace(7, 0.05)
+        calls = []
+        update = DecoderTracker.update_frame
+        monkeypatch.setattr(DecoderTracker, "update_frame",
+                            lambda *a: calls.append(a) or update(*a))
+        counts = []
+        for blends in (["standard"], ["standard", "adaptive"]):
+            calls.clear()
+            stream = encode_stream(cfg, orig, "cross", trace, receiver=partial(
+                pipeline.Receiver, cfg, trace, blends, micro_scene.truth))
+            counts.append(len(calls))
+        calls.clear()
+        decode_stream(cfg, stream, trace)
+        assert counts + [len(calls)] == [0, 8, 8]
 
     def test_synthesis_scores_one_value_per_frame(self, micro_scene, tmp_path):
         cfg = micro_config(tmp_path, loss_rates=(0.0,))
@@ -600,8 +624,10 @@ class TestPlaneHelper:
 
     @pytest.mark.parametrize("setups, forks_by_cpus", [
         (("rfc",), {1: 0, 2: 1, 4: 1}),
+        # the helper's receiver blends one cross-mode decode both ways
+        (("rps2", "arps"), {1: 0, 2: 1, 4: 1}),
         # the rfc worker, then a helper per tuned mode beside it from 4 CPUs
-        (("rfc", "rps1", "arps"), {1: 1, 2: 1, 4: 3})])
+        (("rfc", "rps1", "rps2", "arps"), {1: 1, 2: 1, 4: 3})])
     def test_tree_is_the_same_at_any_cpu_count(self, tmp_path, monkeypatch,
                                                setups, forks_by_cpus):
         forks = _count_forks(monkeypatch)
@@ -656,6 +682,46 @@ class TestPlaneHelper:
         assert capsys.readouterr().err == "error: helper broke at 2\n"
         assert multiprocessing.active_children() == []
 
+    def test_receiver_error_in_the_helper_is_raised_here(
+            self, micro_scene, tmp_path, monkeypatch, capsys):
+        # the helper answers frame 3's builds, then its receiver fails on
+        # frame 2 while this process selects frame 3
+        parent, decode = os.getpid(), pipeline.decode_plane
+
+        def broken(enc, refs, conceal_source, received):
+            if os.getpid() != parent and len(refs) == 2:
+                raise CodecError("receiver broke at 2")
+            return decode(enc, refs, conceal_source, received)
+        monkeypatch.setattr(pipeline, "decode_plane", broken)
+        _cpus(monkeypatch, 2)
+        cfg, orig, trace = self._inputs(micro_scene)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["standard"],
+                           micro_scene.truth)
+        with pytest.raises(CodecError) as caught:
+            encode_stream(cfg, orig, "reactive", trace, receiver=receiver)
+        assert type(caught.value) is CodecError
+        assert str(caught.value) == "receiver broke at 2"
+        assert multiprocessing.active_children() == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scene": MICRO_SCENE_DICT, "setups": ["rfc"], "loss_rates": [0.05],
+            "seeds": [7], "rtt": 2, "output_root": str(tmp_path / "cli")}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: receiver broke at 2\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("end, error, message", [
+        (_raise("ended"), CodecError, "ended"),
+        (lambda: os._exit(3), HarnessError, "probe exited with code 3")])
+    def test_send_to_an_ended_process_raises_why_it_ended(self, end, error,
+                                                          message):
+        with pytest.raises(error, match=message):
+            with pipeline._forked("probe", lambda conn: end()) as (send, _):
+                while multiprocessing.active_children():
+                    time.sleep(0.01)
+                send("after the end")
+        assert multiprocessing.active_children() == []
+
     def test_helper_that_dies_is_reported_with_its_exit_code(
             self, micro_scene, monkeypatch):
         self._break_build(monkeypatch, lambda: os._exit(3))
@@ -701,6 +767,47 @@ class TestPlaneHelper:
         assert str(caught.value) == f"{method} broke at 2"
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("setups", [("rfc",), ("rps2", "arps"),
+                                    ("rfc", "arps")])
+@pytest.mark.parametrize("scene", ["micro_scene", "scene64"])
+def test_public_receiver_gives_the_cells_run_experiment_wrote(
+        request, tmp_path, monkeypatch, scene, setups):
+    # run_experiment receives in the encode's helper (2 CPUs, one mode) or
+    # after the encode (1 CPU, or beside the rfc worker); decode_stream and
+    # synthesize_sequence are the public route to the same planes and PSNRs
+    scene = request.getfixturevalue(scene)
+    cfg = micro_config(tmp_path, scene=scene.spec, setups=setups)
+    orig = pipeline._plane_lists(scene.left, scene.right)
+    trace = cfg.loss_trace(7, 0.05)
+    streams = {}
+    for setup in setups:
+        mode, blend = pipeline.SETUP_MODES[setup]
+        if mode not in streams:
+            targets = (streams["reactive"].bits_per_frame
+                       if "reactive" in streams else None)
+            streams[mode] = encode_stream(cfg, orig, mode, trace, targets)
+    want = {}
+    for setup in setups:
+        mode, blend = pipeline.SETUP_MODES[setup]
+        dec = decode_stream(cfg, streams[mode], trace)
+        planes, scores = synthesize_sequence(cfg, dec, blend, scene.truth)
+        cell_dir = tmp_path / "want" / setup
+        pipeline._write_cell(cell_dir, streams[mode], CellResult(
+            setup=setup, loss_rate=0.05, seed=7,
+            frame_psnr=[float(pipeline._fmt(s)) for s in scores],
+            frame_bits=streams[mode].bits_per_frame,
+            frame_lost_packets=dec.lost_packets,
+            in_band=None, infeasible=None), planes)
+        want[setup] = _tree(cell_dir)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        root = tmp_path / f"cpus{cpus}"
+        run_experiment(dataclasses.replace(cfg, output_root=str(root)))
+        for setup in setups:
+            got = _tree(root / "rate_0.050000" / "seed_7" / setup)
+            assert len(got) == 2 + len(planes) and got == want[setup]
 
 
 def test_one_frame_pair_is_the_same_at_any_cpu_count(tmp_path, monkeypatch):
