@@ -282,9 +282,13 @@ def predictor_blocks(ref_stack: np.ndarray, dist, mv: np.ndarray,
         k = int(np.flatnonzero(outside)[0])
         raise CodecError(f"block {int(mbs[k])}: motion vector {mv[k].tolist()} "
                          f"leaves the frame")
+    # every 16x16 window of every reference, as a view of the stack;
     # checked above: a negative window index would wrap, not raise
-    windows = np.lib.stride_tricks.sliding_window_view(
-        ref_stack, (MB_SIZE, MB_SIZE), axis=(1, 2))
+    stack = np.ascontiguousarray(ref_stack)
+    s_ref, s_row, s_col = stack.strides
+    windows = np.ndarray((len(stack), h - MB_SIZE + 1, w - MB_SIZE + 1,
+                          MB_SIZE, MB_SIZE), stack.dtype, stack, 0,
+                         (s_ref, s_row, s_col, s_row, s_col))
     return windows[np.asarray(dist) - 1, top, left]
 
 

@@ -12,24 +12,28 @@ setups against them: frame t only needs the baseline's frame t.
 
 Within a frame, the four planes' candidate searches read only the source and
 the reconstructions up to t - 1, so they are independent of each other.
-When the CPUs this process may use outnumber the encodes it runs at once (1,
-or 2 beside the baseline's worker), each encode forks a helper for view 1's
-candidate sets, which keeps view 1's trial records (codec.TrialRecord).
+Each encode forks a helper for view 1's candidate sets at the first frame at
+which the CPUs this process may use outnumber the encodes running: frame 0
+when it runs alone, and beside the baseline's worker the frame after the
+worker's cells arrive.  The fork hands the helper view 1's trial records
+(codec.TrialRecord), so its builds continue where this process's stopped.
 Frame t + 1's requests go out as soon as frame t's reconstructions are
 committed, so the helper builds while the encode pushes its trackers, learns
 the delayed outcomes, computes the terms that need no candidate set and
-builds view 0's sets.  Selection, lambda
-tuning and commit stay in the encode, so the helper changes no byte of any
-artifact.  _forked starts both processes.
+builds view 0's sets.  Selection, lambda tuning and commit stay in the
+encode, so the helper changes no byte of any artifact, whenever it starts.
+_forked starts both processes.
 
 The receiver is one step per committed frame (Receiver): decode the four
 planes with concealment, track their per-MB errors if the adaptive blend
 reads them, then warp the decoded views once and blend them for every blend
-the mode's setups need.  When an
-encode has a helper, the receiver runs there, one frame behind the encode:
-frame t rides on the message that asks for frame t + 1's sets, and the
-helper answers the builds before it receives the frame, because the encode
-waits on the sets.  Otherwise it runs after the encode, once the encoder's
+the mode's setups need.  When an encode has a helper, the receiver runs
+there.  It first catches up on the frames committed before the fork, which
+the fork hands over too; after that, frame t rides on the message that asks
+for frame t + 1's sets.  The helper answers the builds first and steps its
+receiver only while no request waits, because the encode waits on the
+sets; the frames left at the end are stepped before the result returns.
+Without a helper the receiver runs after the encode, once the encoder's
 state is freed.  decode_stream runs the same step with no blend, and
 synthesize_sequence runs its synthesis for one blend.
 
@@ -40,8 +44,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -295,11 +300,11 @@ class EncoderState:
     plane and frame, and one curvature map per reconstructed view.  Frame t
     runs learn(t), then plan(t) and a selection, then commit(t, ...).
     build, when given, builds plan's candidate sets in place of this
-    process (encode_stream passes its helper's).  A builder holds the trial
-    records of the planes it builds, so the state holds none.  commit(t)
-    hands frame t + 1's requests to the builder before it pushes the
-    trackers, so a helper builds them during the pushes, learn(t + 1) and
-    the part of plan(t + 1) that needs no candidate set.
+    process (encode_stream passes its _CandidateBuilder's).  A builder
+    holds the trial records of the planes it builds, so the state holds
+    none.  commit(t) hands frame t + 1's requests to the builder before it
+    pushes the trackers, so a helper builds them during the pushes,
+    learn(t + 1) and the part of plan(t + 1) that needs no candidate set.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
@@ -460,14 +465,16 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
 
 @contextmanager
 def _forked(what: str, body: Callable[..., None], *args
-            ) -> Iterator[tuple[Callable[[object], None], Callable[[], object]]]:
-    """Run body(conn, *args) in a forked process; yield (send, receive).
+            ) -> Iterator[tuple[Callable[[object], None], Callable[[], object],
+                                Callable[[], bool]]]:
+    """Run body(conn, *args) in a forked process; yield (send, receive, poll).
 
     The one contract of every process this module starts.  The fork context
     shares the parent's arrays copy-on-write, and one duplex pipe joins the
     two ends.  The process is not daemonic, so body may fork in turn.
     receive() returns the next message; it raises an Exception that body
     raised, or HarnessError with the exit code if the pipe ends first.
+    poll() says, without blocking, whether receive() would return at once.
     send(msg) raises the same if the process has ended.  If the with-block
     raises, the process is terminated; either way it is joined before the
     block is left.
@@ -507,7 +514,7 @@ def _forked(what: str, body: Callable[..., None], *args
                                f"was done") from None
 
     try:
-        yield send, receive
+        yield send, receive, conn.poll
     except BaseException:
         proc.terminate()
         raise
@@ -516,84 +523,128 @@ def _forked(what: str, body: Callable[..., None], *args
         proc.join()
 
 
-def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict,
-                      receiver: Callable[[], Receiver] | None) -> None:
-    """Helper body.  Each message holds one frame's build requests and the
-    frame the encoder committed since its last message, if any.  The helper
-    answers the requests with their candidate sets first, because the
-    encoder waits for them, and then runs its receiver's step on the frame.
-    A message without requests is the last, and is answered with the
-    receiver's result.  The trial records of the planes it builds stay
-    here; only requests, frames and results cross."""
-    build = _builds_here(cfg, orig)
+#: the frames an encoder committed, in order, for a receiver
+Committed = list[tuple[int, dict[tuple[int, Component], EncodedPlane]]]
+
+
+def _candidate_helper(conn, build: Callable[[BuildRequests], CandidateSets],
+                      receiver: Callable[[], Receiver] | None,
+                      backlog: Committed) -> None:
+    """Helper body.  The fork hands it the encoder's own build function,
+    which holds view 1's trial records, and the frames committed before the
+    fork, so no trial is coded again and no frame crosses twice.  Each
+    message holds one frame's view-1 build requests and the frames
+    committed since the last message.  The helper answers the requests
+    first, because the encoder waits for them.  Its receiver then steps
+    through the committed frames one at a time, but only while no message
+    waits (conn.poll()), so catching up never delays a build.  A message
+    without requests is the last: the receiver steps through the rest, and
+    its result is the answer."""
     rx = receiver() if receiver is not None else None
+    backlog = deque(backlog)
     while True:
         try:
             requests, committed = conn.recv()
         except EOFError:
             return
-        if requests is not None:
-            conn.send(build(requests))
-        if committed is not None:
-            rx.step(*committed)
+        backlog.extend(committed)
         if requests is None:
-            conn.send(rx.result())
+            break
+        conn.send(build(requests))
+        while backlog and not conn.poll():
+            rx.step(*backlog.popleft())
+    for t, frame in backlog:
+        rx.step(t, frame)
+    conn.send(None if rx is None else rx.result())
 
 
-class _HelperEnd:
-    """The encoder's end of its candidate helper.  One message per frame,
-    sent only once the previous answer is read: two sends in a row could
-    each fill the pipe while the helper blocks sending its first answer."""
+class _CandidateBuilder:
+    """The encoder's builder (Builder) and the feed of its receiver.
+
+    Until a CPU is free, every plane is built here and the committed frames
+    wait.  At the first build at which free() holds, fork(build, receiver,
+    backlog) starts the helper (_candidate_helper) and gives its (send,
+    receive, poll); from then on the helper builds view 1 and receives.
+    One message per frame, sent only once the previous answer is read: two
+    sends in a row could each fill the pipe while the helper blocks sending
+    its first answer.
+    """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict,
-                 send: Callable[[object], None],
-                 receive: Callable[[], object]) -> None:
-        self.send, self.receive = send, receive
-        self.build_view0 = _builds_here(cfg, orig)
-        self.committed: tuple[int, dict] | None = None
+                 receiver: Callable[[], Receiver] | None,
+                 free: Callable[[], bool], fork: Callable[..., tuple]) -> None:
+        self.here = _builds_here(cfg, orig)
+        self.receiver, self.free, self.fork = receiver, free, fork
+        self.backlog: Committed = []
+        self.helper: tuple[Callable[[object], None], Callable[[], object],
+                           Callable[[], bool]] | None = None
 
     def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
                ) -> None:
-        """Frame t goes out with the next message, for the helper's
-        receiver."""
-        self.committed = (t, frame)
+        """Frame t waits for the receiver: the helper's, or finish()."""
+        if self.receiver is not None:
+            self.backlog.append((t, frame))
 
     def build(self, requests: BuildRequests) -> Callable[[], CandidateSets]:
-        self.send(([r for r in requests if r[1][0] == 1], self.committed))
-        self.committed = None
+        if self.helper is None and self.free():
+            self.helper = self.fork(self.here, self.receiver, self.backlog)
+            self.backlog = []
+        if self.helper is None:
+            return partial(self.here, requests)
+        send, receive, poll = self.helper
+        send(([r for r in requests if r[1][0] == 1], self.backlog))
+        self.backlog = []
+        ours = [r for r in requests if r[1][0] != 1]
 
         def sets() -> CandidateSets:
-            csets = self.build_view0([r for r in requests if r[1][0] != 1])
-            csets.update(self.receive())
+            # the helper's receiver steps only once its send is done, which
+            # waits for this read: read as soon as the sets arrive
+            theirs, csets = None, {}
+            for request in ours:
+                if theirs is None and poll():
+                    theirs = receive()
+                csets.update(self.here([request]))
+            csets.update(receive() if theirs is None else theirs)
             return csets
         return sets
 
-    def finish(self) -> Reception:
-        """Send the last committed frame; the helper's receiver's result."""
-        self.send((None, self.committed))
-        return self.receive()
+    def finish(self) -> Reception | None:
+        """The receiver's result, once it has stepped through every frame:
+        the helper's, or one run here once the trial records are freed."""
+        if self.helper is not None:
+            send, receive, _ = self.helper
+            send((None, self.backlog))
+            return receive()
+        self.here = None
+        if self.receiver is None:
+            return None
+        rx = self.receiver()
+        for t, frame in self.backlog:
+            rx.step(t, frame)
+        return rx.result()
 
 
 @contextmanager
-def _candidate_builder(cfg: ExperimentConfig, orig: dict, encodes: int,
+def _candidate_builder(cfg: ExperimentConfig, orig: dict,
+                       encodes: Callable[[], int],
                        receiver: Callable[[], Receiver] | None = None
-                       ) -> Iterator[_HelperEnd | None]:
-    """The encoder's end of a candidate helper that runs receiver, or None
-    to build here (see encode_stream)."""
+                       ) -> Iterator[_CandidateBuilder]:
+    """The encoder's builder, which forks its helper (_forked) at the first
+    frame at which the CPUs this process may use outnumber encodes(), the
+    encodes running (see encode_stream)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus <= encodes:
-        yield None
-        return
-    with _forked("candidate helper", _candidate_helper,
-                 cfg, orig, receiver) as (send, receive):
-        yield _HelperEnd(cfg, orig, send, receive)
+    with ExitStack() as stack:
+        yield _CandidateBuilder(
+            cfg, orig, receiver, lambda: cpus > encodes(),
+            lambda *state: stack.enter_context(_forked(
+                "candidate helper", _candidate_helper, *state)))
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                   trace: LossTrace, frame_targets: Sequence[float] | None = None,
                   publish: Callable[[int], object] | None = None,
-                  encodes: int = 1,
+                  encodes: Callable[[], int] = lambda: 1,
                   receiver: Callable[[], Receiver] | None = None
                   ) -> EncodedStream:
     """Encode both views frame by frame under one selection mode.
@@ -603,26 +654,28 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     t is read only when frame t is coded.  publish, when given, receives
     each frame's bits as soon as the frame is committed.
 
-    encodes is how many encodes the caller runs at once, this one included.
-    When os.sched_getaffinity(0) holds more CPUs than that, a helper
-    (_forked) builds view 1's candidate sets and holds their trial records,
-    and this process does everything else, so the stream is the same either
-    way.  The helper builds frame t + 1's sets during frame t's tracker
-    pushes (commit), frame t + 1's delayed outcomes (learn), its terms that
-    need no candidate set and view 0's builds (plan).
+    encodes() is how many encodes run at the moment, this one included; it
+    is read once per frame until a helper starts.  At the first frame at
+    which os.sched_getaffinity(0) holds more CPUs than that (frame 0 when
+    this encode runs alone, the frame after the rfc worker's cells arrive
+    beside it), a helper (_forked) takes over view 1's candidate sets with
+    their trial records, and this process does everything else, so the
+    stream is the same whenever the helper starts, or if none does.  The
+    helper builds frame t + 1's sets during frame t's tracker pushes
+    (commit), frame t + 1's delayed outcomes (learn), its terms that need no
+    candidate set and view 0's builds (plan).
 
     receiver, when given, makes the Receiver that runs on every committed
     frame, and the stream's reception is its result.  With a helper, the
-    receiver runs there: the message that asks for frame t + 1's sets also
-    carries frame t.  The helper answers the builds before it receives the
-    frame, because this process already waits 0.1-0.25 s per 240-frame
-    encode for the sets; the receiver's step then overlaps this process's
-    selection of frame t + 1.  Without a helper, the receiver runs here
-    after the encode, once the encoder's state is freed.
+    receiver runs there: it catches up on the frames committed before the
+    fork, and then each message that asks for frame t + 1's sets carries
+    frame t.  It steps only while this process has no build waiting, and
+    the frames left over at the end are stepped before its result returns.
+    Without a helper, the receiver runs here after the encode, once the
+    encoder's state is freed.
     """
-    with _candidate_builder(cfg, orig, encodes, receiver) as helper:
-        remote = helper is not None and receiver is not None
-        state = EncoderState(cfg, orig, mode, trace, helper and helper.build)
+    with _candidate_builder(cfg, orig, encodes, receiver) as builder:
+        state = EncoderState(cfg, orig, mode, trace, builder.build)
         out = EncodedStream(mode=mode, frames=[], records=[],
                             recon=state.recon, bits_per_frame=[], lambdas=[],
                             in_band=[], infeasible=[])
@@ -635,8 +688,7 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             sels, lam, bits_t, band_ok, infeas = _select_frame(
                 state.plan(t), lam, target, cfg)
             frame = {key: sel.enc for key, sel in sels.items()}
-            if remote:
-                helper.commit(t, frame)
+            builder.commit(t, frame)
             state.commit(t, frame,
                          {key: sel.recon for key, sel in sels.items()})
             out.frames.append(frame)
@@ -647,14 +699,8 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             out.lambdas.append(lam)
             out.in_band.append(bool(band_ok))
             out.infeasible.append(bool(infeas))
-        del state       # its trackers and trial records
-        if remote:
-            out.reception = helper.finish()
-    if receiver is not None and not remote:
-        rx = receiver()
-        for t, frame in enumerate(out.frames):
-            rx.step(t, frame)
-        out.reception = rx.result()
+        del state       # its trackers
+        out.reception = builder.finish()
     return out
 
 
@@ -889,16 +935,17 @@ def _write_cell(cell_dir: Path, stream: EncodedStream, cell: CellResult,
         fh.write("frame,view,component,mb,mode,ref,mvx,mvy,bits,dbar,d\n")
         for t, rec_t in enumerate(stream.records):
             for key in PLANE_ORDER:
-                view, comp = key
-                enc = stream.frames[t][key]
-                rec = rec_t[key]
-                for m in range(enc.modes.shape[0]):
-                    fh.write(f"{t},{view},{comp.label},{m},"
-                             f"{MODE_NAMES[int(enc.modes[m])]},"
-                             f"{int(enc.ref_dist[m])},{int(enc.mv[m, 0])},"
-                             f"{int(enc.mv[m, 1])},{int(rec.bits[m])},"
-                             f"{_fmt(float(rec.chan_error[m]))},"
-                             f"{_fmt(float(rec.channel[m]))}\n")
+                enc, rec = stream.frames[t][key], rec_t[key]
+                head = f"{t},{key[0]},{key[1].label},"
+                # columns as Python scalars: numpy scalars format at half
+                # the speed
+                fh.writelines(
+                    f"{head}{m},{MODE_NAMES[mode]},{ref},{mvx},{mvy},{bits},"
+                    f"{_fmt(dbar)},{_fmt(d)}\n"
+                    for m, (mode, ref, (mvx, mvy), bits, dbar, d) in enumerate(
+                        zip(enc.modes.tolist(), enc.ref_dist.tolist(),
+                            enc.mv.tolist(), rec.bits.tolist(),
+                            rec.chan_error.tolist(), rec.channel.tolist())))
     with open(cell_dir / "perframe.csv", "w", encoding="ascii") as fh:
         fh.write("frame,psnr,bits,packets_lost\n")
         for t in range(len(cell.frame_psnr)):
@@ -914,7 +961,7 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
                orig: dict, truth: list[FramePlane], trace: LossTrace,
                pair: Path, targets: Sequence[float] | None = None,
                publish: Callable[[int], object] | None = None,
-               encodes: int = 1) -> list[CellResult]:
+               encodes: Callable[[], int] = lambda: 1) -> list[CellResult]:
     """Code the cells of one selection mode in a (rate, seed) pair: encode
     once and receive once, synthesizing every blend the setups need, then
     write each setup's cell."""
@@ -940,21 +987,37 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
 class _StreamedTargets:
     """The reactive cell's per-frame bits as its worker (_forked) commits
     them, then its cells.  Reading frame t blocks until the worker has sent
-    it."""
+    it; running() reads only what has arrived."""
 
-    def __init__(self, receive: Callable[[], object]) -> None:
-        self.receive, self.bits = receive, []
+    def __init__(self, receive: Callable[[], object],
+                 poll: Callable[[], bool]) -> None:
+        self.receive, self.poll = receive, poll
+        self.bits: list[int] = []
+        self.cells: list[CellResult] | None = None
+
+    def _read(self) -> None:
+        msg = self.receive()
+        if isinstance(msg, int):
+            self.bits.append(msg)
+        else:
+            self.cells = msg
 
     def __getitem__(self, t: int) -> int:
         while len(self.bits) <= t:
-            self.bits.append(self.receive())
+            self._read()
         return self.bits[t]
 
+    def running(self) -> int:
+        """The encodes running now: the caller's, and the worker's until
+        its cells have arrived."""
+        while self.cells is None and self.poll():
+            self._read()
+        return 1 if self.cells is not None else 2
+
     def result(self) -> list[CellResult]:
-        msg = self.receive()
-        while isinstance(msg, int):     # bits that no tuned encode read
-            msg = self.receive()
-        return msg
+        while self.cells is None:
+            self._read()
+        return self.cells
 
 
 def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
@@ -964,7 +1027,8 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
 
     With the reactive baseline and a tuned mode, the baseline runs in a
     forked worker (_forked) and the tuned modes code here against its
-    streamed bits.  Otherwise no mode has targets, and each runs here in
+    streamed bits; a tuned encode counts the worker as running until its
+    cells arrive.  Otherwise no mode has targets, and each runs here in
     turn.
     """
     modes: dict[str, list[str]] = {}
@@ -976,10 +1040,11 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
                 for c in _code_mode(cfg, m, group, orig, truth, trace, pair)}
     with _forked("rfc worker", lambda conn: conn.send(_code_mode(
             cfg, "reactive", modes["reactive"], orig, truth, trace, pair,
-            publish=conn.send, encodes=2))) as (_, receive):
-        targets = _StreamedTargets(receive)
+            publish=conn.send, encodes=lambda: 2))) as (_, receive, poll):
+        targets = _StreamedTargets(receive, poll)
         cells = [c for m in tuned for c in _code_mode(
-            cfg, m, modes[m], orig, truth, trace, pair, targets, encodes=2)]
+            cfg, m, modes[m], orig, truth, trace, pair, targets,
+            encodes=targets.running)]
         cells += targets.result()
     return {c.setup: c for c in cells}
 

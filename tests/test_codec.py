@@ -14,8 +14,9 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             decode_plane, dct16,
                             dequantize, displacement_order,
                             exp_golomb_signed_bits, idct16, motion_search,
-                            parse_stream, plane_blocks, quantize,
-                            _displacements, residual_bits, serialize_stream)
+                            parse_stream, plane_blocks, predictor_blocks,
+                            quantize, _displacements, residual_bits,
+                            serialize_stream)
 from fvstream.channel import Component, lost_mb_mask
 from fvstream import pipeline
 from fvstream.pipeline import ExperimentConfig, decode_stream
@@ -248,6 +249,52 @@ class TestMotionSearch:
                 colocated = refs[r, top:top + 16, left:left + 16]
                 assert oracles.block_sad(block, refs[r], top, left, (0, 0)) \
                     == np.abs(block.astype(np.int64) - colocated).sum()
+
+
+
+class TestPredictorGather:
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3),
+           n_refs=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           fortran=st.booleans())
+    def test_matches_the_sliding_window_gather(self, hb, wb, n_refs, seed,
+                                               fortran):
+        # every block against every reference: windows at each frame edge
+        # and corner, the centre and one random window, in any stack layout
+        rng = np.random.default_rng(seed)
+        h, w, grid = 16 * hb, 16 * wb, (hb, wb)
+        refs = rng.integers(0, 256, (n_refs, h, w), dtype=np.uint8)
+        stack = np.asfortranarray(refs) if fortran else refs
+        r0, c0 = (np.indices(grid).reshape(2, -1) * 16)
+        places = [(top, left) for top in (0, (h - 16) // 2, h - 16)
+                  for left in (0, (w - 16) // 2, w - 16)]
+        places.append((int(rng.integers(0, h - 15)),
+                       int(rng.integers(0, w - 15))))
+        mbs, dist, tops, lefts = [], [], [], []
+        for m in range(hb * wb):
+            for d in range(1, n_refs + 1):
+                for top, left in places:
+                    mbs.append(m)
+                    dist.append(d)
+                    tops.append(top)
+                    lefts.append(left)
+        mbs, dist = np.array(mbs), np.array(dist)
+        tops, lefts = np.array(tops), np.array(lefts)
+        mv = np.stack([c0[mbs] - lefts, r0[mbs] - tops], axis=1)
+        want = np.lib.stride_tricks.sliding_window_view(
+            refs, (16, 16), axis=(1, 2))[dist - 1, tops, lefts]
+        got = predictor_blocks(stack, dist, mv, mbs, grid)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        # one scalar distance reads the same reference for every block
+        assert np.array_equal(predictor_blocks(stack, 1, mv, mbs, grid),
+                              np.lib.stride_tricks.sliding_window_view(
+                                  refs[0], (16, 16))[tops, lefts])
+        # one pixel past any edge raises before anything is gathered
+        for m in range(hb * wb):
+            for dx, dy in ((c0[m] + 1, 0), (c0[m] - (w - 16) - 1, 0),
+                           (0, r0[m] + 1), (0, r0[m] - (h - 16) - 1)):
+                with pytest.raises(CodecError, match="leaves the frame"):
+                    predictor_blocks(stack, 1, np.array([[dx, dy]]),
+                                     np.array([m]), grid)
 
 
 class TestIntra:
