@@ -30,12 +30,12 @@ reads them, then warp the decoded views once and blend them for every blend
 the mode's setups need.  When an encode has a helper, the receiver runs
 there.  It first catches up on the frames committed before the fork, which
 the fork hands over too; after that, frame t rides on the message that asks
-for frame t + 1's sets.  The helper answers the builds first and steps its
-receiver only while no request waits, because the encode waits on the
-sets; the frames left at the end are stepped before the result returns.
-Without a helper the receiver runs after the encode, once the encoder's
-state is freed.  decode_stream runs the same step with no blend, and
-synthesize_sequence runs its synthesis for one blend.
+for frame t + 1's sets.  The helper answers the builds first and starts a
+receiver step only while no request has begun to arrive, because the encode
+waits on the sets; the frames left at the end are stepped before the result
+returns.  Without a helper the receiver runs after the encode, once the
+encoder's state is freed.  decode_stream runs the same step with no blend,
+and synthesize_sequence runs its synthesis for one blend.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
@@ -299,16 +299,16 @@ class EncoderState:
     Holds the reconstructions, one tracker per plane, the innovation per
     plane and frame, and one curvature map per reconstructed view.  Frame t
     runs learn(t), then plan(t) and a selection, then commit(t, ...).
-    build, when given, builds plan's candidate sets in place of this
-    process (encode_stream passes its _CandidateBuilder's).  A builder
-    holds the trial records of the planes it builds, so the state holds
-    none.  commit(t) hands frame t + 1's requests to the builder before it
-    pushes the trackers, so a helper builds them during the pushes,
-    learn(t + 1) and the part of plan(t + 1) that needs no candidate set.
+    build builds plan's candidate sets (encode_stream passes its
+    _CandidateBuilder's).  A builder holds the trial records of the planes
+    it builds, so the state holds none.  commit(t) hands frame t + 1's
+    requests to the builder before it pushes the trackers, so a helper
+    builds them during the pushes, learn(t + 1) and the part of plan(t + 1)
+    that needs no candidate set.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
-                 trace: LossTrace, build: Builder | None = None):
+                 trace: LossTrace, build: Builder):
         if mode not in OPTIMIZER_MODES:
             raise HarnessError(f"unknown selection mode {mode!r}")
         h, w = orig[(0, Component.TEXTURE)][0].shape
@@ -325,9 +325,7 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
-        # the in-process builder builds when its handle is read
-        here = _builds_here(cfg, orig)
-        self.build = build or (lambda requests: partial(here, requests))
+        self.build = build
         # (t + 1, its handle) once commit(t) has sent frame t + 1's requests
         self.pending: tuple[int, Callable[[], CandidateSets]] | None = None
 
@@ -474,7 +472,8 @@ def _forked(what: str, body: Callable[..., None], *args
     two ends.  The process is not daemonic, so body may fork in turn.
     receive() returns the next message; it raises an Exception that body
     raised, or HarnessError with the exit code if the pipe ends first.
-    poll() says, without blocking, whether receive() would return at once.
+    poll() says, without blocking, whether a message (or the end) has
+    started to arrive; receive() may still block for the rest of it.
     send(msg) raises the same if the process has ended.  If the with-block
     raises, the process is terminated; either way it is joined before the
     block is left.
@@ -537,9 +536,9 @@ def _candidate_helper(conn, build: Callable[[BuildRequests], CandidateSets],
     committed since the last message.  The helper answers the requests
     first, because the encoder waits for them.  Its receiver then steps
     through the committed frames one at a time, but only while no message
-    waits (conn.poll()), so catching up never delays a build.  A message
-    without requests is the last: the receiver steps through the rest, and
-    its result is the answer."""
+    has started to arrive (conn.poll()), so a build waits for at most the
+    step in progress.  A message without requests is the last: the receiver
+    steps through the rest, and its result is the answer."""
     rx = receiver() if receiver is not None else None
     backlog = deque(backlog)
     while True:
@@ -591,20 +590,13 @@ class _CandidateBuilder:
             self.backlog = []
         if self.helper is None:
             return partial(self.here, requests)
-        send, receive, poll = self.helper
+        send, receive, _ = self.helper
         send(([r for r in requests if r[1][0] == 1], self.backlog))
         self.backlog = []
-        ours = [r for r in requests if r[1][0] != 1]
 
         def sets() -> CandidateSets:
-            # the helper's receiver steps only once its send is done, which
-            # waits for this read: read as soon as the sets arrive
-            theirs, csets = None, {}
-            for request in ours:
-                if theirs is None and poll():
-                    theirs = receive()
-                csets.update(self.here([request]))
-            csets.update(receive() if theirs is None else theirs)
+            csets = self.here([r for r in requests if r[1][0] != 1])
+            csets.update(receive())
             return csets
         return sets
 
@@ -669,10 +661,10 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     frame, and the stream's reception is its result.  With a helper, the
     receiver runs there: it catches up on the frames committed before the
     fork, and then each message that asks for frame t + 1's sets carries
-    frame t.  It steps only while this process has no build waiting, and
-    the frames left over at the end are stepped before its result returns.
-    Without a helper, the receiver runs here after the encode, once the
-    encoder's state is freed.
+    frame t.  It starts a step only while no build request has begun to
+    arrive, and the frames left over at the end are stepped before its
+    result returns.  Without a helper, the receiver runs here after the
+    encode, once the encoder's state is freed.
     """
     with _candidate_builder(cfg, orig, encodes, receiver) as builder:
         state = EncoderState(cfg, orig, mode, trace, builder.build)

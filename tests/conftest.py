@@ -1,13 +1,16 @@
-"""Shared scene fixtures, the hypothesis profile and the acceptance summary."""
+"""Shared scene fixtures, an in-process encoder state, the hypothesis profile
+and the acceptance summary."""
 from __future__ import annotations
 
 import multiprocessing
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from fvstream.channel import Component, build_schedule, make_iid_trace
+from fvstream import pipeline
 from fvstream.codec import serialize_stream
 from fvstream.pipeline import ExperimentConfig, encode_stream
 from fvstream.scenegen import (ObjectSpec, SyntheticSceneSpec, TextureSpec,
@@ -25,6 +28,14 @@ def no_process_left():
     """No test leaves a child process of the suite running, passed or not."""
     yield
     assert multiprocessing.active_children() == []
+
+
+def encoder_state(cfg, orig, mode: str, trace) -> pipeline.EncoderState:
+    """An EncoderState that builds every candidate set in this process when
+    plan reads it, as encode_stream does before a helper starts."""
+    build = pipeline._builds_here(cfg, orig)
+    return pipeline.EncoderState(cfg, orig, mode, trace,
+                                 lambda requests: partial(build, requests))
 
 
 def bounce(frame_count: int, step: int, swing: int, axis: int):

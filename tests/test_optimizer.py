@@ -23,6 +23,7 @@ from fvstream.sensitivity import g_eval
 from fvstream.synthesis import CorrespondenceSets
 
 import oracles
+from conftest import encoder_state
 
 
 def crafted_candidates(chan, distortion=None, bits=None):
@@ -95,7 +96,7 @@ class TestChannelColumns:
     def test_independent_texture_is_the_expected_error(self, replay_setup):
         # the plan hands the candidates' expected errors on unchanged
         cfg, orig, trace = replay_setup
-        state = pipeline.EncoderState(cfg, orig, "independent", trace)
+        state = encoder_state(cfg, orig, "independent", trace)
         stream = encode_stream(cfg, orig, "independent", trace)
         for t in range(3):
             state.learn(t)
@@ -142,7 +143,7 @@ class TestChannelColumns:
         cfg, orig, trace = replay_setup
         for mode in ("both", "standard", "Cross"):
             with pytest.raises(HarnessError):
-                pipeline.EncoderState(cfg, orig, mode, trace)
+                encoder_state(cfg, orig, mode, trace)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(["independent", "cross"]))
     @settings(max_examples=40)
@@ -395,7 +396,7 @@ class TestReactiveTaint:
         # a candidate's expected error is its overlap with the taint lattice
         cfg, orig, trace = replay_setup
         stream = encode_stream(cfg, orig, "reactive", trace)
-        state = pipeline.EncoderState(cfg, orig, "reactive", trace)
+        state = encoder_state(cfg, orig, "reactive", trace)
         masked = 0
         for t in range(len(stream.frames)):
             state.learn(t)
@@ -529,7 +530,7 @@ class TestLambdaControl:
 def replay_frame(cfg, orig, mode, trace, stream, t_star):
     """Rebuild the encoder's state at one instant from its recorded frames and
     reconstructions alone, then plan and select that frame again."""
-    state = pipeline.EncoderState(cfg, orig, mode, trace)
+    state = encoder_state(cfg, orig, mode, trace)
     for t in range(t_star):
         state.learn(t)
         state.commit(t, stream.frames[t],

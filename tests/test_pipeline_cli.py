@@ -27,6 +27,8 @@ from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                encode_stream, load_report, resolve_output_root,
                                run_experiment, synthesize_sequence)
 
+from conftest import encoder_state
+
 #: top-level config keys, one unknown, and a JSON value drawn for each
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
 _SCALARS = st.one_of(st.integers(-64, 64), st.floats(-300, 300),
@@ -652,7 +654,7 @@ class TestPlaneHelper:
         cfg, orig, trace = self._inputs(scene64)
         modes = ("cross", "independent")
         alone = [encode_stream(cfg, orig, mode, trace).frames for mode in modes]
-        states = [pipeline.EncoderState(cfg, orig, mode, trace) for mode in modes]
+        states = [encoder_state(cfg, orig, mode, trace) for mode in modes]
         together = [[], []]
         for t in range(len(orig[(0, Component.TEXTURE)])):
             for state, frames in zip(states, together):
@@ -668,19 +670,21 @@ class TestPlaneHelper:
         (("rfc",), {1: 0, 2: 1, 4: 1}),
         # the helper's receiver blends one cross-mode decode both ways
         (("rps2", "arps"), {1: 0, 2: 1, 4: 1}),
-        # the rfc worker, then a helper per tuned mode: beside the worker
-        # from 4 CPUs, after its cells from 2 (pinned to before frame 0)
+        # the rfc worker, then a helper per tuned mode: beside the live
+        # worker from 4 CPUs, after its cells at 2 (pinned to frame 0)
         (("rfc", "rps1", "rps2", "arps"), {1: 1, 2: 3, 4: 3})])
     def test_tree_is_the_same_at_any_cpu_count(self, tmp_path, monkeypatch,
                                                setups, forks_by_cpus):
-        _worker_ends_at(monkeypatch, 0)
         forks = _count_forks(monkeypatch)
         trees = []
         for cpus, want in forks_by_cpus.items():
             _cpus(monkeypatch, cpus)
             root = tmp_path / f"cpus{cpus}"
-            run_experiment(micro_config(tmp_path, setups=setups,
-                                        output_root=str(root)))
+            with pytest.MonkeyPatch.context() as pinned:
+                if cpus == 2:
+                    _worker_ends_at(pinned, 0)
+                run_experiment(micro_config(tmp_path, setups=setups,
+                                            output_root=str(root)))
             assert len(forks) == want
             forks.clear()
             trees.append(_tree(root))
@@ -935,16 +939,18 @@ def test_one_frame_pair_is_the_same_at_any_cpu_count(tmp_path, monkeypatch):
         MICRO_SCENE_DICT["objects"][0],
         trajectory={"kind": "offsets", "offsets": [[0, 0]]})])
     scene = config_from_dict({"scene": doc}).scene
-    _worker_ends_at(monkeypatch, 0)
     forks = _count_forks(monkeypatch)
     trees = []
-    # the rfc worker, then the arps encode's helper: beside the worker from
-    # 4 CPUs, after its cells from 2 (pinned to before frame 0)
+    # the rfc worker, then the arps encode's helper: beside the live worker
+    # from 4 CPUs, after its cells at 2 (pinned to frame 0)
     for cpus, want in {1: 1, 2: 2, 4: 2}.items():
         _cpus(monkeypatch, cpus)
         root = tmp_path / f"cpus{cpus}"
-        report = run_experiment(micro_config(tmp_path, scene=scene,
-                                             output_root=str(root)))
+        with pytest.MonkeyPatch.context() as pinned:
+            if cpus == 2:
+                _worker_ends_at(pinned, 0)
+            report = run_experiment(micro_config(tmp_path, scene=scene,
+                                                 output_root=str(root)))
         assert len(forks) == want
         assert multiprocessing.active_children() == []
         forks.clear()
