@@ -67,7 +67,7 @@ def _cmd_generate(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    left, right, truth = generate_synthetic_stereo(cfg.scene)
+    left, right, truth = generate_synthetic_stereo(cfg.scene, cfg.position)
     for t in range(cfg.scene.frame_count):
         save_pgm(out / f"left_tex_{t:04d}.pgm", left[t].texture)
         save_pgm(out / f"left_disp_{t:04d}.pgm", left[t].disparity)

@@ -2,7 +2,7 @@
 
 A scene is a stack of fronto-parallel layers: a background plus rectangular
 objects, each at a constant disparity.  Both captured views and the withheld
-middle-view reference are painted from the same world description, so
+virtual-view reference are painted from the same world description, so
 corresponding pixels carry identical intensities by construction.  Disparity
 values are pixel shifts at unit baseline: the right view shows world column
 j + d at its column j, a virtual view at position v shifts by rint(d * v).
@@ -181,12 +181,12 @@ def _paint_view(spec: SyntheticSceneSpec, t: int, position: float
     return texture, disparity
 
 
-def generate_synthetic_stereo(spec: SyntheticSceneSpec
+def generate_synthetic_stereo(spec: SyntheticSceneSpec, position: float = 0.5
                               ) -> tuple[list[ViewFrame], list[ViewFrame], list[FramePlane]]:
-    """Build the left view, right view and withheld middle-view reference.
+    """Build the left view, right view and withheld virtual-view reference.
 
-    Returns (left_frames, right_frames, middle_truth) with middle truth
-    rendered at position 0.5 from the same world description.
+    Returns (left_frames, right_frames, truth) with the truth rendered at
+    the virtual view position from the same world description.
     """
     left: list[ViewFrame] = []
     right: list[ViewFrame] = []
@@ -194,7 +194,7 @@ def generate_synthetic_stereo(spec: SyntheticSceneSpec
     for t in range(spec.frame_count):
         ltex, ldisp = _paint_view(spec, t, 0.0)
         rtex, rdisp = _paint_view(spec, t, 1.0)
-        mtex, _ = _paint_view(spec, t, 0.5)
+        mtex, _ = _paint_view(spec, t, position)
         left.append(ViewFrame(0, t, FramePlane(ltex), FramePlane(ldisp)))
         right.append(ViewFrame(1, t, FramePlane(rtex), FramePlane(rdisp)))
         truth.append(FramePlane(mtex))

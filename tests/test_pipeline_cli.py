@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import shutil
 import time
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -19,8 +20,10 @@ from fvstream.codec import PLANE_ORDER, CodecConfig, CodecError
 from fvstream.errortrack import (DecoderTracker, ExpectedErrorTracker,
                                  TrackingError)
 from fvstream.sensitivity import SensitivityParams
-from fvstream.synthesis import SynthesisParams
-from fvstream.scenegen import SceneSpecError, generate_synthetic_stereo
+from fvstream.frames import psnr
+from fvstream.synthesis import SynthesisParams, synthesize_view
+from fvstream.scenegen import (SceneSpecError, _paint_view,
+                               generate_synthetic_stereo)
 from fvstream.pipeline import (OUTPUT_ROOT_ENV, CellResult, ExperimentConfig,
                                ExperimentReport, HarnessError, compare_setups,
                                config_from_dict, decode_stream, emit_plot_data,
@@ -326,6 +329,19 @@ class TestLosslessLoop:
             with pytest.raises(HarnessError):
                 synthesize_sequence(cfg, dec, blend, micro_scene.truth)
 
+    def test_synthesis_is_scored_against_the_truth_at_its_position(
+            self, micro_scene, tmp_path):
+        cfg = micro_config(tmp_path, scene=micro_scene.spec, setups=("rfc",),
+                           loss_rates=(0.0,), position=0.25)
+        report = run_experiment(cfg)
+        orig = pipeline._plane_lists(micro_scene.left, micro_scene.right)
+        stream = encode_stream(cfg, orig, "reactive", cfg.loss_trace(7, 0.0))
+        for t, score in enumerate(report.cells[0].frame_psnr):
+            plane = synthesize_view(*(stream.recon[key][t]
+                                      for key in PLANE_ORDER), cfg.synthesis)
+            truth, _ = _paint_view(cfg.scene, t, 0.25)
+            assert score == float(pipeline._fmt(psnr(truth, plane)))
+
 
 class TestReports:
     def test_comparison_requires_the_baseline(self):
@@ -506,25 +522,6 @@ class TestPairWorker:
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
 
-    def test_worker_counts_as_running_until_its_cells_arrive(self):
-        # running() reads only what has arrived: the worker's bits, then its
-        # cells, after which one encode runs
-        def worker(conn):
-            for bits in (5, 6, 7):
-                conn.send(bits)
-            conn.recv()
-            conn.send(["cells"])
-        with pipeline._forked("probe", worker) as (send, receive, poll):
-            targets = pipeline._StreamedTargets(receive, poll)
-            assert targets[1] == 6 and targets.running() == 2
-            send("go")
-            deadline = time.monotonic() + 30
-            while targets.running() == 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert targets.running() == 1
-            assert targets.bits == [5, 6, 7] and targets[2] == 7
-            assert targets.result() == ["cells"]
-
     def test_rfc_cell_is_the_same_from_the_worker_and_in_process(
             self, tmp_path, monkeypatch):
         log = tmp_path / "writers.txt"
@@ -552,6 +549,67 @@ class TestPairWorker:
                           for p in sorted(root.rglob("*")) if p.is_file()})
         assert len(trees[0]) == 2 + 8 and trees[0] == trees[1]
 
+    @pytest.mark.parametrize("broken", [
+        None, "worker raises", "worker dies", "error here"])
+    def test_no_process_outlives_the_run(self, tmp_path, monkeypatch, broken):
+        # at 2 CPUs this process forks the rfc worker and the arps encode's
+        # helper, and the worker forks a helper of its own; a failing run
+        # terminates or loses a worker that has one
+        ledger, here = tmp_path / "forks.txt", os.getpid()
+        _fork_ledger(monkeypatch, ledger)
+        _cpus(monkeypatch, 2)
+
+        def die():
+            if os.getpid() != here:
+                os._exit(3)
+        error = {None: None, "worker raises": CodecError,
+                 "worker dies": HarnessError, "error here": CodecError}[broken]
+        if broken == "worker raises":
+            _break_plan(monkeypatch, "reactive", 3, _raise("rfc broke at 3"))
+        elif broken == "worker dies":
+            _break_plan(monkeypatch, "reactive", 3, die)
+        elif broken == "error here":
+            _break_plan(monkeypatch, "reactive", 5, lambda: time.sleep(60))
+            _break_plan(monkeypatch, "cross", 3, _raise("cross broke at 3"))
+        with pytest.raises(error) if error else nullcontext():
+            run_experiment(micro_config(tmp_path))
+        forks: dict[int, list[int]] = {}
+        for line in ledger.read_text(encoding="ascii").splitlines():
+            parent, child = map(int, line.split())
+            forks.setdefault(parent, []).append(child)
+        worker, _ = forks[here]
+        assert forks.keys() == {here, worker} and len(forks[worker]) == 1
+        children = forks[here] + forks[worker]
+        # a helper that loses its worker ends once it reads the closed pipe
+        deadline = time.monotonic() + (0 if error is None else 30)
+        while (any(map(_running, children))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not any(map(_running, children))
+
+
+def _fork_ledger(monkeypatch, path):
+    """Make every fork, made here or in a forked process, append the pid
+    that forks and the child's pid to path."""
+    fork = os.fork
+
+    def logged():
+        pid = fork()
+        if pid:
+            with open(path, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {pid}\n")
+        return pid
+    monkeypatch.setattr(os, "fork", logged)
+
+
+def _running(pid) -> bool:
+    """Whether process pid exists and has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
 
 def _cpus(monkeypatch, n):
     """Make this process see n usable CPUs."""
@@ -567,29 +625,6 @@ def _count_forks(monkeypatch):
         return fork()
     monkeypatch.setattr(os, "fork", counted)
     return forks
-
-
-def _ends_at(frame):
-    """An encodes() signal that reads 2 for frame frames and 1 from then
-    on (never, for None); calls counts how often it was read."""
-    def encodes():
-        encodes.calls += 1
-        return 2 if frame is None or encodes.calls <= frame else 1
-    encodes.calls = 0
-    return encodes
-
-
-def _worker_ends_at(monkeypatch, frame):
-    """Make a tuned encode beside the rfc worker see the worker running for
-    its first frame frames (always, for None) and, once the worker's cells
-    have arrived, ended from then on, whatever the timing."""
-    def running(targets):
-        targets.reads = getattr(targets, "reads", 0) + 1
-        if frame is None or targets.reads <= frame:
-            return 2
-        targets.result()
-        return 1
-    monkeypatch.setattr(pipeline._StreamedTargets, "running", running)
 
 
 def _same(a, b) -> bool:
@@ -616,8 +651,8 @@ def _tree(root):
 
 
 class TestPlaneHelper:
-    """An encode forks a helper for view 1's candidate sets when more CPUs
-    are usable than encodes run at once."""
+    """An encode forks a helper for view 1's candidate sets at frame 0 when
+    more than one CPU is usable."""
 
     @staticmethod
     def _inputs(scene, rtt=2):
@@ -670,8 +705,8 @@ class TestPlaneHelper:
         (("rfc",), {1: 0, 2: 1, 4: 1}),
         # the helper's receiver blends one cross-mode decode both ways
         (("rps2", "arps"), {1: 0, 2: 1, 4: 1}),
-        # the rfc worker, then a helper per tuned mode: beside the live
-        # worker from 4 CPUs, after its cells at 2 (pinned to frame 0)
+        # the rfc worker, then a helper per tuned mode beside it; the
+        # worker's own helper is forked there, not here
         (("rfc", "rps1", "rps2", "arps"), {1: 1, 2: 3, 4: 3})])
     def test_tree_is_the_same_at_any_cpu_count(self, tmp_path, monkeypatch,
                                                setups, forks_by_cpus):
@@ -680,11 +715,8 @@ class TestPlaneHelper:
         for cpus, want in forks_by_cpus.items():
             _cpus(monkeypatch, cpus)
             root = tmp_path / f"cpus{cpus}"
-            with pytest.MonkeyPatch.context() as pinned:
-                if cpus == 2:
-                    _worker_ends_at(pinned, 0)
-                run_experiment(micro_config(tmp_path, setups=setups,
-                                            output_root=str(root)))
+            run_experiment(micro_config(tmp_path, setups=setups,
+                                        output_root=str(root)))
             assert len(forks) == want
             forks.clear()
             trees.append(_tree(root))
@@ -763,11 +795,13 @@ class TestPlaneHelper:
         (lambda: os._exit(3), HarnessError, "probe exited with code 3")])
     def test_send_to_an_ended_process_raises_why_it_ended(self, end, error,
                                                           message):
-        with pytest.raises(error, match=message):
-            with pipeline._forked("probe", lambda conn: end()) as (send, _, _):
+        with pytest.raises(error, match=message) as caught:
+            with pipeline._forked("probe", lambda conn: end()) as (send, _):
                 while multiprocessing.active_children():
                     time.sleep(0.01)
                 send("after the end")
+        # no context: the failed send's would hold its pickle buffer
+        assert caught.value.__context__ is None
         assert multiprocessing.active_children() == []
 
     def test_helper_that_dies_is_reported_with_its_exit_code(
@@ -817,88 +851,14 @@ class TestPlaneHelper:
         assert multiprocessing.active_children() == []
 
 
-class TestLateHelper:
-    """A helper that starts after frame 0, once a CPU frees up, takes over
-    the encode's view-1 trial records and receives the frames committed
-    before it started."""
-
-    @pytest.mark.parametrize("mode", ["independent", "cross"])
-    def test_stream_is_the_same_whenever_the_helper_starts(
-            self, scene64, monkeypatch, mode):
-        _cpus(monkeypatch, 2)
-        cfg, orig, trace = TestPlaneHelper._inputs(scene64)
-        frames = len(orig[(0, Component.TEXTURE)])
-        targets = encode_stream(cfg, orig, "reactive", trace).bits_per_frame
-        receiver = partial(pipeline.Receiver, cfg, trace,
-                           ["standard", "adaptive"], scene64.truth)
-        forks = _count_forks(monkeypatch)
-        streams = []
-        for start in (1, frames // 2, frames - 1, None):
-            encodes = _ends_at(start)
-            streams.append(encode_stream(cfg, orig, mode, trace, targets,
-                                         encodes=encodes, receiver=receiver))
-            # read once per frame until the helper starts
-            assert encodes.calls == (frames if start is None else start + 1)
-            assert len(forks) == (start is not None)
-            forks.clear()
-        assert streams[0].reception is not None
-        assert all(_same(streams[0], stream) for stream in streams[1:])
-
-    @pytest.mark.parametrize("setups", [("rfc", "rps1"), ("rfc", "arps")])
-    def test_tree_is_the_same_whenever_the_helper_starts(
-            self, tmp_path, monkeypatch, setups):
-        _cpus(monkeypatch, 2)
-        frames = micro_config(tmp_path).scene.frame_count
-        forks = _count_forks(monkeypatch)
-        trees = []
-        for start in (1, frames // 2, frames - 1, None):
-            _worker_ends_at(monkeypatch, start)
-            root = tmp_path / f"start{start}"
-            run_experiment(micro_config(tmp_path, setups=setups,
-                                        output_root=str(root)))
-            # the rfc worker, then the tuned encode's helper
-            assert len(forks) == 1 + (start is not None)
-            forks.clear()
-            trees.append(_tree(root))
-        assert trees[0] and all(tree == trees[0] for tree in trees)
-
-    @pytest.mark.parametrize("where", ["build", "receiver"])
-    def test_late_helper_error_is_raised_here(self, micro_scene, monkeypatch,
-                                              where):
-        # the helper starts at frame 4: its first build fails, or its
-        # receiver fails on frame 2 while it catches up
-        parent = os.getpid()
-        name = ("build_inter_candidates" if where == "build"
-                else "decode_plane")
-        original = getattr(pipeline, name)
-
-        def broken(*args):
-            if os.getpid() != parent and (where == "build"
-                                          or len(args[1]) == 2):
-                raise CodecError(f"{where} broke in the helper")
-            return original(*args)
-        monkeypatch.setattr(pipeline, name, broken)
-        _cpus(monkeypatch, 2)
-        cfg, orig, trace = TestPlaneHelper._inputs(micro_scene)
-        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"],
-                           micro_scene.truth)
-        with pytest.raises(CodecError) as caught:
-            encode_stream(cfg, orig, "cross", trace, encodes=_ends_at(4),
-                          receiver=receiver)
-        assert type(caught.value) is CodecError
-        assert str(caught.value) == f"{where} broke in the helper"
-        assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("setups", [("rfc",), ("rps2", "arps"),
                                     ("rfc", "arps")])
 @pytest.mark.parametrize("scene", ["micro_scene", "scene64"])
 def test_public_receiver_gives_the_cells_run_experiment_wrote(
         request, tmp_path, monkeypatch, scene, setups):
-    # run_experiment receives in the encode's helper (2 CPUs, one mode, or
-    # once the rfc worker has ended) or after the encode (1 CPU, or no
-    # helper started); decode_stream and synthesize_sequence are the
-    # public route to the same planes and PSNRs
+    # run_experiment receives in the encode's helper (2 CPUs) or after the
+    # encode (1 CPU); decode_stream and synthesize_sequence are the public
+    # route to the same planes and PSNRs
     scene = request.getfixturevalue(scene)
     cfg = micro_config(tmp_path, scene=scene.spec, setups=setups)
     orig = pipeline._plane_lists(scene.left, scene.right)
@@ -941,16 +901,12 @@ def test_one_frame_pair_is_the_same_at_any_cpu_count(tmp_path, monkeypatch):
     scene = config_from_dict({"scene": doc}).scene
     forks = _count_forks(monkeypatch)
     trees = []
-    # the rfc worker, then the arps encode's helper: beside the live worker
-    # from 4 CPUs, after its cells at 2 (pinned to frame 0)
+    # the rfc worker, then the arps encode's helper beside it
     for cpus, want in {1: 1, 2: 2, 4: 2}.items():
         _cpus(monkeypatch, cpus)
         root = tmp_path / f"cpus{cpus}"
-        with pytest.MonkeyPatch.context() as pinned:
-            if cpus == 2:
-                _worker_ends_at(pinned, 0)
-            report = run_experiment(micro_config(tmp_path, scene=scene,
-                                                 output_root=str(root)))
+        report = run_experiment(micro_config(tmp_path, scene=scene,
+                                             output_root=str(root)))
         assert len(forks) == want
         assert multiprocessing.active_children() == []
         forks.clear()
