@@ -522,6 +522,22 @@ class TestPairWorker:
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
 
+    def test_worker_streams_its_bits_then_its_cells(self):
+        # a tuned encode reads the worker's bits as they arrive; result()
+        # passes over bits that no encode read and returns the cells
+        def worker(conn):
+            for bits in (5, 6, 7):
+                conn.send(bits)
+            conn.recv()
+            conn.send(["cells"])
+        with pipeline._forked("probe", worker) as (send, receive):
+            targets = pipeline._StreamedTargets(receive)
+            assert targets[1] == 6 and targets.bits == [5, 6]
+            send("go")
+            assert targets.result() == ["cells"]
+            assert targets[0] == 5 and targets.bits == [5, 6]
+        assert multiprocessing.active_children() == []
+
     def test_rfc_cell_is_the_same_from_the_worker_and_in_process(
             self, tmp_path, monkeypatch):
         log = tmp_path / "writers.txt"
@@ -679,6 +695,28 @@ class TestPlaneHelper:
         assert all(_same(getattr(streams[0], f.name), getattr(stream, f.name))
                    for stream in streams[1:]
                    for f in dataclasses.fields(pipeline.EncodedStream))
+
+    @pytest.mark.parametrize("mode", ["independent", "cross"])
+    def test_tuned_stream_and_reception_are_the_same_with_and_without_the_helper(
+            self, scene64, monkeypatch, mode):
+        # against rfc's targets, with a receiver that blends both ways: the
+        # helper builds and receives from frame 0 at 2 CPUs, nothing is
+        # forked at 1
+        cfg, orig, trace = self._inputs(scene64)
+        _cpus(monkeypatch, 1)
+        targets = encode_stream(cfg, orig, "reactive", trace).bits_per_frame
+        receiver = partial(pipeline.Receiver, cfg, trace,
+                           ["standard", "adaptive"], scene64.truth)
+        forks = _count_forks(monkeypatch)
+        streams = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            streams.append(encode_stream(cfg, orig, mode, trace, targets,
+                                         receiver=receiver))
+            assert len(forks) == cpus - 1
+            forks.clear()
+        assert streams[0].reception is not None
+        assert _same(streams[0], streams[1])
 
     def test_encoders_stepped_alternately_keep_their_own_records(
             self, scene64, monkeypatch):
