@@ -12,27 +12,30 @@ setups against them: frame t only needs the baseline's frame t.
 
 Within a frame, the four planes' candidate searches read only the source and
 the reconstructions up to t - 1, so they are independent of each other.
-When this process may use more than one CPU, every encode, the baseline's
-worker included, forks a helper at frame 0 that builds view 1's candidate
-sets and holds their trial records (codec.TrialRecord).  Frame t + 1's
-requests go out as soon as frame t's reconstructions are committed, so the
-helper builds while the encode pushes its trackers, learns the delayed
-outcomes, computes the terms that need no candidate set and builds view 0's
-sets.  Selection, lambda tuning and commit stay in the encode, so the helper
-changes no byte of any artifact.  On one CPU every plane is built here.
+Each encode forks a helper for view 1's candidate sets at the first frame at
+which the CPUs this process may use outnumber the encodes running: frame 0
+when it runs alone, and beside the baseline's worker the frame after the
+worker's cells arrive.  The fork hands the helper view 1's trial records
+(codec.TrialRecord), so its builds continue where this process's stopped.
+Frame t + 1's requests go out as soon as frame t's reconstructions are
+committed, so the helper builds while the encode pushes its trackers, learns
+the delayed outcomes, computes the terms that need no candidate set and
+builds view 0's sets.  Selection, lambda tuning and commit stay in the
+encode, so the helper changes no byte of any artifact, whenever it starts.
 _forked starts both processes.
 
 The receiver is one step per committed frame (Receiver): decode the four
 planes with concealment, track their per-MB errors if the adaptive blend
 reads them, then warp the decoded views once and blend them for every blend
 the mode's setups need.  When an encode has a helper, the receiver runs
-there: frame t rides on the message that asks for frame t + 1's sets.  The
-helper answers the builds first and starts a receiver step only while no
-request has begun to arrive, because the encode waits on the sets; the
-frames left at the end are stepped before the result returns.  Without a
-helper the receiver runs after the encode, once the encoder's state is
-freed.  decode_stream runs the same step with no blend, and
-synthesize_sequence runs its synthesis for one blend.
+there.  It first catches up on the frames committed before the fork, which
+the fork hands over too; after that, frame t rides on the message that asks
+for frame t + 1's sets.  The helper answers the builds first and starts a
+receiver step only while no request has begun to arrive, because the encode
+waits on the sets; the frames left at the end are stepped before the result
+returns.  Without a helper the receiver runs after the encode, once the
+encoder's state is freed.  decode_stream runs the same step with no blend,
+and synthesize_sequence runs its synthesis for one blend.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
@@ -43,7 +46,7 @@ import math
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -460,14 +463,17 @@ def _select_frame(plan: FramePlan, lam: float, target: float | None,
 
 @contextmanager
 def _forked(what: str, body: Callable[..., None], *args
-            ) -> Iterator[tuple[Callable[[object], None], Callable[[], object]]]:
-    """Run body(conn, *args) in a forked process; yield (send, receive).
+            ) -> Iterator[tuple[Callable[[object], None], Callable[[], object],
+                                Callable[[], bool]]]:
+    """Run body(conn, *args) in a forked process; yield (send, receive, poll).
 
     The one contract of every process this module starts.  The fork context
     shares the parent's arrays copy-on-write, and one duplex pipe joins the
     two ends.  The process is not daemonic, so body may fork in turn.
     receive() returns the next message; it raises an Exception that body
     raised, or HarnessError with the exit code if the pipe ends first.
+    poll() says, without blocking, whether a message (or the end) has
+    started to arrive; receive() may still block for the rest of it.
     send(msg) raises the same if the process has ended.  If the with-block
     raises, the process is terminated; either way it is joined before the
     block is left.
@@ -481,7 +487,10 @@ def _forked(what: str, body: Callable[..., None], *args
         try:
             body(child_end, *args)
         except Exception as exc:     # raised again by receive()
-            child_end.send(exc)
+            try:
+                child_end.send(exc)
+            except OSError:     # the parent has ended: no one to tell
+                pass
 
     proc = ctx.Process(target=run)
     proc.start()
@@ -510,7 +519,7 @@ def _forked(what: str, body: Callable[..., None], *args
         raise HarnessError(f"{what} stopped reading before its work was done")
 
     try:
-        yield send, receive
+        yield send, receive, conn.poll
     except BaseException:
         proc.terminate()
         raise
@@ -523,19 +532,21 @@ def _forked(what: str, body: Callable[..., None], *args
 Committed = list[tuple[int, dict[tuple[int, Component], EncodedPlane]]]
 
 
-def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict,
-                      receiver: Callable[[], Receiver] | None) -> None:
-    """Helper body.  It builds view 1's candidate sets and holds their trial
-    records.  Each message holds one frame's view-1 build requests and the
-    frames committed since the last message.  The helper answers the
-    requests first, because the encoder waits for them.  Its receiver then
-    steps through the committed frames one at a time, but only while no
-    message has started to arrive (conn.poll()), so a build waits for at
-    most the step in progress.  A message without requests is the last: the
-    receiver steps through the rest, and its result is the answer."""
-    build = _builds_here(cfg, orig)
+def _candidate_helper(conn, build: Callable[[BuildRequests], CandidateSets],
+                      receiver: Callable[[], Receiver] | None,
+                      backlog: Committed) -> None:
+    """Helper body.  The fork hands it the encoder's own build function,
+    which holds view 1's trial records, and the frames committed before the
+    fork, so no trial is coded again and no frame crosses twice.  Each
+    message holds one frame's view-1 build requests and the frames
+    committed since the last message.  The helper answers the requests
+    first, because the encoder waits for them.  Its receiver then steps
+    through the committed frames one at a time, but only while no message
+    has started to arrive (conn.poll()), so a build waits for at most the
+    step in progress.  A message without requests is the last: the receiver
+    steps through the rest, and its result is the answer."""
     rx = receiver() if receiver is not None else None
-    backlog: deque = deque()
+    backlog = deque(backlog)
     while True:
         try:
             requests, committed = conn.recv()
@@ -555,21 +566,23 @@ def _candidate_helper(conn, cfg: ExperimentConfig, orig: dict,
 class _CandidateBuilder:
     """The encoder's builder (Builder) and the feed of its receiver.
 
-    helper is the (send, receive) of a _candidate_helper, or None.  With a
-    helper, view 1 is built there and the committed frames go to its
-    receiver with the next message.  One message per frame, sent only once
-    the previous answer is read: two sends in a row could each fill the
-    pipe while the helper blocks sending its first answer.  Without one,
-    every plane is built here and the committed frames wait for finish().
+    Until a CPU is free, every plane is built here and the committed frames
+    wait.  At the first build at which free() holds, fork(build, receiver,
+    backlog) starts the helper (_candidate_helper) and gives its (send,
+    receive, poll); from then on the helper builds view 1 and receives.
+    One message per frame, sent only once the previous answer is read: two
+    sends in a row could each fill the pipe while the helper blocks sending
+    its first answer.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict,
                  receiver: Callable[[], Receiver] | None,
-                 helper: tuple[Callable[[object], None],
-                               Callable[[], object]] | None) -> None:
+                 free: Callable[[], bool], fork: Callable[..., tuple]) -> None:
         self.here = _builds_here(cfg, orig)
-        self.receiver, self.helper = receiver, helper
+        self.receiver, self.free, self.fork = receiver, free, fork
         self.backlog: Committed = []
+        self.helper: tuple[Callable[[object], None], Callable[[], object],
+                           Callable[[], bool]] | None = None
 
     def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
                ) -> None:
@@ -578,9 +591,12 @@ class _CandidateBuilder:
             self.backlog.append((t, frame))
 
     def build(self, requests: BuildRequests) -> Callable[[], CandidateSets]:
+        if self.helper is None and self.free():
+            self.helper = self.fork(self.here, self.receiver, self.backlog)
+            self.backlog = []
         if self.helper is None:
             return partial(self.here, requests)
-        send, receive = self.helper
+        send, receive, _ = self.helper
         send(([r for r in requests if r[1][0] == 1], self.backlog))
         self.backlog = []
 
@@ -594,7 +610,7 @@ class _CandidateBuilder:
         """The receiver's result, once it has stepped through every frame:
         the helper's, or one run here once the trial records are freed."""
         if self.helper is not None:
-            send, receive = self.helper
+            send, receive, _ = self.helper
             send((None, self.backlog))
             return receive()
         self.here = None
@@ -608,23 +624,25 @@ class _CandidateBuilder:
 
 @contextmanager
 def _candidate_builder(cfg: ExperimentConfig, orig: dict,
+                       encodes: Callable[[], int],
                        receiver: Callable[[], Receiver] | None = None
                        ) -> Iterator[_CandidateBuilder]:
-    """The encoder's builder, with a helper (_forked) when this process may
-    use more than one CPU (see encode_stream)."""
+    """The encoder's builder, which forks its helper (_forked) at the first
+    frame at which the CPUs this process may use outnumber encodes(), the
+    encodes running (see encode_stream)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus <= 1:
-        yield _CandidateBuilder(cfg, orig, receiver, None)
-        return
-    with _forked("candidate helper", _candidate_helper,
-                 cfg, orig, receiver) as helper:
-        yield _CandidateBuilder(cfg, orig, receiver, helper)
+    with ExitStack() as stack:
+        yield _CandidateBuilder(
+            cfg, orig, receiver, lambda: cpus > encodes(),
+            lambda *state: stack.enter_context(_forked(
+                "candidate helper", _candidate_helper, *state)))
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
                   trace: LossTrace, frame_targets: Sequence[float] | None = None,
                   publish: Callable[[int], object] | None = None,
+                  encodes: Callable[[], int] = lambda: 1,
                   receiver: Callable[[], Receiver] | None = None
                   ) -> EncodedStream:
     """Encode both views frame by frame under one selection mode.
@@ -634,22 +652,27 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     t is read only when frame t is coded.  publish, when given, receives
     each frame's bits as soon as the frame is committed.
 
-    When os.sched_getaffinity(0) holds more than one CPU, a helper (_forked)
-    forked at frame 0 builds view 1's candidate sets and holds their trial
-    records, and this process does everything else, so the stream is the
-    same either way.  The helper builds frame t + 1's sets during frame t's
-    tracker pushes (commit), frame t + 1's delayed outcomes (learn), its
-    terms that need no candidate set and view 0's builds (plan).
+    encodes() is how many encodes run at the moment, this one included; it
+    is read once per frame until a helper starts.  At the first frame at
+    which os.sched_getaffinity(0) holds more CPUs than that (frame 0 when
+    this encode runs alone, the frame after the rfc worker's cells arrive
+    beside it), a helper (_forked) takes over view 1's candidate sets with
+    their trial records, and this process does everything else, so the
+    stream is the same whenever the helper starts, or if none does.  The
+    helper builds frame t + 1's sets during frame t's tracker pushes
+    (commit), frame t + 1's delayed outcomes (learn), its terms that need no
+    candidate set and view 0's builds (plan).
 
     receiver, when given, makes the Receiver that runs on every committed
     frame, and the stream's reception is its result.  With a helper, the
-    receiver runs there: each message that asks for frame t + 1's sets
-    carries frame t.  It starts a step only while no build request has begun
-    to arrive, and the frames left over at the end are stepped before its
+    receiver runs there: it catches up on the frames committed before the
+    fork, and then each message that asks for frame t + 1's sets carries
+    frame t.  It starts a step only while no build request has begun to
+    arrive, and the frames left over at the end are stepped before its
     result returns.  Without a helper, the receiver runs here after the
     encode, once the encoder's state is freed.
     """
-    with _candidate_builder(cfg, orig, receiver) as builder:
+    with _candidate_builder(cfg, orig, encodes, receiver) as builder:
         state = EncoderState(cfg, orig, mode, trace, builder.build)
         out = EncodedStream(mode=mode, frames=[], records=[],
                             recon=state.recon, bits_per_frame=[], lambdas=[],
@@ -935,13 +958,13 @@ def _write_cell(cell_dir: Path, stream: EncodedStream, cell: CellResult,
 def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
                orig: dict, truth: list[FramePlane], trace: LossTrace,
                pair: Path, targets: Sequence[float] | None = None,
-               publish: Callable[[int], object] | None = None
-               ) -> list[CellResult]:
+               publish: Callable[[int], object] | None = None,
+               encodes: Callable[[], int] = lambda: 1) -> list[CellResult]:
     """Code the cells of one selection mode in a (rate, seed) pair: encode
     once and receive once, synthesizing every blend the setups need, then
     write each setup's cell."""
     blends = list(dict.fromkeys(SETUP_MODES[setup][1] for setup in setups))
-    stream = encode_stream(cfg, orig, mode, trace, targets, publish,
+    stream = encode_stream(cfg, orig, mode, trace, targets, publish, encodes,
                            partial(Receiver, cfg, trace, blends, truth))
     rx = stream.reception
     cells = []
@@ -962,21 +985,37 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
 class _StreamedTargets:
     """The reactive cell's per-frame bits as its worker (_forked) commits
     them, then its cells.  Reading frame t blocks until the worker has sent
-    it."""
+    it; running() reads only what has arrived."""
 
-    def __init__(self, receive: Callable[[], object]) -> None:
-        self.receive, self.bits = receive, []
+    def __init__(self, receive: Callable[[], object],
+                 poll: Callable[[], bool]) -> None:
+        self.receive, self.poll = receive, poll
+        self.bits: list[int] = []
+        self.cells: list[CellResult] | None = None
+
+    def _read(self) -> None:
+        msg = self.receive()
+        if isinstance(msg, int):
+            self.bits.append(msg)
+        else:
+            self.cells = msg
 
     def __getitem__(self, t: int) -> int:
         while len(self.bits) <= t:
-            self.bits.append(self.receive())
+            self._read()
         return self.bits[t]
 
+    def running(self) -> int:
+        """The encodes running now: the caller's, and the worker's until
+        its cells have arrived."""
+        while self.cells is None and self.poll():
+            self._read()
+        return 1 if self.cells is not None else 2
+
     def result(self) -> list[CellResult]:
-        msg = self.receive()
-        while isinstance(msg, int):     # bits that no tuned encode read
-            msg = self.receive()
-        return msg
+        while self.cells is None:
+            self._read()
+        return self.cells
 
 
 def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
@@ -986,7 +1025,8 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
 
     With the reactive baseline and a tuned mode, the baseline runs in a
     forked worker (_forked) and the tuned modes code here against its
-    streamed bits.  Otherwise no mode has targets, and each runs here in
+    streamed bits; a tuned encode counts the worker as running until its
+    cells arrive.  Otherwise no mode has targets, and each runs here in
     turn.
     """
     modes: dict[str, list[str]] = {}
@@ -998,10 +1038,11 @@ def _code_pair(cfg: ExperimentConfig, setups: list[str], orig: dict,
                 for c in _code_mode(cfg, m, group, orig, truth, trace, pair)}
     with _forked("rfc worker", lambda conn: conn.send(_code_mode(
             cfg, "reactive", modes["reactive"], orig, truth, trace, pair,
-            publish=conn.send))) as (_, receive):
-        targets = _StreamedTargets(receive)
+            publish=conn.send, encodes=lambda: 2))) as (_, receive, poll):
+        targets = _StreamedTargets(receive, poll)
         cells = [c for m in tuned for c in _code_mode(
-            cfg, m, modes[m], orig, truth, trace, pair, targets)]
+            cfg, m, modes[m], orig, truth, trace, pair, targets,
+            encodes=targets.running)]
         cells += targets.result()
     return {c.setup: c for c in cells}
 

@@ -32,7 +32,7 @@ def no_process_left():
 
 def encoder_state(cfg, orig, mode: str, trace) -> pipeline.EncoderState:
     """An EncoderState that builds every candidate set in this process when
-    plan reads it, as encode_stream does on one CPU."""
+    plan reads it, as encode_stream does before a helper starts."""
     build = pipeline._builds_here(cfg, orig)
     return pipeline.EncoderState(cfg, orig, mode, trace,
                                  lambda requests: partial(build, requests))

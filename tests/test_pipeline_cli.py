@@ -522,21 +522,24 @@ class TestPairWorker:
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
 
-    def test_worker_streams_its_bits_then_its_cells(self):
-        # a tuned encode reads the worker's bits as they arrive; result()
-        # passes over bits that no encode read and returns the cells
+    def test_worker_counts_as_running_until_its_cells_arrive(self):
+        # running() reads only what has arrived: the worker's bits, then its
+        # cells, after which one encode runs
         def worker(conn):
             for bits in (5, 6, 7):
                 conn.send(bits)
             conn.recv()
             conn.send(["cells"])
-        with pipeline._forked("probe", worker) as (send, receive):
-            targets = pipeline._StreamedTargets(receive)
-            assert targets[1] == 6 and targets.bits == [5, 6]
+        with pipeline._forked("probe", worker) as (send, receive, poll):
+            targets = pipeline._StreamedTargets(receive, poll)
+            assert targets[1] == 6 and targets.running() == 2
             send("go")
+            deadline = time.monotonic() + 30
+            while targets.running() == 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert targets.running() == 1
+            assert targets.bits == [5, 6, 7] and targets[2] == 7
             assert targets.result() == ["cells"]
-            assert targets[0] == 5 and targets.bits == [5, 6]
-        assert multiprocessing.active_children() == []
 
     def test_rfc_cell_is_the_same_from_the_worker_and_in_process(
             self, tmp_path, monkeypatch):
@@ -567,13 +570,15 @@ class TestPairWorker:
 
     @pytest.mark.parametrize("broken", [
         None, "worker raises", "worker dies", "error here"])
-    def test_no_process_outlives_the_run(self, tmp_path, monkeypatch, broken):
-        # at 2 CPUs this process forks the rfc worker and the arps encode's
-        # helper, and the worker forks a helper of its own; a failing run
-        # terminates or loses a worker that has one
+    def test_no_process_outlives_the_run(self, tmp_path, monkeypatch, capfd,
+                                         broken):
+        # at 3 CPUs every encode forks its helper at frame 0: this process
+        # forks the rfc worker and the arps encode's helper, and the worker
+        # forks a helper of its own; a failing run terminates or loses a
+        # worker that has one, and no process reports it on stderr
         ledger, here = tmp_path / "forks.txt", os.getpid()
         _fork_ledger(monkeypatch, ledger)
-        _cpus(monkeypatch, 2)
+        _cpus(monkeypatch, 3)
 
         def die():
             if os.getpid() != here:
@@ -602,6 +607,7 @@ class TestPairWorker:
                and time.monotonic() < deadline):
             time.sleep(0.05)
         assert not any(map(_running, children))
+        assert capfd.readouterr().err == ""
 
 
 def _fork_ledger(monkeypatch, path):
@@ -643,6 +649,29 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _ends_at(frame):
+    """An encodes() signal that reads 2 for frame frames and 1 from then
+    on (never, for None); calls counts how often it was read."""
+    def encodes():
+        encodes.calls += 1
+        return 2 if frame is None or encodes.calls <= frame else 1
+    encodes.calls = 0
+    return encodes
+
+
+def _worker_ends_at(monkeypatch, frame):
+    """Make a tuned encode beside the rfc worker see the worker running for
+    its first frame frames (always, for None) and, once the worker's cells
+    have arrived, ended from then on, whatever the timing."""
+    def running(targets):
+        targets.reads = getattr(targets, "reads", 0) + 1
+        if frame is None or targets.reads <= frame:
+            return 2
+        targets.result()
+        return 1
+    monkeypatch.setattr(pipeline._StreamedTargets, "running", running)
+
+
 def _same(a, b) -> bool:
     """Deep equality of streams: arrays by dtype and value."""
     if isinstance(a, np.ndarray):
@@ -667,8 +696,8 @@ def _tree(root):
 
 
 class TestPlaneHelper:
-    """An encode forks a helper for view 1's candidate sets at frame 0 when
-    more than one CPU is usable."""
+    """An encode forks a helper for view 1's candidate sets when more CPUs
+    are usable than encodes run at once."""
 
     @staticmethod
     def _inputs(scene, rtt=2):
@@ -696,28 +725,6 @@ class TestPlaneHelper:
                    for stream in streams[1:]
                    for f in dataclasses.fields(pipeline.EncodedStream))
 
-    @pytest.mark.parametrize("mode", ["independent", "cross"])
-    def test_tuned_stream_and_reception_are_the_same_with_and_without_the_helper(
-            self, scene64, monkeypatch, mode):
-        # against rfc's targets, with a receiver that blends both ways: the
-        # helper builds and receives from frame 0 at 2 CPUs, nothing is
-        # forked at 1
-        cfg, orig, trace = self._inputs(scene64)
-        _cpus(monkeypatch, 1)
-        targets = encode_stream(cfg, orig, "reactive", trace).bits_per_frame
-        receiver = partial(pipeline.Receiver, cfg, trace,
-                           ["standard", "adaptive"], scene64.truth)
-        forks = _count_forks(monkeypatch)
-        streams = []
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
-            streams.append(encode_stream(cfg, orig, mode, trace, targets,
-                                         receiver=receiver))
-            assert len(forks) == cpus - 1
-            forks.clear()
-        assert streams[0].reception is not None
-        assert _same(streams[0], streams[1])
-
     def test_encoders_stepped_alternately_keep_their_own_records(
             self, scene64, monkeypatch):
         # each EncoderState holds the trial records of its own planes, so
@@ -743,8 +750,8 @@ class TestPlaneHelper:
         (("rfc",), {1: 0, 2: 1, 4: 1}),
         # the helper's receiver blends one cross-mode decode both ways
         (("rps2", "arps"), {1: 0, 2: 1, 4: 1}),
-        # the rfc worker, then a helper per tuned mode beside it; the
-        # worker's own helper is forked there, not here
+        # the rfc worker, then a helper per tuned mode: beside the live
+        # worker from 4 CPUs, after its cells at 2 (pinned to frame 0)
         (("rfc", "rps1", "rps2", "arps"), {1: 1, 2: 3, 4: 3})])
     def test_tree_is_the_same_at_any_cpu_count(self, tmp_path, monkeypatch,
                                                setups, forks_by_cpus):
@@ -753,8 +760,11 @@ class TestPlaneHelper:
         for cpus, want in forks_by_cpus.items():
             _cpus(monkeypatch, cpus)
             root = tmp_path / f"cpus{cpus}"
-            run_experiment(micro_config(tmp_path, setups=setups,
-                                        output_root=str(root)))
+            with pytest.MonkeyPatch.context() as pinned:
+                if cpus == 2:
+                    _worker_ends_at(pinned, 0)
+                run_experiment(micro_config(tmp_path, setups=setups,
+                                            output_root=str(root)))
             assert len(forks) == want
             forks.clear()
             trees.append(_tree(root))
@@ -834,7 +844,7 @@ class TestPlaneHelper:
     def test_send_to_an_ended_process_raises_why_it_ended(self, end, error,
                                                           message):
         with pytest.raises(error, match=message) as caught:
-            with pipeline._forked("probe", lambda conn: end()) as (send, _):
+            with pipeline._forked("probe", lambda conn: end()) as (send, _, _):
                 while multiprocessing.active_children():
                     time.sleep(0.01)
                 send("after the end")
@@ -889,14 +899,88 @@ class TestPlaneHelper:
         assert multiprocessing.active_children() == []
 
 
+class TestLateHelper:
+    """A helper that starts after frame 0, once a CPU frees up, takes over
+    the encode's view-1 trial records and receives the frames committed
+    before it started."""
+
+    @pytest.mark.parametrize("mode", ["independent", "cross"])
+    def test_stream_is_the_same_whenever_the_helper_starts(
+            self, scene64, monkeypatch, mode):
+        _cpus(monkeypatch, 2)
+        cfg, orig, trace = TestPlaneHelper._inputs(scene64)
+        frames = len(orig[(0, Component.TEXTURE)])
+        targets = encode_stream(cfg, orig, "reactive", trace).bits_per_frame
+        receiver = partial(pipeline.Receiver, cfg, trace,
+                           ["standard", "adaptive"], scene64.truth)
+        forks = _count_forks(monkeypatch)
+        streams = []
+        for start in (1, frames // 2, frames - 1, None):
+            encodes = _ends_at(start)
+            streams.append(encode_stream(cfg, orig, mode, trace, targets,
+                                         encodes=encodes, receiver=receiver))
+            # read once per frame until the helper starts
+            assert encodes.calls == (frames if start is None else start + 1)
+            assert len(forks) == (start is not None)
+            forks.clear()
+        assert streams[0].reception is not None
+        assert all(_same(streams[0], stream) for stream in streams[1:])
+
+    @pytest.mark.parametrize("setups", [("rfc", "rps1"), ("rfc", "arps")])
+    def test_tree_is_the_same_whenever_the_helper_starts(
+            self, tmp_path, monkeypatch, setups):
+        _cpus(monkeypatch, 2)
+        frames = micro_config(tmp_path).scene.frame_count
+        forks = _count_forks(monkeypatch)
+        trees = []
+        for start in (1, frames // 2, frames - 1, None):
+            _worker_ends_at(monkeypatch, start)
+            root = tmp_path / f"start{start}"
+            run_experiment(micro_config(tmp_path, setups=setups,
+                                        output_root=str(root)))
+            # the rfc worker, then the tuned encode's helper
+            assert len(forks) == 1 + (start is not None)
+            forks.clear()
+            trees.append(_tree(root))
+        assert trees[0] and all(tree == trees[0] for tree in trees)
+
+    @pytest.mark.parametrize("where", ["build", "receiver"])
+    def test_late_helper_error_is_raised_here(self, micro_scene, monkeypatch,
+                                              where):
+        # the helper starts at frame 4: its first build fails, or its
+        # receiver fails on frame 2 while it catches up
+        parent = os.getpid()
+        name = ("build_inter_candidates" if where == "build"
+                else "decode_plane")
+        original = getattr(pipeline, name)
+
+        def broken(*args):
+            if os.getpid() != parent and (where == "build"
+                                          or len(args[1]) == 2):
+                raise CodecError(f"{where} broke in the helper")
+            return original(*args)
+        monkeypatch.setattr(pipeline, name, broken)
+        _cpus(monkeypatch, 2)
+        cfg, orig, trace = TestPlaneHelper._inputs(micro_scene)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"],
+                           micro_scene.truth)
+        with pytest.raises(CodecError) as caught:
+            encode_stream(cfg, orig, "cross", trace, encodes=_ends_at(4),
+                          receiver=receiver)
+        assert type(caught.value) is CodecError
+        assert str(caught.value) == f"{where} broke in the helper"
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("setups", [("rfc",), ("rps2", "arps"),
                                     ("rfc", "arps")])
 @pytest.mark.parametrize("scene", ["micro_scene", "scene64"])
 def test_public_receiver_gives_the_cells_run_experiment_wrote(
         request, tmp_path, monkeypatch, scene, setups):
-    # run_experiment receives in the encode's helper (2 CPUs) or after the
-    # encode (1 CPU); decode_stream and synthesize_sequence are the public
-    # route to the same planes and PSNRs
+    # run_experiment receives in the encode's helper (2 CPUs, one mode, or
+    # once the rfc worker has ended) or after the encode (1 CPU, or no
+    # helper started); decode_stream and synthesize_sequence are the
+    # public route to the same planes and PSNRs
     scene = request.getfixturevalue(scene)
     cfg = micro_config(tmp_path, scene=scene.spec, setups=setups)
     orig = pipeline._plane_lists(scene.left, scene.right)
@@ -939,12 +1023,16 @@ def test_one_frame_pair_is_the_same_at_any_cpu_count(tmp_path, monkeypatch):
     scene = config_from_dict({"scene": doc}).scene
     forks = _count_forks(monkeypatch)
     trees = []
-    # the rfc worker, then the arps encode's helper beside it
+    # the rfc worker, then the arps encode's helper: beside the live worker
+    # from 4 CPUs, after its cells at 2 (pinned to frame 0)
     for cpus, want in {1: 1, 2: 2, 4: 2}.items():
         _cpus(monkeypatch, cpus)
         root = tmp_path / f"cpus{cpus}"
-        report = run_experiment(micro_config(tmp_path, scene=scene,
-                                             output_root=str(root)))
+        with pytest.MonkeyPatch.context() as pinned:
+            if cpus == 2:
+                _worker_ends_at(pinned, 0)
+            report = run_experiment(micro_config(tmp_path, scene=scene,
+                                                 output_root=str(root)))
         assert len(forks) == want
         assert multiprocessing.active_children() == []
         forks.clear()
