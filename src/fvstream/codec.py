@@ -105,30 +105,24 @@ def _dct_matrix(n: int = 4) -> np.ndarray:
 _DCT4 = _dct_matrix(4)
 
 
-def _tiles(blocks: np.ndarray) -> np.ndarray:
-    # (N, 16, 16) -> (N*16, 4, 4), tile (bi, bj) of block n at n*16 + bi*4 + bj
-    n = blocks.shape[0]
-    return (blocks.reshape(n, 4, 4, 4, 4)
-                  .transpose(0, 1, 3, 2, 4)
-                  .reshape(n * 16, 4, 4))
-
-
-def _untile(tiles: np.ndarray) -> np.ndarray:
-    n = tiles.shape[0] // 16
-    return (tiles.reshape(n, 4, 4, 4, 4)
-                 .transpose(0, 1, 3, 2, 4)
-                 .reshape(n, 16, 16))
+def _tile_transform(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(m @ tile) @ m.T for every 4x4 tile of (N, 16, 16) blocks, as two
+    plane-wide products: m over the rows of every tile, then m.T over the
+    columns.  Each element is the 4-term dot product of a per-tile matmul."""
+    n = len(x)
+    a = (np.asarray(x, dtype=np.float64).reshape(n, 4, 4, MB_SIZE)
+         .transpose(2, 0, 1, 3).reshape(4, n * 64))   # rows (i), cols (n, bi, c)
+    b = (m @ a).reshape(4, n, 4, 4, 4).transpose(1, 2, 0, 3, 4)
+    return (b.reshape(n * 64, 4) @ m.T).reshape(n, MB_SIZE, MB_SIZE)
 
 
 def dct16(blocks: np.ndarray) -> np.ndarray:
     """Tile-wise 4x4 DCT of (N, 16, 16) blocks; output keeps the tile layout."""
-    t = _tiles(np.asarray(blocks, dtype=np.float64))
-    return _untile(_DCT4 @ t @ _DCT4.T)
+    return _tile_transform(blocks, _DCT4)
 
 
 def idct16(coeffs: np.ndarray) -> np.ndarray:
-    t = _tiles(np.asarray(coeffs, dtype=np.float64))
-    return _untile(_DCT4.T @ t @ _DCT4)
+    return _tile_transform(coeffs, _DCT4.T)
 
 
 def quantize(coeffs: np.ndarray, step: int) -> np.ndarray:
@@ -202,38 +196,54 @@ def _displacements(search_range: int
     return order, table
 
 
+# motion search holds every chunk's column sums within this many bytes
+_SEARCH_CHUNK_BYTES = 1 << 20
+
+
 def motion_search(cur: np.ndarray, refs: np.ndarray, search_range: int
                   ) -> np.ndarray:
     """Exhaustive SAD search for every macroblock against every reference.
 
     cur: (H, W) uint8 samples; refs: (R, H, W) stacked uint8 reference planes.
-    Returns the best vectors, (R, n_mb, 2) int16 as (dx, dy).  Ties resolve
-    to the smallest |dx|+|dy|, then smallest dy, then smallest dx.
-    Displacements whose predictor leaves the frame are never selected.
+    Returns the best vectors, (R, n_mb, 2) int16 as (dx, dy).  A tie keeps
+    the first minimum in displacement_order: the smallest |dx|+|dy|, then
+    smallest dy, then smallest dx.  Displacements whose predictor leaves the
+    frame are never selected.  Displacements are searched in chunks whose
+    column-sum table stays within _SEARCH_CHUNK_BYTES (1 MiB; at least one
+    displacement a chunk), so memory does not grow with the search range.
     """
     H, W = cur.shape
     R = refs.shape[0]
     hb, wb = H // MB_SIZE, W // MB_SIZE
     disps, table = _displacements(search_range)
+    per = max(1, _SEARCH_CHUNK_BYTES // (R * hb * W * 2))    # per chunk
+    colsums = np.empty((min(per, len(disps)), R, hb, W), dtype=np.uint16)
     best_sad = np.full((R, hb, wb), np.iinfo(np.int32).max, dtype=np.int32)
-    best_k = np.zeros((R, hb, wb), dtype=np.int32)
-    for k, (dx, dy) in enumerate(disps):
-        # only the block rows and columns whose predictor lies in the frame
-        i0, i1 = max(0, -(-dy // MB_SIZE)), min(hb, hb + dy // MB_SIZE)
-        j0, j1 = max(0, -(-dx // MB_SIZE)), min(wb, wb + dx // MB_SIZE)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        r0, r1, c0, c1 = i0 * MB_SIZE, i1 * MB_SIZE, j0 * MB_SIZE, j1 * MB_SIZE
-        a = cur[r0:r1, c0:c1]
-        b = refs[:, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
-        diff = np.maximum(a, b) - np.minimum(a, b)   # exact |a - b| in uint8
-        # a column of 16 rows sums to at most 16 * 255, inside uint16
-        colsum = diff.reshape(R, i1 - i0, MB_SIZE, c1 - c0).sum(2, dtype=np.uint16)
-        sad = colsum.reshape(R, i1 - i0, j1 - j0, MB_SIZE).sum(3, dtype=np.int32)
-        best = best_sad[:, i0:i1, j0:j1]
-        better = sad < best
-        np.copyto(best, sad, where=better)
-        np.copyto(best_k[:, i0:i1, j0:j1], k, where=better)
+    best_k = np.zeros((R, hb, wb), dtype=np.intp)
+    for k0 in range(0, len(disps), per):
+        chunk = colsums[:len(disps) - k0]
+        # 65535 marks an out-of-frame predictor: its 16 columns sum past
+        # any real SAD (at most 256 * 255 = 65,280)
+        chunk.fill(65535)
+        for k, (dx, dy) in enumerate(disps[k0:k0 + per]):
+            # only the block rows and columns whose predictor lies in the frame
+            i0, i1 = max(0, -(-dy // MB_SIZE)), min(hb, hb + dy // MB_SIZE)
+            j0, j1 = max(0, -(-dx // MB_SIZE)), min(wb, wb + dx // MB_SIZE)
+            if i0 >= i1 or j0 >= j1:
+                continue
+            r0, r1, c0, c1 = i0 * MB_SIZE, i1 * MB_SIZE, j0 * MB_SIZE, j1 * MB_SIZE
+            a = cur[r0:r1, c0:c1]
+            b = refs[:, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
+            diff = np.maximum(a, b) - np.minimum(a, b)   # exact |a - b| in uint8
+            # a column of 16 rows sums to at most 16 * 255, inside uint16
+            diff.reshape(R, i1 - i0, MB_SIZE, c1 - c0).sum(
+                2, dtype=np.uint16, out=chunk[k, :, i0:i1, c0:c1])
+        sad = chunk.reshape(len(chunk), R, hb, wb, MB_SIZE).sum(4, dtype=np.int32)
+        first = sad.argmin(axis=0)     # the chunk's first minimum
+        low = np.take_along_axis(sad, first[None], axis=0)[0]
+        better = low < best_sad        # strict: an earlier chunk keeps a tie
+        np.copyto(best_sad, low, where=better)
+        np.copyto(best_k, first + k0, where=better)
 
     return table[best_k.reshape(R, -1)]
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             MODE_SKIP, SKIP_BITS, CandidateSet, CodecConfig,
-                            CodecError, EncodedPlane, apply_residual,
-                            build_inter_candidates,
+                            CodecError, EncodedPlane, _DCT4, _displacements,
+                            apply_residual, build_inter_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
                             motion_search, plane_blocks, predictor_blocks)
 from fvstream.errortrack import (TrackingError, expected_errors,
@@ -90,6 +90,34 @@ def decision_bits(decision: BlockDecision, residual_bit_count: int) -> int:
     return MODE_BITS + decision.ref_distance + mv_bits + int(residual_bit_count)
 
 
+# --- transform --------------------------------------------------------------
+
+def tiles(blocks: np.ndarray) -> np.ndarray:
+    """(N, 16, 16) -> (N*16, 4, 4), tile (bi, bj) of block n at n*16 + bi*4 + bj."""
+    n = blocks.shape[0]
+    return (blocks.reshape(n, 4, 4, 4, 4)
+                  .transpose(0, 1, 3, 2, 4)
+                  .reshape(n * 16, 4, 4))
+
+
+def untile(t: np.ndarray) -> np.ndarray:
+    """Inverse of tiles."""
+    n = t.shape[0] // 16
+    return (t.reshape(n, 4, 4, 4, 4)
+                 .transpose(0, 1, 3, 2, 4)
+                 .reshape(n, 16, 16))
+
+
+def tile_dct16(blocks) -> np.ndarray:
+    """dct16 as one batched 4x4 matmul pair per tile: _DCT4 @ t @ _DCT4.T."""
+    return untile(_DCT4 @ tiles(np.asarray(blocks, dtype=np.float64)) @ _DCT4.T)
+
+
+def tile_idct16(coeffs) -> np.ndarray:
+    """idct16 per tile: _DCT4.T @ t @ _DCT4."""
+    return untile(_DCT4.T @ tiles(np.asarray(coeffs, dtype=np.float64)) @ _DCT4)
+
+
 # --- motion search ----------------------------------------------------------
 
 def block_sad(cur_block, ref_plane, top: int, left: int, mv) -> int:
@@ -120,6 +148,35 @@ def naive_best_mv(cur_block, ref_plane, top: int, left: int, search_range: int):
             if best_key is None or key < best_key:
                 best_key, best = key, ((dx, dy), sad)
     return best
+
+
+def per_displacement_search(cur: np.ndarray, refs: np.ndarray, search_range: int
+                            ) -> np.ndarray:
+    """motion_search as a compare per displacement: each displacement's
+    block SADs replace the running best where strictly lower, so a tie
+    keeps the earlier displacement in displacement_order."""
+    H, W = cur.shape
+    R = refs.shape[0]
+    hb, wb = H // MB, W // MB
+    disps, table = _displacements(search_range)
+    best_sad = np.full((R, hb, wb), np.iinfo(np.int32).max, dtype=np.int32)
+    best_k = np.zeros((R, hb, wb), dtype=np.int32)
+    for k, (dx, dy) in enumerate(disps):
+        i0, i1 = max(0, -(-dy // MB)), min(hb, hb + dy // MB)
+        j0, j1 = max(0, -(-dx // MB)), min(wb, wb + dx // MB)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        r0, r1, c0, c1 = i0 * MB, i1 * MB, j0 * MB, j1 * MB
+        a = cur[r0:r1, c0:c1]
+        b = refs[:, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
+        diff = np.maximum(a, b) - np.minimum(a, b)
+        colsum = diff.reshape(R, i1 - i0, MB, c1 - c0).sum(2, dtype=np.uint16)
+        sad = colsum.reshape(R, i1 - i0, j1 - j0, MB).sum(3, dtype=np.int32)
+        best = best_sad[:, i0:i1, j0:j1]
+        better = sad < best
+        np.copyto(best, sad, where=better)
+        np.copyto(best_k[:, i0:i1, j0:j1], k, where=better)
+    return table[best_k.reshape(R, -1)]
 
 
 # --- single-block coding -----------------------------------------------------

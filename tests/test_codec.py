@@ -1,5 +1,6 @@
 """Block codec: transform, rate model, motion search, decode and container."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
                             quantize, _displacements, residual_bits,
                             serialize_stream)
 from fvstream.channel import Component, lost_mb_mask
-from fvstream import pipeline
+from fvstream import codec, pipeline
 from fvstream.pipeline import ExperimentConfig, decode_stream
 
 import oracles
@@ -91,6 +92,29 @@ class TestTransform:
         assert (rec == 90).all()
         assert rbits.tolist() == [0]
         assert dist.tolist() == [0.0]
+
+    @settings(deadline=None)
+    @given(n=st.sampled_from([0, 1, 7, 800, 1100]), step=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=800, step=20, seed=0)
+    def test_equals_the_per_tile_matmuls_bit_for_bit(self, n, step, seed):
+        # 800 blocks are 51,200 rows of four, past the size at which
+        # OpenBLAS splits a product across its threads
+        rng = np.random.default_rng(seed)
+        residual = rng.integers(-255, 256, (n, 16, 16)).astype(np.float64)
+        q = rng.integers(-32768, 32768, (n, 16, 16)).astype(np.int16)
+        coeffs = dequantize(q, step)
+        assert dct16(residual).shape == idct16(coeffs).shape == (n, 16, 16)
+        assert np.array_equal(dct16(residual), oracles.tile_dct16(residual))
+        assert np.array_equal(idct16(coeffs), oracles.tile_idct16(coeffs))
+        assert np.array_equal(idct16(q), oracles.tile_idct16(q))
+
+    def test_no_blocks_code_to_empty_results(self):
+        none = np.empty((0, 16, 16))
+        q, rec, rbits, dist = code_against_prediction(none, none, 4)
+        assert q.shape == rec.shape == (0, 16, 16)
+        assert (q.dtype, rec.dtype) == (np.int16, np.uint8)
+        assert rbits.shape == dist.shape == (0,)
 
 
 class TestRateModel:
@@ -249,6 +273,69 @@ class TestMotionSearch:
                 colocated = refs[r, top:top + 16, left:left + 16]
                 assert oracles.block_sad(block, refs[r], top, left, (0, 0)) \
                     == np.abs(block.astype(np.int64) - colocated).sum()
+
+    @staticmethod
+    def search_planes(content, shape, n_refs, seed):
+        """(cur, refs) of one kind of content.  Flat planes tie every SAD of
+        a reference; a period-3 pattern gives zero SADs at displacements
+        three apart, so equal minima fall in different chunks."""
+        rng = np.random.default_rng(seed)
+        if content == "smooth":
+            planes = [rand_plane(shape, seed + r) for r in range(n_refs + 1)]
+        elif content == "flat":
+            planes = [np.full(shape, 100 + 7 * r, dtype=np.uint8)
+                      for r in range(n_refs + 1)]
+        elif content == "binary":
+            planes = list(rng.integers(0, 2, (n_refs + 1,) + shape).astype(np.uint8))
+        else:
+            tile = rng.integers(0, 256, (3, 3)).astype(np.uint8)
+            rows, cols = np.indices((shape[0] + n_refs, shape[1] + n_refs))
+            pattern = tile[rows % 3, cols % 3]
+            planes = [pattern[r:r + shape[0], r:r + shape[1]]
+                      for r in range(n_refs + 1)]
+        return planes[0], np.stack(planes[1:])
+
+    @pytest.mark.parametrize("content", ["smooth", "flat", "binary", "periodic"])
+    @pytest.mark.parametrize("shape, n_refs, search_range", [
+        ((64, 64), 16, 16), ((128, 128), 16, 16), ((128, 128), 5, 4),
+        ((128, 128), 2, 2), ((64, 64), 1, 64), ((16, 128), 16, 64),
+        ((128, 16), 16, 64)])
+    def test_equals_the_per_displacement_kernel(self, content, shape, n_refs,
+                                                search_range):
+        # all but the two default-sized searches span several chunks
+        cur, refs = self.search_planes(content, shape, n_refs, seed=71)
+        want = oracles.per_displacement_search(cur, refs, search_range)
+        assert np.array_equal(motion_search(cur, refs, search_range), want)
+
+    @settings(deadline=None)
+    @given(hb=st.integers(1, 3), wb=st.integers(1, 3), n_refs=st.integers(1, 4),
+           search_range=st.integers(1, 12),
+           content=st.sampled_from(["smooth", "flat", "binary", "periodic"]),
+           chunk_bytes=st.integers(1, 8192), seed=st.integers(0, 2 ** 16))
+    def test_any_chunk_size_finds_the_same_vectors(self, hb, wb, n_refs,
+                                                   search_range, content,
+                                                   chunk_bytes, seed):
+        cur, refs = self.search_planes(content, (16 * hb, 16 * wb), n_refs, seed)
+        want = oracles.per_displacement_search(cur, refs, search_range)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_SEARCH_CHUNK_BYTES", chunk_bytes)
+            assert np.array_equal(motion_search(cur, refs, search_range), want)
+
+    def test_the_widest_search_stays_within_a_few_megabytes(self):
+        # search_range 64 and 16 references, the limits CodecConfig allows:
+        # a column-sum table of all 16,641 displacements would take 545 MB
+        rng = np.random.default_rng(5)
+        cur = rng.integers(0, 256, (128, 128)).astype(np.uint8)
+        refs = rng.integers(0, 256, (16, 128, 128)).astype(np.uint8)
+        _displacements(64)      # cached outside the search's own memory
+        tracemalloc.start()
+        try:
+            motion_search(cur, refs, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1 MiB of column sums, plus three 256 KiB |a - b| temporaries
+        assert peak < 3 * 2 ** 20
 
 
 
