@@ -41,7 +41,8 @@ def _load_config(args) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except ValueError as exc:   # not JSON, not UTF-8, an oversized integer
+        # not JSON, not UTF-8, an oversized integer, nested too deep
+        except (ValueError, RecursionError) as exc:
             raise HarnessError(f"config {args.config}: {exc}") from None
     cfg = config_from_dict(data)
     updates = {}

@@ -12,27 +12,29 @@ setups against them: frame t only needs the baseline's frame t.
 
 Within a frame, the four planes' candidate searches read only the source and
 the reconstructions up to t - 1, so they are independent of each other.
-Each encode forks a helper for view 1's candidate sets at the first frame at
-which the CPUs this process may use outnumber the encodes running: frame 0
-when it runs alone, and beside the baseline's worker the frame after the
-worker's cells arrive.  The fork hands the helper view 1's trial records
-(codec.TrialRecord), so its builds continue where this process's stopped.
-Frame t + 1's requests go out as soon as frame t's reconstructions are
-committed, so the helper builds while the encode pushes its trackers, learns
-the delayed outcomes, computes the terms that need no candidate set and
-builds view 0's sets.  Selection, lambda tuning and commit stay in the
-encode, so the helper changes no byte of any artifact, whenever it starts.
-_forked starts both processes.
+One object decides where and when they run (_CandidateBuilder), and the
+sender model (EncoderState) is handed each frame's sets.  Each encode forks
+a helper for view 1's candidate sets at the first frame at which the CPUs
+this process may use outnumber the encodes running: frame 0 when it runs
+alone, and beside the baseline's worker the frame after the worker's cells
+arrive.  The fork hands the helper view 1's trial records
+(codec.TrialRecord) and the reconstructions so far, so its builds continue
+where this process's stopped.  Each commit then sends it view 1's two new
+reconstructions, and it builds the next frame's sets unasked while the
+encode pushes its trackers, learns the delayed outcomes, computes the terms
+that need no candidate set and builds view 0's sets.  Selection, lambda
+tuning and commit stay in the encode, so the helper changes no byte of any
+artifact, whenever it starts.  _forked starts both processes.
 
 The receiver is one step per committed frame (Receiver): decode the four
 planes with concealment, track their per-MB errors if the adaptive blend
 reads them, then warp the decoded views once and blend them for every blend
 the mode's setups need.  When an encode has a helper, the receiver runs
 there.  It first catches up on the frames committed before the fork, which
-the fork hands over too; after that, frame t rides on the message that asks
-for frame t + 1's sets.  The helper answers the builds first and starts a
-receiver step only while no request has begun to arrive, because the encode
-waits on the sets; the frames left at the end are stepped before the result
+the fork hands over too; after that, frame t rides on frame t's commit
+message.  The helper answers with the sets first and starts a receiver step
+only while no message has begun to arrive, because the encode waits on the
+sets; the frames left after the last commit are stepped before the result
 returns.  Without a helper the receiver runs after the encode, once the
 encoder's state is freed.  decode_stream runs the same step with no blend,
 and synthesize_sequence runs its synthesis for one blend.
@@ -273,24 +275,24 @@ class FramePlan:
                 for key in PLANE_ORDER}
 
 
-#: one frame's candidate builds: (t, plane, references), and their results
-BuildRequests = list[tuple[int, tuple[int, Component], list[np.ndarray]]]
+#: one frame's candidate sets by plane
 CandidateSets = dict[tuple[int, Component], CandidateSet]
-#: takes one frame's requests and returns a handle that yields their sets;
-#: a builder holds the trial records of the planes it builds
-Builder = Callable[[BuildRequests], Callable[[], CandidateSets]]
 
 
-def _builds_here(cfg: ExperimentConfig, orig: dict
-                 ) -> Callable[[BuildRequests], CandidateSets]:
-    """A function that builds each requested plane's candidate set in this
-    process, against (and refreshing) the plane's trial record, which it
-    holds."""
+def _builds_here(cfg: ExperimentConfig, orig: dict,
+                 recon: dict[tuple[int, Component], list[np.ndarray]]
+                 ) -> Callable[[int, Iterable[tuple[int, Component]]],
+                               CandidateSets]:
+    """A function that builds frame t's candidate sets of the planes it is
+    given in this process: each against the newest min(ref_window, t)
+    planes of recon, newest first, and against (refreshing) the plane's
+    trial record, which it holds."""
     records: dict[tuple[int, Component], TrialRecord] = {}
-    return lambda requests: {
-        key: build_inter_candidates(orig[key][t], refs, cfg.codecs[key[1]],
-                                    records.setdefault(key, TrialRecord()))
-        for t, key, refs in requests}
+    return lambda t, keys: {
+        key: build_inter_candidates(
+            orig[key][t], recon[key][max(t - cfg.ref_window, 0):t][::-1],
+            cfg.codecs[key[1]], records.setdefault(key, TrialRecord()))
+        for key in keys}
 
 
 class EncoderState:
@@ -298,17 +300,14 @@ class EncoderState:
 
     Holds the reconstructions, one tracker per plane, the innovation per
     plane and frame, and one curvature map per reconstructed view.  Frame t
-    runs learn(t), then plan(t) and a selection, then commit(t, ...).
-    build builds plan's candidate sets (encode_stream passes its
-    _CandidateBuilder's).  A builder holds the trial records of the planes
-    it builds, so the state holds none.  commit(t) hands frame t + 1's
-    requests to the builder before it pushes the trackers, so a helper
-    builds them during the pushes, learn(t + 1) and the part of plan(t + 1)
-    that needs no candidate set.
+    runs learn(t), then plan(t, sets) and a selection, then commit(t, ...).
+    The state builds no candidate set: plan is handed frame t's, and reads
+    them only after the terms that need none, so sets built elsewhere
+    overlap those terms.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict, mode: str,
-                 trace: LossTrace, build: Builder):
+                 trace: LossTrace):
         if mode not in OPTIMIZER_MODES:
             raise HarnessError(f"unknown selection mode {mode!r}")
         h, w = orig[(0, Component.TEXTURE)][0].shape
@@ -325,9 +324,6 @@ class EncoderState:
         self.delta: dict[tuple[int, Component], list[np.ndarray]] = {
             key: [] for key in PLANE_ORDER}
         self.curv: dict[int, dict[int, np.ndarray]] = {0: {}, 1: {}}
-        self.build = build
-        # (t + 1, its handle) once commit(t) has sent frame t + 1's requests
-        self.pending: tuple[int, Callable[[], CandidateSets]] | None = None
 
     def learn(self, t: int) -> None:
         """The outcome of frame t - max(rtt, 1) arrives as frame t is coded."""
@@ -359,26 +355,16 @@ class EncoderState:
                 self.cfg.eta, self.cfg.sensitivity)
         return self.curv[view][k]
 
-    def request(self, t: int) -> Callable[[], CandidateSets]:
-        """Hand frame t's candidate builds to the builder; their handle."""
-        depth = min(self.cfg.ref_window, t)
-        return self.build([(t, key, [self.recon[key][t - d]
-                                     for d in range(1, depth + 1)])
-                           for key in PLANE_ORDER])
-
-    def plan(self, t: int) -> FramePlan:
-        """Candidates and channel terms of frame t under the mode.
+    def plan(self, t: int, sets: Callable[[], CandidateSets]) -> FramePlan:
+        """Candidates and channel terms of frame t under the mode; sets()
+        yields frame t's four candidate sets.
 
         Frame 0 has no references: its candidates are INTRA alone, planned
         with zero expected error and no channel term.  The terms that need
-        no candidate set are computed before the sets are read.  plan sends
-        its own requests unless commit(t - 1) sent them.
+        no candidate set are computed before sets() is read.
         """
         cfg, recon, trackers = self.cfg, self.recon, self.trackers
         orig = {key: self.orig[key][t] for key in PLANE_ORDER}
-        pending, self.pending = self.pending, None
-        sets = (pending[1] if pending is not None and pending[0] == t
-                else self.request(t))
         if t == 0:
             csets = sets()
             zeros = np.zeros((self.n_mb, 1))
@@ -430,13 +416,9 @@ class EncoderState:
 
     def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane],
                recon: dict[tuple[int, Component], np.ndarray]) -> None:
-        """Push frame t's final decisions and reconstructions, after handing
-        frame t + 1's candidate builds to the builder."""
+        """Push frame t's final decisions and reconstructions."""
         for key in PLANE_ORDER:
             self.recon[key].append(recon[key])
-        if t + 1 < len(self.orig[(0, Component.TEXTURE)]):
-            self.pending = (t + 1, self.request(t + 1))
-        for key in PLANE_ORDER:
             enc = frame[key]
             self.trackers[key].push_frame(enc.modes, enc.ref_dist, enc.mv,
                                           self.innovation(key, t))
@@ -530,89 +512,100 @@ def _forked(what: str, body: Callable[..., None], *args
 
 #: the frames an encoder committed, in order, for a receiver
 Committed = list[tuple[int, dict[tuple[int, Component], EncodedPlane]]]
+_VIEW1 = PLANE_ORDER[2:]        # the planes a helper builds
 
 
-def _candidate_helper(conn, build: Callable[[BuildRequests], CandidateSets],
+def _candidate_helper(conn, build: Callable[..., CandidateSets],
+                      recon: dict[tuple[int, Component], list[np.ndarray]],
+                      first: int, frames: int,
                       receiver: Callable[[], Receiver] | None,
                       backlog: Committed) -> None:
-    """Helper body.  The fork hands it the encoder's own build function,
-    which holds view 1's trial records, and the frames committed before the
-    fork, so no trial is coded again and no frame crosses twice.  Each
-    message holds one frame's view-1 build requests and the frames
-    committed since the last message.  The helper answers the requests
-    first, because the encoder waits for them.  Its receiver then steps
+    """Helper body, forked at frame first.  The fork hands it the encoder's
+    own build function, which holds view 1's trial records and reads recon,
+    and the frames committed before the fork, so no trial is coded again and
+    nothing crosses twice.  It sends frame first's view-1 sets, and then
+    each next frame's once the commit message of the frame before has
+    brought the frames committed since and view 1's two new
+    reconstructions.  The sets go first, because the encoder waits for
+    them.  Its receiver then steps
     through the committed frames one at a time, but only while no message
     has started to arrive (conn.poll()), so a build waits for at most the
-    step in progress.  A message without requests is the last: the receiver
-    steps through the rest, and its result is the answer."""
+    step in progress.  After the last frame's commit the receiver steps
+    through the rest, and its result is the answer."""
     rx = receiver() if receiver is not None else None
     backlog = deque(backlog)
-    while True:
+    for t in range(first, frames):
+        conn.send(build(t, _VIEW1))
+        while backlog and not conn.poll():
+            rx.step(*backlog.popleft())
         try:
-            requests, committed = conn.recv()
+            committed, planes = conn.recv()
         except EOFError:
             return
         backlog.extend(committed)
-        if requests is None:
-            break
-        conn.send(build(requests))
-        while backlog and not conn.poll():
-            rx.step(*backlog.popleft())
+        for key, plane in zip(_VIEW1, planes):
+            recon[key].append(plane)
     for t, frame in backlog:
         rx.step(t, frame)
     conn.send(None if rx is None else rx.result())
 
 
-class _CandidateBuilder:
-    """The encoder's builder (Builder) and the feed of its receiver.
+class _CandidateBuilder(ExitStack):
+    """Where and when an encode's candidate sets are built, and the feed of
+    its receiver; leaving the with-block ends the helper.
 
     Until a CPU is free, every plane is built here and the committed frames
-    wait.  At the first build at which free() holds, fork(build, receiver,
-    backlog) starts the helper (_candidate_helper) and gives its (send,
-    receive, poll); from then on the helper builds view 1 and receives.
-    One message per frame, sent only once the previous answer is read: two
-    sends in a row could each fill the pipe while the helper blocks sending
-    its first answer.
+    wait.  sets(t) forks the helper (_candidate_helper, through _forked) at
+    the first frame at which the CPUs this process may use outnumber
+    encodes(), the encodes running (see encode_stream).  From then on the
+    helper builds view 1 and receives: commit(t) sends it frame t with view
+    1's two reconstructions, and it builds frame t + 1's sets unasked.  One
+    message per frame, sent only once the previous answer is read: two sends
+    in a row could each fill the pipe while the helper blocks sending its
+    answer.
     """
 
     def __init__(self, cfg: ExperimentConfig, orig: dict,
-                 receiver: Callable[[], Receiver] | None,
-                 free: Callable[[], bool], fork: Callable[..., tuple]) -> None:
-        self.here = _builds_here(cfg, orig)
-        self.receiver, self.free, self.fork = receiver, free, fork
+                 recon: dict[tuple[int, Component], list[np.ndarray]],
+                 encodes: Callable[[], int],
+                 receiver: Callable[[], Receiver] | None) -> None:
+        super().__init__()
+        self.here = _builds_here(cfg, orig, recon)
+        self.recon, self.frames = recon, len(orig[(0, Component.TEXTURE)])
+        self.encodes, self.receiver = encodes, receiver
+        self.cpus = (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
         self.backlog: Committed = []
-        self.helper: tuple[Callable[[object], None], Callable[[], object],
-                           Callable[[], bool]] | None = None
+        self.helper = None      # its (send, receive, poll) once it runs
 
-    def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
-               ) -> None:
+    def sets(self, t: int) -> Callable[[], CandidateSets]:
+        """A handle that yields frame t's four candidate sets."""
+        if self.helper is None and self.cpus > self.encodes():
+            self.helper = self.enter_context(_forked(
+                "candidate helper", _candidate_helper, self.here, self.recon,
+                t, self.frames, self.receiver, self.backlog))
+            self.backlog = []
+        if self.helper is None:
+            return partial(self.here, t, PLANE_ORDER)
+        here, receive = partial(self.here, t, PLANE_ORDER[:2]), self.helper[1]
+        # view 0 is built here while the helper builds view 1
+        return lambda: {**here(), **receive()}
+
+    def commit(self, t: int, frame: dict[tuple[int, Component], EncodedPlane],
+               recon: dict[tuple[int, Component], np.ndarray]) -> None:
         """Frame t waits for the receiver: the helper's, or finish()."""
         if self.receiver is not None:
             self.backlog.append((t, frame))
-
-    def build(self, requests: BuildRequests) -> Callable[[], CandidateSets]:
-        if self.helper is None and self.free():
-            self.helper = self.fork(self.here, self.receiver, self.backlog)
+        if self.helper is not None:
+            self.helper[0]((self.backlog, [recon[key] for key in _VIEW1]))
             self.backlog = []
-        if self.helper is None:
-            return partial(self.here, requests)
-        send, receive, _ = self.helper
-        send(([r for r in requests if r[1][0] == 1], self.backlog))
-        self.backlog = []
-
-        def sets() -> CandidateSets:
-            csets = self.here([r for r in requests if r[1][0] != 1])
-            csets.update(receive())
-            return csets
-        return sets
 
     def finish(self) -> Reception | None:
         """The receiver's result, once it has stepped through every frame:
         the helper's, or one run here once the trial records are freed."""
         if self.helper is not None:
-            send, receive, _ = self.helper
-            send((None, self.backlog))
-            return receive()
+            return self.helper[1]()
         self.here = None
         if self.receiver is None:
             return None
@@ -620,23 +613,6 @@ class _CandidateBuilder:
         for t, frame in self.backlog:
             rx.step(t, frame)
         return rx.result()
-
-
-@contextmanager
-def _candidate_builder(cfg: ExperimentConfig, orig: dict,
-                       encodes: Callable[[], int],
-                       receiver: Callable[[], Receiver] | None = None
-                       ) -> Iterator[_CandidateBuilder]:
-    """The encoder's builder, which forks its helper (_forked) at the first
-    frame at which the CPUs this process may use outnumber encodes(), the
-    encodes running (see encode_stream)."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ExitStack() as stack:
-        yield _CandidateBuilder(
-            cfg, orig, receiver, lambda: cpus > encodes(),
-            lambda *state: stack.enter_context(_forked(
-                "candidate helper", _candidate_helper, *state)))
 
 
 def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
@@ -652,31 +628,34 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
     t is read only when frame t is coded.  publish, when given, receives
     each frame's bits as soon as the frame is committed.
 
-    encodes() is how many encodes run at the moment, this one included; it
-    is read once per frame until a helper starts.  At the first frame at
-    which os.sched_getaffinity(0) holds more CPUs than that (frame 0 when
-    this encode runs alone, the frame after the rfc worker's cells arrive
-    beside it), a helper (_forked) takes over view 1's candidate sets with
-    their trial records, and this process does everything else, so the
-    stream is the same whenever the helper starts, or if none does.  The
-    helper builds frame t + 1's sets during frame t's tracker pushes
-    (commit), frame t + 1's delayed outcomes (learn), its terms that need no
-    candidate set and view 0's builds (plan).
+    The sender model (EncoderState) plans each frame against candidate sets
+    that a _CandidateBuilder yields.  encodes() is how many encodes run at
+    the moment, this one included; the builder reads it once per frame until
+    a helper starts.  At the first frame at which os.sched_getaffinity(0)
+    holds more CPUs than that (frame 0 when this encode runs alone, the
+    frame after the rfc worker's cells arrive beside it), a helper (_forked)
+    takes over view 1's candidate sets with their trial records, and this
+    process does everything else, so the stream is the same whenever the
+    helper starts, or if none does.  Each commit sends the helper view 1's
+    two new reconstructions, and it builds the next frame's sets during this
+    frame's tracker pushes (commit), the next frame's delayed outcomes
+    (learn), its terms that need no candidate set and view 0's builds
+    (plan).
 
     receiver, when given, makes the Receiver that runs on every committed
     frame, and the stream's reception is its result.  With a helper, the
     receiver runs there: it catches up on the frames committed before the
-    fork, and then each message that asks for frame t + 1's sets carries
-    frame t.  It starts a step only while no build request has begun to
-    arrive, and the frames left over at the end are stepped before its
-    result returns.  Without a helper, the receiver runs here after the
-    encode, once the encoder's state is freed.
+    fork, and then each commit message carries its frame.  It starts a step
+    only while no message has begun to arrive, and the frames left over at
+    the end are stepped before its result returns.  Without a helper, the
+    receiver runs here after the encode, once the encoder's state is freed.
     """
-    with _candidate_builder(cfg, orig, encodes, receiver) as builder:
-        state = EncoderState(cfg, orig, mode, trace, builder.build)
-        out = EncodedStream(mode=mode, frames=[], records=[],
-                            recon=state.recon, bits_per_frame=[], lambdas=[],
-                            in_band=[], infeasible=[])
+    state = EncoderState(cfg, orig, mode, trace)
+    out = EncodedStream(mode=mode, frames=[], records=[], recon=state.recon,
+                        bits_per_frame=[], lambdas=[], in_band=[],
+                        infeasible=[])
+    with _CandidateBuilder(cfg, orig, state.recon, encodes,
+                           receiver) as builder:
         lam = cfg.base_lambda
         for t in range(len(orig[(0, Component.TEXTURE)])):
             state.learn(t)
@@ -684,11 +663,11 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
             target = (None if frame_targets is None or t == 0
                       else float(frame_targets[t]))
             sels, lam, bits_t, band_ok, infeas = _select_frame(
-                state.plan(t), lam, target, cfg)
+                state.plan(t, builder.sets(t)), lam, target, cfg)
             frame = {key: sel.enc for key, sel in sels.items()}
-            builder.commit(t, frame)
-            state.commit(t, frame,
-                         {key: sel.recon for key, sel in sels.items()})
+            recon = {key: sel.recon for key, sel in sels.items()}
+            builder.commit(t, frame, recon)
+            state.commit(t, frame, recon)
             out.frames.append(frame)
             out.records.append(sels)
             out.bits_per_frame.append(int(bits_t))

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fvstream.channel import Component, build_schedule, make_iid_trace
+from fvstream.channel import (PLANE_ORDER, Component, build_schedule,
+                              make_iid_trace)
 from fvstream import pipeline
 from fvstream.codec import serialize_stream
 from fvstream.pipeline import ExperimentConfig, encode_stream
@@ -31,11 +32,13 @@ def no_process_left():
 
 
 def encoder_state(cfg, orig, mode: str, trace) -> pipeline.EncoderState:
-    """An EncoderState that builds every candidate set in this process when
-    plan reads it, as encode_stream does before a helper starts."""
-    build = pipeline._builds_here(cfg, orig)
-    return pipeline.EncoderState(cfg, orig, mode, trace,
-                                 lambda requests: partial(build, requests))
+    """An EncoderState whose plan(t) builds frame t's candidate sets in this
+    process when it reads them, as encode_stream does before a helper
+    starts."""
+    state = pipeline.EncoderState(cfg, orig, mode, trace)
+    build, plan = pipeline._builds_here(cfg, orig, state.recon), state.plan
+    state.plan = lambda t: plan(t, partial(build, t, PLANE_ORDER))
+    return state
 
 
 def bounce(frame_count: int, step: int, swing: int, axis: int):

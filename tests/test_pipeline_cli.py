@@ -6,6 +6,7 @@ import os
 import shutil
 import time
 from contextlib import nullcontext
+from multiprocessing.connection import Connection
 from functools import partial
 
 import numpy as np
@@ -467,10 +468,10 @@ def _break_plan(monkeypatch, mode, frame, action):
     workers inherit the patch."""
     plan = pipeline.EncoderState.plan
 
-    def broken(self, t):
+    def broken(self, t, sets):
         if self.mode == mode and t == frame:
             action()
-        return plan(self, t)
+        return plan(self, t, sets)
     monkeypatch.setattr(pipeline.EncoderState, "plan", broken)
 
 
@@ -690,6 +691,19 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _arrays(obj):
+    """Every array inside a message: through tuples, lists, dicts and
+    dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(item)
+
+
 def _tree(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -779,6 +793,21 @@ class TestPlaneHelper:
         cfg, orig, trace = self._inputs(micro_scene)
         encode_stream(cfg, orig, "cross", trace)
         run_experiment(micro_config(tmp_path, setups=("rfc",)))
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 8])
+    def test_a_build_reads_the_newest_references_newest_first(
+            self, monkeypatch, t):
+        # ref_window is 5, and recon holds more planes than frame t may read:
+        # [t - 1::-1] would hand over the whole history at t = 0
+        cfg, key = ExperimentConfig(ref_window=5), (1, Component.DEPTH)
+        recon = {key: [np.full((16, 16), k, np.uint8) for k in range(12)]}
+        seen = []
+        monkeypatch.setattr(pipeline, "build_inter_candidates",
+                            lambda cur, refs, codec, record: seen.append(refs))
+        pipeline._builds_here(cfg, {key: [None] * 12}, recon)(t, [key])
+        want = [recon[key][t - d] for d in range(1, min(5, t) + 1)]
+        assert len(seen) == 1 and len(seen[0]) == len(want)
+        assert all(got is plane for got, plane in zip(seen[0], want))
 
     def _break_build(self, monkeypatch, in_helper, in_encoder=None):
         """Run in_helper() (in_encoder()) before building a frame-2 candidate
@@ -943,6 +972,32 @@ class TestLateHelper:
             forks.clear()
             trees.append(_tree(root))
         assert trees[0] and all(tree == trees[0] for tree in trees)
+
+    @pytest.mark.parametrize("start", [0, 4])
+    def test_each_reconstruction_crosses_to_the_helper_once(
+            self, scene64, monkeypatch, start):
+        # the fork hands the helper the reconstructions committed before it,
+        # and each commit after it sends view 1's two new ones, and no other
+        # plane: what this process sends holds each of those planes once
+        _cpus(monkeypatch, 2)
+        cfg, orig, trace = TestPlaneHelper._inputs(scene64)
+        parent, sent, send = os.getpid(), [], Connection.send
+
+        def recorded(conn, obj):
+            if os.getpid() == parent:
+                sent.extend(a for a in _arrays(obj)
+                            if a.ndim == 2 and a.dtype == np.uint8)
+            return send(conn, obj)
+        monkeypatch.setattr(Connection, "send", recorded)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"],
+                           scene64.truth)
+        stream = encode_stream(cfg, orig, "cross", trace,
+                               encodes=_ends_at(start), receiver=receiver)
+        view1 = [(1, Component.TEXTURE), (1, Component.DEPTH)]
+        want = [stream.recon[key][t] for t in range(start, len(stream.frames))
+                for key in view1]
+        assert len({id(plane) for plane in sent}) == len(sent) == len(want)
+        assert all(got is plane for got, plane in zip(sent, want))
 
     @pytest.mark.parametrize("where", ["build", "receiver"])
     def test_late_helper_error_is_raised_here(self, micro_scene, monkeypatch,
@@ -1114,6 +1169,22 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["trace", "--seed", "1", "--rate", "0.1"], ["generate"]])
+    def test_deeply_nested_config_exits_1_with_one_line(self, tmp_path,
+                                                        capsys, command):
+        # the JSON decoder gives up on deep nesting with RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(deep)]
+                  + (["--out", str(out)] if command[0] != "run" else []))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: config {deep}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         {"max_lambda_trials": 0}, {"gamma": 5.0, "setups": ["rfc"]},
