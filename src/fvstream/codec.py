@@ -563,8 +563,10 @@ def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
     pred[intra] = base[:, None, None]
     if moved.size:
         pred[moved] = predictor_blocks(np.stack(refs), dist, mv, moved, enc.grid)
-    skip = rcv[modes == MODE_SKIP]
-    coded = rcv[modes != MODE_SKIP]
+    # a block with no nonzero coefficient decodes to its prediction, whole
+    # samples in [0, 255], as a SKIP block does: no inverse transform
+    bare = (modes == MODE_SKIP) | ~enc.coeffs[rcv].any(axis=(1, 2))
+    skip, coded = rcv[bare], rcv[~bare]
     blocks[skip] = pred[skip]
     blocks[coded] = apply_residual(pred[coded], enc.coeffs[coded], enc.quant_step)
     return assemble_plane(blocks, enc.grid), ~received

@@ -4,7 +4,9 @@ Pixels of the left view (view 0) shift left by round(Y*v*eta) columns toward
 a virtual position v in [0, 1]; right-view pixels shift right by
 round(Y*(1-v)*eta).  Colliding pixels resolve by larger disparity (nearer
 object), which needs no tie-break: pixels of one row with equal disparity
-shift alike and never collide.  Holes fill along rows from the background.
+shift alike and never collide.  So a keyed z-buffer, one max per target
+pixel over keys that pack (disparity, source column), names each winner
+whole.  Holes fill along rows from the background.
 
 One blend weights the two contributions by distance (1-v, v) modulated by
 per-pixel reliabilities derived from worst-case distortion bounds of both.
@@ -57,7 +59,14 @@ class WarpedView:
 
 def warp_view(texture: np.ndarray, disparity: np.ndarray, source_view: int,
               position: float, eta: float = 1.0) -> WarpedView:
-    """Forward-warp one view to the virtual position with z-buffering."""
+    """Forward-warp one view to the virtual position with a keyed z-buffer.
+
+    Each source pixel's key is its disparity shifted left past the column
+    bits, OR'd with its source column.  Only one source holds a target's
+    largest disparity, so one max over the keys landing on a target gives
+    both the winning disparity and its column, and the value follows from
+    one gather.  Keys are int32 while they fit and int64 beyond.
+    """
     if source_view not in (0, 1):
         raise SynthesisError("source_view must be 0 or 1")
     if texture.dtype != np.uint8 or disparity.dtype != np.uint8:
@@ -68,33 +77,29 @@ def warp_view(texture: np.ndarray, disparity: np.ndarray, source_view: int,
     factor = shift_factor(source_view, position, eta)
     # a shift past the width lands out of frame like one of the width itself
     shift = np.clip(np.rint(np.arange(256, dtype=np.float64) * factor),
-                    -w, w).astype(np.int64)
-    cols = np.arange(w, dtype=np.int64)
-    step = shift[disparity]
+                    -w, w).astype(np.int32)
+    # 8 disparity bits above the column bits
+    bits = w.bit_length()
+    key_t, ukey_t = ((np.int32, np.uint32) if bits <= 23
+                     else (np.int64, np.uint64))
+    cols = np.arange(w, dtype=key_t)
+    step = shift.take(disparity)
     tcol = cols - step if source_view == 0 else cols + step
-    inframe = (tcol >= 0) & (tcol < w)
-    # out-of-frame sources all land on one spare slot past the plane
-    tgt = np.where(inframe, np.arange(h, dtype=np.int64)[:, None] * w + tcol,
-                   h * w)
-
-    # the largest disparity landing on a target wins it, and only one has it
-    best = np.zeros(h * w + 1, dtype=np.uint8)
-    np.maximum.at(best, tgt.ravel(), disparity.ravel())
-    win = inframe & (disparity == best[tgt])
-    t = tgt[win]
-
-    covered = np.zeros(h * w, dtype=bool)
-    value = np.zeros(h * w, dtype=np.uint8)
-    out_disp = np.zeros(h * w, dtype=np.int64)
-    out_src = np.full(h * w, -1, dtype=np.int64)
-    covered[t] = True
-    value[t] = texture[win]
-    out_disp[t] = disparity[win]
-    out_src[t] = np.broadcast_to(cols, (h, w))[win]
-    return WarpedView(covered=covered.reshape(h, w),
-                      value=value.reshape(h, w),
-                      disparity=out_disp.reshape(h, w),
-                      src_col=out_src.reshape(h, w))
+    rows = np.arange(h, dtype=np.intp)[:, None] * w
+    # out-of-frame sources (negative columns wrap high) land on a spare slot
+    tgt = np.where(tcol.view(ukey_t) < w, rows + tcol, h * w)
+    key = (disparity.astype(key_t) << bits) | cols
+    best = np.full(h * w + 1, -1, dtype=key_t)
+    np.maximum.at(best, tgt.ravel(), key.ravel())
+    best = best[:-1].reshape(h, w)
+    # -1 (uncovered) unpacks to disparity 0 and column -1
+    out_disp = np.maximum(best >> bits, 0)
+    src_col = (best - (out_disp << bits)).astype(np.int64)
+    covered = best >= 0
+    # column -1 reads a neighbor (or the plane's last pixel), then zeroed
+    return WarpedView(covered=covered,
+                      value=texture.ravel().take(rows + src_col) * covered,
+                      disparity=out_disp.astype(np.int64), src_col=src_col)
 
 
 def fill_holes(plane: np.ndarray, holes: np.ndarray,
@@ -145,22 +150,22 @@ def blend(left: WarpedView, right: WarpedView, position: float,
     distortions of the two contributions.  Returns (plane, holes).
     Where the two reliabilities are exactly equal the distance-weighted
     value is used unchanged, so equal distortions give the plain
-    distance-weighted blend bit for bit.
+    distance-weighted blend bit for bit; equal scalar ones skip the
+    modulated blend.
     """
     v = position
     x0 = left.value.astype(np.float64)
     x1 = right.value.astype(np.float64)
+    mixed = _round_half_up((1.0 - v) * x0 + v * x1)
     r0, r1 = reliability_weights(d0_target, d1_target, reliability_c)
-    w0 = (1.0 - v) * r0
-    w1 = v * r1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        modulated = _round_half_up((w0 * x0 + w1 * x1) / (w0 + w1))
-    std = _round_half_up((1.0 - v) * x0 + v * x1)
-    mixed = np.where(r0 == r1, std, modulated)
-    both = left.covered & right.covered
-    plane = np.where(both, mixed,
-                     np.where(left.covered, x0,
-                              np.where(right.covered, x1, 0.0)))
+    if r0.ndim or r0 != r1:
+        w0 = (1.0 - v) * r0
+        w1 = v * r1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            modulated = _round_half_up((w0 * x0 + w1 * x1) / (w0 + w1))
+        mixed = np.where(r0 == r1, mixed, modulated)
+    # an uncovered pixel's value is 0, so the sum is the one covered value
+    plane = np.where(left.covered & right.covered, mixed, x0 + x1)
     holes = ~(left.covered | right.covered)
     return plane.astype(np.uint8), holes
 
@@ -171,8 +176,11 @@ def expand_block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray
     m = np.asarray(values, dtype=np.float64)
     if m.size != hb * wb:
         raise SynthesisError(f"{m.size} block values for a {hb}x{wb} grid")
-    m = m.reshape(hb, wb)
-    return np.repeat(np.repeat(m, MB_SIZE, axis=0), MB_SIZE, axis=1)
+    if np.isnan(m).any():
+        raise SynthesisError("block values must not be NaN")
+    return np.broadcast_to(m.reshape(hb, 1, wb, 1),
+                           (hb, MB_SIZE, wb, MB_SIZE)).reshape(hb * MB_SIZE,
+                                                               wb * MB_SIZE)
 
 
 def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarray,
@@ -189,6 +197,9 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
     if texture.dtype != np.uint8:
         raise SynthesisError("worst_case_distortion_map takes a uint8 texture")
     h, w = texture.shape
+    if h % MB_SIZE or w % MB_SIZE:
+        raise SynthesisError(f"tracked errors need whole {MB_SIZE}x{MB_SIZE} "
+                             f"blocks, not a {h}x{w} plane")
     grid = (h // MB_SIZE, w // MB_SIZE)
     e_pix = expand_block_values(block_texture_error, grid)
     eps_pix = expand_block_values(block_disparity_error, grid)
@@ -211,8 +222,9 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
 
 def gather_at_targets(source_map: np.ndarray, warped: WarpedView) -> np.ndarray:
     """Pull a per-source-pixel map to the warp's target grid (0 where uncovered)."""
-    src = np.clip(warped.src_col, 0, source_map.shape[1] - 1)
-    vals = np.take_along_axis(source_map, src, axis=1)
+    h, w = source_map.shape
+    # an uncovered pixel's column -1 reads a neighbor, which is then dropped
+    vals = source_map.take(np.arange(h)[:, None] * w + warped.src_col)
     return np.where(warped.covered, vals, 0.0)
 
 
@@ -257,9 +269,10 @@ def blend_pair(pair: WarpedPair, params: SynthesisParams,
             tr, *right_errors, shift_factor(1, v, eta)), wr)
     plane, holes = blend(wl, wr, params.position, d0_t, d1_t,
                          params.reliability_c)
-    disp_ctx = np.maximum(np.where(wl.covered, wl.disparity, 0),
-                          np.where(wr.covered, wr.disparity, 0))
-    return fill_holes(plane, holes, disp_ctx)
+    if not holes.any():
+        return plane
+    # an uncovered pixel's disparity is 0
+    return fill_holes(plane, holes, np.maximum(wl.disparity, wr.disparity))
 
 
 def synthesize_view(left_texture: np.ndarray, left_disparity: np.ndarray,

@@ -26,8 +26,8 @@ from fvstream.errortrack import (TrackingError, expected_errors,
                                  footprint_state_sum, innovation_term)
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import SensitivityParams
-from fvstream.synthesis import (SynthesisError, WarpedView, expand_block_values,
-                                shift_factor, warp_view)
+from fvstream.synthesis import (SynthesisError, WarpedView, shift_factor,
+                                warp_view)
 
 MB = 16
 
@@ -756,6 +756,12 @@ def oracle_warp_view(texture: np.ndarray, disparity: np.ndarray,
                       src_col=out_src.reshape(h, w))
 
 
+def oracle_expand_block_values(values, grid: tuple[int, int]) -> np.ndarray:
+    """Per-MB values repeated to per-pixel resolution, rows then columns."""
+    m = np.asarray(values, dtype=np.float64).reshape(grid)
+    return np.repeat(np.repeat(m, MB_SIZE, axis=0), MB_SIZE, axis=1)
+
+
 def oracle_worst_case_distortion_map(texture: np.ndarray,
                                      block_texture_error: np.ndarray,
                                      block_disparity_error: np.ndarray,
@@ -764,8 +770,8 @@ def oracle_worst_case_distortion_map(texture: np.ndarray,
     signs, up to the largest radius."""
     h, w = texture.shape
     grid = (h // MB_SIZE, w // MB_SIZE)
-    e_pix = expand_block_values(block_texture_error, grid)
-    eps_pix = expand_block_values(block_disparity_error, grid)
+    e_pix = oracle_expand_block_values(block_texture_error, grid)
+    eps_pix = oracle_expand_block_values(block_disparity_error, grid)
     radius = np.ceil(eps_pix * factor).astype(np.int64)
     x = texture.astype(np.float64)
     d = e_pix.copy()

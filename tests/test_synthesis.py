@@ -24,8 +24,10 @@ def make_warp(value, covered=None, disparity=None, src_col=None):
         disparity = np.zeros((h, w), dtype=np.int64)
     if src_col is None:
         src_col = np.broadcast_to(np.arange(w, dtype=np.int64), (h, w)).copy()
-    return WarpedView(covered=np.asarray(covered, dtype=bool), value=value,
-                      disparity=np.asarray(disparity, dtype=np.int64),
+    covered = np.asarray(covered, dtype=bool)
+    # as warp_view leaves them: value and disparity 0 where not covered
+    return WarpedView(covered=covered, value=value * covered,
+                      disparity=np.asarray(disparity, dtype=np.int64) * covered,
                       src_col=np.asarray(src_col, dtype=np.int64))
 
 
@@ -191,6 +193,18 @@ class TestWarp:
         for name in ("covered", "value", "disparity", "src_col"):
             assert_same_array(getattr(huge, name), getattr(large, name))
         assert large.covered.sum() == (disp == 0).sum()
+
+    @pytest.mark.parametrize("view", [0, 1])
+    @pytest.mark.parametrize("eta", [1.0, 2.5])
+    def test_a_row_past_16_column_bits_matches_the_oracle(self, view, eta):
+        # 70,000 columns take 17 bits beside the disparity's 8 in a key
+        rng = np.random.default_rng(70000)
+        tex = rng.integers(0, 256, (1, 70000)).astype(np.uint8)
+        disp = rng.integers(0, 256, (1, 70000)).astype(np.uint8)
+        got = warp_view(tex, disp, view, 0.5, eta)
+        want = oracles.oracle_warp_view(tex, disp, view, 0.5, eta)
+        for field in ("covered", "value", "disparity", "src_col"):
+            assert_same_array(getattr(got, field), getattr(want, field))
 
 
 class TestFillHoles:
@@ -363,7 +377,14 @@ class TestWorstCase:
         tex, _ = random_view(21, h=16, w=32)
         e = np.array([3.0, 11.0])
         d = worst_case_distortion_map(tex, e, np.zeros(2), 1.0)
-        assert np.array_equal(d, expand_block_values(e, (1, 2)))
+        assert np.array_equal(d, oracles.oracle_expand_block_values(e, (1, 2)))
+
+    @given(st.integers(0, 10 ** 6), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=40)
+    def test_expansion_matches_the_repeat_oracle(self, seed, hb, wb):
+        values = np.random.default_rng(seed).uniform(-50.0, 50.0, hb * wb)
+        assert_same_array(expand_block_values(values, (hb, wb)),
+                          oracles.oracle_expand_block_values(values, (hb, wb)))
 
     @pytest.mark.example
     def test_straddling_pixel_sees_the_neighbor_block(self):
@@ -433,6 +454,27 @@ class TestWorstCase:
         with pytest.raises(SynthesisError, match="5 block values"):
             worst_case_distortion_map(tex, *errors, 1.0)
 
+    def test_rejects_a_plane_of_partial_blocks(self):
+        tex = np.full((20, 39), 100, dtype=np.uint8)
+        with pytest.raises(SynthesisError, match="20x39"):
+            worst_case_distortion_map(tex, np.zeros(2), np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_rejects_nan_block_errors(self, bad):
+        tex = np.full((16, 32), 100, dtype=np.uint8)
+        errors = [np.zeros(2), np.ones(2)]
+        errors[bad][1] = np.nan
+        with pytest.raises(SynthesisError, match="NaN"):
+            worst_case_distortion_map(tex, *errors, 1.0)
+
+    def test_an_infinite_disparity_error_reaches_every_column(self):
+        tex = np.full((16, 32), 100, dtype=np.uint8)
+        tex[:, 16:] = 200
+        e = np.array([1.0, 2.0])
+        inf = worst_case_distortion_map(tex, e, np.full(2, np.inf), 1.0)
+        assert_same_array(inf, worst_case_distortion_map(tex, e, np.ones(2),
+                                                         1e6))
+
     def test_gather_pulls_source_values_to_targets(self):
         src_map = np.arange(8, dtype=np.float64).reshape(1, 8)
         covered = np.array([[True, False, True, True, False, False, True, True]])
@@ -440,6 +482,19 @@ class TestWorstCase:
         w = make_warp(np.zeros((1, 8)), covered=covered, src_col=src_col)
         got = gather_at_targets(src_map, w)
         assert got[0].tolist() == [3.0, 0.0, 0.0, 7.0, 0.0, 0.0, 2.0, 2.0]
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]),
+           st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(DISPARITY_KINDS))
+    @settings(max_examples=30)
+    def test_gather_matches_a_per_pixel_loop(self, seed, view, pos, kind):
+        tex, disp = warp_inputs(seed, kind)
+        warped = warp_view(tex, disp, view, pos, 2.5)
+        src_map = np.random.default_rng(seed).uniform(0.0, 99.0, tex.shape)
+        want = np.zeros(tex.shape)
+        for i, j in np.ndindex(tex.shape):
+            if warped.covered[i, j]:
+                want[i, j] = src_map[i, warped.src_col[i, j]]
+        assert_same_array(gather_at_targets(src_map, warped), want)
 
 
 class TestSynthesizeView:
@@ -458,6 +513,16 @@ class TestSynthesizeView:
         tex, disp = random_view(31)
         with pytest.raises(SynthesisError, match="one shape"):
             synthesize_view(tex, disp, tex[:16], disp[:16], SynthesisParams())
+
+    def test_tracked_errors_need_whole_blocks(self):
+        # the warp and the error-free blend take any shape
+        tex, disp = random_view(32, h=20, w=39)
+        plane = synthesize_view(tex, disp, tex, disp, SynthesisParams())
+        assert plane.shape == (20, 39)
+        errs = (np.zeros(2), np.zeros(2))
+        with pytest.raises(SynthesisError, match="20x39"):
+            synthesize_view(tex, disp, tex, disp, SynthesisParams(),
+                            left_errors=errs, right_errors=errs)
 
     def test_lossless_synthesis_matches_the_withheld_view(self, scene64):
         params = SynthesisParams(position=0.5, eta=1.0)
