@@ -41,6 +41,7 @@ only vectors whose predictor lies fully inside the frame.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cache
 
@@ -589,6 +590,9 @@ def decode_plane(enc: EncodedPlane, refs: list[np.ndarray],
 #     ref_dist      u8
 #     mvx, mvy      i16, i16  (for INTRA the mvx slot carries the base level)
 #     coefficients  256 x i16 (omitted for SKIP)
+# The header takes 15 bytes and a record 6 or 518, so every record starts at
+# an odd byte.  The parser finds the record starts in one scan, then gathers
+# the headers, and each plane's coefficients from an <i2 view at byte 1.
 
 def serialize_stream(width: int, height: int, quant_step: int,
                      frames: list[dict[tuple[int, Component], EncodedPlane]],
@@ -642,36 +646,37 @@ def parse_stream(data: bytes
                          f"multiple of {MB_SIZE}")
     grid = (height // MB_SIZE, width // MB_SIZE)
     n_mb = grid[0] * grid[1]
-    if len(data) < pos + frame_count * len(PLANE_ORDER) * n_mb * 6:
+    n_rec = frame_count * len(PLANE_ORDER) * n_mb
+    if len(data) < pos + n_rec * 6:
         raise CodecError(f"truncated stream ({len(data)} bytes)")
-    frames = []
-    try:
-        for _ in range(frame_count):
-            frame: dict[tuple[int, Component], EncodedPlane] = {}
-            for key in PLANE_ORDER:
-                modes = np.empty(n_mb, dtype=np.uint8)
-                ref_dist = np.empty(n_mb, dtype=np.uint8)
-                mv = np.empty((n_mb, 2), dtype=np.int16)
-                coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int16)
-                for m in range(n_mb):
-                    mode, rd, mvx, mvy = struct.unpack_from("<BBhh", data, pos)
-                    pos += struct.calcsize("<BBhh")
-                    modes[m], ref_dist[m] = mode, rd
-                    mv[m] = (mvx, mvy)
-                    if mode != MODE_SKIP:
-                        tile = np.frombuffer(data, dtype="<i2", count=256,
-                                             offset=pos)
-                        coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE)
-                        pos += 512
-                step = depth_quant_step if key[1] == Component.DEPTH else quant_step
-                frame[key] = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv,
-                                          coeffs=coeffs, quant_step=step,
-                                          grid=grid)
-            frames.append(frame)
-    except (struct.error, ValueError):      # a record or its coefficients cut short
-        raise CodecError(f"truncated stream at byte {pos} of {len(data)}") from None
-    if any(enc.modes.max() > MODE_SKIP for frame in frames for enc in frame.values()):
+    starts, end = array("q"), len(data)
+    while len(starts) < n_rec and pos + 6 <= end:
+        starts.append(pos)
+        pos += 6 if data[pos] == MODE_SKIP else 518
+    if len(starts) < n_rec or pos > end:    # a record or its coefficients cut
+        cut = starts[-1] + 6 if pos > end else pos
+        raise CodecError(f"truncated stream at byte {cut} of {end}")
+    starts = np.frombuffer(starts, np.int64).reshape(-1, len(PLANE_ORDER), n_mb)
+    windows = np.lib.stride_tricks.sliding_window_view
+    heads = windows(np.frombuffer(data, dtype=np.uint8), 6)[starts]
+    if (heads[..., 0] > MODE_SKIP).any():
         raise CodecError("unknown mode byte in stream")
-    if pos != len(data):
+    if pos != end:
         raise CodecError("trailing bytes in stream")
+    # word k sits at byte 1 + 2k; a stream under 256 words codes no block
+    words = np.frombuffer(data, dtype="<i2", count=(end - 1) // 2, offset=1)
+    tiles = windows(words, min(words.size, MB_SIZE * MB_SIZE))
+    frames, steps = [], {Component.TEXTURE: quant_step,
+                         Component.DEPTH: depth_quant_step}
+    for head_t, at_t in zip(heads, starts):
+        frames.append({})
+        for key, head, at in zip(PLANE_ORDER, head_t, at_t):
+            coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int16)
+            coded = np.flatnonzero(head[:, 0] != MODE_SKIP)
+            coeffs[coded] = tiles[(at[coded] + 5) // 2].reshape(-1, MB_SIZE,
+                                                                 MB_SIZE)
+            frames[-1][key] = EncodedPlane(
+                modes=head[:, 0].copy(), ref_dist=head[:, 1].copy(),
+                mv=head[:, 2:].copy().view("<i2"), coeffs=coeffs, grid=grid,
+                quant_step=steps[key[1]])
     return width, height, quant_step, frames

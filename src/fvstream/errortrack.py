@@ -77,12 +77,13 @@ def footprint_state_sum(states_by_dist: np.ndarray, dist: np.ndarray,
 def innovation_term(cur_plane: np.ndarray, prev_plane: np.ndarray | None
                     ) -> np.ndarray:
     """Per-MB mean absolute frame-to-frame change (vs mid-gray before frame 0)."""
-    cur = cur_plane.astype(np.int64)
-    prev = np.full_like(cur, 128) if prev_plane is None else prev_plane.astype(np.int64)
-    h, w = cur.shape
+    if any(p is not None and p.dtype != np.uint8 for p in (cur_plane, prev_plane)):
+        raise TrackingError("innovation_term takes uint8 planes")
+    prev = np.uint8(128) if prev_plane is None else prev_plane
+    h, w = cur_plane.shape
     hb, wb = h // MB_SIZE, w // MB_SIZE
-    diff = np.abs(cur - prev)
-    sums = diff.reshape(hb, MB_SIZE, wb, MB_SIZE).sum(axis=(1, 3))
+    diff = np.abs(cur_plane.astype(np.int16) - prev)
+    sums = diff.reshape(hb, MB_SIZE, wb, MB_SIZE).sum(axis=(1, 3), dtype=np.int64)
     return (sums / float(MB_SIZE * MB_SIZE)).reshape(hb * wb)
 
 

@@ -10,8 +10,9 @@ whole.  Holes fill along rows from the background.
 
 One blend weights the two contributions by distance (1-v, v) modulated by
 per-pixel reliabilities derived from worst-case distortion bounds of both.
-Where the reliabilities are equal, as they are everywhere when no tracked
-errors are given, it is the distance-weighted blend bit for bit.
+Equal distortions give equal reliabilities, and there (everywhere when no
+tracked errors are given) it is the distance-weighted blend bit for bit, so
+only the pixels whose two distortions differ are modulated.
 """
 from __future__ import annotations
 
@@ -107,22 +108,20 @@ def fill_holes(plane: np.ndarray, holes: np.ndarray,
     """Fill holes per row from the nearest covered neighbor on the
     smaller-disparity side; rows with no covered pixel become 128."""
     out = plane.copy()
-    h, w = plane.shape
-    for i in np.flatnonzero(holes.any(axis=1)):
-        known = np.flatnonzero(~holes[i])
-        if known.size == 0:
-            out[i, :] = 128
-            continue
-        hidx = np.flatnonzero(holes[i])
-        pos = np.searchsorted(known, hidx)
-        has_left = pos > 0
-        has_right = pos < known.size
-        left = known[np.clip(pos - 1, 0, known.size - 1)]
-        right = known[np.clip(pos, 0, known.size - 1)]
-        dl = disparity[i, left]
-        dr = disparity[i, right]
-        use_left = has_left & (~has_right | (dl <= dr))
-        out[i, hidx] = np.where(use_left, plane[i, left], plane[i, right])
+    rows = np.flatnonzero(holes.any(axis=1))
+    hole, w = holes[rows], plane.shape[1]
+    # the nearest covered column at or left of each pixel (-1: none) and at
+    # or right of it (w: none), the left one on equal disparity
+    cols = np.arange(w)
+    left = np.maximum.accumulate(np.where(hole, -1, cols), axis=1)
+    right = np.minimum.accumulate(np.where(hole, w, cols)[:, ::-1],
+                                  axis=1)[:, ::-1]
+    left_at = rows[:, None] * w + np.maximum(left, 0)
+    right_at = rows[:, None] * w + np.minimum(right, w - 1)
+    use_left = (left >= 0) & ((right == w) | (disparity.take(left_at)
+                                              <= disparity.take(right_at)))
+    out[rows] = np.where(use_left, plane.take(left_at), plane.take(right_at))
+    out[rows[hole.all(axis=1)]] = 128
     return out
 
 
@@ -148,39 +147,47 @@ def blend(left: WarpedView, right: WarpedView, position: float,
 
     d0_target / d1_target are the per-target-pixel (or scalar) worst-case
     distortions of the two contributions.  Returns (plane, holes).
-    Where the two reliabilities are exactly equal the distance-weighted
-    value is used unchanged, so equal distortions give the plain
-    distance-weighted blend bit for bit; equal scalar ones skip the
-    modulated blend.
+    Equal finite distortions give equal reliabilities, and there the
+    distance-weighted value is used unchanged, so the modulated blend is
+    evaluated only where both views cover a pixel and the distortions
+    differ; IEEE arithmetic is exact per element, so the subset changes no
+    bit.
     """
     v = position
     x0 = left.value.astype(np.float64)
     x1 = right.value.astype(np.float64)
-    mixed = _round_half_up((1.0 - v) * x0 + v * x1)
-    r0, r1 = reliability_weights(d0_target, d1_target, reliability_c)
-    if r0.ndim or r0 != r1:
-        w0 = (1.0 - v) * r0
-        w1 = v * r1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            modulated = _round_half_up((w0 * x0 + w1 * x1) / (w0 + w1))
-        mixed = np.where(r0 == r1, mixed, modulated)
+    both = left.covered & right.covered
     # an uncovered pixel's value is 0, so the sum is the one covered value
-    plane = np.where(left.covered & right.covered, mixed, x0 + x1)
+    plane = np.where(both, _round_half_up((1.0 - v) * x0 + v * x1), x0 + x1)
+    differ = np.not_equal(d0_target, d1_target)
+    if differ.any():
+        at = both & differ
+        _, d0, d1 = np.broadcast_arrays(at, d0_target, d1_target)
+        r0, r1 = reliability_weights(d0[at], d1[at], reliability_c)
+        keep = r0 != r1
+        at = np.flatnonzero(at)[keep]
+        w0, w1 = (1.0 - v) * r0[keep], v * r1[keep]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            plane.ravel()[at] = _round_half_up(
+                (w0 * x0.ravel()[at] + w1 * x1.ravel()[at]) / (w0 + w1))
     holes = ~(left.covered | right.covered)
     return plane.astype(np.uint8), holes
 
 
-def expand_block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
-    """Per-MB values broadcast to per-pixel resolution."""
+def _block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Per-MB values as a float64 grid, checked for their count and NaN."""
     hb, wb = grid
     m = np.asarray(values, dtype=np.float64)
     if m.size != hb * wb:
         raise SynthesisError(f"{m.size} block values for a {hb}x{wb} grid")
     if np.isnan(m).any():
         raise SynthesisError("block values must not be NaN")
-    return np.broadcast_to(m.reshape(hb, 1, wb, 1),
-                           (hb, MB_SIZE, wb, MB_SIZE)).reshape(hb * MB_SIZE,
-                                                               wb * MB_SIZE)
+    return m.reshape(grid)
+
+
+def expand_block_values(values: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Per-MB values repeated to a fresh per-pixel plane."""
+    return _block_values(values, grid).repeat(MB_SIZE, 1).repeat(MB_SIZE, 0)
 
 
 def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarray,
@@ -191,8 +198,9 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
     Scans the columns the pixel could have come from had its disparity been
     off by up to the block's tracked disparity error: the radius (in target
     columns) is ceil(eps * factor), with factor the view's shift per
-    disparity level.  Each scanned column contributes its block's texture
-    error plus the intensity difference against the pixel itself.
+    disparity level (0 at factor 0).  Each scanned column contributes its
+    block's texture error plus the intensity difference against the pixel
+    itself.  Only the block rows holding a block of radius 1 or more scan.
     """
     if texture.dtype != np.uint8:
         raise SynthesisError("worst_case_distortion_map takes a uint8 texture")
@@ -202,22 +210,27 @@ def worst_case_distortion_map(texture: np.ndarray, block_texture_error: np.ndarr
                              f"blocks, not a {h}x{w} plane")
     grid = (h // MB_SIZE, w // MB_SIZE)
     e_pix = expand_block_values(block_texture_error, grid)
-    eps_pix = expand_block_values(block_disparity_error, grid)
+    eps = _block_values(block_disparity_error, grid)
     # a radius past the width reaches every column, as one of the width does
-    radius = np.ceil(np.minimum(eps_pix * factor, w)).astype(np.int64)
-    x = texture.astype(np.float64)
-    d = e_pix.copy()
-    max_r = int(radius.max()) if radius.size else 0
+    radius = np.ceil(np.clip(eps * factor, 0, w)) if factor else np.zeros(grid)
+    rows = np.flatnonzero(radius.max(axis=1, initial=0) >= 1)
+    if not rows.size:
+        return e_pix
+    planes = e_pix.reshape(grid[0], MB_SIZE, w)
+    x = texture.reshape(planes.shape)[rows].astype(np.int16)
+    e, d = planes[rows], planes[rows]
+    reach = np.repeat(radius[rows], MB_SIZE, axis=1)[:, None, :]
     # column c looks at c + off (the left part of the frame) and at c - off
-    # (the right part); the max is exact in any order
-    for off in range(1, min(max_r, w - 1) + 1):
-        reach = off <= radius
-        lo, hi = slice(0, w - off), slice(off, w)
-        np.maximum(d[:, lo], e_pix[:, hi] + np.abs(x[:, hi] - x[:, lo]),
-                   out=d[:, lo], where=reach[:, lo])
-        np.maximum(d[:, hi], e_pix[:, lo] + np.abs(x[:, lo] - x[:, hi]),
-                   out=d[:, hi], where=reach[:, hi])
-    return d
+    # (the right part), at one |difference|; the max is exact in any order
+    for off in range(1, min(int(radius.max()), w - 1) + 1):
+        diff = np.abs(x[..., off:] - x[..., :-off])
+        ok = reach >= off
+        np.maximum(d[..., :-off], e[..., off:] + diff, out=d[..., :-off],
+                   where=ok[..., :-off])
+        np.maximum(d[..., off:], e[..., :-off] + diff, out=d[..., off:],
+                   where=ok[..., off:])
+    planes[rows] = d
+    return e_pix
 
 
 def gather_at_targets(source_map: np.ndarray, warped: WarpedView) -> np.ndarray:

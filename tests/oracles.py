@@ -10,14 +10,17 @@ history-copying one, kept as bit-exact references.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from fvstream.channel import PLANE_ORDER, Component
 from fvstream.codec import (INTRA_BASE_BITS, MODE_BITS, MODE_INTER, MODE_INTRA,
-                            MODE_SKIP, SKIP_BITS, CandidateSet, CodecConfig,
+                            MODE_SKIP, SKIP_BITS, STREAM_MAGIC, STREAM_VERSION,
+                            CandidateSet, CodecConfig,
                             CodecError, EncodedPlane, _DCT4, _displacements,
                             apply_residual, build_inter_candidates,
                             code_against_prediction, exp_golomb_signed_bits,
@@ -26,8 +29,8 @@ from fvstream.errortrack import (TrackingError, expected_errors,
                                  footprint_state_sum, innovation_term)
 from fvstream.frames import MB_SIZE
 from fvstream.sensitivity import SensitivityParams
-from fvstream.synthesis import (SynthesisError, WarpedView, shift_factor,
-                                warp_view)
+from fvstream.synthesis import (SynthesisError, WarpedView,
+                                reliability_weights, shift_factor, warp_view)
 
 MB = 16
 
@@ -362,6 +365,60 @@ def oracle_decode_plane(enc: EncodedPlane, refs, conceal_source, received):
                                       refs, enc.quant_step, mb_r, mb_c)
         out[r0:r0 + MB, c0:c0 + MB] = block
     return out, concealed
+
+
+def oracle_parse_stream(data: bytes):
+    """parse_stream record by record: one unpack and one frombuffer each."""
+    if data[:4] != STREAM_MAGIC:
+        raise CodecError("bad stream magic")
+    pos = 4 + struct.calcsize("<BHHHHH")
+    if len(data) < pos:
+        raise CodecError(f"truncated stream header ({len(data)} bytes)")
+    version, width, height, frame_count, quant_step, depth_quant_step = \
+        struct.unpack_from("<BHHHHH", data, 4)
+    if version != STREAM_VERSION:
+        raise CodecError(f"unsupported stream version {version}")
+    if not (quant_step and depth_quant_step):
+        raise CodecError(f"quantizer steps {quant_step}/{depth_quant_step} "
+                         f"must be at least 1")
+    if not (width and height) or width % MB_SIZE or height % MB_SIZE:
+        raise CodecError(f"frame size {width}x{height} is not a positive "
+                         f"multiple of {MB_SIZE}")
+    grid = (height // MB_SIZE, width // MB_SIZE)
+    n_mb = grid[0] * grid[1]
+    if len(data) < pos + frame_count * len(PLANE_ORDER) * n_mb * 6:
+        raise CodecError(f"truncated stream ({len(data)} bytes)")
+    frames = []
+    try:
+        for _ in range(frame_count):
+            frame: dict[tuple[int, Component], EncodedPlane] = {}
+            for key in PLANE_ORDER:
+                modes = np.empty(n_mb, dtype=np.uint8)
+                ref_dist = np.empty(n_mb, dtype=np.uint8)
+                mv = np.empty((n_mb, 2), dtype=np.int16)
+                coeffs = np.zeros((n_mb, MB_SIZE, MB_SIZE), dtype=np.int16)
+                for m in range(n_mb):
+                    mode, rd, mvx, mvy = struct.unpack_from("<BBhh", data, pos)
+                    pos += struct.calcsize("<BBhh")
+                    modes[m], ref_dist[m] = mode, rd
+                    mv[m] = (mvx, mvy)
+                    if mode != MODE_SKIP:
+                        tile = np.frombuffer(data, dtype="<i2", count=256,
+                                             offset=pos)
+                        coeffs[m] = tile.reshape(MB_SIZE, MB_SIZE)
+                        pos += 512
+                step = depth_quant_step if key[1] == Component.DEPTH else quant_step
+                frame[key] = EncodedPlane(modes=modes, ref_dist=ref_dist, mv=mv,
+                                          coeffs=coeffs, quant_step=step,
+                                          grid=grid)
+            frames.append(frame)
+    except (struct.error, ValueError):      # a record or its coefficients cut short
+        raise CodecError(f"truncated stream at byte {pos} of {len(data)}") from None
+    if any(enc.modes.max() > MODE_SKIP for frame in frames for enc in frame.values()):
+        raise CodecError("unknown mode byte in stream")
+    if pos != len(data):
+        raise CodecError("trailing bytes in stream")
+    return width, height, quant_step, frames
 
 
 # --- expected-error recursion -----------------------------------------------
@@ -756,6 +813,30 @@ def oracle_warp_view(texture: np.ndarray, disparity: np.ndarray,
                       src_col=out_src.reshape(h, w))
 
 
+def oracle_fill_holes(plane: np.ndarray, holes: np.ndarray,
+                      disparity: np.ndarray) -> np.ndarray:
+    """fill_holes row by row: a searchsorted over each row's covered
+    columns."""
+    out = plane.copy()
+    h, w = plane.shape
+    for i in np.flatnonzero(holes.any(axis=1)):
+        known = np.flatnonzero(~holes[i])
+        if known.size == 0:
+            out[i, :] = 128
+            continue
+        hidx = np.flatnonzero(holes[i])
+        pos = np.searchsorted(known, hidx)
+        has_left = pos > 0
+        has_right = pos < known.size
+        left = known[np.clip(pos - 1, 0, known.size - 1)]
+        right = known[np.clip(pos, 0, known.size - 1)]
+        dl = disparity[i, left]
+        dr = disparity[i, right]
+        use_left = has_left & (~has_right | (dl <= dr))
+        out[i, hidx] = np.where(use_left, plane[i, left], plane[i, right])
+    return out
+
+
 def oracle_expand_block_values(values, grid: tuple[int, int]) -> np.ndarray:
     """Per-MB values repeated to per-pixel resolution, rows then columns."""
     m = np.asarray(values, dtype=np.float64).reshape(grid)
@@ -834,6 +915,25 @@ def blend_standard(left, right, position: float):
     plane = np.where(both, mixed,
                      np.where(left.covered, x0,
                               np.where(right.covered, x1, 0.0)))
+    holes = ~(left.covered | right.covered)
+    return plane.astype(np.uint8), holes
+
+
+def oracle_blend(left, right, position: float, d0_target, d1_target,
+                 reliability_c: float):
+    """blend over the whole plane: the reliabilities and the modulated
+    blend at every pixel, kept where the reliabilities differ."""
+    v = position
+    x0 = left.value.astype(np.float64)
+    x1 = right.value.astype(np.float64)
+    mixed = _round_half_up((1.0 - v) * x0 + v * x1)
+    r0, r1 = reliability_weights(d0_target, d1_target, reliability_c)
+    w0 = (1.0 - v) * r0
+    w1 = v * r1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        modulated = _round_half_up((w0 * x0 + w1 * x1) / (w0 + w1))
+    mixed = np.where(r0 == r1, mixed, modulated)
+    plane = np.where(left.covered & right.covered, mixed, x0 + x1)
     holes = ~(left.covered | right.covered)
     return plane.astype(np.uint8), holes
 

@@ -1078,6 +1078,103 @@ class TestContainer:
                 assert np.array_equal(enc.coeffs, got.coeffs)
 
 
+def random_records(seed: int, grid: tuple[int, int], frame_count: int):
+    """Frames of SKIP, INTER and INTRA records mixed per block, with
+    full-range vectors and coefficients (none under SKIP)."""
+    rng = np.random.default_rng(seed)
+    n_mb = grid[0] * grid[1]
+    frames = []
+    for _ in range(frame_count):
+        frame = {}
+        for key in PLANE_ORDER:
+            modes = rng.choice([MODE_INTRA, MODE_INTER, MODE_SKIP],
+                               n_mb).astype(np.uint8)
+            skip = (modes == MODE_SKIP)[:, None]
+            coeffs = rng.integers(-32768, 32768, (n_mb, 16, 16), dtype=np.int16)
+            coeffs *= (rng.random((n_mb, 1, 1)) < 0.8) & ~skip[:, None]
+            frame[key] = EncodedPlane(
+                modes=modes, ref_dist=rng.integers(0, 256, n_mb, dtype=np.uint8),
+                mv=rng.integers(-32768, 32768, (n_mb, 2), dtype=np.int16) * ~skip,
+                coeffs=coeffs, quant_step=2 if key[1] is Component.DEPTH else 10,
+                grid=grid)
+        frames.append(frame)
+    return frames
+
+
+def assert_same_parse(got, want):
+    assert got[:3] == want[:3]
+    assert len(got[3]) == len(want[3])
+    for frame, want_frame in zip(got[3], want[3]):
+        assert list(frame) == list(want_frame)
+        for key, enc in frame.items():
+            ref = want_frame[key]
+            assert (enc.quant_step, enc.grid) == (ref.quant_step, ref.grid)
+            for field in ("modes", "ref_dist", "mv", "coeffs"):
+                a, b = getattr(enc, field), getattr(ref, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+                assert a.flags.writeable
+
+
+class TestParseAgainstTheRecordOracle:
+    @given(seed=st.integers(0, 2 ** 32 - 1), hb=st.integers(1, 3),
+           wb=st.integers(1, 3), frame_count=st.integers(0, 4))
+    @settings(max_examples=40)
+    def test_matches_the_record_oracle(self, seed, hb, wb, frame_count):
+        frames = random_records(seed, (hb, wb), frame_count)
+        blob = serialize_stream(16 * wb, 16 * hb, 10, frames, 2)
+        got = parse_stream(blob)
+        assert_same_parse(got, oracles.oracle_parse_stream(blob))
+        assert_same_parse(got, (16 * wb, 16 * hb, 10, frames))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), cut=st.integers(0, 4200),
+           tail=st.binary(max_size=3),
+           modes=st.lists(st.tuples(st.integers(0, 7),
+                                    st.sampled_from([0, 1, 2, 3, 255])),
+                          max_size=3),
+           edits=st.lists(st.tuples(st.integers(0, 4200),
+                                    st.integers(0, 255)), max_size=4))
+    @settings(max_examples=80)
+    def test_damage_raises_the_record_oracle_s_error(self, seed, cut, tail,
+                                                     modes, edits):
+        # cut records and coefficients, mode bytes that change a record's
+        # length or name no mode, trailing bytes: the same message each
+        frames = random_records(seed, (1, 2), 1)
+        data = bytearray(serialize_stream(32, 16, 10, frames, 2))
+        sizes = [6 if mode == MODE_SKIP else 518 for enc in frames[0].values()
+                 for mode in enc.modes]
+        starts = 4 + 11 + np.cumsum([0] + sizes[:-1])
+        for record, mode in modes:
+            data[starts[record]] = mode
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        data = bytes(data[:cut]) + tail
+        try:
+            want = oracles.oracle_parse_stream(data)
+        except CodecError as exc:
+            with pytest.raises(CodecError) as info:
+                parse_stream(data)
+            assert str(info.value) == str(exc)
+        else:
+            assert_same_parse(parse_stream(data), want)
+
+    def test_a_default_size_stream_parses_within_a_little_of_its_output(self):
+        # 60 frames of 128x128: a stream-sized temporary (a whole-stream
+        # coefficient array, or the payloads joined) would add megabytes
+        blob = serialize_stream(128, 128, 10, random_records(3, (8, 8), 60), 2)
+        tracemalloc.start()
+        try:
+            frames = parse_stream(blob)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(getattr(enc, field).nbytes for frame in frames
+                  for enc in frame.values()
+                  for field in ("modes", "ref_dist", "mv", "coeffs"))
+        assert out > 6 * 2 ** 20
+        assert peak < out + 2 ** 20
+
+
 class TestCodecConfig:
     def test_defaults_and_validation(self):
         # no defaults: every caller states all three, as ExperimentConfig does

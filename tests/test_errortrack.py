@@ -234,6 +234,25 @@ class TestInnovation:
         got = innovation_term(cur, prev)
         assert got.tolist() == [0.0, 4.0]
 
+    def test_the_widest_change_is_exact(self):
+        # |255 - 0| and |0 - 128| in every pixel, past int8 and uint8 wraps
+        assert innovation_term(flat(255), flat(0)).tolist() == [255.0]
+        assert innovation_term(flat(0), flat(255)).tolist() == [255.0]
+        assert innovation_term(flat(0), None).tolist() == [128.0]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_rejects_planes_that_are_not_uint8(self, dtype, bad):
+        # the int16 difference is exact only for uint8 samples; an int8
+        # plane alone fails the check, not the mid-gray fill
+        planes = [flat(100), flat(90)]
+        planes[bad] = planes[bad].astype(dtype)
+        with pytest.raises(TrackingError, match="uint8"):
+            innovation_term(*planes)
+        if bad == 0:
+            with pytest.raises(TrackingError, match="uint8"):
+                innovation_term(planes[0], None)
+
 
 class TestExpectedErrorTracker:
     def test_matches_blended_reference_recursion(self):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from fvstream.frames import MB_SIZE, mse
 from fvstream.synthesis import (SynthesisError, SynthesisParams, WarpedView,
-                                blend, correspondence_sets, expand_block_values,
-                                fill_holes, gather_at_targets,
-                                reliability_weights,
-                                synthesize_view, warp_view,
-                                worst_case_distortion_map)
+                                blend, blend_pair, correspondence_sets,
+                                expand_block_values, fill_holes,
+                                gather_at_targets, reliability_weights,
+                                shift_factor, synthesize_view, warp_pair,
+                                warp_view, worst_case_distortion_map)
 
 import oracles
 
@@ -244,6 +244,22 @@ class TestFillHoles:
         assert (out[1] == 128).all()
         assert (out[0] == plane[0]).all()
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(1, 6),
+           w=st.integers(1, 12), hole_frac=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+           dtype=st.sampled_from([np.uint8, np.int64]))
+    @settings(max_examples=60)
+    def test_matches_the_per_row_oracle(self, seed, h, w, hole_frac, dtype):
+        # rows with no covered pixel, holes at both borders, one-column
+        # planes, and disparities of 0-2 so that dl == dr ties are common
+        rng = np.random.default_rng(seed)
+        plane = rng.integers(0, 256, (h, w)).astype(dtype)
+        holes = rng.random((h, w)) < hole_frac
+        holes[rng.integers(0, h)] = True
+        holes[:, [0, -1]] |= rng.random((h, 2)) < 0.5
+        disp = rng.integers(0, 3, (h, w)).astype(np.int64)
+        assert_same_array(fill_holes(plane, holes, disp),
+                          oracles.oracle_fill_holes(plane, holes, disp))
+
 
 def distance_blend(left, right, position):
     """blend with equal reliabilities: (plane, holes)."""
@@ -371,6 +387,33 @@ class TestReliability:
         assert np.array_equal(plane, x0)
         assert r1[0, 0] == pytest.approx(1.0 / 202.0, rel=1e-12)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           position=st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]),
+           c=st.sampled_from([0.5, 1.0, 4.0]),
+           kinds=st.tuples(*[st.sampled_from(["map", "scalar"])] * 2))
+    @settings(max_examples=60)
+    def test_the_subset_blend_matches_the_full_plane_formula(self, seed,
+                                                             position, c,
+                                                             kinds):
+        # maps that agree at about half the pixels, tiny gaps that round
+        # to a tie, and scalar distortions, equal or not
+        rng = np.random.default_rng(seed)
+        shape = (8, 24)
+        left = make_warp(rng.integers(0, 256, shape),
+                         covered=rng.random(shape) < 0.8)
+        right = make_warp(rng.integers(0, 256, shape),
+                          covered=rng.random(shape) < 0.8)
+        base = rng.uniform(0.0, 60.0, shape)
+        maps = []
+        for kind in kinds:
+            d = np.where(rng.random(shape) < 0.5, base,
+                         base + rng.choice([1e-14, 3.0, 40.0], shape))
+            maps.append(d if kind == "map" else float(rng.choice([0.0, 7.5])))
+        got = blend(left, right, position, *maps, c)
+        want = oracles.oracle_blend(left, right, position, *maps, c)
+        for g, w in zip(got, want):
+            assert_same_array(g, w)
+
 
 class TestWorstCase:
     def test_zero_disparity_error_keeps_the_block_error(self):
@@ -475,6 +518,31 @@ class TestWorstCase:
         assert_same_array(inf, worst_case_distortion_map(tex, e, np.ones(2),
                                                          1e6))
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), hb=st.integers(1, 3),
+           wb=st.integers(1, 3), factor=st.sampled_from([0.3, 1.0, 2.5]))
+    @settings(max_examples=60)
+    def test_mixed_block_radii_match_the_gather_oracle(self, seed, hb, wb,
+                                                      factor):
+        # per block: radius 0, a few columns, or at least the plane's width
+        rng = np.random.default_rng(seed)
+        tex = rng.integers(0, 256, (16 * hb, 16 * wb)).astype(np.uint8)
+        e = rng.uniform(0.0, 40.0, hb * wb)
+        eps = rng.choice([0.0, 1.0, 2.0, 5.0, 17.0, 100.0], hb * wb)
+        got = worst_case_distortion_map(tex, e, eps, factor)
+        want = oracles.oracle_worst_case_distortion_map(tex, e, eps, factor)
+        assert_same_array(got, want)
+
+    @pytest.mark.parametrize("view, position", [(0, 0.0), (1, 1.0)])
+    def test_a_view_at_its_own_camera_has_radius_zero(self, view, position):
+        # factor 0 moves no column, even for an infinite disparity error
+        tex = np.full((16, 32), 100, dtype=np.uint8)
+        tex[:, 16:] = 200
+        e = np.array([1.0, 2.0])
+        factor = shift_factor(view, position, 1.0)
+        assert factor == 0.0
+        d = worst_case_distortion_map(tex, e, np.full(2, np.inf), factor)
+        assert_same_array(d, oracles.oracle_expand_block_values(e, (1, 2)))
+
     def test_gather_pulls_source_values_to_targets(self):
         src_map = np.arange(8, dtype=np.float64).reshape(1, 8)
         covered = np.array([[True, False, True, True, False, False, True, True]])
@@ -556,6 +624,18 @@ class TestSynthesizeView:
                               left_errors=(zeros, zeros),
                               right_errors=(zeros, zeros))
         assert np.array_equal(std, ada)
+
+    @pytest.mark.parametrize("position", [0.0, 1.0])
+    def test_the_adaptive_blend_at_a_camera_passes_that_view(self, position):
+        # the other view's distance weight is 0, and an infinite disparity
+        # error at the camera's own view moves none of its columns
+        tex0, disp0 = random_view(41)
+        tex1, disp1 = random_view(42)
+        params = SynthesisParams(position=position)
+        pair = warp_pair(tex0, disp0, tex1, disp1, params)
+        errs = (np.full(6, 3.0), np.full(6, np.inf))
+        got = blend_pair(pair, params, errs, errs)
+        assert_same_array(got, tex0 if position == 0.0 else tex1)
 
     def test_down_weighting_a_corrupted_view_lowers_the_error(self, side_scene):
         lt, rt = side_scene.left[4], side_scene.right[4]
