@@ -602,23 +602,34 @@ def serialize_stream(width: int, height: int, quant_step: int,
     for name, value in header.items():
         if not 0 <= value <= 0xFFFF:
             raise CodecError(f"{name} {value} does not fit the u16 header field")
+    # what the parser would reject is refused here
+    if not (width and height) or width % MB_SIZE or height % MB_SIZE:
+        raise CodecError(f"frame size {width}x{height} is not a positive "
+                         f"multiple of {MB_SIZE}")
+    grid = (height // MB_SIZE, width // MB_SIZE)
+    n_mb = grid[0] * grid[1]
     buf = bytearray()
     buf += STREAM_MAGIC
     buf += struct.pack("<BHHHHH", STREAM_VERSION, *header.values())
     for t, frame in enumerate(frames):
         for key in PLANE_ORDER:
-            enc = frame[key]
+            enc, where = frame[key], f"frame {t} view {key[0]} {key[1].label}"
             step = depth_quant_step if key[1] == Component.DEPTH else quant_step
             if enc.quant_step != step:
-                raise CodecError(f"frame {t} view {key[0]} {key[1].label}: "
-                                 f"quant_step {enc.quant_step} is not the "
-                                 f"header's {step}")
-            for name, lo, hi in (("modes", 0, 255), ("ref_dist", 0, 255),
+                raise CodecError(f"{where}: quant_step {enc.quant_step} is not "
+                                 f"the header's {step}")
+            shapes = (enc.modes.shape, enc.ref_dist.shape, enc.mv.shape,
+                      enc.coeffs.shape)
+            if tuple(enc.grid) != grid or shapes != (
+                    (n_mb,), (n_mb,), (n_mb, 2), (n_mb, MB_SIZE, MB_SIZE)):
+                raise CodecError(f"{where}: block grid {tuple(enc.grid)} with "
+                                 f"arrays {shapes} is not the header's {grid}")
+            for name, lo, hi in (("modes", 0, MODE_SKIP), ("ref_dist", 0, 255),
                                  ("mv", -32768, 32767), ("coeffs", -32768, 32767)):
                 vals = getattr(enc, name)
                 if vals.size and not lo <= vals.min() <= vals.max() <= hi:
-                    raise CodecError(f"{name} outside [{lo}, {hi}] cannot be serialized")
-            n_mb = enc.modes.shape[0]
+                    raise CodecError(f"{where}: {name} outside [{lo}, {hi}] "
+                                     f"cannot be serialized")
             for m in range(n_mb):
                 buf += struct.pack("<BBhh", int(enc.modes[m]), int(enc.ref_dist[m]),
                                    int(enc.mv[m, 0]), int(enc.mv[m, 1]))

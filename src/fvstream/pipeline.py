@@ -36,8 +36,8 @@ message.  The helper answers with the sets first and starts a receiver step
 only while no message has begun to arrive, because the encode waits on the
 sets; the frames left after the last commit are stepped before the result
 returns.  Without a helper the receiver runs after the encode, once the
-encoder's state is freed.  decode_stream runs the same step with no blend,
-and synthesize_sequence runs its synthesis for one blend.
+encoder's state is freed.  decode_stream steps a receiver under both blends;
+synthesize_sequence scores one blend's planes, for it and for every cell.
 
 Everything here is deterministic: fixed seeds, fixed iteration order, fixed
 text formatting of every artifact.
@@ -685,110 +685,88 @@ def encode_stream(cfg: ExperimentConfig, orig: dict, mode: str,
 # the receiver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecodedStream:
-    planes: dict[tuple[int, Component], list[np.ndarray]]
-    tracker: DecoderTracker
-    lost_packets: list[int]
-
-
-def _synthesize_frame(cfg: ExperimentConfig, dec: DecodedStream, t: int,
-                      blends: Iterable[str]) -> dict[str, np.ndarray]:
-    """Frame t's middle view under each blend: the decoded views are warped
-    once, and an "adaptive" blend weighs them by their tracked errors."""
-    pair = warp_pair(*(dec.planes[key][t] for key in PLANE_ORDER),
-                     cfg.synthesis)
-    out = {}
-    for blend in blends:
-        errors = ([(dec.tracker.state(view, 0, t), dec.tracker.state(view, 1, t))
-                   for view in (0, 1)] if blend == "adaptive" else [None, None])
-        out[blend] = blend_pair(pair, cfg.synthesis, *errors)
-    return out
+BLENDS = ("standard", "adaptive")
 
 
 @dataclass
 class Reception:
     """What a receiver made of a stream: the packets lost per frame, and
-    per blend the synthesized planes and their PSNRs."""
+    per blend the synthesized planes."""
 
     lost_packets: list[int]
-    synth: dict[str, tuple[list[np.ndarray], list[float]]]
+    synth: dict[str, list[np.ndarray]]
 
 
 class Receiver:
     """The receiver, one committed frame per step: decode frame t's four
-    planes with concealment, track their per-MB errors when a blend reads
-    them, then synthesize the middle view under every blend and score it
-    against the truth."""
+    planes with concealment, track their per-MB errors when the adaptive
+    blend reads them, then warp the decoded views once and blend them under
+    every blend.  Its planes, tracker, lost_packets and synth (blend ->
+    planes) grow by one frame a step."""
 
     def __init__(self, cfg: ExperimentConfig, trace: LossTrace,
-                 blends: Sequence[str] = (),
-                 truth: Sequence[FramePlane] = ()) -> None:
+                 blends: Sequence[str]) -> None:
+        if not blends or not set(blends) <= set(BLENDS):
+            raise HarnessError(f"blends {list(blends)} are not a nonempty "
+                               f"subset of {BLENDS}")
         grid = (cfg.scene.height // 16, cfg.scene.width // 16)
-        self.cfg, self.trace, self.truth = cfg, trace, truth
-        self.dec = DecodedStream(planes={key: [] for key in PLANE_ORDER},
-                                 tracker=DecoderTracker(grid, cfg.gamma,
-                                                        cfg.eta),
-                                 lost_packets=[])
-        self.synth: dict[str, tuple[list[np.ndarray], list[float]]] = {
-            blend: ([], []) for blend in blends}
-        # only the adaptive blend reads the tracked errors, and
-        # decode_stream's receiver, which blends nothing, returns them
-        self.tracks = not blends or "adaptive" in blends
+        self.cfg, self.trace = cfg, trace
+        self.planes = {key: [] for key in PLANE_ORDER}
+        self.tracker = DecoderTracker(grid, cfg.gamma, cfg.eta)
+        self.lost_packets: list[int] = []
+        self.synth = {blend: [] for blend in blends}
 
     def step(self, t: int, frame: dict[tuple[int, Component], EncodedPlane]
              ) -> None:
-        cfg, dec, decoded = self.cfg, self.dec, self.dec.planes
-        grid = dec.tracker.grid
-        n_mb = grid[0] * grid[1]
-        dec.lost_packets.append(sum(sum(self.trace.lost_flags(t, *key))
-                                    for key in PLANE_ORDER))
+        cfg, decoded, tracker = self.cfg, self.planes, self.tracker
+        n_mb = tracker.grid[0] * tracker.grid[1]
+        self.lost_packets.append(sum(sum(self.trace.lost_flags(t, *key))
+                                     for key in PLANE_ORDER))
         rcv_t = {}
         for key in PLANE_ORDER:
             rcv = ~lost_mb_mask(self.trace, t, *key, n_mb)
             enc = frame[key]
-            if tuple(enc.grid) != grid:
+            if tuple(enc.grid) != tracker.grid:
                 raise CodecError(f"frame {t}: block grid {tuple(enc.grid)} "
-                                 f"differs from the scene's {grid}")
+                                 f"differs from the scene's {tracker.grid}")
             depth_refs = min(cfg.ref_window, t)
             refs = [decoded[key][t - d] for d in range(1, depth_refs + 1)]
             conceal = decoded[key][t - 1] if t >= 1 else None
             plane, _ = decode_plane(enc, refs, conceal, rcv)
             decoded[key].append(plane)
             rcv_t[key] = rcv
-        if self.tracks:
-            dec.tracker.update_frame(t, decoded, frame, rcv_t)
-        if not self.synth:      # decode_stream's receiver warps nothing
-            return
-        for blend, plane in _synthesize_frame(cfg, dec, t, self.synth).items():
-            planes, scores = self.synth[blend]
-            planes.append(plane)
-            scores.append(psnr(self.truth[t].samples, plane))
+        if "adaptive" in self.synth:    # the one blend that reads them
+            tracker.update_frame(t, decoded, frame, rcv_t)
+        pair = warp_pair(*(decoded[key][t] for key in PLANE_ORDER),
+                         cfg.synthesis)
+        for blend, planes in self.synth.items():
+            errors = ([(tracker.state(view, 0, t), tracker.state(view, 1, t))
+                       for view in (0, 1)] if blend == "adaptive"
+                      else [None, None])
+            planes.append(blend_pair(pair, cfg.synthesis, *errors))
 
     def result(self) -> Reception:
-        return Reception(lost_packets=self.dec.lost_packets, synth=self.synth)
+        return Reception(lost_packets=self.lost_packets, synth=self.synth)
 
 
 def decode_stream(cfg: ExperimentConfig, stream: EncodedStream,
-                  trace: LossTrace) -> DecodedStream:
-    """Receiver side: decode with concealment and track per-MB errors (the
-    receiver's step with no blend)."""
-    rx = Receiver(cfg, trace)
+                  trace: LossTrace) -> Receiver:
+    """Receiver side: step a receiver under both blends through the stream
+    and return it."""
+    rx = Receiver(cfg, trace, BLENDS)
     for t, frame in enumerate(stream.frames):
         rx.step(t, frame)
-    return rx.dec
+    return rx
 
 
-def synthesize_sequence(cfg: ExperimentConfig, dec: DecodedStream,
-                        blend: str, truth: list[FramePlane]
+def synthesize_sequence(cfg: ExperimentConfig, dec: Receiver | Reception,
+                        blend: str, truth: Sequence[FramePlane]
                         ) -> tuple[list[np.ndarray], list[float]]:
-    """Synthesize the middle view per frame and score against ground truth;
-    an "adaptive" blend weighs the views by their tracked errors (the
-    receiver's synthesis, one blend at a time)."""
-    if blend not in ("standard", "adaptive"):
-        raise HarnessError(f"unknown blend {blend!r}")
-    planes = [_synthesize_frame(cfg, dec, t, [blend])[blend]
-              for t in range(len(dec.planes[(0, Component.TEXTURE)]))]
+    """The middle view dec synthesized per frame under blend, and its PSNR
+    against the truth; cfg is unused, as the receiver holds its own."""
+    if blend not in dec.synth:
+        raise HarnessError(f"blend {blend!r} was not synthesized")
+    planes = dec.synth[blend]
     return planes, [psnr(truth[t].samples, p) for t, p in enumerate(planes)]
 
 
@@ -944,11 +922,12 @@ def _code_mode(cfg: ExperimentConfig, mode: str, setups: list[str],
     write each setup's cell."""
     blends = list(dict.fromkeys(SETUP_MODES[setup][1] for setup in setups))
     stream = encode_stream(cfg, orig, mode, trace, targets, publish, encodes,
-                           partial(Receiver, cfg, trace, blends, truth))
+                           partial(Receiver, cfg, trace, blends))
     rx = stream.reception
     cells = []
     for setup in setups:
-        synth, scores = rx.synth[SETUP_MODES[setup][1]]
+        synth, scores = synthesize_sequence(cfg, rx, SETUP_MODES[setup][1],
+                                            truth)
         cell = CellResult(
             setup=setup, loss_rate=trace.loss_rate, seed=trace.seed,
             frame_psnr=[float(_fmt(s)) for s in scores],
@@ -1076,8 +1055,8 @@ def load_report(root) -> ExperimentReport:
 
     The tree keeps per-cell counts, not per-frame flags, so a loaded cell's
     in_band and infeasible are None.  A report.csv row that lacks a field,
-    or whose frame_count or total_bits disagree with its perframe.csv,
-    raises HarnessError.
+    whose perframe.csv cannot be read, or whose frame_count or total_bits
+    disagree with it, raises HarnessError.
     """
     root = Path(root)
     try:
@@ -1104,7 +1083,7 @@ def load_report(root) -> ExperimentReport:
             frame_psnr = [float(f[1]) for f in frames]
             frame_bits = [int(f[2]) for f in frames]
             frame_lost = [int(f[3]) for f in frames]
-        except (ValueError, IndexError) as exc:
+        except (OSError, ValueError, IndexError) as exc:
             raise HarnessError(f"{where}: {exc}") from None
         cell = CellResult(setup=setup, loss_rate=rate, seed=seed,
                           frame_psnr=frame_psnr, frame_bits=frame_bits,

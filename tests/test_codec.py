@@ -1028,6 +1028,23 @@ class TestContainer:
         with pytest.raises(CodecError, match="frame 0 view 0 texture"):
             serialize_stream(32, 32, 7, frames[:1], 2)
 
+    @pytest.mark.parametrize("case, match", [
+        ("grid", "^frame 1 view 0 texture: block grid"),
+        ("mode", "^frame 1 view 1 depth: modes outside"),
+        ("width", "^frame size 40x32 "), ("height", "^frame size 32x0 ")])
+    def test_serialize_refuses_what_the_parser_rejects(self, case, match):
+        # each of these would serialize, then fail to parse
+        frames = [self._frame(470), self._frame(480)]
+        width, height = {"width": (40, 32), "height": (32, 0)}.get(case,
+                                                                   (32, 32))
+        if case == "grid":
+            frames[1][(0, Component.TEXTURE)] = self._all_intra(
+                rand_plane((16, 16), 490))
+        if case == "mode":
+            frames[1][(1, Component.DEPTH)].modes[1] = MODE_SKIP + 1
+        with pytest.raises(CodecError, match=match):
+            serialize_stream(width, height, 10, frames, 2)
+
     def test_decoded_stream_matches_encoder_reconstruction(self):
         """Lossless channel: decode of the parsed container equals the
         encoder-side reconstruction everywhere."""

@@ -235,6 +235,34 @@ def test_processes_are_forked_in_one_place():
     assert inside and outside == []
 
 
+def test_views_are_synthesized_in_one_place():
+    # Receiver.step warps each decoded frame once and blends it per blend,
+    # and synthesize_view is the one-call form; any other reader of
+    # warp_pair or blend_pair would be a second synthesis driver
+    root = Path(__file__).resolve().parents[1] / "src" / "fvstream"
+    found = set()
+
+    def scan(path: Path, node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                scan(path, child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else None)
+            if name in ("warp_pair", "blend_pair"):
+                found.add((path.name, scope, name))
+            scan(path, child, scope)
+
+    for path in sorted(root.glob("*.py")):
+        scan(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == {(module, scope, name)
+                     for module, scope in (("pipeline.py", "Receiver.step"),
+                                           ("synthesis.py", "synthesize_view"))
+                     for name in ("warp_pair", "blend_pair")}
+
+
 def test_modes_are_decided_in_the_pipeline_alone():
     # the selection and blend modes are each decided in one module; the
     # others take columns, caps or tracked errors, never a mode string

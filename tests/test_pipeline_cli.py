@@ -307,11 +307,31 @@ class TestLosslessLoop:
         for blends in (["standard"], ["standard", "adaptive"]):
             calls.clear()
             stream = encode_stream(cfg, orig, "cross", trace, receiver=partial(
-                pipeline.Receiver, cfg, trace, blends, micro_scene.truth))
+                pipeline.Receiver, cfg, trace, blends))
             counts.append(len(calls))
         calls.clear()
         decode_stream(cfg, stream, trace)
         assert counts + [len(calls)] == [0, 8, 8]
+
+    def test_the_public_route_warps_and_tracks_each_frame_once(
+            self, micro_scene, tmp_path, monkeypatch):
+        # decode_stream synthesizes both blends in its one receiver pass;
+        # synthesize_sequence only scores what it made
+        cfg = micro_config(tmp_path)
+        orig = pipeline._plane_lists(micro_scene.left, micro_scene.right)
+        trace = cfg.loss_trace(7, 0.05)
+        stream = encode_stream(cfg, orig, "cross", trace)
+        calls = []
+        warp, update = pipeline.warp_pair, DecoderTracker.update_frame
+        monkeypatch.setattr(pipeline, "warp_pair",
+                            lambda *a: calls.append("warp") or warp(*a))
+        monkeypatch.setattr(DecoderTracker, "update_frame",
+                            lambda *a: calls.append("track") or update(*a))
+        dec = decode_stream(cfg, stream, trace)
+        for blend in ("standard", "adaptive"):
+            synthesize_sequence(cfg, dec, blend, micro_scene.truth)
+        frames = len(stream.frames)
+        assert (calls.count("warp"), calls.count("track")) == (frames, frames)
 
     def test_synthesis_scores_one_value_per_frame(self, micro_scene, tmp_path):
         cfg = micro_config(tmp_path, loss_rates=(0.0,))
@@ -329,6 +349,8 @@ class TestLosslessLoop:
         for blend in ("Adaptive", "both", ""):
             with pytest.raises(HarnessError):
                 synthesize_sequence(cfg, dec, blend, micro_scene.truth)
+            with pytest.raises(HarnessError):
+                pipeline.Receiver(cfg, trace, [blend])
 
     def test_synthesis_is_scored_against_the_truth_at_its_position(
             self, micro_scene, tmp_path):
@@ -452,6 +474,13 @@ class TestExperimentTree:
                 "\n".join([lines[0], ",".join(bad)] + lines[2:]) + "\n")
             with pytest.raises(HarnessError, match="report.csv line 2"):
                 load_report(copy)
+        # a row whose cell directory is missing
+        copy = tmp_path / "no_cell"
+        shutil.copytree(root, copy)
+        shutil.rmtree(pipeline._pair_dir(copy, float(row[1]), int(row[2]))
+                      / row[0])
+        with pytest.raises(HarnessError, match="report.csv line 2: .*perframe"):
+            load_report(copy)
 
     def test_loaded_report_matches_the_live_one(self, experiment_tree):
         _, report, root = experiment_tree
@@ -852,8 +881,7 @@ class TestPlaneHelper:
         monkeypatch.setattr(pipeline, "decode_plane", broken)
         _cpus(monkeypatch, 2)
         cfg, orig, trace = self._inputs(micro_scene)
-        receiver = partial(pipeline.Receiver, cfg, trace, ["standard"],
-                           micro_scene.truth)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["standard"])
         with pytest.raises(CodecError) as caught:
             encode_stream(cfg, orig, "reactive", trace, receiver=receiver)
         assert type(caught.value) is CodecError
@@ -941,7 +969,7 @@ class TestLateHelper:
         frames = len(orig[(0, Component.TEXTURE)])
         targets = encode_stream(cfg, orig, "reactive", trace).bits_per_frame
         receiver = partial(pipeline.Receiver, cfg, trace,
-                           ["standard", "adaptive"], scene64.truth)
+                           ["standard", "adaptive"])
         forks = _count_forks(monkeypatch)
         streams = []
         for start in (1, frames // 2, frames - 1, None):
@@ -989,8 +1017,7 @@ class TestLateHelper:
                             if a.ndim == 2 and a.dtype == np.uint8)
             return send(conn, obj)
         monkeypatch.setattr(Connection, "send", recorded)
-        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"],
-                           scene64.truth)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"])
         stream = encode_stream(cfg, orig, "cross", trace,
                                encodes=_ends_at(start), receiver=receiver)
         view1 = [(1, Component.TEXTURE), (1, Component.DEPTH)]
@@ -1017,8 +1044,7 @@ class TestLateHelper:
         monkeypatch.setattr(pipeline, name, broken)
         _cpus(monkeypatch, 2)
         cfg, orig, trace = TestPlaneHelper._inputs(micro_scene)
-        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"],
-                           micro_scene.truth)
+        receiver = partial(pipeline.Receiver, cfg, trace, ["adaptive"])
         with pytest.raises(CodecError) as caught:
             encode_stream(cfg, orig, "cross", trace, encodes=_ends_at(4),
                           receiver=receiver)
